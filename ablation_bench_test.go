@@ -14,8 +14,8 @@ import (
 	"repro/internal/dbms"
 	"repro/internal/hw"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/pstore"
-	"repro/internal/runner"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -30,7 +30,7 @@ func mustCluster(b *testing.B, n int, spec hw.Spec) *cluster.Cluster {
 }
 
 // joinSeconds runs one independent join on a fresh homogeneous cluster;
-// the multi-configuration ablations below fan these out with runner.Map
+// the multi-configuration ablations below fan these out with par.Map
 // (each run owns its private engine, so results are unchanged).
 func joinSeconds(n int, hwSpec hw.Spec, cfg pstore.Config, spec pstore.JoinSpec) (float64, error) {
 	c, err := cluster.New(cluster.Homogeneous(n, hwSpec))
@@ -47,7 +47,7 @@ func BenchmarkAblationWarmVsCold(b *testing.B) {
 	spec := workload.Q3Join(10, 0.05, 0.05, pstore.DualShuffle)
 	var warmS, coldS float64
 	for i := 0; i < b.N; i++ {
-		secs, err := runner.Map(0, []bool{true, false}, func(_ int, warm bool) (float64, error) {
+		secs, err := par.Map(0, []bool{true, false}, func(_ int, warm bool) (float64, error) {
 			return joinSeconds(4, hw.BeefyL5630(), pstore.Config{WarmCache: warm, BatchRows: 200_000}, spec)
 		})
 		if err != nil {
@@ -67,7 +67,7 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 	spec := workload.Q3Join(40, 0.05, 0.05, pstore.DualShuffle)
 	var dev float64
 	for i := 0; i < b.N; i++ {
-		secs, err := runner.Map(0, []int{50_000, 200_000, 800_000}, func(_ int, rows int) (float64, error) {
+		secs, err := par.Map(0, []int{50_000, 200_000, 800_000}, func(_ int, rows int) (float64, error) {
 			return joinSeconds(4, hw.ClusterV(), pstore.Config{WarmCache: true, BatchRows: rows}, spec)
 		})
 		if err != nil {
@@ -163,7 +163,7 @@ func BenchmarkAblationJoinWork(b *testing.B) {
 	spec := workload.Q3Join(10, 0.05, 0.05, pstore.DualShuffle)
 	var spread float64
 	for i := 0; i < b.N; i++ {
-		secs, err := runner.Map(0, []float64{0.5, 1.0, 2.0}, func(_ int, jw float64) (float64, error) {
+		secs, err := par.Map(0, []float64{0.5, 1.0, 2.0}, func(_ int, jw float64) (float64, error) {
 			return joinSeconds(8, hw.ClusterV(), pstore.Config{WarmCache: true, BatchRows: 200_000, JoinWork: jw}, spec)
 		})
 		if err != nil {
@@ -206,7 +206,7 @@ func BenchmarkAblationElastic(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		type elasticCase struct{ n, homes int }
 		cases := []elasticCase{{6, 8}, {6, 0}, {4, 8}, {4, 0}}
-		secs, err := runner.Map(0, cases, func(_ int, ec elasticCase) (float64, error) {
+		secs, err := par.Map(0, cases, func(_ int, ec elasticCase) (float64, error) {
 			spec := workload.Q3Join(10, 0.02, 0.02, pstore.DualShuffle)
 			spec.Build.HomeNodes = ec.homes
 			spec.Probe.HomeNodes = ec.homes

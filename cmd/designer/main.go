@@ -28,9 +28,9 @@ import (
 	"repro/internal/hw"
 	"repro/internal/metrics"
 	"repro/internal/model"
+	"repro/internal/par"
 	"repro/internal/power"
 	"repro/internal/report"
-	"repro/internal/runner"
 )
 
 func main() {
@@ -158,7 +158,7 @@ func sweepGrid(spec string, params func(bs, ps float64) model.Params, nodes int,
 			cells = append(cells, cell{bs, ps})
 		}
 	}
-	advs, err := runner.Map(jobs, cells, func(_ int, c cell) (core.Advice, error) {
+	advs, err := par.Map(jobs, cells, func(_ int, c cell) (core.Advice, error) {
 		d := core.Designer{Base: params(c.bs, c.ps), MaxNodes: nodes}
 		return d.Recommend(target)
 	})

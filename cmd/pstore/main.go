@@ -34,7 +34,6 @@ func main() {
 		mat      = flag.Bool("materialize", false, "materialize tuples and verify against a reference join (small SF only)")
 		cold     = flag.Bool("cold", false, "cold cache (disk-rate scans)")
 		timeline = flag.Bool("timeline", false, "print per-node CPU utilization heat strips")
-		parts    = flag.Int("engine-partitions", 0, "split the simulated cluster across this many time-synchronized DES engine partitions (0/1 = one engine; same results)")
 		batch    = flag.Int("batch-rows", 0, "tuples per exchange batch (0 = default: 200000, or 4096 with -materialize; clamped at the engine maximum)")
 	)
 	flag.Parse()
@@ -46,7 +45,6 @@ func main() {
 		cfg = cluster.Homogeneous(*nodes, hw.ClusterV())
 	}
 	cfg.TraceMeters = *timeline
-	cfg.EnginePartitions = *parts
 	c, err := cluster.New(cfg)
 	if err != nil {
 		fatal(err)

@@ -1,8 +1,7 @@
 // Command repro-vet runs the repo's determinism and resource-invariant
 // analyzers (internal/lint) over Go packages: the machine-checked
 // version of the rules that keep every experiment's output
-// byte-identical across -shards, -engine-partitions and join-cache
-// hits.
+// byte-identical across -shards and join-cache hits.
 //
 // Standalone usage (CI runs this):
 //

@@ -14,7 +14,6 @@
 //	repro -exp all -md -o EXPERIMENTS.md   write the Markdown record
 //	repro -exp all -bench-json     also write a BENCH_<date>.json snapshot
 //	repro -exp all -bench-json -bench-o ci.json   snapshot to a chosen path
-//	repro -exp fig3 -engine-partitions 4   distributed-DES run (same output)
 //	repro -exp htap1 -htap-rates 0,4,32    sweep the HTAP update stream (Mrows/s)
 //	repro -exp fault1 -fault-seed 7        re-seed the fault1/fault2 fault plans
 //	repro -exp fig3 -cpuprofile cpu.prof   capture a pprof CPU profile
@@ -24,12 +23,9 @@
 // byte-identical to a serial run. Within each experiment, independent
 // grid points (cluster sizes x concurrency levels, selectivity values)
 // additionally shard across -shards workers — also without changing a
-// byte of output. -engine-partitions splits each simulation itself
-// across K time-synchronized DES engine partitions (distributed DES;
-// still byte-identical — see README "Partitioned engine execution").
-// Identical engine joins are memoized across experiments (fig3/fig4/
-// fig5, fig7a/fig8, fig7b/fig9 share simulations); disable with
-// -cache=false.
+// byte of output. Identical engine joins are memoized across
+// experiments (fig3/fig4/fig5, fig7a/fig8, fig7b/fig9 share
+// simulations); disable with -cache=false.
 package main
 
 import (
@@ -73,7 +69,6 @@ func main() {
 		benchOut   = flag.Bool("bench-json", false, "write a machine-readable BENCH_<date>.json perf snapshot of the run")
 		benchPath  = flag.String("bench-o", "", "snapshot path for -bench-json (default BENCH_<date>.json)")
 		benchForce = flag.Bool("bench-force", false, "allow -bench-json to overwrite an existing snapshot file")
-		partitions = flag.Int("engine-partitions", 0, "split each simulated cluster across this many time-synchronized DES engine partitions (0/1 = one engine; output is byte-identical)")
 		batchRows  = flag.Int("batch-rows", 0, "tuples per exchange batch for the engine figures (0 = default 200000; clamped at the engine maximum)")
 		htapRates  = flag.String("htap-rates", "", "comma-separated update-stream rates for htap1, in Mrows/s (default 0,2,8,16; first rate is the normalization baseline)")
 		faultSeed  = flag.Int64("fault-seed", 0, "seed for the fault1/fault2 fault plans (0 = default 1; same seed + cluster = same plan)")
@@ -99,8 +94,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: -sf must be a positive, finite number (0 = default), got %v\n", *sf)
 		os.Exit(2)
 	}
-	if *partitions < 0 {
-		fmt.Fprintf(os.Stderr, "repro: -engine-partitions must be >= 0, got %d\n", *partitions)
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "repro: -j must be >= 0 (0 = GOMAXPROCS), got %d\n", *workers)
+		os.Exit(2)
+	}
+	if *shards < 0 {
+		fmt.Fprintf(os.Stderr, "repro: -shards must be >= 0 (0 = GOMAXPROCS), got %d\n", *shards)
 		os.Exit(2)
 	}
 	if *batchRows < 0 {
@@ -115,7 +114,7 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	expOpts := experiments.Options{SF: tpch.ScaleFactor(*sf), Shards: *shards, EnginePartitions: *partitions, BatchRows: *batchRows, FaultSeed: *faultSeed}
+	expOpts := experiments.Options{SF: tpch.ScaleFactor(*sf), Shards: *shards, BatchRows: *batchRows, FaultSeed: *faultSeed}
 	if *conc != "" {
 		for _, f := range strings.Split(*conc, ",") {
 			k, err := strconv.Atoi(strings.TrimSpace(f))
@@ -232,8 +231,7 @@ func main() {
 			allocs: ms1.Mallocs - ms0.Mallocs,
 			bytes:  ms1.TotalAlloc - ms0.TotalAlloc,
 			sf:     *sf, workers: *workers, shards: *shards,
-			partitions: *partitions, cache: joinCache,
-			path: *benchPath, force: *benchForce,
+			cache: joinCache, path: *benchPath, force: *benchForce,
 		})
 		if berr != nil {
 			fatal(1, berr)
@@ -259,18 +257,17 @@ func main() {
 // benchInputs carries the measurements of one run into the snapshot
 // writer.
 type benchInputs struct {
-	results    []runner.Result
-	wall       time.Duration
-	events     uint64
-	allocs     uint64
-	bytes      uint64
-	sf         float64
-	workers    int
-	shards     int
-	partitions int
-	cache      *pstore.Cache
-	path       string
-	force      bool
+	results []runner.Result
+	wall    time.Duration
+	events  uint64
+	allocs  uint64
+	bytes   uint64
+	sf      float64
+	workers int
+	shards  int
+	cache   *pstore.Cache
+	path    string
+	force   bool
 }
 
 // writeBenchSnapshot writes the bench.Snapshot for one run (default path
@@ -294,7 +291,6 @@ func writeBenchSnapshot(in benchInputs) (string, error) {
 		SF:               in.sf,
 		Workers:          effective(in.workers),
 		Shards:           effective(in.shards),
-		EnginePartitions: in.partitions,
 		Cached:           in.cache != nil,
 		SuiteWallSeconds: in.wall.Seconds(),
 		Events:           in.events,

@@ -44,16 +44,9 @@
 // BENCH_<date>.json — the repo's performance trajectory — and
 // `-cpuprofile`/`-memprofile` write pprof profiles of any run.
 //
-// A single join simulation can itself be partitioned across multiple
-// DES engines (`-engine-partitions`, sim.PartitionGroup): the simulated
-// cluster's nodes split round-robin across K engine partitions advanced
-// in time-synchronized lockstep windows, with cross-partition sends
-// forwarded as events on the destination engine under one shared
-// (time, seq) clock. Partitioned runs are byte-identical to
-// single-engine runs at every K (TestPartitionedMatchesSerial); see
-// README "Partitioned engine execution" for the synchronization model
-// and the zero-lookahead trade-off. internal/bench and cmd/benchdiff
-// turn BENCH snapshots into CI's perf regression gate
+// A simulated cluster runs on exactly one sim.Engine (README "Why one
+// engine"); real cores are used by -j and -shards. internal/bench and
+// cmd/benchdiff turn BENCH snapshots into CI's perf regression gate
 // (README "The CI perf gate").
 //
 // The determinism and resource invariants are machine-checked:

@@ -19,10 +19,9 @@ type Snapshot struct {
 	SF         float64 `json:"sf"` // 0 = per-experiment defaults
 	// Workers and Shards are the EFFECTIVE pool sizes the run used
 	// (defaults resolved to GOMAXPROCS), not the raw flag values.
-	Workers          int  `json:"workers"`
-	Shards           int  `json:"shards"`
-	EnginePartitions int  `json:"engine_partitions,omitempty"`
-	Cached           bool `json:"cached"`
+	Workers int  `json:"workers"`
+	Shards  int  `json:"shards"`
+	Cached  bool `json:"cached"`
 
 	SuiteWallSeconds float64 `json:"suite_wall_seconds"`
 	Events           uint64  `json:"events"`

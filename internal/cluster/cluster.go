@@ -270,24 +270,11 @@ func (n *Node) DownBetween(a, b sim.Time) float64 {
 	return total
 }
 
-// Cluster is a set of nodes on a common fabric and simulation engine —
-// or, when Config.EnginePartitions > 1, on a group of engine partitions
-// advanced in time-synchronized lockstep windows: each node's servers
-// and processes live on one partition, and cross-partition traffic is
-// forwarded as events on the destination node's engine (see
-// sim.PartitionGroup for the synchronization model and the determinism
-// guarantee).
+// Cluster is a set of nodes on a common fabric and one simulation
+// engine: every node's servers and processes run on Eng.
 type Cluster struct {
-	// Eng is partition 0's engine — the only engine when the cluster is
-	// unpartitioned. Code that spawns per-node processes must use
-	// EngineFor so they land on the owning partition; Run drives the
-	// whole cluster either way.
 	Eng   *sim.Engine
 	Nodes []*Node
-
-	// Group is the engine partition group, nil when unpartitioned.
-	Group *sim.PartitionGroup
-	engs  []*sim.Engine // per-node engine (index = node ID)
 
 	// InboxCapacity bounds per-node in-flight staged batches
 	// (default 8; set before Build).
@@ -304,21 +291,9 @@ type Config struct {
 	// TraceMeters records per-second (utilization, watts) samples on
 	// every node so Timeline can render execution heat strips.
 	TraceMeters bool
-	// EnginePartitions splits the simulated nodes across this many DES
-	// engine partitions (round-robin by node ID, capped at the node
-	// count) synchronized by a sim.PartitionGroup. 0 or 1 builds the
-	// classic single-engine cluster. Simulation results are
-	// byte-identical at every setting.
-	EnginePartitions int
 }
 
-// Partitioned returns the config with EnginePartitions set to k.
-func (cfg Config) Partitioned(k int) Config {
-	cfg.EnginePartitions = k
-	return cfg
-}
-
-// New builds a cluster on a fresh simulation engine (or engine group).
+// New builds a cluster on a fresh simulation engine.
 func New(cfg Config) (*Cluster, error) {
 	if len(cfg.Specs) == 0 {
 		return nil, fmt.Errorf("cluster: need at least one node")
@@ -327,25 +302,12 @@ func New(cfg Config) (*Cluster, error) {
 	if cap <= 0 {
 		cap = 8
 	}
-	c := &Cluster{inboxCap: cap}
-	if k := cfg.EnginePartitions; k > 1 {
-		if k > len(cfg.Specs) {
-			k = len(cfg.Specs)
-		}
-		c.Group = sim.NewPartitionGroup(k)
-		c.Eng = c.Group.Engine(0)
-	} else {
-		c.Eng = sim.New()
-	}
+	eng := sim.New()
+	c := &Cluster{Eng: eng, inboxCap: cap}
 	for i, spec := range cfg.Specs {
 		if err := spec.Validate(); err != nil {
 			return nil, err
 		}
-		eng := c.Eng
-		if c.Group != nil {
-			eng = c.Group.Engine(i % len(c.Group.Engines()))
-		}
-		c.engs = append(c.engs, eng)
 		n := &Node{ID: i, Spec: spec, eng: eng}
 		n.CPU = sim.NewServer(eng, fmt.Sprintf("n%d.cpu", i), spec.CPUBandwidth*1e6)
 		n.Disk = sim.NewServer(eng, fmt.Sprintf("n%d.disk", i), spec.DiskMBps*1e6)
@@ -363,28 +325,8 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// EngineFor returns the engine partition owning the given node. On an
-// unpartitioned cluster every node maps to Eng.
-func (c *Cluster) EngineFor(node int) *sim.Engine { return c.engs[node] }
-
-// Partitions returns the number of engine partitions (1 when
-// unpartitioned).
-func (c *Cluster) Partitions() int {
-	if c.Group == nil {
-		return 1
-	}
-	return len(c.Group.Engines())
-}
-
-// Run drives the cluster's simulation to completion: the partition group
-// when the cluster is partitioned, the single engine otherwise.
-func (c *Cluster) Run() {
-	if c.Group != nil {
-		c.Group.Run()
-		return
-	}
-	c.Eng.Run()
-}
+// Run drives the cluster's simulation to completion.
+func (c *Cluster) Run() { c.Eng.Run() }
 
 // startIngressPump runs the per-node receive loop: staged messages are
 // serialized through the ingress port, then delivered to their mailbox.

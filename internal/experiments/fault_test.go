@@ -9,35 +9,6 @@ import (
 // are fixed in virtual seconds and calibrated to that scale's query
 // times (at toy scales the workload ends before the first episode).
 
-// TestFaultedPartitionedMatchesSerial: the faulted sweeps — crashes,
-// retries, stragglers, the lot — are byte-identical whether each
-// simulated cluster runs on one engine or split across 2 or 4
-// time-synchronized engine partitions.
-func TestFaultedPartitionedMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("engine-backed experiment sweep")
-	}
-	for _, id := range []string{"fault1", "fault2"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := e.Run(Options{})
-		if err != nil {
-			t.Fatalf("%s serial: %v", id, err)
-		}
-		for _, k := range []int{1, 2, 4} {
-			part, err := e.Run(Options{EnginePartitions: k})
-			if err != nil {
-				t.Fatalf("%s partitions=%d: %v", id, k, err)
-			}
-			if !reflect.DeepEqual(serial, part) {
-				t.Errorf("%s: %d-partition run differs from single-engine run", id, k)
-			}
-		}
-	}
-}
-
 // TestFaultShardedMatchesSerial: fanning the MTTF/straggler grid across
 // shard workers reassembles the identical Result.
 func TestFaultShardedMatchesSerial(t *testing.T) {

@@ -30,7 +30,7 @@ var faultRetry = pstore.RetryPolicy{Timeout: 30, MaxRetries: 6, Backoff: 0.25, B
 // faultRun executes one faulted HTAP run on the fault experiments'
 // fixed cluster (the paper's Figure 3 setup: 4x Cluster-V).
 func faultRun(o Options, queries int, fcfg fault.Config) (workload.FaultedResult, error) {
-	c, err := cluster.New(cluster.Homogeneous(4, hw.ClusterV()).Partitioned(o.EnginePartitions))
+	c, err := cluster.New(cluster.Homogeneous(4, hw.ClusterV()))
 	if err != nil {
 		return workload.FaultedResult{}, err
 	}

@@ -10,34 +10,6 @@ func htapTestOpts() Options {
 	return Options{SF: 10, HTAPRates: []float64{0, 8e6}}
 }
 
-// TestHTAPPartitionedMatchesSerial: the htap experiments — full mixed
-// workload, ingest fabric traffic, mergers and all — are byte-identical
-// whether each simulated cluster runs on one engine or split across
-// 2 or 4 time-synchronized engine partitions.
-func TestHTAPPartitionedMatchesSerial(t *testing.T) {
-	for _, id := range []string{"htap1", "htap2"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial, err := e.Run(htapTestOpts())
-		if err != nil {
-			t.Fatalf("%s serial: %v", id, err)
-		}
-		for _, k := range []int{1, 2, 4} {
-			o := htapTestOpts()
-			o.EnginePartitions = k
-			part, err := e.Run(o)
-			if err != nil {
-				t.Fatalf("%s partitions=%d: %v", id, k, err)
-			}
-			if !reflect.DeepEqual(serial, part) {
-				t.Errorf("%s: %d-partition run differs from single-engine run", id, k)
-			}
-		}
-	}
-}
-
 // TestHTAPShardedMatchesSerial: fanning the rate/design grid across
 // shard workers reassembles the identical Result.
 func TestHTAPShardedMatchesSerial(t *testing.T) {

@@ -27,7 +27,7 @@ const htap2Rate = 8e6
 
 // htapRun executes one mixed run and returns its result.
 func htapRun(o Options, cfg cluster.Config, rate float64) (workload.HTAPResult, error) {
-	c, err := cluster.New(cfg.Partitioned(o.EnginePartitions))
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return workload.HTAPResult{}, err
 	}

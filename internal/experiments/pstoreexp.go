@@ -40,7 +40,7 @@ func runSizes(o Options, title string, mkSpec func() pstore.JoinSpec, sizes []in
 		}
 	}
 	pts, err := par.Map(o.Shards, grid, func(_ int, pt point) (power.Point, error) {
-		c, err := cluster.New(cluster.Homogeneous(pt.n, spec).Partitioned(o.EnginePartitions))
+		c, err := cluster.New(cluster.Homogeneous(pt.n, spec))
 		if err != nil {
 			return power.Point{}, err
 		}
@@ -143,7 +143,7 @@ func Fig5(o Options) (Result, error) {
 		}
 	}
 	pts, err := par.Map(o.Shards, grid, func(_ int, r run) (power.Point, error) {
-		c, err := cluster.New(cluster.Homogeneous(r.n, hw.ClusterV()).Partitioned(o.EnginePartitions))
+		c, err := cluster.New(cluster.Homogeneous(r.n, hw.ClusterV()))
 		if err != nil {
 			return power.Point{}, err
 		}
@@ -259,12 +259,12 @@ func RunFig7(o Options, oSel float64, hetero bool) (ab, bw map[float64]pstore.Jo
 		tag := "AB"
 		if pt.bwC {
 			tag = "BW"
-			c, e = cluster.New(cluster.Mixed(2, hw.BeefyL5630(), 2, hw.LaptopB()).Partitioned(o.EnginePartitions))
+			c, e = cluster.New(cluster.Mixed(2, hw.BeefyL5630(), 2, hw.LaptopB()))
 			if hetero {
 				spec.BuildNodes = []int{0, 1}
 			}
 		} else {
-			c, e = cluster.New(cluster.Homogeneous(4, hw.BeefyL5630()).Partitioned(o.EnginePartitions))
+			c, e = cluster.New(cluster.Homogeneous(4, hw.BeefyL5630()))
 		}
 		if e != nil {
 			return outcome{}, e

@@ -39,13 +39,6 @@ type Options struct {
 	// qualify; smaller batches mean more simulation events, larger ones
 	// fewer (clamped at pstore.MaxBatchRows). <= 0 keeps the default.
 	BatchRows int
-	// EnginePartitions partitions each engine-backed simulation itself:
-	// the simulated cluster's nodes split round-robin across this many
-	// sim.Engine partitions advanced under conservative time
-	// synchronization (sim.PartitionGroup). Applies to the multi-node
-	// engine figures (3-5, 7-9). 0 or 1 = single engine; results are
-	// byte-identical at every setting (TestPartitionedMatchesSerial).
-	EnginePartitions int
 	// HTAPRates lists the cluster-wide update-stream rates, in rows per
 	// virtual second, that the htap1 sweep runs (default 0, 2M, 8M,
 	// 16M). Rate 0 is the read-only baseline every htap series is

@@ -4,10 +4,8 @@
 //
 // A Plan is derived from (seed, cluster fingerprint) — never from
 // wall-clock time — so the same seed against the same cluster yields
-// the same faults, byte for byte, at any engine-partition count. The
-// fingerprint covers node count and hardware specs but deliberately
-// excludes partitioning, which is an execution detail the determinism
-// guarantee spans.
+// the same faults, byte for byte, however the suite is sharded. The
+// fingerprint covers node count and hardware specs only.
 //
 // Three fault classes, matching the failure modes that dominate
 // cluster-design tradeoffs once "node failure is the steady state":

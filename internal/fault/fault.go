@@ -17,7 +17,7 @@ import (
 type Config struct {
 	// Seed drives the plan's random draws (mixed with the cluster
 	// fingerprint). The same seed on the same cluster gives the same
-	// plan regardless of engine partitioning.
+	// plan.
 	Seed int64
 	// Horizon bounds episode start times: no episode begins at or after
 	// this virtual time. Episodes in flight at the horizon run to their
@@ -145,9 +145,9 @@ func (p *Plan) String() string {
 }
 
 // Fingerprint hashes the cluster's fault-relevant identity: node count
-// and per-node hardware specs, in node order. Engine partitioning is
-// excluded on purpose — plans must be identical across -shards and
-// -engine-partitions settings.
+// and per-node hardware specs, in node order. Nothing about how the run
+// is executed enters it — plans must be identical across -shards and -j
+// settings.
 func Fingerprint(c *cluster.Cluster) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "n=%d;", len(c.Nodes))

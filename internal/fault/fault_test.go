@@ -9,11 +9,9 @@ import (
 	"repro/internal/hw"
 )
 
-func testCluster(t *testing.T, n, partitions int) *cluster.Cluster {
+func testCluster(t *testing.T, n int) *cluster.Cluster {
 	t.Helper()
-	cfg := cluster.Homogeneous(n, hw.ClusterV())
-	cfg.EnginePartitions = partitions
-	c, err := cluster.New(cfg)
+	c, err := cluster.New(cluster.Homogeneous(n, hw.ClusterV()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,37 +26,35 @@ var testCfg = Config{
 }
 
 // TestPlanDeterministic: same seed + same cluster shape = same plan,
-// regardless of engine partitioning (the fingerprint excludes it).
+// on two separately built clusters.
 func TestPlanDeterministic(t *testing.T) {
-	a, err := NewPlan(testCfg, testCluster(t, 4, 0))
+	a, err := NewPlan(testCfg, testCluster(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Empty() {
 		t.Fatalf("plan is empty: %v", a)
 	}
-	for _, k := range []int{0, 2, 4} {
-		b, err := NewPlan(testCfg, testCluster(t, 4, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("k=%d: plans differ:\n%v\n%v", k, a, b)
-		}
+	b, err := NewPlan(testCfg, testCluster(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("plans differ:\n%v\n%v", a, b)
 	}
 }
 
 // TestPlanSeedAndClusterSensitivity: a different seed or a different
 // cluster shape draws a different schedule.
 func TestPlanSeedAndClusterSensitivity(t *testing.T) {
-	base, _ := NewPlan(testCfg, testCluster(t, 4, 0))
+	base, _ := NewPlan(testCfg, testCluster(t, 4))
 	other := testCfg
 	other.Seed = 43
-	reseeded, _ := NewPlan(other, testCluster(t, 4, 0))
+	reseeded, _ := NewPlan(other, testCluster(t, 4))
 	if reflect.DeepEqual(base, reseeded) {
 		t.Fatal("different seeds produced identical plans")
 	}
-	resized, _ := NewPlan(testCfg, testCluster(t, 5, 0))
+	resized, _ := NewPlan(testCfg, testCluster(t, 5))
 	if len(resized.Crashes) > 0 && len(base.Crashes) > 0 &&
 		reflect.DeepEqual(base.Crashes, resized.Crashes[:len(base.Crashes)]) {
 		t.Fatal("different cluster sizes drew identical crash streams")
@@ -68,7 +64,7 @@ func TestPlanSeedAndClusterSensitivity(t *testing.T) {
 // TestPlanShape: episodes respect the horizon, per-node non-overlap,
 // and global (At, Node) sort order.
 func TestPlanShape(t *testing.T) {
-	p, err := NewPlan(testCfg, testCluster(t, 4, 0))
+	p, err := NewPlan(testCfg, testCluster(t, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +102,7 @@ func TestConfigValidate(t *testing.T) {
 		{DropSecs: math.NaN()},
 	}
 	for i, cfg := range bad {
-		if _, err := NewPlan(cfg, testCluster(t, 2, 0)); err == nil {
+		if _, err := NewPlan(cfg, testCluster(t, 2)); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}
@@ -118,7 +114,7 @@ func TestConfigValidate(t *testing.T) {
 // TestInjectorCrashLifecycle: a hand-written plan takes the node down,
 // fires the crash hook, restarts on schedule, and accounts downtime.
 func TestInjectorCrashLifecycle(t *testing.T) {
-	c := testCluster(t, 2, 0)
+	c := testCluster(t, 2)
 	plan := &Plan{Crashes: []Crash{{Node: 1, At: 5, Downtime: 2}}}
 	inj := Inject(c, plan)
 	var hooked []int
@@ -156,7 +152,7 @@ func TestInjectorCrashLifecycle(t *testing.T) {
 // episode and restored bit-exactly after it, for a non-power-of-two
 // factor.
 func TestInjectorStragglerRestoresRates(t *testing.T) {
-	c := testCluster(t, 1, 0)
+	c := testCluster(t, 1)
 	n := c.Nodes[0]
 	healthy := n.CPU.Rate()
 	plan := &Plan{Stragglers: []Straggler{{Node: 0, At: 1, Duration: 2, Factor: 3}}}
@@ -178,7 +174,7 @@ func TestInjectorStragglerRestoresRates(t *testing.T) {
 // TestInjectorStopDisarms: Stop before an episode's start time means it
 // never fires and never perturbs the cluster.
 func TestInjectorStopDisarms(t *testing.T) {
-	c := testCluster(t, 1, 0)
+	c := testCluster(t, 1)
 	plan := &Plan{
 		Crashes: []Crash{{Node: 0, At: 5, Downtime: 1}},
 		Drops:   []Drop{{Node: 0, At: 6, Stall: 1}},
@@ -194,15 +190,14 @@ func TestInjectorStopDisarms(t *testing.T) {
 	}
 }
 
-// TestFingerprintExcludesPartitions: the fingerprint is a function of
-// node count and hardware only.
-func TestFingerprintExcludesPartitions(t *testing.T) {
-	a := Fingerprint(testCluster(t, 4, 0))
-	b := Fingerprint(testCluster(t, 4, 4))
-	if a != b {
-		t.Fatal("fingerprint depends on engine partitioning")
+// TestFingerprintCoversNodesAndSpecs: the fingerprint is a function of
+// node count and hardware.
+func TestFingerprintCoversNodesAndSpecs(t *testing.T) {
+	a := Fingerprint(testCluster(t, 4))
+	if a != Fingerprint(testCluster(t, 4)) {
+		t.Fatal("fingerprint differs between two identical clusters")
 	}
-	if a == Fingerprint(testCluster(t, 5, 0)) {
+	if a == Fingerprint(testCluster(t, 5)) {
 		t.Fatal("fingerprint ignores node count")
 	}
 	mixed := cluster.Mixed(2, hw.BeefyL5630(), 2, hw.WimpyModelNode())

@@ -14,9 +14,8 @@ type Counts struct {
 }
 
 // Injector arms a plan against a cluster: every episode becomes DES
-// events on the owning node's engine. All events are scheduled up front
-// from root context (before the engines run), so the event sequence —
-// and therefore the simulation — is identical at any partition count.
+// events on the cluster's engine, all scheduled up front from root
+// context (before the engine runs).
 //
 // Call Stop when the workload completes: remaining scheduled events
 // become no-ops, so a plan whose horizon outlives the workload does not
@@ -35,10 +34,10 @@ func Inject(c *cluster.Cluster, p *Plan) *Injector {
 	if p.Empty() {
 		return inj
 	}
+	eng := c.Eng
 	for _, cr := range p.Crashes {
 		cr := cr
 		n := c.Nodes[cr.Node]
-		eng := c.EngineFor(cr.Node)
 		eng.At(cr.At, func() {
 			if inj.stopped {
 				return
@@ -58,7 +57,6 @@ func Inject(c *cluster.Cluster, p *Plan) *Injector {
 	for _, st := range p.Stragglers {
 		st := st
 		n := c.Nodes[st.Node]
-		eng := c.EngineFor(st.Node)
 		servers := []*sim.Server{n.CPU, n.Disk, n.Egress, n.Ingress}
 		eng.At(st.At, func() {
 			if inj.stopped {
@@ -85,7 +83,6 @@ func Inject(c *cluster.Cluster, p *Plan) *Injector {
 	for _, dr := range p.Drops {
 		dr := dr
 		n := c.Nodes[dr.Node]
-		eng := c.EngineFor(dr.Node)
 		eng.At(dr.At, func() {
 			if inj.stopped {
 				return

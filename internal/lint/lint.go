@@ -1,9 +1,9 @@
 // Package lint is repro-vet's analyzer suite: custom static checks
 // that machine-verify the invariants this reproduction's byte-identical
 // output depends on. Every figure must reproduce exactly across
-// -shards, -engine-partitions and join-cache hits; the properties that
-// make that true used to live only in comments and after-the-fact
-// DeepEqual tests. These analyzers move them to `go vet` time:
+// -shards and join-cache hits; the properties that make that true used
+// to live only in comments and after-the-fact DeepEqual tests. These
+// analyzers move them to `go vet` time:
 //
 //   - nodeterm: no wall-clock, global-rand, environment or raw-
 //     goroutine nondeterminism inside the simulated-code packages;

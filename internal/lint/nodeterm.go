@@ -63,7 +63,7 @@ var Nodeterm = &analysis.Analyzer{
 		"Packages " + "sim, pstore, delta, sched, workload, experiments, fault, replay and fairq" + " run\n" +
 		"inside (or deterministically feed) the discrete-event simulation; any runtime- or\n" +
 		"host-dependent input there breaks byte-identical reproduction across -shards,\n" +
-		"-engine-partitions, cache hits and trace replays.",
+		"cache hits and trace replays.",
 	Run: runNodeterm,
 }
 

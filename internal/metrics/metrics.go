@@ -8,9 +8,9 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
+	"repro/internal/model"
 	"repro/internal/power"
 )
 
@@ -52,13 +52,7 @@ type Pair struct {
 
 // RelErr returns the pair's symmetric relative error, the quantity the
 // comparison tables and validation tests report.
-func (p Pair) RelErr() float64 {
-	den := math.Max(math.Abs(p.Paper), math.Abs(p.Measured))
-	if den == 0 {
-		return 0
-	}
-	return math.Abs(p.Paper-p.Measured) / den
-}
+func (p Pair) RelErr() float64 { return model.RelErr(p.Paper, p.Measured) }
 
 // SortByPerf orders points by descending normalized performance (the
 // paper's left-to-right plotting order).

@@ -70,3 +70,35 @@ func TestMapRunsConcurrently(t *testing.T) {
 		t.Fatalf("peak concurrency %d, want 4", peak.Load())
 	}
 }
+
+// TestMapOrderAndBound: with more items than workers, no more than
+// workers calls are ever in flight.
+func TestMapOrderAndBound(t *testing.T) {
+	var inFlight, maxInFlight atomic.Int32
+	items := make([]int, 40)
+	for i := range items {
+		items[i] = i
+	}
+	out, err := Map(4, items, func(_ int, v int) (int, error) {
+		cur := inFlight.Add(1)
+		for {
+			m := maxInFlight.Load()
+			if cur <= m || maxInFlight.CompareAndSwap(m, cur) {
+				break
+			}
+		}
+		defer inFlight.Add(-1)
+		return v * v, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range out {
+		if v != i*i {
+			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
+		}
+	}
+	if m := maxInFlight.Load(); m > 4 {
+		t.Fatalf("worker bound violated: %d in flight", m)
+	}
+}

@@ -52,7 +52,7 @@ func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, floa
 		nd := nd
 		node := c.Nodes[nd]
 		part := parts[nd]
-		c.EngineFor(nd).Go(fmt.Sprintf("agg.scan.%d", nd), func(p *sim.Proc) {
+		c.Eng.Go(fmt.Sprintf("agg.scan.%d", nd), func(p *sim.Proc) {
 			var rows int64
 			var sum uint64
 			// Fold the aggregate over the scan cursor: each pulled batch is
@@ -82,7 +82,7 @@ func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, floa
 		})
 	}
 
-	c.EngineFor(spec.Coordinator).Go("agg.coord", func(p *sim.Proc) {
+	c.Eng.Go("agg.coord", func(p *sim.Proc) {
 		for {
 			b, ok := mb.Recv(p)
 			if !ok {

@@ -165,8 +165,8 @@ type Handle struct {
 	// operators observe it at batch boundaries, stop doing work, and run
 	// the normal EOS drain so Done still fires — as a drain-complete
 	// signal — with Err set. Plain bool: operators read it at
-	// deterministic event points and the lockstep window protocol
-	// serializes all partitions.
+	// deterministic event points and simulated processes run one at a
+	// time.
 	aborted bool
 
 	exec       *Exec
@@ -182,14 +182,6 @@ type Handle struct {
 // cluster. The returned handle's Done event fires (in virtual time) when
 // the query completes; multiple concurrent joins may be launched before
 // running the simulation.
-//
-// Every operator process is spawned on its node's engine partition
-// (Cluster.EngineFor), so on a partitioned cluster the exchange/router
-// path crosses partition boundaries through node mailboxes whose wakes
-// the kernel forwards as events on the destination engine; the spawn
-// order below is identical at every partition count, which (with the
-// group's shared clock) is what makes partitioned results byte-identical
-// to single-engine runs.
 func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	if err := spec.Validate(e.C); err != nil {
 		return nil, err
@@ -282,7 +274,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	for _, b := range buildNodes {
 		b := b
 		node := e.C.Nodes[b]
-		e.C.EngineFor(b).Go(fmt.Sprintf("%s.buildcons.%d", id, b), func(p *sim.Proc) {
+		e.C.Eng.Go(fmt.Sprintf("%s.buildcons.%d", id, b), func(p *sim.Proc) {
 			in := &mailboxCursor{
 				p: p, mb: buildMB[b], cpu: node.CPU, work: e.cfg.JoinWork,
 				hint: int64(hint), ok: true,
@@ -318,10 +310,10 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 		nd := nd
 		node := e.C.Nodes[nd]
 		part := buildParts[nd]
-		e.C.EngineFor(nd).Go(fmt.Sprintf("%s.buildscan.%d", id, nd), func(p *sim.Proc) {
+		e.C.Eng.Go(fmt.Sprintf("%s.buildscan.%d", id, nd), func(p *sim.Proc) {
 			scanHint := int64(float64(part.Rows) * spec.BuildSel)
 			sendQ := sim.NewQueue[storage.Batch](fmt.Sprintf("%s.bq.%d", id, nd), e.cfg.MailboxCap)
-			e.C.EngineFor(nd).Go(fmt.Sprintf("%s.buildship.%d", id, nd), func(sp *sim.Proc) {
+			e.C.Eng.Go(fmt.Sprintf("%s.buildship.%d", id, nd), func(sp *sim.Proc) {
 				in := &queueCursor{p: sp, q: sendQ, hint: scanHint, hintOK: true}
 				var ship func(out storage.Batch)
 				switch spec.Method {
@@ -377,7 +369,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	for _, b := range buildNodes {
 		b := b
 		node := e.C.Nodes[b]
-		e.C.EngineFor(b).Go(fmt.Sprintf("%s.probecons.%d", id, b), func(p *sim.Proc) {
+		e.C.Eng.Go(fmt.Sprintf("%s.probecons.%d", id, b), func(p *sim.Proc) {
 			ht, frac := h.tables[b], h.fracByNode[b]
 			in := &mailboxCursor{p: p, mb: probeMB[b], cpu: node.CPU, work: e.cfg.JoinWork}
 			for {
@@ -407,7 +399,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 		nd := nd
 		node := e.C.Nodes[nd]
 		part := probeParts[nd]
-		e.C.EngineFor(nd).Go(fmt.Sprintf("%s.probescan.%d", id, nd), func(p *sim.Proc) {
+		e.C.Eng.Go(fmt.Sprintf("%s.probescan.%d", id, nd), func(p *sim.Proc) {
 			h.buildWG.Wait(p)
 			if nd == buildNodes[0] && h.buildEndAt == 0 {
 				h.buildEndAt = p.Now()
@@ -432,7 +424,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 			}
 			local := isBuild[nd] && (spec.Method == Broadcast || spec.Method == Prepartitioned)
 			sendQ := sim.NewQueue[storage.Batch](fmt.Sprintf("%s.pq.%d", id, nd), e.cfg.MailboxCap)
-			e.C.EngineFor(nd).Go(fmt.Sprintf("%s.probeship.%d", id, nd), func(sp *sim.Proc) {
+			e.C.Eng.Go(fmt.Sprintf("%s.probeship.%d", id, nd), func(sp *sim.Proc) {
 				in := &queueCursor{p: sp, q: sendQ, hint: int64(est), hintOK: true}
 				var ship func(out storage.Batch)
 				switch {
@@ -504,7 +496,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	}
 
 	// --- Completion --------------------------------------------------------
-	e.C.EngineFor(buildNodes[0]).Go(id+".finalize", func(p *sim.Proc) {
+	e.C.Eng.Go(id+".finalize", func(p *sim.Proc) {
 		h.probeWG.Wait(p)
 		h.finalize(p.Now())
 	})

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/cluster"
-	"repro/internal/hw"
 	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tpch"
@@ -70,25 +68,19 @@ func TestAbortDrainsWithoutLeaks(t *testing.T) {
 	}
 }
 
-// TestHaltAbortWithOpenCursors extends TestPartitionedHalt and
-// TestScanCursorCloseStopsDiskPump across the stack: Halt a partition
-// group mid-window with a join's cursors open, abort the query while
-// the group is frozen, then resume — the drain must complete promptly
+// TestHaltAbortWithOpenCursors extends sim.TestHalt and
+// TestScanCursorCloseStopsDiskPump across the stack: Halt the engine
+// mid-query with a join's cursors open, abort the query while the
+// simulation is frozen, then resume — the drain must complete promptly
 // with zero leaked cursors.
 func TestHaltAbortWithOpenCursors(t *testing.T) {
-	cfg := cluster.Homogeneous(4, hw.BeefyL5630())
-	cfg.EnginePartitions = 2
-	c, err := cluster.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newCluster(t, 4)
 	e := New(c, Config{BatchRows: 50_000, WarmCache: false})
 	h, err := e.LaunchJoin("q", phantomSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Halt from partition 1's engine mid-query: the whole group stops.
-	c.EngineFor(1).At(0.01, func() { c.EngineFor(1).Halt() })
+	c.Eng.At(0.01, c.Eng.Halt)
 	c.Run()
 	if h.Done.Fired() {
 		t.Fatal("query finished before the halt point — halt too late")

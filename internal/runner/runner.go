@@ -9,20 +9,19 @@
 // to what serial execution produces (asserted by TestParallelMatchesSerial).
 //
 // Rendering lives in internal/report (Text, Markdown, JSON emitters);
-// Map is the generic bounded-parallelism primitive the designer CLI and
-// the benchmark harness reuse.
+// the worker pool is internal/par's Map.
 package runner
 
 import (
 	"errors"
 	"fmt"
 	"path"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/par"
 )
 
 // ErrSkipped marks experiments that were never started because an earlier
@@ -47,19 +46,10 @@ type Options struct {
 	// and always runs the full selection.
 	FailFast bool
 	// Exp is handed to every experiment's Run: scale factor, concurrency
-	// levels, the join runner, intra-experiment shard workers and the
-	// DES engine partition count (Exp.EnginePartitions — distributed
-	// simulation with byte-identical output). Inject a shared
-	// *pstore.Cache via Exp.Joins so experiments that re-simulate the
-	// same join share engine runs across the suite.
+	// levels, the join runner and intra-experiment shard workers.
+	// Inject a shared *pstore.Cache via Exp.Joins so experiments that
+	// re-simulate the same join share engine runs across the suite.
 	Exp experiments.Options
-}
-
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Run executes the given experiments on a bounded worker pool and returns
@@ -68,7 +58,7 @@ func (o Options) workers() int {
 // FailFast it is the first failure, otherwise the join of all failures.
 func Run(exps []experiments.Experiment, opts Options) ([]Result, error) {
 	var aborted atomic.Bool
-	results, _ := Map(opts.workers(), exps, func(_ int, e experiments.Experiment) (Result, error) {
+	results, _ := par.Map(opts.Workers, exps, func(_ int, e experiments.Experiment) (Result, error) {
 		if opts.FailFast && aborted.Load() {
 			return Result{Experiment: e, Err: ErrSkipped}, nil
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiments"
@@ -131,49 +130,6 @@ func TestFailFastSkipsRemaining(t *testing.T) {
 		if !errors.Is(results[i].Err, ErrSkipped) {
 			t.Errorf("result %d: err = %v, want ErrSkipped", i, results[i].Err)
 		}
-	}
-}
-
-func TestMapOrderAndBound(t *testing.T) {
-	var inFlight, maxInFlight atomic.Int32
-	items := make([]int, 40)
-	for i := range items {
-		items[i] = i
-	}
-	out, err := Map(4, items, func(_ int, v int) (int, error) {
-		cur := inFlight.Add(1)
-		for {
-			m := maxInFlight.Load()
-			if cur <= m || maxInFlight.CompareAndSwap(m, cur) {
-				break
-			}
-		}
-		defer inFlight.Add(-1)
-		return v * v, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range out {
-		if v != i*i {
-			t.Fatalf("out[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-	if m := maxInFlight.Load(); m > 4 {
-		t.Fatalf("worker bound violated: %d in flight", m)
-	}
-}
-
-func TestMapFirstErrorByInputOrder(t *testing.T) {
-	items := []int{0, 1, 2, 3}
-	_, err := Map(4, items, func(i int, v int) (int, error) {
-		if i >= 2 {
-			return 0, fmt.Errorf("fail-%d", i)
-		}
-		return v, nil
-	})
-	if err == nil || err.Error() != "fail-2" {
-		t.Fatalf("Map error = %v, want fail-2 (first by input order)", err)
 	}
 }
 

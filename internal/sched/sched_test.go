@@ -2,7 +2,6 @@ package sched
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -265,54 +264,6 @@ func TestEnergyOverExtendsWithIdlePower(t *testing.T) {
 	}
 	if res.EnergyOver(0) != res.Joules {
 		t.Fatal("EnergyOver below makespan must return metered joules")
-	}
-}
-
-func TestRunPartitionedMatchesSerial(t *testing.T) {
-	// Run (and RunManaged) drive the cluster through Cluster.Run, so a
-	// partitioned cluster must complete every query and produce the
-	// serial result — driving only partition 0's engine would under-run
-	// the simulation and fail the completion check.
-	wl := Periodic(testSpec(), 4, 30)
-	c, err := mkCluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial, err := Run(c, cfg(), wl, Batched{Window: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{2, 4} {
-		pc, err := cluster.New(cluster.Homogeneous(4, hw.ClusterV()).Partitioned(k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Run(pc, cfg(), wl, Batched{Window: 60})
-		if err != nil {
-			t.Fatalf("partitioned (k=%d): %v", k, err)
-		}
-		if !reflect.DeepEqual(got, serial) {
-			t.Fatalf("partitioned (k=%d) result diverges from serial:\n got %+v\nwant %+v", k, got, serial)
-		}
-	}
-	mc, err := mkCluster()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mSerial, err := RunManaged(mc, cfg(), wl, Batched{Window: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := cluster.New(cluster.Homogeneous(4, hw.ClusterV()).Partitioned(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mGot, err := RunManaged(pc, cfg(), wl, Batched{Window: 60})
-	if err != nil {
-		t.Fatalf("managed partitioned: %v", err)
-	}
-	if !reflect.DeepEqual(mGot, mSerial) {
-		t.Fatalf("managed partitioned result diverges from serial:\n got %+v\nwant %+v", mGot, mSerial)
 	}
 }
 

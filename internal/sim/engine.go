@@ -160,22 +160,11 @@ var totalEvents atomic.Uint64
 // report simulator throughput in events/sec.
 func TotalEvents() uint64 { return totalEvents.Load() }
 
-// clock is the (virtual time, event sequence) pair that orders a
-// simulation. A standalone engine owns a private clock; the engines of a
-// PartitionGroup share one, so events scheduled from any partition draw
-// sequence numbers from a single total (time, seq) order and a process
-// woken across partitions resumes at the true current time rather than
-// its home engine's last-executed timestamp.
-type clock struct {
-	now Time
-	seq uint64
-}
-
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with New.
 type Engine struct {
-	clk     *clock
-	grp     *PartitionGroup // non-nil when the engine is one partition of a group
+	now     Time   // virtual clock
+	seq     uint64 // last sequence number issued; (at, seq) orders events
 	events  eventHeap
 	nowQ    eventRing // events due exactly at now; FIFO = (at, seq) order
 	halted  bool      // set by Halt
@@ -197,14 +186,13 @@ type Engine struct {
 // event array is pre-sized so steady-state scheduling never reallocates.
 func New() *Engine {
 	return &Engine{
-		clk:    &clock{},
 		events: eventHeap{evs: make([]event, 0, 256)},
 		root:   make(chan struct{}),
 	}
 }
 
 // Now returns the current virtual time in seconds.
-func (e *Engine) Now() Time { return e.clk.now }
+func (e *Engine) Now() Time { return e.now }
 
 // Events returns the number of events processed so far.
 func (e *Engine) Events() uint64 { return e.stepped }
@@ -220,25 +208,22 @@ func (e *Engine) flushEvents() {
 // A negative delay panics: causality violations are always bugs.
 func (e *Engine) Schedule(delay float64, fn func()) {
 	if delay < 0 || math.IsNaN(delay) {
-		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", delay, e.clk.now))
+		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", delay, e.now))
 	}
-	e.at(e.clk.now+delay, fn, nil)
+	e.at(e.now+delay, fn, nil)
 }
 
 // At runs fn at absolute virtual time t (>= Now).
 func (e *Engine) At(t Time, fn func()) { e.at(t, fn, nil) }
 
 // at enqueues an event; events due exactly now take the ring fast path.
-// In a PartitionGroup, cross-partition sends land here on the
-// destination engine: the shared clock timestamps and sequences them in
-// the same global order a single engine would have used.
 func (e *Engine) at(t Time, fn func(), p *Proc) {
-	if t < e.clk.now {
-		panic(fmt.Sprintf("sim: At(%v) in the past (now=%v)", t, e.clk.now))
+	if t < e.now {
+		panic(fmt.Sprintf("sim: At(%v) in the past (now=%v)", t, e.now))
 	}
-	e.clk.seq++
-	ev := event{at: t, seq: e.clk.seq, fn: fn, proc: p}
-	if t == e.clk.now {
+	e.seq++
+	ev := event{at: t, seq: e.seq, fn: fn, proc: p}
+	if t == e.now {
 		e.nowQ.push(ev)
 		return
 	}
@@ -254,7 +239,7 @@ func (e *Engine) resumeAt(t Time, p *Proc) { e.at(t, nil, p) }
 // monotone), so heap entries at now always precede ring entries.
 func (e *Engine) next() (event, bool) {
 	if e.nowQ.n > 0 {
-		if len(e.events.evs) > 0 && e.events.evs[0].at <= e.clk.now {
+		if len(e.events.evs) > 0 && e.events.evs[0].at <= e.now {
 			return e.events.pop(), true
 		}
 		return e.nowQ.shift(), true
@@ -265,26 +250,9 @@ func (e *Engine) next() (event, bool) {
 	return e.events.pop(), true
 }
 
-// peekNext reports the (time, seq) of the event next would return,
-// without removing it. PartitionGroup compares heads across partitions
-// with it to decide which engine owns the globally minimum event.
-func (e *Engine) peekNext() (at Time, seq uint64, ok bool) {
-	if e.nowQ.n > 0 {
-		if len(e.events.evs) > 0 && e.events.evs[0].at <= e.clk.now {
-			return e.events.evs[0].at, e.events.evs[0].seq, true
-		}
-		head := e.nowQ.buf[e.nowQ.head]
-		return head.at, head.seq, true
-	}
-	if len(e.events.evs) == 0 {
-		return 0, 0, false
-	}
-	return e.events.evs[0].at, e.events.evs[0].seq, true
-}
-
 // pendingBy reports whether any queued event is due at or before t.
 func (e *Engine) pendingBy(t Time) bool {
-	if e.nowQ.n > 0 && e.clk.now <= t {
+	if e.nowQ.n > 0 && e.now <= t {
 		return true
 	}
 	return len(e.events.evs) > 0 && e.events.evs[0].at <= t
@@ -321,24 +289,16 @@ const (
 // popping self's own resume returns outSelf instead of a channel send,
 // so a process whose wake is already due continues without any handoff
 // at all.
-//
-// In a PartitionGroup the window-boundary check runs before every event:
-// the engine keeps driving only while it holds the globally minimum
-// (time, seq) event; the moment another partition's event must run first
-// it returns outDone, handing control back to the group coordinator.
 func (e *Engine) drive(self *Proc) outcome {
 	for !e.halted {
 		if !e.pendingBy(e.limit) {
 			return outDone
 		}
-		if e.grp != nil && (e.grp.halted || !e.grp.mayRun(e)) {
-			return outDone
-		}
 		ev, _ := e.next()
-		if ev.at < e.clk.now {
+		if ev.at < e.now {
 			panic("sim: time went backwards")
 		}
-		e.clk.now = ev.at
+		e.now = ev.at
 		e.stepped++
 		if ev.fn != nil && e.runFn(ev.fn) {
 			return outDone
@@ -384,8 +344,8 @@ func (e *Engine) Run() { e.run(math.Inf(1)) }
 // exactly t. Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t Time) {
 	e.run(t)
-	if !e.halted && e.clk.now < t {
-		e.clk.now = t
+	if !e.halted && e.now < t {
+		e.now = t
 	}
 }
 
@@ -398,10 +358,10 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
-	if ev.at < e.clk.now {
+	if ev.at < e.now {
 		panic("sim: time went backwards")
 	}
-	e.clk.now = ev.at
+	e.now = ev.at
 	e.stepped++
 	e.stepping = true
 	if ev.fn == nil || !e.runFn(ev.fn) {
@@ -415,15 +375,9 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Halt stops Run/RunUntil after the current event completes. On a
-// grouped engine it halts the whole PartitionGroup run, whichever
-// partition is currently executing.
-func (e *Engine) Halt() {
-	e.halted = true
-	if e.grp != nil {
-		e.grp.halted = true
-	}
-}
+// Halt stops Run/RunUntil after the current event completes. Events
+// still queued stay queued; a later Run resumes them.
+func (e *Engine) Halt() { e.halted = true }
 
 // Idle reports whether no events remain.
 func (e *Engine) Idle() bool { return len(e.events.evs) == 0 && e.nowQ.n == 0 }

@@ -55,9 +55,9 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 		name: name,
 		tok:  make(chan struct{}),
 	}
-	p.wake = func() { p.eng.resumeAt(p.eng.clk.now, p) }
+	p.wake = func() { p.eng.resumeAt(p.eng.now, p) }
 	//lint:deterministic the handoff token serializes proc goroutines: exactly one runs at a time, so runtime scheduling order can never reorder events
-	e.at(e.clk.now, func() { go p.run(body) }, p)
+	e.at(e.now, func() { go p.run(body) }, p)
 	return p
 }
 
@@ -121,7 +121,7 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() Time { return p.eng.clk.now }
+func (p *Proc) Now() Time { return p.eng.now }
 
 // Hold suspends the process for d seconds of virtual time.
 func (p *Proc) Hold(d float64) {
@@ -129,17 +129,17 @@ func (p *Proc) Hold(d float64) {
 		panic(fmt.Sprintf("sim: %s Hold(%v) negative", p.name, d))
 	}
 	if math.IsNaN(d) {
-		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", d, p.eng.clk.now))
+		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", d, p.eng.now))
 	}
 	// Even a zero hold yields to the scheduler, preserving fairness.
-	p.eng.resumeAt(p.eng.clk.now+d, p)
+	p.eng.resumeAt(p.eng.now+d, p)
 	p.block()
 }
 
 // HoldUntil suspends the process until absolute virtual time t.
 func (p *Proc) HoldUntil(t Time) {
-	if t < p.eng.clk.now {
-		panic(fmt.Sprintf("sim: %s HoldUntil(%v) in the past (now=%v)", p.name, t, p.eng.clk.now))
+	if t < p.eng.now {
+		panic(fmt.Sprintf("sim: %s HoldUntil(%v) in the past (now=%v)", p.name, t, p.eng.now))
 	}
 	p.eng.resumeAt(t, p)
 	p.block()

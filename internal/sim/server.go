@@ -47,7 +47,7 @@ func (s *Server) book(size float64) Time {
 	if size < 0 {
 		panic(fmt.Sprintf("sim: server %q negative work %v", s.name, size))
 	}
-	start := s.eng.clk.now
+	start := s.eng.now
 	if s.free > start {
 		start = s.free
 	}
@@ -70,7 +70,7 @@ func (s *Server) book(size float64) Time {
 // the work completes (FCFS behind earlier jobs).
 func (s *Server) Process(p *Proc, size float64) {
 	end := s.book(size)
-	if end > p.eng.clk.now {
+	if end > p.eng.now {
 		p.HoldUntil(end)
 	} else {
 		p.Hold(0)

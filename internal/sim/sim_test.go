@@ -79,6 +79,14 @@ func TestHalt(t *testing.T) {
 	if ran != 1 {
 		t.Fatalf("halt did not stop run: ran=%d", ran)
 	}
+	if e.Now() != 1 {
+		t.Fatalf("halted at t=%v, want the halting event's time 1", e.Now())
+	}
+	// A second Run resumes the events Halt left queued.
+	e.Run()
+	if ran != 2 || e.Now() != 2 {
+		t.Fatalf("resumed run: ran=%d now=%v, want 2 and 2", ran, e.Now())
+	}
 }
 
 func TestProcHold(t *testing.T) {

@@ -80,9 +80,8 @@ func (r FaultedResult) JoulesPerGoodQuery() float64 {
 //
 // Determinism: the plan depends only on (seed, cluster fingerprint,
 // config); the injector schedules all episodes up front; aborts are
-// cooperative flags observed at deterministic event points. Results are
-// byte-identical at any engine-partition count, and a zero-fault config
-// reproduces RunHTAP's per-query timings exactly.
+// cooperative flags observed at deterministic event points. A zero-fault
+// config reproduces RunHTAP's per-query timings exactly.
 func RunFaulted(c *cluster.Cluster, cfg pstore.Config, spec FaultedSpec) (FaultedResult, error) {
 	hspec := spec.HTAP.withDefaults()
 	plan, err := fault.NewPlan(spec.Faults, c)
@@ -99,7 +98,7 @@ func RunFaulted(c *cluster.Cluster, cfg pstore.Config, spec FaultedSpec) (Faulte
 	})
 
 	res := FaultedResult{}
-	c.EngineFor(0).Go("fault.driver", func(p *sim.Proc) {
+	c.Eng.Go("fault.driver", func(p *sim.Proc) {
 		for q := 0; q < hspec.Queries; q++ {
 			issued := p.Now()
 			_, retries, rerr := pl.e.RunWithRetry(p, fmt.Sprintf("fault.q%d", q), pl.join, spec.Retry)

@@ -13,11 +13,11 @@ import (
 // checks are no-ops on the unfaulted path.
 func TestFaultedZeroPlanMatchesHTAP(t *testing.T) {
 	hspec := HTAPSpec{SF: 10, Queries: 2, UpdateRowsPerSec: 4e6}
-	base, err := RunHTAP(htapCluster(t, 0), htapCfg, hspec)
+	base, err := RunHTAP(htapCluster(t), htapCfg, hspec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFaulted(htapCluster(t, 0), htapCfg, FaultedSpec{HTAP: hspec})
+	res, err := RunFaulted(htapCluster(t), htapCfg, FaultedSpec{HTAP: hspec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,56 +33,26 @@ func TestFaultedZeroPlanMatchesHTAP(t *testing.T) {
 }
 
 // TestFaultedDeterministic: identical spec + seed give identical
-// results in every field, at 1 and at 2 engine partitions.
+// results in every field.
 func TestFaultedDeterministic(t *testing.T) {
 	spec := FaultedSpec{
 		HTAP:   HTAPSpec{SF: 10, Queries: 4, UpdateRowsPerSec: 4e6},
 		Faults: fault.Config{Seed: 7, Horizon: 10, MTTF: 1, MTTR: 0.05, StragglerEvery: 0.3, StragglerSecs: 0.1, StragglerFactor: 4},
 		Retry:  pstore.RetryPolicy{Timeout: 5, MaxRetries: 32, Backoff: 0.02, BackoffCap: 0.1},
 	}
-	for _, k := range []int{0, 2} {
-		a, err := RunFaulted(htapCluster(t, k), htapCfg, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := RunFaulted(htapCluster(t, k), htapCfg, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("k=%d: faulted runs differ:\n%+v\n%+v", k, a, b)
-		}
-		if a.Faults == (fault.Counts{}) {
-			t.Fatalf("k=%d: plan fired no episodes — test is vacuous: %+v", k, a)
-		}
-	}
-}
-
-// TestFaultedPartitionedMatchesSerialWorkload: the same faulted run is
-// byte-identical across engine-partition counts (the experiment-level
-// equivalence test covers the rendered output; this anchors the raw
-// result struct).
-func TestFaultedPartitionedMatchesSerialWorkload(t *testing.T) {
-	spec := FaultedSpec{
-		HTAP:   HTAPSpec{SF: 10, Queries: 3, UpdateRowsPerSec: 4e6},
-		Faults: fault.Config{Seed: 3, Horizon: 10, MTTF: 1.5, MTTR: 0.05, DropEvery: 0.4, DropSecs: 0.05},
-		Retry:  pstore.RetryPolicy{Timeout: 5, MaxRetries: 32, Backoff: 0.02, BackoffCap: 0.1},
-	}
-	base, err := RunFaulted(htapCluster(t, 0), htapCfg, spec)
+	a, err := RunFaulted(htapCluster(t), htapCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Faults == (fault.Counts{}) {
-		t.Fatalf("plan fired no episodes — test is vacuous: %+v", base)
+	b, err := RunFaulted(htapCluster(t), htapCfg, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, k := range []int{2, 4} {
-		got, err := RunFaulted(htapCluster(t, k), htapCfg, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, base) {
-			t.Fatalf("k=%d differs from serial:\n%+v\n%+v", k, got, base)
-		}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("faulted runs differ:\n%+v\n%+v", a, b)
+	}
+	if a.Faults == (fault.Counts{}) {
+		t.Fatalf("plan fired no episodes — test is vacuous: %+v", a)
 	}
 }
 
@@ -95,7 +65,7 @@ func TestFaultedCrashForcesRetry(t *testing.T) {
 		Faults: fault.Config{Seed: 1, Horizon: 10, MTTF: 0.8, MTTR: 0.05},
 		Retry:  pstore.RetryPolicy{MaxRetries: 64, Backoff: 0.02, BackoffCap: 0.1},
 	}
-	res, err := RunFaulted(htapCluster(t, 0), htapCfg, spec)
+	res, err := RunFaulted(htapCluster(t), htapCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +85,11 @@ func TestFaultedCrashForcesRetry(t *testing.T) {
 // retries being needed (stragglers are slow, not dead).
 func TestFaultedStragglerSlowsQueries(t *testing.T) {
 	hspec := HTAPSpec{SF: 10, Queries: 3}
-	base, err := RunHTAP(htapCluster(t, 0), htapCfg, hspec)
+	base, err := RunHTAP(htapCluster(t), htapCfg, hspec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunFaulted(htapCluster(t, 0), htapCfg, FaultedSpec{
+	res, err := RunFaulted(htapCluster(t), htapCfg, FaultedSpec{
 		HTAP:   hspec,
 		Faults: fault.Config{Seed: 5, Horizon: 10, StragglerEvery: 0.1, StragglerSecs: 0.1, StragglerFactor: 8},
 	})

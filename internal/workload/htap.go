@@ -129,8 +129,8 @@ type htapPlant struct {
 	stores []*delta.Store
 
 	// stopped is written by the analytics driver and read by the ingest
-	// front-ends; the partition group executes serially in lockstep, so
-	// a plain bool is deterministic (the same pattern the join handles
+	// front-ends; simulated processes run one at a time, so a plain
+	// bool is deterministic (the same pattern the join handles
 	// use for their shared counters).
 	stopped bool
 }
@@ -179,8 +179,8 @@ func buildHTAPPlant(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (*htap
 		set.Attach(join.Probe.Table, i, st)
 	}
 	e.AttachDeltas(set)
-	for i, st := range stores {
-		st.StartMerger(c.EngineFor(i))
+	for _, st := range stores {
+		st.StartMerger(c.Eng)
 	}
 	pl := &htapPlant{e: e, join: join, stores: stores}
 
@@ -193,7 +193,7 @@ func buildHTAPPlant(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (*htap
 		for i := 0; i < n; i++ {
 			i := i
 			st := stores[i]
-			c.EngineFor(i).Go(fmt.Sprintf("htap.apply.%d", i), func(p *sim.Proc) {
+			c.Eng.Go(fmt.Sprintf("htap.apply.%d", i), func(p *sim.Proc) {
 				seq := 0
 				for {
 					b, ok := applyMB[i].Recv(p)
@@ -211,7 +211,7 @@ func buildHTAPPlant(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (*htap
 		for i := 0; i < n; i++ {
 			i := i
 			rr := i // stagger the round-robin start across front-ends
-			sim.Periodic(c.EngineFor(i), fmt.Sprintf("htap.ingest.%d", i), interval, func(p *sim.Proc) bool {
+			sim.Periodic(c.Eng, fmt.Sprintf("htap.ingest.%d", i), interval, func(p *sim.Proc) bool {
 				if pl.stopped {
 					for dst := 0; dst < n; dst++ {
 						c.Send(p, cluster.Message{From: i, To: dst, EOS: true, Dest: applyMB[dst]})
@@ -253,7 +253,7 @@ func RunHTAP(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (HTAPResult, 
 	// views, so every query sees all writes applied before its scans.
 	res := HTAPResult{}
 	var launchErr error
-	c.EngineFor(0).Go("htap.driver", func(p *sim.Proc) {
+	c.Eng.Go("htap.driver", func(p *sim.Proc) {
 		for q := 0; q < spec.Queries; q++ {
 			h, lerr := pl.e.LaunchJoin(fmt.Sprintf("htap.q%d", q), pl.join)
 			if lerr != nil {

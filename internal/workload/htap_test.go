@@ -11,11 +11,9 @@ import (
 	"repro/internal/tpch"
 )
 
-func htapCluster(t *testing.T, partitions int) *cluster.Cluster {
+func htapCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	cfg := cluster.Homogeneous(4, hw.ClusterV())
-	cfg.EnginePartitions = partitions
-	c, err := cluster.New(cfg)
+	c, err := cluster.New(cluster.Homogeneous(4, hw.ClusterV()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +29,11 @@ var htapCfg = pstore.Config{WarmCache: true, BatchRows: 200_000}
 func TestHTAPReadOnlyMatchesPlainJoin(t *testing.T) {
 	sf := tpch.ScaleFactor(10)
 	spec := HTAPSpec{SF: sf, Queries: 1}
-	res, err := RunHTAP(htapCluster(t, 0), htapCfg, spec)
+	res, err := RunHTAP(htapCluster(t), htapCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := pstore.RunJoin(htapCluster(t, 0), htapCfg, Q3Join(sf, 0.05, 0.05, pstore.DualShuffle))
+	plain, _, err := pstore.RunJoin(htapCluster(t), htapCfg, Q3Join(sf, 0.05, 0.05, pstore.DualShuffle))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +49,11 @@ func TestHTAPReadOnlyMatchesPlainJoin(t *testing.T) {
 // reported field.
 func TestHTAPDeterministic(t *testing.T) {
 	spec := HTAPSpec{SF: 10, Queries: 2, UpdateRowsPerSec: 4e6}
-	a, err := RunHTAP(htapCluster(t, 0), htapCfg, spec)
+	a, err := RunHTAP(htapCluster(t), htapCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunHTAP(htapCluster(t, 0), htapCfg, spec)
+	b, err := RunHTAP(htapCluster(t), htapCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,35 +62,15 @@ func TestHTAPDeterministic(t *testing.T) {
 	}
 }
 
-// TestHTAPPartitionedMatchesSerialDriver: the driver's full process soup
-// (front-ends, appliers, mergers, sequential joins) is byte-identical
-// across engine partition counts.
-func TestHTAPPartitionedMatchesSerialDriver(t *testing.T) {
-	spec := HTAPSpec{SF: 10, Queries: 2, UpdateRowsPerSec: 4e6}
-	serial, err := RunHTAP(htapCluster(t, 0), htapCfg, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{1, 2, 4} {
-		got, err := RunHTAP(htapCluster(t, k), htapCfg, spec)
-		if err != nil {
-			t.Fatalf("partitions=%d: %v", k, err)
-		}
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("partitions=%d diverges:\n serial=%+v\n got=%+v", k, serial, got)
-		}
-	}
-}
-
 // TestHTAPUpdateStreamInterferes: a write stream slows analytics down
 // and its work is accounted (txns, rows, energy above the read-only
 // baseline).
 func TestHTAPUpdateStreamInterferes(t *testing.T) {
-	base, err := RunHTAP(htapCluster(t, 0), htapCfg, HTAPSpec{SF: 10, Queries: 2})
+	base, err := RunHTAP(htapCluster(t), htapCfg, HTAPSpec{SF: 10, Queries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hot, err := RunHTAP(htapCluster(t, 0), htapCfg, HTAPSpec{SF: 10, Queries: 2, UpdateRowsPerSec: 16e6})
+	hot, err := RunHTAP(htapCluster(t), htapCfg, HTAPSpec{SF: 10, Queries: 2, UpdateRowsPerSec: 16e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +96,7 @@ func TestHTAPMergesHappen(t *testing.T) {
 		SF: 10, Queries: 2, UpdateRowsPerSec: 16e6,
 		Delta: delta.Config{MaxTailRows: 1_000_000, CheckEvery: 0.25},
 	}
-	res, err := RunHTAP(htapCluster(t, 0), htapCfg, spec)
+	res, err := RunHTAP(htapCluster(t), htapCfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ type Store struct {
 // NewStore wraps a node's partition in a delta store. The partition's
 // blocks become the initial base; writes land in the tail until merged.
 // Materialized partitions are supported for generic single-key tables
-// only (the schema materializeBatch gives every table outside the wired
+// only (the schema storage gives every table outside the wired
 // TPC-H four), because a tail row carries just its key.
 func NewStore(part *storage.Partition, node int, cpu *sim.Server, cfg Config) (*Store, error) {
 	s := &Store{

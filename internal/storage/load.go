@@ -1,0 +1,246 @@
+package storage
+
+import (
+	"sync"
+
+	"repro/internal/par"
+	"repro/internal/tpch"
+)
+
+// Column indexes of materialized batches. tableSchema places each
+// generator at its index, so the stored layout and these constants are
+// one definition: two generators on one index do not compile.
+const (
+	ColKey = 0 // join key column of every table
+
+	LineitemColSel  = 3
+	LineitemColSupp = 4
+	OrdersColSel    = 3
+	CustomerColSel  = 2
+	SupplierColSel  = 2
+)
+
+// schema is the one description of a materialized table: the generators
+// of its stored columns in batch order, and the generator of the column
+// that hash segmentation routes on.
+type schema struct {
+	cols    []tpch.Column
+	segment tpch.Column // need not be stored: LINEITEM's L_SHIPDATE is not
+}
+
+// tableSchema returns def's schema. The segmentation column is the one
+// SegmentColumn names; unknown names fall back to the table default,
+// which reproduces the paper's layouts:
+//
+//   - §3.1 (Vertica): LINEITEM on L_ORDERKEY, ORDERS on O_CUSTKEY — a
+//     LINEITEM⋈ORDERS join on ORDERKEY is then partition-incompatible on
+//     the ORDERS side;
+//   - §4.3 (P-store): LINEITEM on L_SHIPDATE and ORDERS on O_CUSTKEY make
+//     the join incompatible on BOTH sides, forcing the dual shuffle.
+//
+// Every other table is segmented on its stored key column, so a row on
+// node d always satisfies Hash64(cols[ColKey]) % homes % n == d — the
+// placement the exchange router and Prepartitioned joins assume.
+func tableSchema(def TableDef) schema {
+	switch def.Table {
+	case tpch.Lineitem:
+		c := tpch.LineitemColumns(def.SF, def.SkewTheta)
+		s := schema{segment: c.OrderKey, cols: []tpch.Column{
+			ColKey:          c.OrderKey,
+			1:               c.ExtendedPrice,
+			2:               c.Discount,
+			LineitemColSel:  c.SelCol,
+			LineitemColSupp: c.SuppKey,
+		}}
+		if def.SegmentColumn == "L_SHIPDATE" {
+			s.segment = c.ShipDate
+		}
+		return s
+	case tpch.Orders:
+		c := tpch.OrderColumns(def.SF)
+		s := schema{segment: c.CustKey, cols: []tpch.Column{
+			ColKey:       c.OrderKey,
+			1:            c.CustKey,
+			2:            c.OrderDate,
+			OrdersColSel: c.SelCol,
+		}}
+		if def.SegmentColumn == "O_ORDERKEY" {
+			s.segment = c.OrderKey
+		}
+		return s
+	case tpch.Customer:
+		c := tpch.CustomerColumns()
+		return schema{segment: c.CustKey, cols: []tpch.Column{
+			ColKey:         c.CustKey,
+			1:              c.NationKey,
+			CustomerColSel: c.SelCol,
+		}}
+	case tpch.Supplier:
+		c := tpch.SupplierColumns()
+		return schema{segment: c.SuppKey, cols: []tpch.Column{
+			ColKey:         c.SuppKey,
+			1:              c.NationKey,
+			SupplierColSel: c.SelCol,
+		}}
+	default:
+		// Generic single-key table: the key is the row index.
+		key := tpch.RowIndexColumn()
+		return schema{segment: key, cols: []tpch.Column{ColKey: key}}
+	}
+}
+
+const (
+	// chunkRows is the loader's unit of parallel work. It fixes how rows
+	// are grouped, never where they land, so it is a constant rather
+	// than a function of the worker count: 64 Ki rows keep a worker's
+	// scratch (mix + one column, 1 MiB) inside its L2 cache while a
+	// table of a million rows still splits into enough chunks to
+	// balance.
+	chunkRows = 1 << 16
+	// maxNodes bounds the node count of a materialized table: a row's
+	// destination is stored in a uint16.
+	maxNodes = 1 << 16
+)
+
+// chunk is the row range [lo, hi) of one unit of loader work.
+type chunk struct{ lo, hi int64 }
+
+// load generates every row of a table once and returns the stored
+// columns of each of n destination nodes: row i goes to node
+// Hash64(segment key) % homes % n, and a node's rows are in row-index
+// order.
+//
+// It is a two-pass counting sort over fixed-size row chunks, each pass
+// fanned out over GOMAXPROCS workers. Pass one computes every row's
+// destination and counts rows per (chunk, node). Exclusive prefix sums
+// of those counts, taken in chunk order, give each chunk the offset at
+// which its rows start in each node's columns, and the totals size those
+// columns exactly. Pass two generates each chunk's columns and stores
+// every value at its final offset. Chunks write disjoint ranges, so the
+// workers share nothing, and because the offsets depend only on the
+// chunk order the result is the one a serial row-by-row append would
+// build, whatever the worker count.
+func load(sch schema, total int64, homes, n int) [][]Int64Column {
+	chunks := make([]chunk, 0, (total+chunkRows-1)/chunkRows)
+	for lo := int64(0); lo < total; lo += chunkRows {
+		chunks = append(chunks, chunk{lo, min(lo+chunkRows, total)})
+	}
+
+	// Pass one. A single destination needs no routing.
+	var dest []uint16
+	var offsets [][]int // offsets[c][nd]: where chunk c's rows start on node nd
+	size := make([]int, n)
+	if n == 1 {
+		size[0] = int(total)
+	} else {
+		// homeNode maps a home partition to the node serving it.
+		homeNode := make([]uint16, homes)
+		for h := range homeNode {
+			homeNode[h] = uint16(h % n)
+		}
+		dest = make([]uint16, total)
+		offsets, _ = par.Map(0, chunks, func(_ int, c chunk) ([]int, error) {
+			s := scratchPool.Get().(*scratch)
+			defer scratchPool.Put(s)
+			keys := s.vals[:c.hi-c.lo]
+			sch.segment.Fill(c.lo, s.mixFor(c, sch.segment), keys)
+			counts := make([]int, n)
+			d := dest[c.lo:c.hi]
+			for j, k := range keys {
+				nd := homeNode[tpch.Hash64(uint64(k))%uint64(homes)]
+				d[j] = nd
+				counts[nd]++
+			}
+			return counts, nil
+		})
+		for _, counts := range offsets {
+			for nd, rows := range counts {
+				counts[nd], size[nd] = size[nd], size[nd]+rows
+			}
+		}
+	}
+
+	// Each node's columns are allocated once, at their exact size; the
+	// allocations (and the zeroing they pay) run in parallel too.
+	out, _ := par.Map(0, size, func(_ int, rows int) ([]Int64Column, error) {
+		cols := make([]Int64Column, len(sch.cols))
+		for k := range cols {
+			cols[k] = make(Int64Column, rows)
+		}
+		return cols, nil
+	})
+
+	// Pass two.
+	par.Map(0, chunks, func(ci int, c chunk) (struct{}, error) {
+		s := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(s)
+		mix := s.mixFor(c, sch.cols...)
+		if n == 1 {
+			for k, col := range sch.cols {
+				col.Fill(c.lo, mix, out[0][k][c.lo:c.hi])
+			}
+			return struct{}{}, nil
+		}
+		vals := s.vals[:c.hi-c.lo]
+		d := dest[c.lo:c.hi]
+		into := make([]Int64Column, n)
+		next := make([]int, n)
+		for k, col := range sch.cols {
+			col.Fill(c.lo, mix, vals)
+			for nd := range into {
+				into[nd] = out[nd][k]
+			}
+			copy(next, offsets[ci])
+			for j, v := range vals {
+				nd := d[j]
+				into[nd][next[nd]] = v
+				next[nd]++
+			}
+		}
+		return struct{}{}, nil
+	})
+	return out
+}
+
+// scratch is a worker's buffers for one chunk: the row mixes and one
+// generated column. Pooled: allocating (faulting in, zeroing) a fresh
+// megabyte per chunk made BenchmarkPartitionTable about 15 % slower.
+type scratch struct {
+	mix  []uint64
+	vals []int64
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{mix: make([]uint64, chunkRows), vals: make([]int64, chunkRows)}
+}}
+
+// mixFor returns the row mixes the columns need to fill chunk c: none
+// when every one of them is a function of the row index alone.
+func (s *scratch) mixFor(c chunk, cols ...tpch.Column) []uint64 {
+	for _, col := range cols {
+		if !col.Sequential() {
+			mix := s.mix[:c.hi-c.lo]
+			tpch.MixRows(c.lo, mix)
+			return mix
+		}
+	}
+	return nil
+}
+
+// blocks cuts a node's columns into batches of blockRows rows. Each
+// batch is a view of the columns, not a copy; the full slice expression
+// caps it at its own rows so an append to one block's column can never
+// write into the next block.
+func blocks(def TableDef, cols []Int64Column, blockRows int) []Batch {
+	rows := len(cols[ColKey])
+	out := make([]Batch, 0, rows/blockRows+1)
+	for start, end := 0, 0; start < rows; start = end {
+		end = start + min(blockRows, rows-start)
+		b := Batch{Rows: end - start, Width: def.Width, Cols: make([]Column, len(cols))}
+		for k, c := range cols {
+			b.Cols[k] = c[start:end:end]
+		}
+		out = append(out, b)
+	}
+	return out
+}

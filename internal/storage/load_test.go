@@ -1,0 +1,296 @@
+package storage
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"repro/internal/tpch"
+)
+
+// oracleRow returns row i's stored columns and segmentation key from the
+// row-at-a-time tpch generators: the loader's specification, sharing no
+// code with it.
+func oracleRow(def TableDef, i int64) (stored []int64, seg int64) {
+	switch def.Table {
+	case tpch.Lineitem:
+		r := tpch.GenLineitem(def.SF, i)
+		if def.SkewTheta > 0 {
+			r = tpch.GenLineitemSkewed(def.SF, i, def.SkewTheta)
+		}
+		seg = r.OrderKey
+		if def.SegmentColumn == "L_SHIPDATE" {
+			seg = r.ShipDate
+		}
+		return []int64{r.OrderKey, r.ExtendedPrice, r.Discount, r.SelCol, r.SuppKey}, seg
+	case tpch.Orders:
+		r := tpch.GenOrder(def.SF, i)
+		seg = r.CustKey
+		if def.SegmentColumn == "O_ORDERKEY" {
+			seg = r.OrderKey
+		}
+		return []int64{r.OrderKey, r.CustKey, r.OrderDate, r.SelCol}, seg
+	case tpch.Customer:
+		r := tpch.GenCustomer(def.SF, i)
+		return []int64{r.CustKey, r.NationKey, r.SelCol}, r.CustKey
+	case tpch.Supplier:
+		r := tpch.GenSupplier(def.SF, i)
+		return []int64{r.SuppKey, r.NationKey, r.SelCol}, r.SuppKey
+	default:
+		return []int64{i}, i
+	}
+}
+
+// oraclePartition routes the table row by row and appends each row to
+// its node: want[node][column] is that node's column, in arrival order.
+func oraclePartition(def TableDef, n int) [][][]int64 {
+	homes := n
+	if def.HomeNodes > 0 {
+		homes = def.HomeNodes
+	}
+	want := make([][][]int64, n)
+	for i := int64(0); i < def.TotalRows(); i++ {
+		stored, seg := oracleRow(def, i)
+		nd := 0
+		if def.Placement == HashSegmented {
+			nd = int(tpch.Hash64(uint64(seg))%uint64(homes)) % n
+		}
+		if want[nd] == nil {
+			want[nd] = make([][]int64, len(stored))
+		}
+		for k, v := range stored {
+			want[nd][k] = append(want[nd][k], v)
+		}
+	}
+	if def.Placement == Replicated {
+		for nd := range want {
+			want[nd] = want[0]
+		}
+	}
+	return want
+}
+
+// checkPartitions asserts parts hold exactly want, cut into blocks of
+// blockRows: same block count, same Rows per block, same value in every
+// cell, every block a capped view.
+func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRows int) {
+	t.Helper()
+	if len(parts) != len(want) {
+		t.Fatalf("%d partitions, want %d", len(parts), len(want))
+	}
+	for nd, p := range parts {
+		rows := 0
+		if want[nd] != nil {
+			rows = len(want[nd][0])
+		}
+		if p.Node != nd || p.Rows != int64(rows) {
+			t.Fatalf("partition %d: node %d with %d rows, want %d rows", nd, p.Node, p.Rows, rows)
+		}
+		if p.batches == nil {
+			t.Fatalf("node %d: materialized partition turned phantom", nd)
+		}
+		if got, wantBlocks := len(p.batches), (rows+blockRows-1)/blockRows; got != wantBlocks {
+			t.Fatalf("node %d: %d blocks, want %d", nd, got, wantBlocks)
+		}
+		at := 0
+		for bi, b := range p.batches {
+			if wantRows := min(blockRows, rows-at); b.Rows != wantRows || b.Width != p.Def.Width {
+				t.Fatalf("node %d block %d: %d rows of width %d, want %d of %d", nd, bi, b.Rows, b.Width, wantRows, p.Def.Width)
+			}
+			if len(b.Cols) != len(want[nd]) {
+				t.Fatalf("node %d block %d: %d columns, want %d", nd, bi, len(b.Cols), len(want[nd]))
+			}
+			for k, c := range b.Cols {
+				col := c.(Int64Column)
+				if len(col) != b.Rows || cap(col) != b.Rows {
+					t.Fatalf("node %d block %d col %d: len %d cap %d, want both %d", nd, bi, k, len(col), cap(col), b.Rows)
+				}
+				for r, v := range col {
+					if v != want[nd][k][at+r] {
+						t.Fatalf("node %d block %d col %d row %d: %d, want %d", nd, bi, k, r, v, want[nd][k][at+r])
+					}
+				}
+			}
+			at += b.Rows
+		}
+	}
+}
+
+// oracleDefs is one definition per schema and segmentation column, each
+// of oracleRows rows: three loader chunks, the last one partial.
+const oracleRows = 2*chunkRows + 4099
+
+func oracleDefs() map[string]TableDef {
+	def := func(table tpch.Table, segment string, theta float64) TableDef {
+		return TableDef{Table: table, SF: 0.01, Width: tpch.Q3ProjectedWidth, Materialize: true,
+			SegmentColumn: segment, SkewTheta: theta, RowsOverride: oracleRows}
+	}
+	return map[string]TableDef{
+		"lineitem/orderkey":      def(tpch.Lineitem, "L_ORDERKEY", 0),
+		"lineitem/shipdate":      def(tpch.Lineitem, "L_SHIPDATE", 0),
+		"lineitem/orderkey/skew": def(tpch.Lineitem, "L_ORDERKEY", 0.8),
+		"lineitem/shipdate/skew": def(tpch.Lineitem, "L_SHIPDATE", 0.8),
+		"orders/custkey":         def(tpch.Orders, "O_CUSTKEY", 0),
+		"orders/orderkey":        def(tpch.Orders, "O_ORDERKEY", 0),
+		"customer":               def(tpch.Customer, "", 0),
+		"supplier":               def(tpch.Supplier, "", 0),
+		"generic":                def(tpch.Part, "", 0),
+	}
+}
+
+// The loader must build exactly what a serial row-at-a-time route-and-
+// append builds — same blocks, same rows in the same order — for every
+// schema, placement, home layout, node count and block size, and at
+// every worker count. Blocks are cut from a node's finished columns, so
+// the two small block sizes, which cost the check an allocation per cell,
+// run at one node count and one worker count.
+func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type run struct{ blockRows, procs int }
+	runs := []run{{4096, 1}, {4096, 4}, {oracleRows + 1, 4}}
+	smallBlocks := []run{{1, 4}, {7, 4}}
+	for name, def := range oracleDefs() {
+		for _, placement := range []Placement{HashSegmented, Replicated} {
+			for _, homes := range []int{0, 8} {
+				if placement == Replicated && homes > 0 {
+					continue // HomeNodes only steers hash segmentation
+				}
+				for _, n := range []int{1, 3, 4, 8} {
+					def.Placement, def.HomeNodes = placement, homes
+					want := oraclePartition(def, n)
+					todo := runs
+					if n == 3 {
+						todo = append(smallBlocks, runs...)
+					}
+					for _, r := range todo {
+						runtime.GOMAXPROCS(r.procs)
+						parts, err := PartitionTable(def, n, r.blockRows)
+						if err != nil {
+							t.Fatal(err)
+						}
+						t.Run(fmt.Sprintf("%s/%v/homes%d/n%d/block%d/procs%d", name, placement, homes, n, r.blockRows, r.procs), func(t *testing.T) {
+							checkPartitions(t, parts, want, r.blockRows)
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+// Hash segmentation must place every row on the node the exchange router
+// and Prepartitioned joins expect: Hash64 of the stored segmentation
+// column, modulo homes, modulo n. SUPPLIER used to be routed on the row
+// index while storing S_SUPPKEY = index+1.
+func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
+	defs := oracleDefs()
+	for _, tc := range []struct {
+		def string
+		col int
+	}{
+		{"lineitem/orderkey", ColKey},
+		{"lineitem/orderkey/skew", ColKey},
+		{"orders/custkey", 1},
+		{"orders/orderkey", ColKey},
+		{"customer", ColKey},
+		{"supplier", ColKey},
+		{"generic", ColKey},
+	} {
+		for _, homes := range []int{0, 8} {
+			for _, n := range []int{3, 4} {
+				def := defs[tc.def]
+				def.Placement, def.HomeNodes, def.RowsOverride = HashSegmented, homes, 20_000
+				parts, err := PartitionTable(def, n, 512)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h := uint64(n)
+				if homes > 0 {
+					h = uint64(homes)
+				}
+				for _, p := range parts {
+					for _, b := range p.Batches(512) {
+						for r := 0; r < b.Rows; r++ {
+							v := b.Cols[tc.col].Int64(r)
+							if d := int(tpch.Hash64(uint64(v))%h) % n; d != p.Node {
+								t.Fatalf("%s homes %d n %d: value %d on node %d hashes to node %d", tc.def, homes, n, v, p.Node, d)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// A node that receives no rows still holds a materialized partition: an
+// empty block list, not the nil that would make Batches and Cursor
+// synthesize phantom blocks.
+func TestZeroRowPartitionStaysMaterialized(t *testing.T) {
+	two := TableDef{Table: tpch.Part, Width: 8, Placement: HashSegmented, Materialize: true, RowsOverride: 2}
+	none := TableDef{Table: tpch.Part, Width: 8, Placement: HashSegmented, Materialize: true} // SF 0: no rows at all
+	for _, def := range []TableDef{two, none} {
+		parts, err := PartitionTable(def, 8, 4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPartitions(t, parts, oraclePartition(def, 8), 4096)
+		empty := 0
+		for _, p := range parts {
+			if p.Rows > 0 {
+				continue
+			}
+			empty++
+			if b := p.Batches(4096); b == nil || len(b) != 0 {
+				t.Fatalf("node %d: empty partition has blocks %v", p.Node, b)
+			}
+			cur := p.Cursor(4096)
+			if b, ok := cur.Next(); ok {
+				t.Fatalf("node %d: empty partition's cursor yielded %+v", p.Node, b)
+			}
+			cur.Close()
+		}
+		if empty < 6 {
+			t.Fatalf("%d rows over 8 nodes left only %d nodes empty", def.TotalRows(), empty)
+		}
+	}
+}
+
+// A Replicated table is generated once: every node's blocks are views of
+// the same columns.
+func TestReplicatedPartitionsShareColumns(t *testing.T) {
+	def := TableDef{Table: tpch.Supplier, SF: 0.01, Width: 16, Placement: Replicated, Materialize: true}
+	parts, err := PartitionTable(def, 3, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := parts[0].Batches(64)[1].Cols[SupplierColSel].(Int64Column)
+	for _, p := range parts[1:] {
+		if col := p.Batches(64)[1].Cols[SupplierColSel].(Int64Column); &col[0] != &first[0] {
+			t.Fatalf("node %d holds its own copy of the replicated table", p.Node)
+		}
+	}
+}
+
+func TestPartitionTableRejectsBadArguments(t *testing.T) {
+	tiny := TableDef{Table: tpch.Part, Width: 8, Placement: HashSegmented, Materialize: true, RowsOverride: 2}
+	phantom := tiny
+	phantom.Materialize = false
+	replicated := tiny
+	replicated.Placement = Replicated
+	for _, def := range []TableDef{tiny, phantom, replicated} {
+		for _, blockRows := range []int{0, -1} {
+			if _, err := PartitionTable(def, 2, blockRows); err == nil {
+				t.Errorf("%v materialize=%v: no error for blockRows %d", def.Placement, def.Materialize, blockRows)
+			}
+		}
+	}
+	// A destination is stored in 16 bits: more nodes must be refused, not
+	// wrapped onto the wrong node.
+	if _, err := PartitionTable(tiny, maxNodes+1, 64); err == nil {
+		t.Errorf("no error for %d nodes", maxNodes+1)
+	}
+	if parts, err := PartitionTable(tiny, maxNodes, 64); err != nil || len(parts) != maxNodes {
+		t.Errorf("%d nodes: %d partitions, err %v", maxNodes, len(parts), err)
+	}
+}

@@ -15,6 +15,20 @@
 //
 // Partitioning supports the paper's placement schemes: hash segmentation
 // on a chosen column (Vertica's hash segmentation) and full replication.
+//
+// A materialized table is loaded by one two-pass parallel scatter
+// (load.go). Each table has one schema — its stored columns' generators
+// and the generator of its segmentation column — and the loader walks
+// the table in fixed-size row chunks: pass one routes every row and
+// counts rows per (chunk, node); prefix sums over the chunks, in chunk
+// order, turn the counts into write offsets; pass two generates each
+// chunk's columns once and stores every value at its final position in
+// columns allocated once at their exact size. The offsets depend on the
+// chunk order alone, so the layout — which rows a node holds, in what
+// order, cut into which blocks — is that of a serial row-by-row load and
+// does not depend on how many workers ran it; simulated time, energy and
+// event counts therefore cannot move with GOMAXPROCS. The blocks handed
+// to operators are read-only views of those columns.
 package storage
 
 import (
@@ -173,47 +187,24 @@ func (p *Partition) Batches(blockRows int) []Batch {
 	return out
 }
 
-// KeyFunc extracts the segmentation key from a table row index.
-type KeyFunc func(row int64) int64
-
-// SegmentKey returns the hash-segmentation key extractor selected by
-// SegmentColumn. Defaults reproduce the paper's layouts:
-//
-//   - §3.1 (Vertica): LINEITEM on L_ORDERKEY, ORDERS on O_CUSTKEY — a
-//     LINEITEM⋈ORDERS join on ORDERKEY is then partition-incompatible on
-//     the ORDERS side;
-//   - §4.3 (P-store): LINEITEM on L_SHIPDATE and ORDERS on O_CUSTKEY make
-//     the join incompatible on BOTH sides, forcing the dual shuffle.
-//
-// Unknown column names fall back to the table default.
-func SegmentKey(def TableDef) KeyFunc {
-	sf := def.SF
-	switch def.Table {
-	case tpch.Lineitem:
-		if def.SegmentColumn == "L_SHIPDATE" {
-			return func(i int64) int64 { return genLineitem(def, i).ShipDate }
-		}
-		return func(i int64) int64 { return genLineitem(def, i).OrderKey }
-	case tpch.Orders:
-		if def.SegmentColumn == "O_ORDERKEY" {
-			return func(i int64) int64 { return tpch.GenOrder(sf, i).OrderKey }
-		}
-		return func(i int64) int64 { return tpch.GenOrder(sf, i).CustKey }
-	case tpch.Customer:
-		return func(i int64) int64 { return tpch.GenCustomer(sf, i).CustKey }
-	default:
-		return func(i int64) int64 { return i }
-	}
-}
-
 // PartitionTable splits a table across n nodes according to its placement,
-// returning one Partition per node. Materialized partitions (Def.
-// Materialize) hold actual column data generated from the tpch package;
-// phantom partitions hold only row counts (computed exactly: each row is
-// routed by the same Hash64 the exchange operator uses).
+// returning one Partition per node, each cut into blocks of blockRows rows.
+//
+// Materialized partitions (Def.Materialize) hold the table's stored
+// columns, generated by the loader in load.go: every row is generated
+// once, routed by the same Hash64 the exchange operator uses, and written
+// straight to its final position, so a partition's rows are in row-index
+// order and its blocks are views of one allocation per column. The n
+// partitions of a Replicated table share a single column set. Blocks are
+// read-only: cursors and delta stores hand them out without copying.
+//
+// Phantom partitions hold only row counts.
 func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("storage: need at least one node, got %d", n)
+	}
+	if blockRows <= 0 {
+		return nil, fmt.Errorf("storage: blockRows must be positive, got %d", blockRows)
 	}
 	parts := make([]*Partition, n)
 	for i := range parts {
@@ -222,13 +213,12 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 	total := def.TotalRows()
 
 	if def.Placement == Replicated {
-		for _, p := range parts {
-			p.Rows = total
-		}
+		var batches []Batch
 		if def.Materialize {
-			for _, p := range parts {
-				p.batches = materialize(def, identityRows(total), blockRows)
-			}
+			batches = blocks(def, load(tableSchema(def), total, 1, 1)[0], blockRows)
+		}
+		for _, p := range parts {
+			p.Rows, p.batches = total, batches
 		}
 		return parts, nil
 	}
@@ -240,16 +230,13 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 		homes = def.HomeNodes
 	}
 
-	key := SegmentKey(def)
 	if def.Materialize {
-		rowsPerNode := make([][]int64, n)
-		for i := int64(0); i < total; i++ {
-			h := int(tpch.Hash64(uint64(key(i))) % uint64(homes))
-			rowsPerNode[h%n] = append(rowsPerNode[h%n], i)
+		if n > maxNodes {
+			return nil, fmt.Errorf("storage: a materialized table spans at most %d nodes, got %d", maxNodes, n)
 		}
-		for nd, rows := range rowsPerNode {
-			parts[nd].Rows = int64(len(rows))
-			parts[nd].batches = materialize(def, rows, blockRows)
+		for nd, cols := range load(tableSchema(def), total, homes, n) {
+			parts[nd].Rows = int64(len(cols[ColKey]))
+			parts[nd].batches = blocks(def, cols, blockRows)
 		}
 		return parts, nil
 	}
@@ -274,105 +261,3 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 	}
 	return parts, nil
 }
-
-func identityRows(total int64) []int64 {
-	rows := make([]int64, total)
-	for i := range rows {
-		rows[i] = int64(i)
-	}
-	return rows
-}
-
-// materialize builds column batches for the given global row indexes.
-func materialize(def TableDef, rows []int64, blockRows int) []Batch {
-	var out []Batch
-	for start := 0; start < len(rows); start += blockRows {
-		end := start + blockRows
-		if end > len(rows) {
-			end = len(rows)
-		}
-		chunk := rows[start:end]
-		out = append(out, materializeBatch(def, chunk))
-	}
-	if out == nil {
-		out = []Batch{}
-	}
-	return out
-}
-
-// genLineitem dispatches to the skewed generator when the table def
-// requests it.
-func genLineitem(def TableDef, i int64) tpch.LineitemRow {
-	if def.SkewTheta > 0 {
-		return tpch.GenLineitemSkewed(def.SF, i, def.SkewTheta)
-	}
-	return tpch.GenLineitem(def.SF, i)
-}
-
-func materializeBatch(def TableDef, rows []int64) Batch {
-	n := len(rows)
-	b := Batch{Rows: n, Width: def.Width}
-	switch def.Table {
-	case tpch.Lineitem:
-		key := make(Int64Column, n)
-		price := make(Int64Column, n)
-		disc := make(Int64Column, n)
-		sel := make(Int64Column, n)
-		supp := make(Int64Column, n)
-		for j, i := range rows {
-			r := genLineitem(def, i)
-			key[j], price[j], disc[j], sel[j], supp[j] =
-				r.OrderKey, r.ExtendedPrice, r.Discount, r.SelCol, r.SuppKey
-		}
-		b.Cols = []Column{key, price, disc, sel, supp}
-	case tpch.Orders:
-		key := make(Int64Column, n)
-		cust := make(Int64Column, n)
-		date := make(Int64Column, n)
-		sel := make(Int64Column, n)
-		for j, i := range rows {
-			r := tpch.GenOrder(def.SF, i)
-			key[j], cust[j], date[j], sel[j] = r.OrderKey, r.CustKey, r.OrderDate, r.SelCol
-		}
-		b.Cols = []Column{key, cust, date, sel}
-	case tpch.Customer:
-		key := make(Int64Column, n)
-		nat := make(Int64Column, n)
-		sel := make(Int64Column, n)
-		for j, i := range rows {
-			r := tpch.GenCustomer(def.SF, i)
-			key[j], nat[j], sel[j] = r.CustKey, r.NationKey, r.SelCol
-		}
-		b.Cols = []Column{key, nat, sel}
-	case tpch.Supplier:
-		key := make(Int64Column, n)
-		nat := make(Int64Column, n)
-		sel := make(Int64Column, n)
-		for j, i := range rows {
-			r := tpch.GenSupplier(def.SF, i)
-			key[j], nat[j], sel[j] = r.SuppKey, r.NationKey, r.SelCol
-		}
-		b.Cols = []Column{key, nat, sel}
-	default:
-		// Generic single-key table.
-		key := make(Int64Column, n)
-		for j, i := range rows {
-			key[j] = i
-		}
-		b.Cols = []Column{key}
-	}
-	return b
-}
-
-// Canonical column indexes for materialized batches (keep in sync with
-// materializeBatch).
-const (
-	ColKey = 0 // join/segmentation key column
-	// LINEITEM: 0=orderkey 1=extendedprice 2=discount 3=selcol 4=suppkey
-	LineitemColSel  = 3
-	LineitemColSupp = 4
-	// ORDERS: 0=orderkey 1=custkey 2=orderdate 3=selcol
-	OrdersColSel   = 3
-	CustomerColSel = 2
-	SupplierColSel = 2
-)

@@ -89,8 +89,6 @@ func TestSegmentationRoutesByKeyHash(t *testing.T) {
 	def := ordDef(0.01, true)
 	n := 4
 	parts, _ := PartitionTable(def, n, 512)
-	key := SegmentKey(def)
-	_ = key
 	for _, p := range parts {
 		for _, b := range p.Batches(512) {
 			cust := b.Cols[1] // ORDERS col 1 = custkey

@@ -1,0 +1,144 @@
+package tpch
+
+import (
+	"math/rand"
+	"testing"
+)
+
+// columnRun fills the column for rows [lo, lo+n) the way a loader does.
+func columnRun(c Column, lo int64, n int) []int64 {
+	mix := make([]uint64, n)
+	MixRows(lo, mix)
+	out := make([]int64, n)
+	c.Fill(lo, mix, out)
+	return out
+}
+
+// Every column generator must equal the matching field of the
+// row-at-a-time generator, for runs starting at seeded random indexes
+// (so runs straddle order boundaries at every phase of the 4-per-order
+// layout) and at scale factors small enough for an empty key domain.
+func TestColumnsMatchRowGenerators(t *testing.T) {
+	const run = 37
+	rng := rand.New(rand.NewSource(14))
+	for _, sf := range []ScaleFactor{0.000001, 0.01, 2, 1000} {
+		for trial := 0; trial < 50; trial++ {
+			lo := rng.Int63n(1 << 40)
+			if trial == 0 {
+				lo = 0
+			}
+			check := func(name string, c Column, want func(i int64) int64) {
+				t.Helper()
+				for j, got := range columnRun(c, lo, run) {
+					if i := lo + int64(j); got != want(i) {
+						t.Fatalf("sf %v %s row %d: column %d, row generator %d", sf, name, i, got, want(i))
+					}
+				}
+			}
+			for _, theta := range []float64{0, 0.8} {
+				li := LineitemColumns(sf, theta)
+				gen := func(i int64) LineitemRow {
+					if theta > 0 {
+						return GenLineitemSkewed(sf, i, theta)
+					}
+					return GenLineitem(sf, i)
+				}
+				check("L_ORDERKEY", li.OrderKey, func(i int64) int64 { return gen(i).OrderKey })
+				check("L_SUPPKEY", li.SuppKey, func(i int64) int64 { return gen(i).SuppKey })
+				check("L_EXTENDEDPRICE", li.ExtendedPrice, func(i int64) int64 { return gen(i).ExtendedPrice })
+				check("L_DISCOUNT", li.Discount, func(i int64) int64 { return gen(i).Discount })
+				check("L_SHIPDATE", li.ShipDate, func(i int64) int64 { return gen(i).ShipDate })
+				check("L_QUANTITY", li.Quantity, func(i int64) int64 { return gen(i).Quantity })
+				check("L_SELCOL", li.SelCol, func(i int64) int64 { return gen(i).SelCol })
+			}
+			o := OrderColumns(sf)
+			check("O_ORDERKEY", o.OrderKey, func(i int64) int64 { return GenOrder(sf, i).OrderKey })
+			check("O_CUSTKEY", o.CustKey, func(i int64) int64 { return GenOrder(sf, i).CustKey })
+			check("O_ORDERDATE", o.OrderDate, func(i int64) int64 { return GenOrder(sf, i).OrderDate })
+			check("O_SHIPPRIORITY", o.ShipPriority, func(i int64) int64 { return GenOrder(sf, i).ShipPriority })
+			check("O_SELCOL", o.SelCol, func(i int64) int64 { return GenOrder(sf, i).SelCol })
+			c := CustomerColumns()
+			check("C_CUSTKEY", c.CustKey, func(i int64) int64 { return GenCustomer(sf, i).CustKey })
+			check("C_NATIONKEY", c.NationKey, func(i int64) int64 { return GenCustomer(sf, i).NationKey })
+			check("C_SELCOL", c.SelCol, func(i int64) int64 { return GenCustomer(sf, i).SelCol })
+			s := SupplierColumns()
+			check("S_SUPPKEY", s.SuppKey, func(i int64) int64 { return GenSupplier(sf, i).SuppKey })
+			check("S_NATIONKEY", s.NationKey, func(i int64) int64 { return GenSupplier(sf, i).NationKey })
+			check("S_SELCOL", s.SelCol, func(i int64) int64 { return GenSupplier(sf, i).SelCol })
+			check("row index", RowIndexColumn(), func(i int64) int64 { return i })
+		}
+	}
+}
+
+// A sequential column reads no mix: the key-only pass of a loader skips
+// MixRows for it.
+func TestSequentialColumnsIgnoreMix(t *testing.T) {
+	li, o := LineitemColumns(1, 0), OrderColumns(1)
+	for _, c := range []Column{li.OrderKey, o.OrderKey, CustomerColumns().CustKey, SupplierColumns().SuppKey, RowIndexColumn()} {
+		if !c.Sequential() {
+			t.Fatalf("dense key column %+v is not sequential", c)
+		}
+		out := make([]int64, 9)
+		c.Fill(6, nil, out)
+		for j, v := range columnRun(c, 6, 9) {
+			if out[j] != v {
+				t.Fatalf("column %+v differs with a nil mix at row %d", c, 6+j)
+			}
+		}
+	}
+	for _, c := range []Column{li.ShipDate, o.CustKey, LineitemColumns(1, 0.8).OrderKey} {
+		if c.Sequential() {
+			t.Fatalf("drawn column %+v claims to be sequential", c)
+		}
+	}
+}
+
+var sinkRow LineitemRow
+
+// BenchmarkGenLineitem is the row-at-a-time generator: every field of
+// one row per op.
+func BenchmarkGenLineitem(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		sinkRow = GenLineitem(2, int64(i))
+	}
+}
+
+// BenchmarkLineitemColumns generates the five stored columns of the
+// LINEITEM projection a block at a time; one op is one row.
+func BenchmarkLineitemColumns(b *testing.B) {
+	const block = 4096
+	li := LineitemColumns(2, 0)
+	cols := []Column{li.OrderKey, li.ExtendedPrice, li.Discount, li.SelCol, li.SuppKey}
+	mix := make([]uint64, block)
+	out := make([]int64, block)
+	b.ResetTimer()
+	for lo := 0; lo < b.N; lo += block {
+		n := min(block, b.N-lo)
+		MixRows(int64(lo), mix[:n])
+		for _, c := range cols {
+			c.Fill(int64(lo), mix, out[:n])
+		}
+	}
+}
+
+// modulus.mod must equal % for every divisor and dividend, including the
+// divisors whose reciprocal overflows (1) or is exact (powers of two).
+func TestModulusMatchesRemainder(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	divisors := []uint64{1, 2, 3, 5, 25, 50, 1001, 2557, SelDomain, 1 << 32, 1<<32 + 1, 1 << 52, 1 << 63, 1<<63 + 1, ^uint64(0) - 1, ^uint64(0)}
+	for i := 0; i < 200; i++ {
+		divisors = append(divisors, rng.Uint64()>>uint(rng.Intn(64))|1)
+	}
+	for _, n := range divisors {
+		m := newModulus(n)
+		xs := []uint64{0, 1, n - 1, n, n + 1, 2*n - 1, 2 * n, ^uint64(0) - 1, ^uint64(0), ^uint64(0) / n * n, ^uint64(0)/n*n - 1}
+		for i := 0; i < 2000; i++ {
+			xs = append(xs, rng.Uint64())
+		}
+		for _, x := range xs {
+			if got := m.mod(x); got != x%n {
+				t.Fatalf("%d mod %d = %d, want %d", x, n, got, x%n)
+			}
+		}
+	}
+}

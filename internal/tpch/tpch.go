@@ -28,6 +28,7 @@ package tpch
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // splitmix64 is the SplitMix64 mixing function: a bijective hash with
@@ -277,5 +278,188 @@ func GenSupplier(sf ScaleFactor, i int64) SupplierRow {
 		SuppKey:   i + 1,
 		NationKey: int64(uniform(0x50FF, uint64(i), 25)),
 		SelCol:    int64(uniform(0x5E13, uint64(i), SelDomain)),
+	}
+}
+
+// ---------------------------------------------------------------------------
+// Column generators. The Gen* functions above build one whole row and mix
+// the row index once per field; a loader that wants a few columns of many
+// rows uses these instead. MixRows mixes each row index once, and every
+// drawn Column of the table reuses that mix, so k columns cost one mix per
+// row plus one per drawn column, and a column nobody asks for costs
+// nothing. The values equal the matching Gen* fields exactly (the Gen*
+// functions are the oracle the tests compare against).
+
+// streamKey is the per-field half of uniform: the stream constant times
+// the multiplier uniform applies, wrapping as uniform's does.
+func streamKey(stream uint64) uint64 { return stream * 0x9e3779b97f4a7c15 }
+
+// MixRows stores splitmix64(lo+j) in mix[j]: the per-row half of every
+// uniform draw for rows [lo, lo+len(mix)).
+func MixRows(lo int64, mix []uint64) {
+	for j := range mix {
+		mix[j] = splitmix64(uint64(lo) + uint64(j))
+	}
+}
+
+// modulus computes x % n exactly with four multiplications in place of a
+// divide instruction (Lemire, Kaser and Kurz, "Faster remainder by direct
+// computation", 2019). A column's domain is fixed when the column is
+// built but is not a compile-time constant, and an integer divide per
+// drawn value would cost more than the draw.
+type modulus struct {
+	n      uint64
+	hi, lo uint64 // floor((2^128-1)/n) + 1
+}
+
+func newModulus(n uint64) modulus {
+	hi, rem := bits.Div64(0, ^uint64(0), n)
+	lo, _ := bits.Div64(rem, ^uint64(0), n)
+	lo, carry := bits.Add64(lo, 1, 0)
+	return modulus{n: n, hi: hi + carry, lo: lo}
+}
+
+// mod returns x % m.n: the fractional part of x/n, held in 128 bits,
+// times n.
+func (m modulus) mod(x uint64) uint64 {
+	fh, fl := bits.Mul64(m.lo, x)
+	fh += m.hi * x
+	low, _ := bits.Mul64(fl, m.n)
+	rh, rl := bits.Mul64(fh, m.n)
+	_, carry := bits.Add64(rl, low, 0)
+	return rh + carry
+}
+
+type columnKind uint8
+
+const (
+	// colSeq: value = row/per + base (dense keys, the 4-per-order FK).
+	colSeq columnKind = iota
+	// colDraw: value = uniform(stream, row, n) + base.
+	colDraw
+	// colZipf: value = ZipfRank(uniform draw, keys, theta) — GenLineitemSkewed's
+	// ORDERKEY.
+	colZipf
+)
+
+// Column generates one column of one table for runs of consecutive rows.
+type Column struct {
+	kind   columnKind
+	stream uint64  // colDraw, colZipf: streamKey of the field's stream constant
+	n      modulus // colDraw: domain size
+	keys   int64   // colZipf: key count
+	base   int64   // colSeq, colDraw: added to every value
+	per    int64   // colSeq: consecutive rows sharing one value
+	theta  float64 // colZipf
+}
+
+func seqColumn(per, base int64) Column { return Column{kind: colSeq, per: per, base: base} }
+
+func drawColumn(stream, n uint64, base int64) Column {
+	if n == 0 { // uniform's empty-domain case: every draw is 0
+		n = 1
+	}
+	return Column{kind: colDraw, stream: streamKey(stream), n: newModulus(n), base: base}
+}
+
+// Sequential reports whether the column is a function of the row index
+// alone, so that Fill ignores mix.
+func (c Column) Sequential() bool { return c.kind == colSeq }
+
+// Fill writes the column's values for rows [lo, lo+len(out)) into out.
+// Unless the column is Sequential, mix[j] must hold MixRows' value for
+// row lo+j.
+func (c Column) Fill(lo int64, mix []uint64, out []int64) {
+	switch c.kind {
+	case colSeq:
+		v, r := lo/c.per+c.base, lo%c.per
+		for j := range out {
+			out[j] = v
+			if r++; r == c.per {
+				v, r = v+1, 0
+			}
+		}
+	case colDraw:
+		for j, h := range mix[:len(out)] {
+			out[j] = int64(c.n.mod(splitmix64(c.stream^h))) + c.base
+		}
+	case colZipf:
+		for j, h := range mix[:len(out)] {
+			u := float64(splitmix64(c.stream^h)%(1<<52)) / float64(int64(1)<<52)
+			out[j] = ZipfRank(u, c.keys, c.theta)
+		}
+	}
+}
+
+// RowIndexColumn is the key of a generic single-column table: the row
+// index itself.
+func RowIndexColumn() Column { return seqColumn(1, 0) }
+
+// LineitemCols holds one Column per LineitemRow field.
+type LineitemCols struct {
+	OrderKey, SuppKey, ExtendedPrice, Discount, ShipDate, Quantity, SelCol Column
+}
+
+// LineitemColumns returns the LINEITEM column generators: GenLineitem's
+// fields, or GenLineitemSkewed's when theta is positive.
+func LineitemColumns(sf ScaleFactor, theta float64) LineitemCols {
+	c := LineitemCols{
+		OrderKey:      seqColumn(4, 1),
+		SuppKey:       drawColumn(0x50BB, uint64(sf.Suppliers()), 1),
+		ExtendedPrice: drawColumn(0xFA1CE, 10_000_00, 100),
+		Discount:      drawColumn(0xD15C, 1001, 0),
+		ShipDate:      drawColumn(0x5417, 2557, 0),
+		Quantity:      drawColumn(0x9771, 50, 1),
+		SelCol:        drawColumn(0x5E11, SelDomain, 0),
+	}
+	if theta > 0 {
+		c.OrderKey = Column{kind: colZipf, stream: streamKey(0x5C3B), keys: sf.Orders(), theta: theta}
+	}
+	return c
+}
+
+// OrderCols holds one Column per OrderRow field.
+type OrderCols struct {
+	OrderKey, CustKey, OrderDate, ShipPriority, SelCol Column
+}
+
+// OrderColumns returns the ORDERS column generators (GenOrder's fields).
+func OrderColumns(sf ScaleFactor) OrderCols {
+	return OrderCols{
+		OrderKey:     seqColumn(1, 1),
+		CustKey:      drawColumn(0xA11CE, uint64(sf.Customers()), 1),
+		OrderDate:    drawColumn(0xDA7E, 2557, 0),
+		ShipPriority: drawColumn(0x5A1B, 5, 0),
+		SelCol:       drawColumn(0x5E10, SelDomain, 0),
+	}
+}
+
+// CustomerCols holds one Column per CustomerRow field.
+type CustomerCols struct {
+	CustKey, NationKey, SelCol Column
+}
+
+// CustomerColumns returns the CUSTOMER column generators (GenCustomer's
+// fields).
+func CustomerColumns() CustomerCols {
+	return CustomerCols{
+		CustKey:   seqColumn(1, 1),
+		NationKey: drawColumn(0x0A70, 25, 0),
+		SelCol:    drawColumn(0x5E12, SelDomain, 0),
+	}
+}
+
+// SupplierCols holds one Column per SupplierRow field.
+type SupplierCols struct {
+	SuppKey, NationKey, SelCol Column
+}
+
+// SupplierColumns returns the SUPPLIER column generators (GenSupplier's
+// fields).
+func SupplierColumns() SupplierCols {
+	return SupplierCols{
+		SuppKey:   seqColumn(1, 1),
+		NationKey: drawColumn(0x50FF, 25, 0),
+		SelCol:    drawColumn(0x5E13, SelDomain, 0),
 	}
 }

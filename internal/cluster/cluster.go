@@ -86,20 +86,15 @@ func (mb *Mailbox) Recv(p *sim.Proc) (storage.Batch, bool) {
 	}
 }
 
-// RecvMany blocks for at least one batch, then opportunistically drains
-// whatever else is already buffered (up to max batches), so a consumer
-// can charge its CPU once for the whole group. This is the vectorized-
-// consumption pattern real operators use; without it, per-batch CPU
-// charges would serialize behind large scan bookings on the shared FCFS
-// CPU server and artificially throttle receive rates. ok=false means all
-// senders have closed and nothing remains.
-func (mb *Mailbox) RecvMany(p *sim.Proc, max int) ([]storage.Batch, bool) {
-	return mb.RecvManyInto(p, nil, max)
-}
-
-// RecvManyInto is RecvMany with caller-supplied buffer reuse: batches are
-// appended to buf (typically buf[:0] of the previous call's result), so a
-// steady-state consumer loop allocates nothing per receive round.
+// RecvManyInto blocks for at least one batch, then opportunistically
+// drains whatever else is already buffered (up to max batches), so a
+// consumer can charge its CPU once for the whole group. This is the
+// vectorized-consumption pattern real operators use; without it,
+// per-batch CPU charges would serialize behind large scan bookings on the
+// shared FCFS CPU server and artificially throttle receive rates.
+// Batches are appended to buf (typically buf[:0] of the previous call's
+// result), so a steady-state consumer loop allocates nothing per receive
+// round. ok=false means all senders have closed and nothing remains.
 func (mb *Mailbox) RecvManyInto(p *sim.Proc, buf []storage.Batch, max int) ([]storage.Batch, bool) {
 	first, ok := mb.Recv(p)
 	if !ok {
@@ -386,11 +381,16 @@ func (c *Cluster) Wimpy() []int {
 	return out
 }
 
-// StopMeters finalizes all node meters at the current virtual time.
-func (c *Cluster) StopMeters() {
+// Stop ends the simulation: it finalizes all node meters at the current
+// virtual time, then shuts the engine down so no process — the per-node
+// ingress pumps, or whatever a halted or deadlocked run left parked —
+// outlives it and pins the cluster in memory. Results stay readable;
+// nothing more can be run. Idempotent.
+func (c *Cluster) Stop() {
 	for _, n := range c.Nodes {
 		n.Meter.Stop()
 	}
+	c.Eng.Shutdown()
 }
 
 // TotalJoules sums metered energy across nodes.
@@ -405,7 +405,7 @@ func (c *Cluster) TotalJoules() float64 {
 // Timeline renders an ASCII heat strip of per-node CPU utilization over
 // the metered run, one row per node and one column per second of virtual
 // time (downsampled to fit width). Requires Config.TraceMeters and
-// StopMeters having been called. Glyph scale: ' ' idle floor, '.', '-',
+// Stop having been called. Glyph scale: ' ' idle floor, '.', '-',
 // '=', '#' saturated.
 func (c *Cluster) Timeline(width int) string {
 	if width < 10 {

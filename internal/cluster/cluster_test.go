@@ -218,7 +218,7 @@ func TestMetersAccumulate(t *testing.T) {
 		c.Nodes[0].CPU.Process(p, c.Nodes[0].Spec.CPUBandwidth*1e6*5) // 5 s busy
 	})
 	c.Eng.RunUntil(5)
-	c.StopMeters()
+	c.Stop()
 	j0 := c.Nodes[0].Meter.Joules()
 	j1 := c.Nodes[1].Meter.Joules()
 	if j0 <= j1 {
@@ -265,7 +265,7 @@ func TestTimelineRendersHeatStrips(t *testing.T) {
 		c.Nodes[0].CPU.Process(p, c.Nodes[0].Spec.CPUBandwidth*1e6*5) // 5 s busy
 	})
 	c.Eng.RunUntil(10)
-	c.StopMeters()
+	c.Stop()
 	tl := c.Timeline(20)
 	lines := strings.Split(strings.TrimSpace(tl), "\n")
 	if len(lines) != 3 {
@@ -285,7 +285,7 @@ func TestTimelineWithoutTraceIsEmptyStrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Eng.RunUntil(3)
-	c.StopMeters()
+	c.Stop()
 	tl := c.Timeline(10)
 	if !strings.Contains(tl, "|          |") {
 		t.Fatalf("untraced timeline should be blank strips:\n%s", tl)

@@ -24,7 +24,7 @@ func TestRecvManyBatchesBufferedMessages(t *testing.T) {
 	c.Eng.Go("recv", func(p *sim.Proc) {
 		p.Hold(1) // let everything buffer
 		for {
-			bs, ok := mb.RecvMany(p, 64)
+			bs, ok := mb.RecvManyInto(p, nil, 64)
 			if !ok {
 				return
 			}
@@ -61,7 +61,7 @@ func TestRecvManyRespectsMax(t *testing.T) {
 	c.Eng.Go("recv", func(p *sim.Proc) {
 		p.Hold(1)
 		for {
-			bs, ok := mb.RecvMany(p, 3)
+			bs, ok := mb.RecvManyInto(p, nil, 3)
 			if !ok {
 				return
 			}
@@ -100,7 +100,7 @@ func TestRecvManyHandlesInterleavedEOS(t *testing.T) {
 	c.Eng.Go("recv", func(p *sim.Proc) {
 		p.Hold(1)
 		for {
-			bs, ok := mb.RecvMany(p, 64)
+			bs, ok := mb.RecvManyInto(p, nil, 64)
 			if !ok {
 				return
 			}

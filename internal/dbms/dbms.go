@@ -142,7 +142,7 @@ func Run(q Query, n int, spec hw.Spec) (Result, error) {
 		}
 	})
 	c.Run()
-	c.StopMeters()
+	c.Stop()
 	res.Seconds = c.Eng.Now()
 	res.Joules = c.TotalJoules()
 	return res, nil

@@ -96,9 +96,9 @@ func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, floa
 	})
 
 	c.Run()
+	c.Stop()
 	if !done.Fired() {
 		return AggResult{}, 0, fmt.Errorf("pstore: aggregate did not complete")
 	}
-	c.StopMeters()
 	return res, c.TotalJoules(), nil
 }

@@ -53,21 +53,19 @@ func (d DimJoin) Validate() error {
 // plus the selectivity for phantom accounting.
 type dimFilter struct {
 	spec    DimJoin
-	qualify *storage.Int64Table // nil for phantom runs
+	qualify *storage.Int64Table // nil for phantom runs; shared read-only
 	frac    float64             // fractional-row accumulator (phantom)
 }
 
-// buildDimFilters constructs the per-query dimension filters and charges
-// each scanning node's CPU for hashing its replicated dimension copy
-// (local work, no exchange).
-func (e *Exec) buildDimFilters(dims []DimJoin, materialized bool) ([]*dimFilter, float64, error) {
-	var filters []*dimFilter
-	var buildBytes float64
+// newDimFilters constructs the query's dimension filters once, at launch:
+// the qualifying-key tables are identical on every node (the dimension
+// is replicated), so the probe scanners share them and each takes its
+// own copy of the slice for the per-node frac accumulators. buildBytes
+// is what every scanning node's CPU is charged for hashing its
+// dimension copies (local work, no exchange).
+func newDimFilters(dims []DimJoin, materialized bool) (filters []dimFilter, buildBytes float64) {
 	for _, d := range dims {
-		if err := d.Validate(); err != nil {
-			return nil, 0, err
-		}
-		f := &dimFilter{spec: d}
+		f := dimFilter{spec: d}
 		if materialized {
 			thr := tpch.SelThreshold(d.Sel)
 			n := d.Dim.TotalRows()
@@ -82,7 +80,7 @@ func (e *Exec) buildDimFilters(dims []DimJoin, materialized bool) ([]*dimFilter,
 		filters = append(filters, f)
 		buildBytes += d.Dim.TotalBytes()
 	}
-	return filters, buildBytes, nil
+	return filters, buildBytes
 }
 
 // dimFilterCursor chains the replicated-dimension semijoins onto a probe
@@ -98,7 +96,7 @@ type dimFilterCursor struct {
 	in      storage.Cursor
 	p       *sim.Proc
 	cpu     *sim.Server
-	filters []*dimFilter
+	filters []dimFilter
 	idx     []int // shared survivor scratch, reused across batches
 }
 
@@ -143,7 +141,8 @@ func (c *dimFilterCursor) Close() {
 // node's CPU for the evaluation work, and returns the surviving rows.
 func (c *dimFilterCursor) apply(b storage.Batch) storage.Batch {
 	if b.Phantom() {
-		for _, f := range c.filters {
+		for i := range c.filters {
+			f := &c.filters[i]
 			if b.Rows == 0 {
 				return b
 			}

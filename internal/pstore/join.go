@@ -3,7 +3,6 @@ package pstore
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -12,8 +11,8 @@ import (
 )
 
 // hashTable is a per-node build-side multiset (key -> multiplicity),
-// backed by an open-addressing storage.Int64Table pre-sized from the
-// build cursor's row hint so steady-state inserts never rehash.
+// backed by an open-addressing storage.Int64Table pre-sized from
+// hashOwnerRowHint so steady-state inserts never rehash.
 // Phantom runs track only row/byte totals.
 type hashTable struct {
 	counts *storage.Int64Table
@@ -22,8 +21,8 @@ type hashTable struct {
 	bytes  float64
 }
 
-// insertBatch folds one batch into the table. The consumer seeds hint
-// from its cursor's row hint so the table is pre-sized before the first
+// insertBatch folds one batch into the table. LaunchJoin seeds hint from
+// the optimizer estimate, so the table is pre-sized before the first
 // materialized batch lands (the table itself is still created lazily at
 // that first batch, so phantom runs never allocate it).
 func (h *hashTable) insertBatch(b storage.Batch) {
@@ -67,86 +66,6 @@ func (h *hashTable) probeBatch(b storage.Batch, matchRate float64, fracAcc *floa
 	return matches, sum
 }
 
-// queueCursor adapts the bounded queue between a scan and its ship
-// process to the Cursor interface, forwarding the scan's row hint so
-// the exchange side of the pipeline sees the same cardinality estimate
-// the scan pushed down.
-type queueCursor struct {
-	p      *sim.Proc
-	q      *sim.Queue[storage.Batch]
-	hint   int64
-	hintOK bool
-	closed bool
-}
-
-var _ storage.Cursor = (*queueCursor)(nil)
-
-func (c *queueCursor) Next() (storage.Batch, bool) {
-	if c.closed {
-		return storage.Batch{}, false
-	}
-	return c.q.Get(c.p)
-}
-
-func (c *queueCursor) RowHint() (int64, bool) { return c.hint, c.hintOK }
-
-// Close stops consuming. The queue is deliberately NOT drained: the
-// producing scan parks on the bounded queue's backpressure and stops
-// booking simulated resources — early termination propagates upstream
-// as a stall, exactly like a real exchange whose consumer went away.
-func (c *queueCursor) Close() { c.closed = true }
-
-// mailboxCursor drains a node mailbox as a cursor, preserving the
-// vectorized consumption pattern: batches are received in groups of up
-// to 64 and the node's CPU is charged once per group (join work over
-// the group's bytes) before any batch from it is yielded.
-type mailboxCursor struct {
-	p    *sim.Proc
-	mb   *cluster.Mailbox
-	cpu  *sim.Server
-	work float64
-	hint int64
-	ok   bool // hint validity
-
-	buf []storage.Batch // current group, reused across receives
-	i   int
-}
-
-var _ storage.Cursor = (*mailboxCursor)(nil)
-
-func (c *mailboxCursor) Next() (storage.Batch, bool) {
-	for c.i >= len(c.buf) {
-		if c.mb == nil {
-			return storage.Batch{}, false
-		}
-		batches, ok := c.mb.RecvManyInto(c.p, c.buf[:0], 64)
-		if !ok {
-			return storage.Batch{}, false
-		}
-		c.buf, c.i = batches, 0
-		var bytes float64
-		for _, b := range batches {
-			bytes += b.Bytes()
-		}
-		c.cpu.Process(c.p, bytes*c.work)
-	}
-	b := c.buf[c.i]
-	c.i++
-	return b, true
-}
-
-func (c *mailboxCursor) RowHint() (int64, bool) { return c.hint, c.ok }
-
-// Close stops consuming; buffered and in-flight batches are dropped.
-// Abnormal termination only: the mailbox's EOS protocol is not run
-// down, so a join whose consumer closes early must not be waited on
-// for completion.
-func (c *mailboxCursor) Close() {
-	c.buf = nil
-	c.i = 0
-	c.mb = nil
-}
-
 // Handle tracks one in-flight join query.
 type Handle struct {
 	ID   string
@@ -169,13 +88,134 @@ type Handle struct {
 	// time.
 	aborted bool
 
-	exec       *Exec
-	buildWG    sim.WaitGroup
-	probeWG    sim.WaitGroup
-	tables     map[int]*hashTable
-	outRows    int64
-	checksum   uint64
-	fracByNode map[int]*float64
+	exec     *Exec
+	buildWG  sim.WaitGroup
+	probeWG  sim.WaitGroup
+	tables   []*hashTable // by node ID; nil on nodes that own no table
+	frac     []float64    // by node ID: phantom fractional output rows
+	outRows  int64
+	checksum uint64
+}
+
+// sendFunc delivers one share of a batch to a hash-table owner;
+// routeFunc splits a filtered batch into shares and sends each.
+type (
+	sendFunc  = func(dst int, b storage.Batch)
+	routeFunc = func(b storage.Batch, send sendFunc)
+)
+
+// exchange describes one input of a hash join — the scan → select →
+// exchange → hash chain P-store pushes both inputs through — as a value.
+// Everything the build and the probe side share (the processes, the
+// bounded queue between scan and ship, the grouped mailbox drain, the
+// abort drain, the EOS protocol) lives in Handle.exchange; what the two
+// sides differ in is the fields below.
+type exchange struct {
+	side      string             // "build" or "probe": process and queue names
+	owners    []int              // hash-table owners, the consuming nodes
+	mailboxes []*cluster.Mailbox // by node ID: one input per owner
+	done      *sim.WaitGroup     // one Done per owner, at its mailbox's EOS
+
+	// open returns node nd's source cursor; called from the scan process,
+	// which owns the cursor, so it may block (the probe side waits for the
+	// build barrier here).
+	open func(p *sim.Proc, nd *cluster.Node) storage.Cursor
+	// route returns node nd's routing policy: it hands every share of a
+	// filtered batch to send, in destination order.
+	route func(nd int) routeFunc
+	// eos lists the owners node nd's ship process sends end-of-stream to;
+	// it must mirror the sender counts the mailboxes were created with.
+	eos func(nd int) []int
+	// fold consumes one received batch on its owner (insert or probe).
+	fold func(owner int, b storage.Batch)
+}
+
+// exchange spawns one side of the join: a consumer per owner, then per
+// node a scan process and the ship process it feeds through a bounded
+// queue — P-store's multi-threaded operators, so the scan's CPU work
+// overlaps the exchange's wire time (§4.2: "maximizing utilization
+// through multi-threaded concurrency").
+//
+// Spawn order is (time, seq) order and therefore part of the simulated
+// result: consumers before scanners, and within a scanner the ship
+// process before the cursor is opened, so a cold scan's disk pump starts
+// after it.
+//
+// Abort is read once per role. An aborted scan stops pulling and closes
+// its cursor (which stops a cold scan's disk pump); the ship process
+// keeps emptying the queue, so the scan is never parked on it, but drops
+// the batches; the consumer keeps receiving but folds nothing. All three
+// still run the exchange protocol down to EOS, which is what lets Done
+// fire and guarantees nothing is left blocked.
+func (h *Handle) exchange(x exchange) {
+	e := h.exec
+	name := h.ID + "." + x.side // "<query>.build" / "<query>.probe"
+	for _, b := range x.owners {
+		b, node, mb := b, e.C.Nodes[b], x.mailboxes[b]
+		e.C.Eng.Go(fmt.Sprintf("%scons.%d", name, b), func(p *sim.Proc) {
+			// Vectorized consumption: receive up to 64 batches at a time and
+			// charge the CPU once per group (join work over its bytes), so
+			// small per-batch bookings do not serialize behind large scan
+			// bookings on the shared FCFS CPU server.
+			var group []storage.Batch
+			for {
+				got, ok := mb.RecvManyInto(p, group[:0], 64)
+				if !ok {
+					break
+				}
+				group = got
+				var bytes float64
+				for _, batch := range group {
+					bytes += batch.Bytes()
+				}
+				node.CPU.Process(p, bytes*e.cfg.JoinWork)
+				if h.aborted {
+					continue
+				}
+				for _, batch := range group {
+					x.fold(b, batch)
+				}
+			}
+			x.done.Done()
+		})
+	}
+	for nd, node := range e.C.Nodes {
+		nd, node := nd, node
+		e.C.Eng.Go(fmt.Sprintf("%sscan.%d", name, nd), func(p *sim.Proc) {
+			q := sim.NewQueue[storage.Batch](fmt.Sprintf("%sq.%d", name, nd), e.cfg.MailboxCap)
+			e.C.Eng.Go(fmt.Sprintf("%sship.%d", name, nd), func(sp *sim.Proc) {
+				route := x.route(nd)
+				send := func(dst int, b storage.Batch) {
+					e.C.Send(sp, cluster.Message{From: nd, To: dst, Batch: b, Dest: x.mailboxes[dst]})
+				}
+				for {
+					out, ok := q.Get(sp)
+					if !ok {
+						break
+					}
+					if !h.aborted {
+						route(out, send)
+					}
+				}
+				for _, dst := range x.eos(nd) {
+					e.C.Send(sp, cluster.Message{From: nd, To: dst, EOS: true, Dest: x.mailboxes[dst]})
+				}
+			})
+			src := x.open(p, node)
+			// Close on every exit. On normal exhaustion the cursor has
+			// already released itself and Close books nothing, so timings
+			// are unchanged.
+			defer src.Close()
+			for !h.aborted {
+				out, ok := src.Next()
+				if !ok {
+					break
+				}
+				q.Put(p, out)
+			}
+			q.Close()
+		})
+	}
 }
 
 // LaunchJoin spawns all processes for one join query on the engine's
@@ -195,14 +235,14 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 		}
 	}
 	n := len(e.C.Nodes)
-	buildNodes := spec.BuildNodes
-	if len(buildNodes) == 0 {
-		buildNodes = make([]int, n)
-		for i := range buildNodes {
-			buildNodes[i] = i
+	owners := spec.BuildNodes
+	if len(owners) == 0 {
+		owners = make([]int, n)
+		for i := range owners {
+			owners[i] = i
 		}
 	}
-	if spec.Method == Prepartitioned && len(buildNodes) != n {
+	if spec.Method == Prepartitioned && len(owners) != n {
 		return nil, fmt.Errorf("pstore: prepartitioned join requires all nodes to build")
 	}
 
@@ -217,13 +257,13 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 
 	h := &Handle{
 		ID: id, Spec: spec, Done: &sim.Event{}, exec: e,
-		startAt:    e.C.Eng.Now(),
-		tables:     make(map[int]*hashTable, len(buildNodes)),
-		fracByNode: make(map[int]*float64, len(buildNodes)),
+		startAt: e.C.Eng.Now(),
+		tables:  make([]*hashTable, n),
+		frac:    make([]float64, n),
 	}
 	// Expected qualified build rows per hash-table owner: the optimizer
-	// estimate carried to each owner's build cursor for pre-sizing.
-	hint := hashOwnerRowHint(spec, len(buildNodes))
+	// estimate that pre-sizes each owner's table.
+	hint := hashOwnerRowHint(spec, len(owners))
 	// Admission: the hint pre-sizes each owner's Int64Table (two
 	// power-of-two int64 arrays), pinning that allocation before the
 	// first row arrives. Check the RESERVED bytes — plus whatever the
@@ -233,7 +273,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	// the realized table as a backstop).
 	if e.cfg.CheckMemory {
 		reserved := storage.Int64TableReservedBytes(hint)
-		for _, b := range buildNodes {
+		for _, b := range owners {
 			memBytes := e.C.Nodes[b].Spec.MemoryMB * 1e6
 			tail := e.deltas.NodeTailBytes(b)
 			if reserved+tail > memBytes {
@@ -242,260 +282,113 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 			}
 		}
 	}
-	for _, b := range buildNodes {
-		h.tables[b] = &hashTable{}
-		var f float64
-		h.fracByNode[b] = &f
-	}
-	e.inflight = append(e.inflight, h)
-
-	isBuild := make(map[int]bool, len(buildNodes))
-	for _, b := range buildNodes {
-		isBuild[b] = true
-	}
-
-	// Mailboxes: one build + one probe input per hash-table owner.
-	buildMB := make(map[int]*cluster.Mailbox, len(buildNodes))
-	probeMB := make(map[int]*cluster.Mailbox, len(buildNodes))
+	// Per owner: the hash table and one build + one probe input. Under
+	// Broadcast and Prepartitioned an owner probes its own rows locally,
+	// so only the non-owners' ship processes (plus the owner's own EOS)
+	// feed its probe mailbox.
+	local := spec.Method == Broadcast || spec.Method == Prepartitioned
 	probeSenders := n
-	if spec.Method == Broadcast || spec.Method == Prepartitioned {
-		// Local probes bypass mailboxes; only non-build scanners ship.
-		probeSenders = n - len(buildNodes) + 1 // +1: owner sends its own EOS
+	if local {
+		probeSenders = n - len(owners) + 1
 	}
-	for _, b := range buildNodes {
+	buildMB := make([]*cluster.Mailbox, n)
+	probeMB := make([]*cluster.Mailbox, n)
+	for _, b := range owners {
+		h.tables[b] = &hashTable{hint: hint}
 		buildMB[b] = cluster.NewMailbox(fmt.Sprintf("%s.build.%d", id, b), n, e.cfg.MailboxCap)
 		probeMB[b] = cluster.NewMailbox(fmt.Sprintf("%s.probe.%d", id, b), probeSenders, e.cfg.MailboxCap)
 	}
-
-	h.buildWG.Add(len(buildNodes))
-	h.probeWG.Add(len(buildNodes))
-
-	// --- Build-side consumers -------------------------------------------
-	for _, b := range buildNodes {
-		b := b
-		node := e.C.Nodes[b]
-		e.C.Eng.Go(fmt.Sprintf("%s.buildcons.%d", id, b), func(p *sim.Proc) {
-			in := &mailboxCursor{
-				p: p, mb: buildMB[b], cpu: node.CPU, work: e.cfg.JoinWork,
-				hint: int64(hint), ok: true,
-			}
-			// As buildFrom, plus abort awareness: an aborted query keeps
-			// draining its mailboxes to EOS (the exchange protocol must
-			// run down so nothing deadlocks) but stops inserting.
-			ht := h.tables[b]
-			if rows, ok := in.RowHint(); ok && int(rows) > ht.hint {
-				ht.hint = int(rows)
-			}
-			for {
-				batch, ok := in.Next()
-				if !ok {
-					break
-				}
-				if h.aborted {
-					continue
-				}
-				ht.insertBatch(batch)
-			}
-			h.buildWG.Done()
-		})
+	e.inflight = append(e.inflight, h)
+	h.buildWG.Add(len(owners))
+	h.probeWG.Add(len(owners))
+	toSelf := func(nd int) routeFunc {
+		return func(b storage.Batch, send sendFunc) { send(nd, b) }
 	}
 
-	// --- Build-side scanners ---------------------------------------------
-	// Scan+filter and network shipping run as separate pipelined
-	// processes connected by a bounded queue, mirroring P-store's
-	// multi-threaded operators: the scan's CPU work overlaps the
-	// exchange's wire time (§4.2: "maximizing utilization through
-	// multi-threaded concurrency").
-	for nd := 0; nd < n; nd++ {
-		nd := nd
-		node := e.C.Nodes[nd]
-		part := buildParts[nd]
-		e.C.Eng.Go(fmt.Sprintf("%s.buildscan.%d", id, nd), func(p *sim.Proc) {
-			scanHint := int64(float64(part.Rows) * spec.BuildSel)
-			sendQ := sim.NewQueue[storage.Batch](fmt.Sprintf("%s.bq.%d", id, nd), e.cfg.MailboxCap)
-			e.C.Eng.Go(fmt.Sprintf("%s.buildship.%d", id, nd), func(sp *sim.Proc) {
-				in := &queueCursor{p: sp, q: sendQ, hint: scanHint, hintOK: true}
-				var ship func(out storage.Batch)
-				switch spec.Method {
-				case Broadcast:
-					// Every hash-table owner receives a full copy.
-					ship = func(out storage.Batch) {
-						for _, dst := range buildNodes {
-							e.C.Send(sp, cluster.Message{From: nd, To: dst, Batch: out, Dest: buildMB[dst]})
-						}
-					}
-				case Prepartitioned:
-					ship = func(out storage.Batch) {
-						e.C.Send(sp, cluster.Message{From: nd, To: nd, Batch: out, Dest: buildMB[nd]})
-					}
-				default: // DualShuffle
-					rt := newRouter(buildNodes, nil)
-					ship = func(out storage.Batch) {
-						rt.routeEach(out, func(dst int, b storage.Batch) {
-							e.C.Send(sp, cluster.Message{From: nd, To: dst, Batch: b, Dest: buildMB[dst]})
-						})
+	h.exchange(exchange{
+		side: "build", owners: owners, mailboxes: buildMB, done: &h.buildWG,
+		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
+			return e.scan(p, nd, buildParts[nd.ID], spec.BuildSel)
+		},
+		route: func(nd int) routeFunc {
+			switch spec.Method {
+			case Broadcast:
+				// Every hash-table owner receives a full copy.
+				return func(b storage.Batch, send sendFunc) {
+					for _, dst := range owners {
+						send(dst, b)
 					}
 				}
-				for {
-					out, ok := in.Next()
-					if !ok {
-						break
-					}
-					// Aborted: consume and drop so the scan side is never
-					// blocked on the queue, then run the EOS fan-out.
-					if !h.aborted {
-						ship(out)
-					}
-				}
-				for _, dst := range buildNodes {
-					e.C.Send(sp, cluster.Message{From: nd, To: dst, EOS: true, Dest: buildMB[dst]})
-				}
-			})
-			src := e.scan(p, node, part, spec.BuildSel)
-			defer src.Close()
-			for !h.aborted {
-				out, ok := src.Next()
-				if !ok {
-					break
-				}
-				sendQ.Put(p, out)
+			case Prepartitioned:
+				return toSelf(nd)
+			default: // DualShuffle: route by join key.
+				return newRouter(owners, nil).routeEach
 			}
-			sendQ.Close()
-		})
-	}
+		},
+		eos:  func(int) []int { return owners },
+		fold: func(owner int, b storage.Batch) { h.tables[owner].insertBatch(b) },
+	})
 
-	// --- Probe-side consumers (hash-table owners) -------------------------
-	matchRate := spec.matchRate()
-	for _, b := range buildNodes {
-		b := b
-		node := e.C.Nodes[b]
-		e.C.Eng.Go(fmt.Sprintf("%s.probecons.%d", id, b), func(p *sim.Proc) {
-			ht, frac := h.tables[b], h.fracByNode[b]
-			in := &mailboxCursor{p: p, mb: probeMB[b], cpu: node.CPU, work: e.cfg.JoinWork}
-			for {
-				batch, ok := in.Next()
-				if !ok {
-					break
-				}
-				if h.aborted {
-					continue // drain to EOS, no probe work
-				}
-				rows, sum := ht.probeBatch(batch, matchRate, frac)
-				h.outRows += rows
-				h.checksum += sum
-			}
-			h.probeWG.Done()
-		})
-	}
-
+	// Replicated-dimension semijoins: the qualifying-key tables are built
+	// once here and shared read-only; every probe scanner still pays the
+	// CPU for hashing its node's dimension copies and keeps its own
+	// fractional-row accumulators.
+	dims, dimBytes := newDimFilters(spec.Dims, spec.Probe.Materialize)
 	// Skewed probe keys land unevenly across hash-table owners.
 	var probeWeights []float64
 	if spec.Probe.SkewTheta > 0 {
-		probeWeights = skewWeights(spec.Build.TotalRows(), spec.Probe.SkewTheta, len(buildNodes))
+		probeWeights = skewWeights(spec.Build.TotalRows(), spec.Probe.SkewTheta, len(owners))
 	}
-
-	// --- Probe-side scanners (wait for global build barrier) --------------
-	for nd := 0; nd < n; nd++ {
-		nd := nd
-		node := e.C.Nodes[nd]
-		part := probeParts[nd]
-		e.C.Eng.Go(fmt.Sprintf("%s.probescan.%d", id, nd), func(p *sim.Proc) {
+	matchRate := spec.matchRate()
+	h.exchange(exchange{
+		side: "probe", owners: owners, mailboxes: probeMB, done: &h.probeWG,
+		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
+			// Global build barrier, then the node-local dimension hashing.
 			h.buildWG.Wait(p)
-			if nd == buildNodes[0] && h.buildEndAt == 0 {
+			if nd.ID == owners[0] && h.buildEndAt == 0 {
 				h.buildEndAt = p.Now()
 			}
-			// Replicated-dimension semijoins: hash the local dimension
-			// copies (node-local CPU work), then filter probe tuples
-			// before they reach the exchange.
-			dimFilters, dimBuildBytes, dimErr := e.buildDimFilters(spec.Dims, spec.Probe.Materialize)
-			if dimErr != nil {
-				if h.Err == nil {
-					h.Err = dimErr
-				}
-				dimFilters = nil
-			} else if dimBuildBytes > 0 {
-				node.CPU.Process(p, dimBuildBytes*e.cfg.JoinWork)
+			if dimBytes > 0 {
+				nd.CPU.Process(p, dimBytes*e.cfg.JoinWork)
 			}
-			// The ship side's cardinality estimate: scan selectivity
-			// compounded with every dimension's (the pushdown rule).
-			est := float64(part.Rows) * spec.ProbeSel
-			for _, f := range dimFilters {
-				est *= f.spec.Sel
+			src := e.scan(p, nd, probeParts[nd.ID], spec.ProbeSel)
+			if len(dims) == 0 {
+				return src
 			}
-			local := isBuild[nd] && (spec.Method == Broadcast || spec.Method == Prepartitioned)
-			sendQ := sim.NewQueue[storage.Batch](fmt.Sprintf("%s.pq.%d", id, nd), e.cfg.MailboxCap)
-			e.C.Eng.Go(fmt.Sprintf("%s.probeship.%d", id, nd), func(sp *sim.Proc) {
-				in := &queueCursor{p: sp, q: sendQ, hint: int64(est), hintOK: true}
-				var ship func(out storage.Batch)
-				switch {
-				case local:
-					// Probe against the local (full or co-partitioned)
-					// hash table; no exchange.
-					ship = func(out storage.Batch) {
-						e.C.Send(sp, cluster.Message{From: nd, To: nd, Batch: out, Dest: probeMB[nd]})
-					}
-				case spec.Method == Broadcast || spec.Method == Prepartitioned:
-					// Non-owner under broadcast: any owner can probe
-					// (they all hold the full table) — round-robin.
-					rr := nd
-					ship = func(out storage.Batch) {
-						dst := buildNodes[rr%len(buildNodes)]
-						rr++
-						e.C.Send(sp, cluster.Message{From: nd, To: dst, Batch: out, Dest: probeMB[dst]})
-					}
-				default: // DualShuffle: route by join key.
-					rt := newRouter(buildNodes, probeWeights)
-					ship = func(out storage.Batch) {
-						rt.routeEach(out, func(dst int, b storage.Batch) {
-							e.C.Send(sp, cluster.Message{From: nd, To: dst, Batch: b, Dest: probeMB[dst]})
-						})
-					}
+			// Filter probe tuples before they reach the exchange.
+			return &dimFilterCursor{in: src, p: p, cpu: nd.CPU, filters: append([]dimFilter(nil), dims...)}
+		},
+		route: func(nd int) routeFunc {
+			switch {
+			case local && h.tables[nd] != nil:
+				// Probe against the local (full or co-partitioned) hash
+				// table; no exchange.
+				return toSelf(nd)
+			case local:
+				// Non-owner under broadcast: any owner can probe (they
+				// all hold the full table) — round-robin.
+				rr := nd
+				return func(b storage.Batch, send sendFunc) {
+					send(owners[rr%len(owners)], b)
+					rr++
 				}
-				for {
-					out, ok := in.Next()
-					if !ok {
-						break
-					}
-					if !h.aborted {
-						ship(out)
-					}
-				}
-				// EOS fan-out mirrors the mailbox sender counts.
-				if spec.Method == Broadcast || spec.Method == Prepartitioned {
-					if isBuild[nd] {
-						e.C.Send(sp, cluster.Message{From: nd, To: nd, EOS: true, Dest: probeMB[nd]})
-					} else {
-						for _, dst := range buildNodes {
-							e.C.Send(sp, cluster.Message{From: nd, To: dst, EOS: true, Dest: probeMB[dst]})
-						}
-					}
-				} else {
-					for _, dst := range buildNodes {
-						e.C.Send(sp, cluster.Message{From: nd, To: dst, EOS: true, Dest: probeMB[dst]})
-					}
-				}
-			})
-			var src storage.Cursor = e.scan(p, node, part, spec.ProbeSel)
-			if len(dimFilters) > 0 {
-				src = &dimFilterCursor{in: src, p: p, cpu: node.CPU, filters: dimFilters}
+			default: // DualShuffle: route by join key.
+				return newRouter(owners, probeWeights).routeEach
 			}
-			// Close on every exit: on abort this stops the cold-scan disk
-			// pump so no blocks nobody will read keep booking disk time.
-			// On normal exhaustion the cursor has already released itself
-			// and Close books nothing, so timings are unchanged.
-			defer src.Close()
-			for !h.aborted {
-				out, ok := src.Next()
-				if !ok {
-					break
-				}
-				sendQ.Put(p, out)
+		},
+		eos: func(nd int) []int {
+			if local && h.tables[nd] != nil {
+				return []int{nd}
 			}
-			sendQ.Close()
-		})
-	}
+			return owners
+		},
+		fold: func(owner int, b storage.Batch) {
+			rows, sum := h.tables[owner].probeBatch(b, matchRate, &h.frac[owner])
+			h.outRows += rows
+			h.checksum += sum
+		},
+	})
 
-	// --- Completion --------------------------------------------------------
 	e.C.Eng.Go(id+".finalize", func(p *sim.Proc) {
 		h.probeWG.Wait(p)
 		h.finalize(p.Now())
@@ -524,13 +417,10 @@ func (h *Handle) finalize(end sim.Time) {
 	r.ProbeSeconds = end - h.buildEndAt
 	r.OutputRows = h.outRows
 	r.Checksum = h.checksum
-	owners := make([]int, 0, len(h.tables))
-	for b := range h.tables {
-		owners = append(owners, b)
-	}
-	sort.Ints(owners)
-	for _, b := range owners {
-		ht := h.tables[b]
+	for b, ht := range h.tables {
+		if ht == nil {
+			continue
+		}
 		r.BuildRowsTotal += ht.rows
 		if ht.bytes > r.MaxHashTableBytes {
 			r.MaxHashTableBytes = ht.bytes
@@ -576,7 +466,7 @@ func newRouter(dests []int, weights []float64) *router {
 // once per destination that receives rows, in destination order. No
 // per-batch routed slice exists: the consumer (a ship process) sends
 // each share as it is produced.
-func (r *router) routeEach(b storage.Batch, emit func(dst int, b storage.Batch)) {
+func (r *router) routeEach(b storage.Batch, emit sendFunc) {
 	d := len(r.dests)
 	if d == 1 {
 		emit(r.dests[0], b)
@@ -650,46 +540,54 @@ func skewWeights(nKeys int64, theta float64, d int) []float64 {
 	return w
 }
 
-// RunJoin is the single-query convenience wrapper: launch, run the
-// simulation to completion, stop meters, and return the result plus the
-// cluster's total energy.
-func RunJoin(c *cluster.Cluster, cfg Config, spec JoinSpec) (JoinResult, float64, error) {
+// runAll launches k copies of spec at once, runs the simulation to
+// completion, stops the cluster and returns the finished handles plus
+// the cluster's total energy.
+func runAll(c *cluster.Cluster, cfg Config, spec JoinSpec, k int) ([]*Handle, float64, error) {
 	e := New(c, cfg)
-	h, err := e.LaunchJoin("q0", spec)
+	handles := make([]*Handle, k)
+	for i := range handles {
+		h, err := e.LaunchJoin(fmt.Sprintf("q%d", i), spec)
+		if err != nil {
+			return nil, 0, err
+		}
+		handles[i] = h
+	}
+	c.Run()
+	c.Stop()
+	for _, h := range handles {
+		if !h.Done.Fired() {
+			return nil, 0, fmt.Errorf("pstore: query %s did not complete (deadlock?)", h.ID)
+		}
+	}
+	return handles, c.TotalJoules(), nil
+}
+
+// RunJoin is the single-query convenience wrapper: launch, run the
+// simulation to completion, stop the cluster, and return the result plus
+// the cluster's total energy.
+func RunJoin(c *cluster.Cluster, cfg Config, spec JoinSpec) (JoinResult, float64, error) {
+	hs, joules, err := runAll(c, cfg, spec, 1)
 	if err != nil {
 		return JoinResult{}, 0, err
 	}
-	c.Run()
-	if !h.Done.Fired() {
-		return JoinResult{}, 0, fmt.Errorf("pstore: join did not complete (deadlock?)")
-	}
-	c.StopMeters()
-	return h.Result, c.TotalJoules(), h.Err
+	return hs[0].Result, joules, hs[0].Err
 }
 
 // RunConcurrent launches k independent copies of spec simultaneously
 // (the paper's concurrency levels 1, 2, 4 in Figures 3-4) and returns
 // the makespan, per-query times, and total cluster energy.
 func RunConcurrent(c *cluster.Cluster, cfg Config, spec JoinSpec, k int) (makespan float64, perQuery []float64, joules float64, err error) {
-	e := New(c, cfg)
-	handles := make([]*Handle, k)
-	for i := 0; i < k; i++ {
-		handles[i], err = e.LaunchJoin(fmt.Sprintf("q%d", i), spec)
-		if err != nil {
-			return 0, nil, 0, err
-		}
+	hs, joules, err := runAll(c, cfg, spec, k)
+	if err != nil {
+		return 0, nil, 0, err
 	}
-	c.Run()
-	for _, h := range handles {
-		if !h.Done.Fired() {
-			return 0, nil, 0, fmt.Errorf("pstore: query %s did not complete", h.ID)
-		}
+	for _, h := range hs {
 		if h.Err != nil {
 			return 0, nil, 0, h.Err
 		}
 		perQuery = append(perQuery, h.Result.Seconds)
 		makespan = math.Max(makespan, h.Result.Seconds)
 	}
-	c.StopMeters()
-	return makespan, perQuery, c.TotalJoules(), nil
+	return makespan, perQuery, joules, nil
 }

@@ -21,6 +21,20 @@
 //   - Prepartitioned:  both tables already co-partitioned: no exchange;
 //   - heterogeneous execution: only the (Beefy) BuildNodes own hash
 //     tables; Wimpy nodes scan, filter and ship.
+//
+// All of them are one stage composed twice. Both inputs of a hash join
+// go through the same scan → select → exchange → hash chain, so join.go
+// describes a side as an exchange value and Handle.exchange spawns it:
+// a consumer per hash-table owner (grouped mailbox drain, CPU charged
+// per group, fold), then per node a scan process and the ship process it
+// feeds through a bounded queue. The five per-side values are the source
+// cursor (open: the plain scan, or — probe side — build barrier,
+// dimension hashing and the scan wrapped in the dimension filters), the
+// routing policy (route), the end-of-stream fan-out (eos), what a
+// received batch does to the owner's hash table (fold) and the barrier
+// the consumers release (done). LaunchJoin is admission, exchange(build),
+// exchange(probe), finalize — in that order, because spawn order is
+// (time, seq) order and so part of the simulated result.
 package pstore
 
 import (

@@ -49,8 +49,9 @@ func ReferenceAggregate(def storage.TableDef, sel float64) (rows int64, sum uint
 	return rows, sum
 }
 
-// refRow returns (join key, selectivity column) for row i of a table,
-// matching storage.materializeBatch exactly.
+// refRow returns (join key, selectivity column) for row i of a table
+// from the row-at-a-time tpch.Gen* generators — the oracle the columnar
+// loader behind storage.PartitionTable is tested against.
 func refRow(def storage.TableDef, i int64) (key, sel int64) {
 	switch def.Table {
 	case tpch.Lineitem:

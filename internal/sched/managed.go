@@ -125,6 +125,7 @@ func RunManaged(c *cluster.Cluster, cfg pstore.Config, wl Workload, policy Polic
 	c.Eng.Schedule(0, maybeSleep)
 
 	c.Run()
+	c.Stop()
 	if launchErr != nil {
 		return Result{}, launchErr
 	}
@@ -141,7 +142,6 @@ func RunManaged(c *cluster.Cluster, cfg pstore.Config, wl Workload, policy Polic
 		res.MaxResp = math.Max(res.MaxResp, res.Queries[i].Response())
 	}
 	res.MeanResp /= float64(len(wl))
-	c.StopMeters()
 	res.Joules = c.TotalJoules()
 	for _, nd := range c.Nodes {
 		res.IdleWatts += nd.Spec.Power.Watts(nd.Spec.UtilFloor)

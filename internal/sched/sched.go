@@ -217,6 +217,7 @@ func Run(c *cluster.Cluster, cfg pstore.Config, wl Workload, policy Policy) (Res
 		})
 	}
 	c.Run()
+	c.Stop()
 	if launchErr != nil {
 		return Result{}, launchErr
 	}
@@ -233,7 +234,6 @@ func Run(c *cluster.Cluster, cfg pstore.Config, wl Workload, policy Policy) (Res
 		res.MaxResp = math.Max(res.MaxResp, res.Queries[i].Response())
 	}
 	res.MeanResp /= float64(len(wl))
-	c.StopMeters()
 	res.Joules = c.TotalJoules()
 	for _, nd := range c.Nodes {
 		res.IdleWatts += nd.Spec.Power.Watts(nd.Spec.UtilFloor)

@@ -168,6 +168,8 @@ type Engine struct {
 	events  eventHeap
 	nowQ    eventRing // events due exactly at now; FIFO = (at, seq) order
 	halted  bool      // set by Halt
+	down    bool      // set by Shutdown
+	live    []*Proc   // processes whose goroutine exists: started, not finished
 	stepped uint64
 	flushed uint64 // events already added to totalEvents
 
@@ -379,5 +381,23 @@ func (e *Engine) Step() bool {
 // still queued stay queued; a later Run resumes them.
 func (e *Engine) Halt() { e.halted = true }
 
-// Idle reports whether no events remain.
-func (e *Engine) Idle() bool { return len(e.events.evs) == 0 && e.nowQ.n == 0 }
+// Shutdown ends the simulation for good. Every process that was started
+// and has not finished is parked on its token; nothing else will ever
+// resume it, so its goroutine — and everything it references — would
+// outlive the run. Shutdown releases them one at a time (simulated
+// processes never run concurrently, and their deferred calls share
+// state): each unwinds with runtime.Goexit, so its deferred calls run,
+// and hands control back. No event is stepped and queued events are
+// dropped; a process spawned but never started has no goroutine yet and
+// simply never gets one. Call it from the Run caller's side, never from
+// inside a process or callback. Afterwards Go panics; a second Shutdown
+// is a no-op. A panic in a deferred call is re-thrown here.
+func (e *Engine) Shutdown() {
+	e.down = true
+	for len(e.live) > 0 {
+		e.live[len(e.live)-1].tok <- struct{}{}
+		<-e.root
+	}
+	e.events, e.nowQ = eventHeap{}, eventRing{}
+	e.rethrow()
+}

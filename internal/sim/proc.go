@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // Proc is a simulated process: a goroutine that runs in lock-step with the
@@ -26,7 +27,7 @@ type Proc struct {
 	// of the whole simulator).
 	wake func()
 
-	done bool
+	slot int // index in eng.live while the goroutine exists
 }
 
 // ProcPanic is the value re-thrown on the scheduler side when a process
@@ -50,6 +51,9 @@ func (pp *ProcPanic) String() string { return pp.Error() }
 // events at this timestamp); the goroutine itself is created only when
 // that event fires.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
+	if e.down {
+		panic(fmt.Sprintf("sim: Go(%q) after Shutdown", name))
+	}
 	p := &Proc{
 		eng:  e,
 		name: name,
@@ -62,22 +66,43 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 }
 
 // run is the process goroutine: it waits for its first token, executes
-// the body, and on exit — normal or panicking — returns control to the
-// simulation. A body panic is handed to the root caller (Run/Step),
-// which re-throws it as *ProcPanic; the engine is left intact, so the
-// failure is observable and recoverable from the outside.
+// the body, and on exit — normal, panicking or unwound by Shutdown —
+// returns control to the simulation. A body panic is handed to the root
+// caller (Run/Step), which re-throws it as *ProcPanic; the engine is left
+// intact, so the failure is observable and recoverable from the outside.
 func (p *Proc) run(body func(p *Proc)) {
 	<-p.tok
+	e := p.eng
+	p.slot = len(e.live)
+	e.live = append(e.live, p)
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			p.done = true
-			p.eng.pendingPanic = &ProcPanic{Proc: p.name, Value: r}
-			p.eng.root <- struct{}{}
+		if returned {
+			// exit has already handed control on: the engine is no longer
+			// this goroutine's to read.
+			return
 		}
+		// The body panicked or was unwound by runtime.Goexit (Shutdown's
+		// release, or a t.Fatal inside the body): control is still here
+		// and goes back to the root caller.
+		if r := recover(); r != nil {
+			e.pendingPanic = &ProcPanic{Proc: p.name, Value: r}
+		}
+		p.retire()
+		e.root <- struct{}{}
 	}()
 	body(p)
-	p.done = true
+	p.retire()
+	returned = true
 	p.exit()
+}
+
+// retire drops the process from the engine's live list (swap-remove).
+func (p *Proc) retire() {
+	e := p.eng
+	last := e.live[len(e.live)-1]
+	e.live[p.slot], last.slot = last, p.slot
+	e.live = e.live[:len(e.live)-1]
 }
 
 // exit hands control onward after the body returned: drive the loop (a
@@ -96,21 +121,29 @@ func (p *Proc) exit() {
 // resume is the next event it simply continues (zero handoffs); if
 // another process is due it hands the token straight over (one handoff);
 // only when the run ends does it wake the root and park.
+//
+// After Shutdown nothing will ever resume a parked process, so block
+// unwinds the goroutine instead: the process Shutdown releases exits
+// from its park, and a blocking primitive reached from one of its
+// deferred calls exits again rather than parking.
 func (p *Proc) block() {
 	e := p.eng
+	if e.down {
+		runtime.Goexit()
+	}
 	if e.stepping {
 		e.root <- struct{}{}
-		<-p.tok
-		return
+	} else {
+		switch e.drive(p) {
+		case outSelf:
+			return
+		case outDone:
+			e.root <- struct{}{}
+		}
 	}
-	switch e.drive(p) {
-	case outSelf:
-		return
-	case outDone:
-		e.root <- struct{}{}
-		<-p.tok
-	default: // outTransferred
-		<-p.tok
+	<-p.tok
+	if e.down {
+		runtime.Goexit()
 	}
 }
 

@@ -116,14 +116,17 @@ func RunFaulted(c *cluster.Cluster, cfg pstore.Config, spec FaultedSpec) (Faulte
 	})
 
 	c.Run()
+	// Counted before Stop: shutting the engine down closes whatever the
+	// halt left open, which would hide a leak across retries.
+	leaked := pl.e.OpenCursors()
+	c.Stop()
 	if got := len(res.QuerySeconds) + res.Failed; got != hspec.Queries {
 		return FaultedResult{}, fmt.Errorf("workload: %d of %d faulted queries accounted for (deadlock?)",
 			got, hspec.Queries)
 	}
-	if n := pl.e.OpenCursors(); n != 0 {
-		return FaultedResult{}, fmt.Errorf("workload: %d scan cursors leaked across retries", n)
+	if leaked != 0 {
+		return FaultedResult{}, fmt.Errorf("workload: %d scan cursors leaked across retries", leaked)
 	}
-	c.StopMeters()
 	res.Joules = c.TotalJoules()
 	res.Faults = inj.Fired()
 	for _, nd := range c.Nodes {

@@ -275,6 +275,7 @@ func RunHTAP(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (HTAPResult, 
 	})
 
 	c.Run()
+	c.Stop()
 	if launchErr != nil {
 		return HTAPResult{}, launchErr
 	}
@@ -282,7 +283,6 @@ func RunHTAP(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (HTAPResult, 
 		return HTAPResult{}, fmt.Errorf("workload: %d of %d htap queries completed (deadlock?)",
 			len(res.QuerySeconds), spec.Queries)
 	}
-	c.StopMeters()
 	res.Joules = c.TotalJoules()
 	res.Txns, res.TxnRows, res.Merges = pl.stats()
 	return res, nil

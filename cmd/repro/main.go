@@ -59,7 +59,7 @@ func main() {
 		out        = flag.String("o", "", "write output to file instead of stdout")
 		workers    = flag.Int("j", 0, "parallel workers (default GOMAXPROCS)")
 		failFast   = flag.Bool("fail-fast", false, "abort on first experiment failure")
-		times      = flag.Bool("times", false, "print per-experiment wall times (and cache stats) to stderr")
+		times      = flag.Bool("times", false, "print per-experiment wall times (and cache and kernel stats) to stderr")
 		sf         = flag.Float64("sf", 0, "TPC-H scale factor for the figure 3-5 engine runs (default 100; the paper's is 1000)")
 		conc       = flag.String("conc", "", "comma-separated concurrency levels for fig3/fig4 (default 1,2,4)")
 		cache      = flag.Bool("cache", true, "memoize identical engine joins across experiments")
@@ -221,6 +221,9 @@ func main() {
 			fmt.Fprintf(os.Stderr, "join cache: %d requests, %d hits, %d engine runs\n",
 				s.Requests(), s.Hits, s.Misses)
 		}
+		k := sim.TotalStats()
+		fmt.Fprintf(os.Stderr, "kernel: %d events = %d coroutine resumes + %d own-resume continues + %d callbacks; heap high-water %d\n",
+			k.Events, k.Resumes, k.Continues, k.Callbacks, k.HeapHigh)
 	}
 	if *benchOut {
 		var ms1 runtime.MemStats

@@ -31,10 +31,12 @@
 //
 // The engine-backed figures run at the paper's scale factor 1000 with
 // `cmd/repro -sf 1000` (and complete at SF 10000 on one machine): the
-// internal/sim kernel uses direct-handoff scheduling (one goroutine
-// wakeup per context switch, a 4-ary event heap, an at-now FIFO fast
-// path, zero steady-state allocations), the join data path is a lazy
-// cursor pipeline end-to-end (storage.Cursor: selection-pushdown scans,
+// internal/sim kernel runs simulated processes as runtime coroutines
+// (iter.Pull, hence Go 1.23: one coroswitch pair per process resume and
+// none when a process's own resume is next; a 4-ary event heap, an
+// at-now FIFO fast path, zero steady-state allocations), the join data
+// path is a lazy cursor pipeline end-to-end (storage.Cursor:
+// selection-pushdown scans,
 // chained dimension-semijoin filters, per-destination routing and
 // hash-table build/probe all pull batches one at a time, with row-count
 // hints pre-sizing the open-addressing hash tables — README "The

@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"go/ast"
 	"testing"
 
 	"repro/internal/lint"
@@ -43,5 +44,38 @@ func TestTreeIsClean(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("%s: [%s] %s", pkgs[0].Fset.Position(d.Pos), d.Analyzer, d.Message)
+	}
+}
+
+// TestSimKernelHasNoGoroutineOrChannel makes the kernel's determinism
+// argument structural. nodeterm already reports a go statement anywhere
+// in simulated code (internal/sim carries no waiver any more); shipped
+// internal/sim must not even mention a channel type, and must not end a
+// goroutine under its caller. Processes are coroutines switched by the
+// one goroutine that called Run, so there is nothing the host scheduler
+// could order differently from one run to the next.
+func TestSimKernelHasNoGoroutineOrChannel(t *testing.T) {
+	pkgs, err := load.Packages("../..", "./internal/sim")
+	if err != nil {
+		t.Fatalf("loading internal/sim: %v", err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) == 0 {
+		t.Fatalf("loaded %d packages, want internal/sim alone", len(pkgs))
+	}
+	pkg := pkgs[0]
+	for _, f := range pkg.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.GoStmt:
+				t.Errorf("%s: go statement in the kernel", pkg.Fset.Position(n.Pos()))
+			case *ast.ChanType:
+				t.Errorf("%s: channel type in the kernel", pkg.Fset.Position(n.Pos()))
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok && x.Name == "runtime" && n.Sel.Name == "Goexit" {
+					t.Errorf("%s: runtime.Goexit in the kernel", pkg.Fset.Position(n.Pos()))
+				}
+			}
+			return true
+		})
 	}
 }

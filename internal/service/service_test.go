@@ -137,12 +137,20 @@ func TestServiceAnswersRepeatsFromCache(t *testing.T) {
 // TestServiceBurstAdmissionControl streams 1000 concurrent join requests
 // at a 2-worker, depth-8 service: admission control must engage (some
 // requests queue, some shed) and every request must get exactly one
-// response — none lost.
+// response — none lost. The first two requests are held in the cluster
+// factory until the queue behind them is full: whether a burst outruns a
+// millisecond engine run is up to the host scheduler, and the faster the
+// engine the likelier the queue just drains.
 func TestServiceBurstAdmissionControl(t *testing.T) {
 	const n = 1000
+	gate := make(chan struct{})
 	s, err := New(Config{
 		Admission: Admission{QueueDepth: 8},
-		Execution: Execution{Workers: 2, Engine: engineCfg()},
+		Execution: Execution{Workers: 2, Engine: engineCfg(),
+			Cluster: func() (*cluster.Cluster, error) {
+				<-gate
+				return cluster.New(cluster.Homogeneous(4, hw.ClusterV()))
+			}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +165,8 @@ func TestServiceBurstAdmissionControl(t *testing.T) {
 			responses[i] = s.Do(Request{Join: &workload.JoinRequest{SF: 5}})
 		}()
 	}
+	waitState(s, 2, 8)
+	close(gate)
 	wg.Wait()
 	s.Close()
 

@@ -3,11 +3,11 @@
 // repository.
 //
 // The kernel follows the classic process-interaction style (SimPy-like):
-// user code runs inside simulated processes (goroutines that execute in
-// lock-step with the scheduler, one at a time), advancing a virtual clock
-// measured in float64 seconds. Determinism is guaranteed by a strict
-// (time, sequence-number) ordering of events; no wall-clock time or
-// unseeded randomness ever enters the simulation.
+// user code runs inside simulated processes (coroutines that execute one
+// at a time, switched by the goroutine that called Run), advancing a
+// virtual clock measured in float64 seconds. Determinism is guaranteed by
+// a strict (time, sequence-number) ordering of events; no wall-clock time
+// or unseeded randomness ever enters the simulation.
 //
 // The primitives offered here are exactly the ones a shared-nothing
 // database cluster simulation needs:
@@ -18,30 +18,32 @@
 //   - Queue[T]:  a bounded FIFO with blocking Put/Get (backpressure)
 //   - WaitGroup: barrier synchronization between processes
 //
-// Scheduling is direct-handoff: there is no dedicated scheduler
-// goroutine. Whichever goroutine currently holds control (the Run caller
-// or a simulated process that just blocked) drives the event loop, and a
-// process resume is a single token-channel send straight to the target
-// process — one goroutine wakeup per control transfer instead of the two
-// a park-to-scheduler design pays. Event order is unaffected: every
-// resume is still an ordinary (time, seq) event.
+// Control transfer is a runtime coroutine switch (iter.Pull). The root —
+// the goroutine that called Run, RunUntil or Step — executes the event
+// loop: a callback event runs there, a resume event switches into the
+// process's coroutine and comes back when the process blocks or returns.
+// There is no channel, no go statement and no scheduler goroutine in this
+// package, so the host scheduler has nothing to order: every resume is an
+// ordinary (time, seq) event and the only thing that picks the next one
+// is the heap. The one shortcut keeps that order: a process whose own
+// resume is the very next event takes it without switching out and back
+// (see Proc.block). Needs Go 1.23 for iter (proc.go's build constraint).
 package sim
 
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
+	"sync"
 )
 
 // Time is a point in virtual time, in seconds since simulation start.
 type Time = float64
 
-// event is a scheduled callback and/or process resume. Ordering is by
-// (at, seq) so that events scheduled earlier at the same timestamp run
-// first, which makes runs bit-reproducible. When proc is non-nil the
-// event transfers control to that process (after running fn, if any);
-// tagging resumes in the event itself lets blocking primitives schedule
-// them without allocating a closure per yield.
+// event is a scheduled callback (fn) or process resume (proc). Ordering
+// is by (at, seq) so that events scheduled earlier at the same timestamp
+// run first, which makes runs bit-reproducible. Tagging resumes in the
+// event itself lets blocking primitives schedule them without allocating
+// a closure per yield.
 type event struct {
 	at   Time
 	seq  uint64
@@ -149,16 +151,38 @@ func (r *eventRing) shift() event {
 	return ev
 }
 
-// totalEvents accumulates events executed by every engine whose
-// Run/RunUntil returned, process-wide. Engines flush their local counter
-// once per run, so the hot loop never touches the atomic.
-var totalEvents atomic.Uint64
+// Stats are the kernel's own counters: what an engine did, by kind of
+// event. Events = Resumes + Continues + Callbacks.
+type Stats struct {
+	Events    uint64 // events executed
+	Resumes   uint64 // process resumes dispatched by the root: one coroutine switch in, one out
+	Continues uint64 // own-resume events a blocking process consumed without leaving its coroutine
+	Callbacks uint64 // plain callback events
+	HeapHigh  int    // high-water mark of the event heap (the now-ring is not counted)
+}
+
+// total accumulates the Stats of every engine in the process. Engines
+// flush their plain counters once per Run/RunUntil/Step, so the hot loop
+// never touches the lock.
+var total struct {
+	sync.Mutex
+	Stats
+}
+
+// TotalStats returns the counters of all completed Run/RunUntil/Step
+// calls in this process, summed over engines (HeapHigh is the maximum).
+func TotalStats() Stats {
+	total.Lock()
+	defer total.Unlock()
+	return total.Stats
+}
 
 // TotalEvents returns the cumulative number of events executed across
-// all completed Engine.Run/RunUntil calls in this process. The benchmark
-// snapshot (cmd/repro -bench-json) divides its delta by wall time to
-// report simulator throughput in events/sec.
-func TotalEvents() uint64 { return totalEvents.Load() }
+// all completed Engine.Run/RunUntil/Step calls in this process. The
+// benchmark snapshot (cmd/repro -bench-json) and the repo benchmark's
+// probes (benchmark/, sim.events and pstore.join_sf100_events) divide its
+// delta by wall time to report simulator throughput in events/sec.
+func TotalEvents() uint64 { return TotalStats().Events }
 
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; construct with New.
@@ -169,41 +193,46 @@ type Engine struct {
 	nowQ    eventRing // events due exactly at now; FIFO = (at, seq) order
 	halted  bool      // set by Halt
 	down    bool      // set by Shutdown
-	live    []*Proc   // processes whose goroutine exists: started, not finished
-	stepped uint64
-	flushed uint64 // events already added to totalEvents
+	live    []*Proc   // processes whose coroutine exists: started, not finished
+	stats   Stats
+	flushed Stats // what total has already been given
 
-	// Direct-handoff state: root parks the Run/RunUntil/Step caller
-	// while processes hold control; limit bounds event timestamps for
-	// RunUntil; stepping makes every yield return to root (Step mode);
-	// pendingPanic carries a panic from whichever goroutine held control
-	// back to the root caller, which re-throws it.
-	root         chan struct{}
-	limit        Time
-	stepping     bool
-	pendingPanic any
+	// limit bounds the timestamps Run/RunUntil may execute. It also arms
+	// the own-resume fast path in Proc.block: Step sets it below every
+	// timestamp, so a stepped process never consumes an event itself.
+	limit Time
+	// pendingPanic carries a process body's panic out of its coroutine to
+	// the root caller, which re-throws it.
+	pendingPanic *ProcPanic
 }
 
 // New returns a fresh simulation engine with the clock at zero. The
 // event array is pre-sized so steady-state scheduling never reallocates.
 func New() *Engine {
-	return &Engine{
-		events: eventHeap{evs: make([]event, 0, 256)},
-		root:   make(chan struct{}),
-	}
+	return &Engine{events: eventHeap{evs: make([]event, 0, 256)}}
 }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() Time { return e.now }
 
 // Events returns the number of events processed so far.
-func (e *Engine) Events() uint64 { return e.stepped }
+func (e *Engine) Events() uint64 { return e.stats.Events }
 
-// flushEvents publishes events executed since the last flush to the
-// process-wide counter.
-func (e *Engine) flushEvents() {
-	totalEvents.Add(e.stepped - e.flushed)
-	e.flushed = e.stepped
+// Stats returns the engine's counters so far.
+func (e *Engine) Stats() Stats { return e.stats }
+
+// flush publishes what the engine did since the last flush to the
+// process-wide counters.
+func (e *Engine) flush() {
+	s, f := e.stats, e.flushed
+	total.Lock()
+	total.Events += s.Events - f.Events
+	total.Resumes += s.Resumes - f.Resumes
+	total.Continues += s.Continues - f.Continues
+	total.Callbacks += s.Callbacks - f.Callbacks
+	total.HeapHigh = max(total.HeapHigh, s.HeapHigh)
+	total.Unlock()
+	e.flushed = s
 }
 
 // Schedule runs fn after delay seconds of virtual time.
@@ -219,9 +248,11 @@ func (e *Engine) Schedule(delay float64, fn func()) {
 func (e *Engine) At(t Time, fn func()) { e.at(t, fn, nil) }
 
 // at enqueues an event; events due exactly now take the ring fast path.
+// A NaN time fails every comparison: it would pass the past check, sit at
+// the heap root and end every later Run before its first event.
 func (e *Engine) at(t Time, fn func(), p *Proc) {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: At(%v) in the past (now=%v)", t, e.now))
+	if t < e.now || math.IsNaN(t) {
+		panic(fmt.Sprintf("sim: At(%v) invalid or in the past (now=%v)", t, e.now))
 	}
 	e.seq++
 	ev := event{at: t, seq: e.seq, fn: fn, proc: p}
@@ -230,111 +261,84 @@ func (e *Engine) at(t Time, fn func(), p *Proc) {
 		return
 	}
 	e.events.push(ev)
+	if n := len(e.events.evs); n > e.stats.HeapHigh {
+		e.stats.HeapHigh = n
+	}
 }
 
 // resumeAt schedules a control transfer to p at absolute time t.
 func (e *Engine) resumeAt(t Time, p *Proc) { e.at(t, nil, p) }
 
-// next removes and returns the (at, seq)-minimum pending event. The
-// now-ring holds only events at the current time, and everything still in
-// the heap at that time was scheduled before the clock reached it (seq is
-// monotone), so heap entries at now always precede ring entries.
-func (e *Engine) next() (event, bool) {
+// peek returns the (at, seq)-minimum pending event and whether it sits in
+// the heap, or nil when nothing is pending. The now-ring holds only
+// events at the current time, and everything still in the heap at that
+// time was scheduled before the clock reached it (seq is monotone), so
+// heap entries at now always precede ring entries.
+func (e *Engine) peek() (ev *event, inHeap bool) {
+	if len(e.events.evs) > 0 && (e.nowQ.n == 0 || e.events.evs[0].at <= e.now) {
+		return &e.events.evs[0], true
+	}
 	if e.nowQ.n > 0 {
-		if len(e.events.evs) > 0 && e.events.evs[0].at <= e.now {
-			return e.events.pop(), true
-		}
-		return e.nowQ.shift(), true
+		return &e.nowQ.buf[e.nowQ.head], false
 	}
-	if len(e.events.evs) == 0 {
-		return event{}, false
-	}
-	return e.events.pop(), true
+	return nil, false
 }
 
-// pendingBy reports whether any queued event is due at or before t.
-func (e *Engine) pendingBy(t Time) bool {
-	if e.nowQ.n > 0 && e.now <= t {
+// take removes the event peek just returned, advances the clock to it
+// and counts it.
+func (e *Engine) take(inHeap bool) event {
+	var ev event
+	if inHeap {
+		ev = e.events.pop()
+	} else {
+		ev = e.nowQ.shift()
+	}
+	if ev.at < e.now {
+		panic("sim: time went backwards")
+	}
+	e.now = ev.at
+	e.stats.Events++
+	return ev
+}
+
+// step executes the next event, if one is due by limit, on the calling
+// goroutine — the root: a callback runs here, a resume switches into the
+// process's coroutine and returns when the process blocks or finishes. A
+// callback panic unwinds from here as it is; a process body panic was
+// caught in its coroutine and is re-thrown here as *ProcPanic.
+func (e *Engine) step(limit Time) bool {
+	next, inHeap := e.peek()
+	if next == nil || next.at > limit {
+		return false
+	}
+	ev := e.take(inHeap)
+	if ev.proc == nil {
+		e.stats.Callbacks++
+		ev.fn()
 		return true
 	}
-	return len(e.events.evs) > 0 && e.events.evs[0].at <= t
-}
-
-// runFn executes a callback event, capturing a panic for the root caller
-// (the callback may be running on a blocked process's goroutine, which
-// must survive to keep its own park coherent). Reports whether fn
-// panicked.
-func (e *Engine) runFn(fn func()) (panicked bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.pendingPanic = r
-			panicked = true
-		}
-	}()
-	fn()
-	return false
-}
-
-// outcome says how a drive ended: the run is over (queue drained past
-// limit, Halt, or a callback panic), control was handed to another
-// process, or the driver's own resume event came up.
-type outcome int
-
-const (
-	outDone outcome = iota
-	outTransferred
-	outSelf
-)
-
-// drive executes events on the calling goroutine until one of the
-// outcomes above. self is the process driving (nil for the root caller):
-// popping self's own resume returns outSelf instead of a channel send,
-// so a process whose wake is already due continues without any handoff
-// at all.
-func (e *Engine) drive(self *Proc) outcome {
-	for !e.halted {
-		if !e.pendingBy(e.limit) {
-			return outDone
-		}
-		ev, _ := e.next()
-		if ev.at < e.now {
-			panic("sim: time went backwards")
-		}
-		e.now = ev.at
-		e.stepped++
-		if ev.fn != nil && e.runFn(ev.fn) {
-			return outDone
-		}
-		if ev.proc != nil {
-			if ev.proc == self {
-				return outSelf
-			}
-			ev.proc.tok <- struct{}{}
-			return outTransferred
-		}
-	}
-	return outDone
-}
-
-// rethrow re-panics on the root side with whatever a process body or
-// event callback threw while holding control.
-func (e *Engine) rethrow() {
-	if r := e.pendingPanic; r != nil {
-		e.pendingPanic = nil
-		panic(r)
-	}
-}
-
-// run drives events with timestamps <= limit to completion.
-func (e *Engine) run(limit Time) {
-	defer e.flushEvents()
-	e.halted = false
-	e.stepping = false
-	e.limit = limit
-	if e.drive(nil) == outTransferred {
-		<-e.root
-	}
+	e.stats.Resumes++
+	ev.proc.resume()
 	e.rethrow()
+	return true
+}
+
+// rethrow re-panics on the root side with what a process body threw.
+func (e *Engine) rethrow() {
+	if pp := e.pendingPanic; pp != nil {
+		e.pendingPanic = nil
+		panic(pp)
+	}
+}
+
+// run executes events with timestamps <= limit until none is left or
+// Halt is called.
+func (e *Engine) run(limit Time) {
+	defer e.flush()
+	e.halted = false
+	e.limit = limit
+	for !e.halted && e.step(limit) {
+	}
 }
 
 // Run executes events until the queue is empty or Halt is called. A
@@ -356,25 +360,9 @@ func (e *Engine) RunUntil(t Time) {
 // It returns false when the event queue is empty. A process body panic
 // surfaces here (see ProcPanic), after the process has been unwound.
 func (e *Engine) Step() bool {
-	ev, ok := e.next()
-	if !ok {
-		return false
-	}
-	if ev.at < e.now {
-		panic("sim: time went backwards")
-	}
-	e.now = ev.at
-	e.stepped++
-	e.stepping = true
-	if ev.fn == nil || !e.runFn(ev.fn) {
-		if ev.proc != nil {
-			ev.proc.tok <- struct{}{}
-			<-e.root
-		}
-	}
-	e.stepping = false
-	e.rethrow()
-	return true
+	defer e.flush()
+	e.limit = math.Inf(-1) // the process stepped into must yield, not continue
+	return e.step(math.Inf(1))
 }
 
 // Halt stops Run/RunUntil after the current event completes. Events
@@ -382,21 +370,21 @@ func (e *Engine) Step() bool {
 func (e *Engine) Halt() { e.halted = true }
 
 // Shutdown ends the simulation for good. Every process that was started
-// and has not finished is parked on its token; nothing else will ever
-// resume it, so its goroutine — and everything it references — would
-// outlive the run. Shutdown releases them one at a time (simulated
-// processes never run concurrently, and their deferred calls share
-// state): each unwinds with runtime.Goexit, so its deferred calls run,
-// and hands control back. No event is stepped and queued events are
-// dropped; a process spawned but never started has no goroutine yet and
-// simply never gets one. Call it from the Run caller's side, never from
-// inside a process or callback. Afterwards Go panics; a second Shutdown
-// is a no-op. A panic in a deferred call is re-thrown here.
+// and has not finished is suspended in its coroutine; nothing else will
+// ever resume it, so the coroutine — and everything it references — would
+// outlive the run. Shutdown stops them one at a time, newest first
+// (simulated processes never run concurrently, and their deferred calls
+// share state): each unwinds from its blocking call, so its deferred
+// calls run, and control comes back here. No event is stepped and queued
+// events are dropped; a process spawned but never started has no
+// coroutine yet and simply never gets one. Call it from the Run caller's
+// side, never from inside a process or callback. Afterwards Go panics; a
+// second Shutdown is a no-op. A panic in a deferred call is re-thrown
+// here.
 func (e *Engine) Shutdown() {
 	e.down = true
 	for len(e.live) > 0 {
-		e.live[len(e.live)-1].tok <- struct{}{}
-		<-e.root
+		e.live[len(e.live)-1].stop()
 	}
 	e.events, e.nowQ = eventHeap{}, eventRing{}
 	e.rethrow()

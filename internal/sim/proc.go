@@ -1,25 +1,38 @@
+//go:build go1.23
+
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
 )
 
-// Proc is a simulated process: a goroutine that runs in lock-step with the
-// simulation scheduler. At any instant at most one process (or event
+// Proc is a simulated process: a runtime coroutine (iter.Pull) that the
+// root — whichever goroutine called Run, RunUntil or Step — switches into
+// for every resume event. At any instant at most one process (or event
 // callback) executes; a process runs until it blocks on a simulation
 // primitive (Hold, Queue.Get/Put, Server.Process, WaitGroup.Wait, ...),
-// at which point it hands control onward (direct handoff: it drives the
-// event loop itself until another process is due, then parks on its own
-// token channel).
+// at which point it yields back to the root, which executes the next
+// event. A switch is a direct goroutine-to-goroutine transfer inside the
+// runtime: no channel, no scheduler pass, and nothing the host scheduler
+// could reorder.
 //
 // All blocking methods must be called only from within the process's own
 // body function.
 type Proc struct {
 	eng  *Engine
 	name string
-	tok  chan struct{} // the control token; receiving it means "run"
+
+	// body waits for the first resume event, which creates the coroutine:
+	// a process that never starts costs no goroutine. next switches into
+	// the coroutine; yield, valid inside it, switches back and reports
+	// false once stop has been called; stop makes it so and returns when
+	// the body has unwound.
+	body  func(p *Proc)
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// wake is the process's reusable resume callback, allocated once at
 	// spawn: wait-lists (queues, wait groups, events) store it instead of
@@ -27,14 +40,14 @@ type Proc struct {
 	// of the whole simulator).
 	wake func()
 
-	slot int // index in eng.live while the goroutine exists
+	slot int // index in eng.live while the coroutine exists
 }
 
-// ProcPanic is the value re-thrown on the scheduler side when a process
-// body panics: the panic value is handed back through the yield handoff
-// and unwinds out of Engine.Step (or Run/RunUntil) tagged with the
-// process name, where tests and callers can recover it. The original
-// panic value is preserved in Value.
+// ProcPanic is the value re-thrown on the root side when a process body
+// panics: the panic is recovered inside the process's coroutine and
+// unwinds out of Engine.Step (or Run/RunUntil) tagged with the process
+// name, where tests and callers can recover it. The original panic value
+// is preserved in Value.
 type ProcPanic struct {
 	Proc  string
 	Value any
@@ -48,102 +61,80 @@ func (pp *ProcPanic) String() string { return pp.Error() }
 
 // Go spawns a new simulated process executing body. The process starts at
 // the current virtual time (as a scheduled event, after already-queued
-// events at this timestamp); the goroutine itself is created only when
+// events at this timestamp); the coroutine itself is created only when
 // that event fires.
 func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	if e.down {
 		panic(fmt.Sprintf("sim: Go(%q) after Shutdown", name))
 	}
-	p := &Proc{
-		eng:  e,
-		name: name,
-		tok:  make(chan struct{}),
-	}
+	p := &Proc{eng: e, name: name, body: body}
 	p.wake = func() { p.eng.resumeAt(p.eng.now, p) }
-	//lint:deterministic the handoff token serializes proc goroutines: exactly one runs at a time, so runtime scheduling order can never reorder events
-	e.at(e.now, func() { go p.run(body) }, p)
+	e.resumeAt(e.now, p)
 	return p
 }
 
-// run is the process goroutine: it waits for its first token, executes
-// the body, and on exit — normal, panicking or unwound by Shutdown —
-// returns control to the simulation. A body panic is handed to the root
-// caller (Run/Step), which re-throws it as *ProcPanic; the engine is left
-// intact, so the failure is observable and recoverable from the outside.
-func (p *Proc) run(body func(p *Proc)) {
-	<-p.tok
-	e := p.eng
-	p.slot = len(e.live)
-	e.live = append(e.live, p)
-	returned := false
-	defer func() {
-		if returned {
-			// exit has already handed control on: the engine is no longer
-			// this goroutine's to read.
-			return
-		}
-		// The body panicked or was unwound by runtime.Goexit (Shutdown's
-		// release, or a t.Fatal inside the body): control is still here
-		// and goes back to the root caller.
-		if r := recover(); r != nil {
-			e.pendingPanic = &ProcPanic{Proc: p.name, Value: r}
-		}
-		p.retire()
-		e.root <- struct{}{}
-	}()
-	body(p)
-	p.retire()
-	returned = true
-	p.exit()
-}
+// unwind is what block panics with once Shutdown has stopped the
+// process: the body unwinds through its deferred calls and resume's
+// wrapper recovers it. (Not a Goexit: iter.Pull would carry that into the
+// Shutdown caller.) A body that recovers it only runs on to its next
+// blocking call, which panics again.
+type unwind struct{}
 
-// retire drops the process from the engine's live list (swap-remove).
-func (p *Proc) retire() {
-	e := p.eng
-	last := e.live[len(e.live)-1]
-	e.live[p.slot], last.slot = last, p.slot
-	e.live = e.live[:len(e.live)-1]
-}
-
-// exit hands control onward after the body returned: drive the loop (a
-// finished process cannot be resumed, so outSelf is impossible) and wake
-// the root if the run is over.
-func (p *Proc) exit() {
-	e := p.eng
-	if e.stepping || e.drive(nil) == outDone {
-		e.root <- struct{}{}
+// resume switches into the process until it blocks or finishes; the
+// first resume creates the coroutine. The wrapper around the body is
+// where every way out of it ends: a normal return, a panic — kept for
+// the root to re-throw as *ProcPanic, the engine left intact so the
+// failure is observable and recoverable from outside — and Shutdown's
+// unwind. A Goexit in the body (a t.Fatal) runs the wrapper too, then
+// ends the root goroutine that called Run: iter.Pull propagates it.
+func (p *Proc) resume() {
+	if body := p.body; body != nil {
+		p.body = nil
+		e := p.eng
+		p.slot = len(e.live)
+		e.live = append(e.live, p)
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			defer func() {
+				if r := recover(); r != nil && r != (unwind{}) {
+					e.pendingPanic = &ProcPanic{Proc: p.name, Value: r}
+				}
+				// Drop the process from the live list (swap-remove).
+				last := e.live[len(e.live)-1]
+				e.live[p.slot], last.slot = last, p.slot
+				e.live = e.live[:len(e.live)-1]
+			}()
+			body(p)
+		})
 	}
+	p.next()
 }
 
 // block yields control and waits to be resumed. Called only from process
 // context, always after scheduling (or registering) this process's own
-// resume. The blocked process drives the event loop itself: if its own
-// resume is the next event it simply continues (zero handoffs); if
-// another process is due it hands the token straight over (one handoff);
-// only when the run ends does it wake the root and park.
+// resume. One fast path: inside Run/RunUntil, when the next event is this
+// process's own resume, block consumes it and returns without leaving the
+// coroutine — a lone process in a Hold loop never switches at all. The
+// event is still an ordinary (time, seq) event, taken only when the root
+// would have taken it next: not after Halt, not past the RunUntil limit,
+// never under Step.
 //
-// After Shutdown nothing will ever resume a parked process, so block
-// unwinds the goroutine instead: the process Shutdown releases exits
-// from its park, and a blocking primitive reached from one of its
-// deferred calls exits again rather than parking.
+// After Shutdown nothing will ever resume a suspended process, so block
+// unwinds it instead: the process Shutdown stops panics out of its yield
+// with unwind, and a blocking primitive reached from one of its deferred
+// calls panics again rather than suspending.
 func (p *Proc) block() {
 	e := p.eng
 	if e.down {
-		runtime.Goexit()
+		panic(unwind{})
 	}
-	if e.stepping {
-		e.root <- struct{}{}
-	} else {
-		switch e.drive(p) {
-		case outSelf:
-			return
-		case outDone:
-			e.root <- struct{}{}
-		}
+	if next, inHeap := e.peek(); next != nil && next.proc == p && next.at <= e.limit && !e.halted {
+		e.take(inHeap)
+		e.stats.Continues++
+		return
 	}
-	<-p.tok
-	if e.down {
-		runtime.Goexit()
+	if !p.yield(struct{}{}) {
+		panic(unwind{})
 	}
 }
 
@@ -158,11 +149,8 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Hold suspends the process for d seconds of virtual time.
 func (p *Proc) Hold(d float64) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: %s Hold(%v) negative", p.name, d))
-	}
-	if math.IsNaN(d) {
-		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", d, p.eng.now))
+	if d < 0 || math.IsNaN(d) {
+		panic(fmt.Sprintf("sim: %s Hold with invalid delay %v at t=%v", p.name, d, p.eng.now))
 	}
 	// Even a zero hold yields to the scheduler, preserving fairness.
 	p.eng.resumeAt(p.eng.now+d, p)
@@ -171,8 +159,8 @@ func (p *Proc) Hold(d float64) {
 
 // HoldUntil suspends the process until absolute virtual time t.
 func (p *Proc) HoldUntil(t Time) {
-	if t < p.eng.now {
-		panic(fmt.Sprintf("sim: %s HoldUntil(%v) in the past (now=%v)", p.name, t, p.eng.now))
+	if t < p.eng.now || math.IsNaN(t) {
+		panic(fmt.Sprintf("sim: %s HoldUntil(%v) invalid or in the past (now=%v)", p.name, t, p.eng.now))
 	}
 	p.eng.resumeAt(t, p)
 	p.block()

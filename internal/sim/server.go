@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Server is a first-come-first-served rate server: a resource that
 // processes work measured in abstract units (we use bytes) at a fixed
@@ -44,8 +47,8 @@ func (s *Server) Rate() float64 { return s.rate }
 
 // book reserves service for size units and returns the completion time.
 func (s *Server) book(size float64) Time {
-	if size < 0 {
-		panic(fmt.Sprintf("sim: server %q negative work %v", s.name, size))
+	if size < 0 || math.IsNaN(size) {
+		panic(fmt.Sprintf("sim: server %q invalid work %v at t=%v", s.name, size, s.eng.now))
 	}
 	start := s.eng.now
 	if s.free > start {

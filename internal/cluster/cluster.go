@@ -86,38 +86,33 @@ func (mb *Mailbox) Recv(p *sim.Proc) (storage.Batch, bool) {
 	}
 }
 
-// RecvManyInto blocks for at least one batch, then opportunistically
-// drains whatever else is already buffered (up to max batches), so a
-// consumer can charge its CPU once for the whole group. This is the
-// vectorized-consumption pattern real operators use; without it,
-// per-batch CPU charges would serialize behind large scan bookings on the
-// shared FCFS CPU server and artificially throttle receive rates.
-// Batches are appended to buf (typically buf[:0] of the previous call's
-// result), so a steady-state consumer loop allocates nothing per receive
-// round. ok=false means all senders have closed and nothing remains.
-func (mb *Mailbox) RecvManyInto(p *sim.Proc, buf []storage.Batch, max int) ([]storage.Batch, bool) {
-	first, ok := mb.Recv(p)
-	if !ok {
-		return nil, false
-	}
-	out := append(buf, first)
-	for len(out) < max {
+// TryRecvManyInto appends the batches already buffered to buf, up to max in
+// all, without blocking, so a consumer can charge its CPU once for the whole
+// group — the vectorized consumption real operators use: per-batch charges
+// would serialize behind large scan bookings on the shared FCFS CPU server
+// and throttle receive rates. Given buf[:0] of its last result, a steady-state
+// consumer allocates nothing. A mailbox that yields nothing is Closed, or Wait.
+func (mb *Mailbox) TryRecvManyInto(buf []storage.Batch, max int) []storage.Batch {
+	for len(buf) < max {
 		msg, ok := mb.q.TryGet()
 		if !ok {
 			break
 		}
-		if msg.EOS {
-			mb.senders--
-			if mb.senders <= 0 {
-				mb.q.Close()
-				break
-			}
-			continue
+		if !msg.EOS {
+			buf = append(buf, msg.Batch)
+		} else if mb.senders--; mb.senders <= 0 {
+			mb.q.Close()
+			break
 		}
-		out = append(out, msg.Batch)
 	}
-	return out, true
+	return buf
 }
+
+// Closed reports whether every sender has delivered EOS and been seen to.
+func (mb *Mailbox) Closed() bool { return mb.q.Closed() }
+
+// Wait registers task t to be stepped when the next message arrives.
+func (mb *Mailbox) Wait(t *sim.Task) { mb.q.WaitGet(t) }
 
 // Node is one simulated server.
 type Node struct {
@@ -328,16 +323,25 @@ func (c *Cluster) Run() { c.Eng.Run() }
 // A full mailbox stalls the pump, which backpressures senders — the
 // ingestion bottleneck.
 func (c *Cluster) startIngressPump(n *Node) {
-	n.eng.Go(fmt.Sprintf("n%d.rxpump", n.ID), func(p *sim.Proc) {
+	var msg Message
+	var held bool // msg is off the inbox and through the port, not yet in its mailbox
+	n.eng.GoTask(fmt.Sprintf("n%d.rxpump", n.ID), func(t *sim.Task) {
 		for {
-			msg, ok := n.inbox.Get(p)
-			if !ok {
+			if !held {
+				if msg, held = n.inbox.TryGet(); !held {
+					n.inbox.WaitGet(t)
+					return
+				}
+				if b := msg.Bytes(); b > 0 {
+					n.Ingress.ProcessAsync(b, t.Step)
+					return
+				}
+			}
+			if !msg.Dest.q.TryPut(msg) {
+				msg.Dest.q.WaitPut(t)
 				return
 			}
-			if b := msg.Bytes(); b > 0 {
-				n.Ingress.Process(p, b)
-			}
-			msg.Dest.q.Put(p, msg)
+			held = false
 		}
 	})
 }
@@ -357,6 +361,28 @@ func (c *Cluster) Send(p *sim.Proc, msg Message) {
 		src.Egress.Process(p, b)
 	}
 	c.Nodes[msg.To].inbox.Put(p, msg)
+}
+
+// TrySend is Send for a task: it reports whether msg has been handed over.
+// If not, t is stepped again — when the egress port has carried msg (*paid
+// keeps that across steps; it starts false) or when the destination has
+// room — and must then call TrySend again with the same msg and paid.
+func (c *Cluster) TrySend(t *sim.Task, msg Message, paid *bool) bool {
+	q := msg.Dest.q
+	if msg.From != msg.To {
+		q = c.Nodes[msg.To].inbox
+		if b := msg.Bytes(); b > 0 && !*paid {
+			*paid = true
+			c.Nodes[msg.From].Egress.ProcessAsync(b, t.Step)
+			return false
+		}
+	}
+	if !q.TryPut(msg) {
+		q.WaitPut(t)
+		return false
+	}
+	*paid = false
+	return true
 }
 
 // Beefy returns the IDs of Beefy-class nodes, in order.
@@ -382,9 +408,9 @@ func (c *Cluster) Wimpy() []int {
 }
 
 // Stop ends the simulation: it finalizes all node meters at the current
-// virtual time, then shuts the engine down so no process — the per-node
-// ingress pumps, or whatever a halted or deadlocked run left parked —
-// outlives it and pins the cluster in memory. Results stay readable;
+// virtual time, then shuts the engine down so no process — a driver, a
+// scan, whatever a halted or deadlocked run left parked — outlives it and
+// pins the cluster in memory (tasks hold nothing). Results stay readable;
 // nothing more can be run. Idempotent.
 func (c *Cluster) Stop() {
 	for _, n := range c.Nodes {

@@ -24,14 +24,17 @@ func TestRecvManyBatchesBufferedMessages(t *testing.T) {
 	c.Eng.Go("recv", func(p *sim.Proc) {
 		p.Hold(1) // let everything buffer
 		for {
-			bs, ok := mb.RecvManyInto(p, nil, 64)
-			if !ok {
+			bs := mb.TryRecvManyInto(nil, 64)
+			if len(bs) == 0 {
 				return
 			}
 			got = append(got, bs)
 		}
 	})
 	c.Eng.Run()
+	if !mb.Closed() {
+		t.Fatal("mailbox not closed after the last sender's EOS was drained")
+	}
 	if len(got) != 1 || len(got[0]) != 5 {
 		t.Fatalf("RecvMany groups = %d (first len %d), want one group of 5",
 			len(got), len(got[0]))
@@ -61,14 +64,17 @@ func TestRecvManyRespectsMax(t *testing.T) {
 	c.Eng.Go("recv", func(p *sim.Proc) {
 		p.Hold(1)
 		for {
-			bs, ok := mb.RecvManyInto(p, nil, 3)
-			if !ok {
+			bs := mb.TryRecvManyInto(nil, 3)
+			if len(bs) == 0 {
 				return
 			}
 			sizes = append(sizes, len(bs))
 		}
 	})
 	c.Eng.Run()
+	if !mb.Closed() {
+		t.Fatal("mailbox not closed after the last sender's EOS was drained")
+	}
 	for _, s := range sizes {
 		if s > 3 {
 			t.Fatalf("RecvMany exceeded max: %v", sizes)
@@ -100,8 +106,8 @@ func TestRecvManyHandlesInterleavedEOS(t *testing.T) {
 	c.Eng.Go("recv", func(p *sim.Proc) {
 		p.Hold(1)
 		for {
-			bs, ok := mb.RecvManyInto(p, nil, 64)
-			if !ok {
+			bs := mb.TryRecvManyInto(nil, 64)
+			if len(bs) == 0 {
 				return
 			}
 			for _, b := range bs {
@@ -110,6 +116,9 @@ func TestRecvManyHandlesInterleavedEOS(t *testing.T) {
 		}
 	})
 	c.Eng.Run()
+	if !mb.Closed() {
+		t.Fatal("mailbox not closed after the last sender's EOS was drained")
+	}
 	if rows != 3 {
 		t.Fatalf("rows = %d, want 3 (EOS swallowed data?)", rows)
 	}

@@ -97,8 +97,8 @@ type Handle struct {
 	checksum uint64
 }
 
-// sendFunc delivers one share of a batch to a hash-table owner;
-// routeFunc splits a filtered batch into shares and sends each.
+// sendFunc takes one share of a batch for a hash-table owner;
+// routeFunc splits a filtered batch into shares and hands each to send.
 type (
 	sendFunc  = func(dst int, b storage.Batch)
 	routeFunc = func(b storage.Batch, send sendFunc)
@@ -106,12 +106,12 @@ type (
 
 // exchange describes one input of a hash join — the scan → select →
 // exchange → hash chain P-store pushes both inputs through — as a value.
-// Everything the build and the probe side share (the processes, the
+// Everything the build and the probe side share (process and tasks, the
 // bounded queue between scan and ship, the grouped mailbox drain, the
 // abort drain, the EOS protocol) lives in Handle.exchange; what the two
 // sides differ in is the fields below.
 type exchange struct {
-	side      string             // "build" or "probe": process and queue names
+	side      string             // "build" or "probe": process, task and queue names
 	owners    []int              // hash-table owners, the consuming nodes
 	mailboxes []*cluster.Mailbox // by node ID: one input per owner
 	done      *sim.WaitGroup     // one Done per owner, at its mailbox's EOS
@@ -123,26 +123,26 @@ type exchange struct {
 	// route returns node nd's routing policy: it hands every share of a
 	// filtered batch to send, in destination order.
 	route func(nd int) routeFunc
-	// eos lists the owners node nd's ship process sends end-of-stream to;
+	// eos lists the owners node nd's ship task sends end-of-stream to;
 	// it must mirror the sender counts the mailboxes were created with.
 	eos func(nd int) []int
 	// fold consumes one received batch on its owner (insert or probe).
 	fold func(owner int, b storage.Batch)
 }
 
-// exchange spawns one side of the join: a consumer per owner, then per
-// node a scan process and the ship process it feeds through a bounded
+// exchange spawns one side of the join: a consumer task per owner, then
+// per node a scan process and the ship task it feeds through a bounded
 // queue — P-store's multi-threaded operators, so the scan's CPU work
 // overlaps the exchange's wire time (§4.2: "maximizing utilization
-// through multi-threaded concurrency").
+// through multi-threaded concurrency"). Only the scan blocks inside a
+// cursor and needs a stack; ship and consumer are pumps (see sim.Task).
 //
 // Spawn order is (time, seq) order and therefore part of the simulated
-// result: consumers before scanners, and within a scanner the ship
-// process before the cursor is opened, so a cold scan's disk pump starts
-// after it.
+// result: consumers before scanners, and within a scanner the ship task
+// before the cursor is opened, so a cold scan's disk pump starts after it.
 //
 // Abort is read once per role. An aborted scan stops pulling and closes
-// its cursor (which stops a cold scan's disk pump); the ship process
+// its cursor (which stops a cold scan's disk pump); the ship task
 // keeps emptying the queue, so the scan is never parked on it, but drops
 // the batches; the consumer keeps receiving but folds nothing. All three
 // still run the exchange protocol down to EOS, which is what lets Done
@@ -152,55 +152,38 @@ func (h *Handle) exchange(x exchange) {
 	name := h.ID + "." + x.side // "<query>.build" / "<query>.probe"
 	for _, b := range x.owners {
 		b, node, mb := b, e.C.Nodes[b], x.mailboxes[b]
-		e.C.Eng.Go(fmt.Sprintf("%scons.%d", name, b), func(p *sim.Proc) {
-			// Vectorized consumption: receive up to 64 batches at a time and
-			// charge the CPU once per group (join work over its bytes), so
-			// small per-batch bookings do not serialize behind large scan
-			// bookings on the shared FCFS CPU server.
-			var group []storage.Batch
-			for {
-				got, ok := mb.RecvManyInto(p, group[:0], 64)
-				if !ok {
-					break
-				}
-				group = got
-				var bytes float64
-				for _, batch := range group {
-					bytes += batch.Bytes()
-				}
-				node.CPU.Process(p, bytes*e.cfg.JoinWork)
-				if h.aborted {
-					continue
-				}
+		// Vectorized consumption: receive up to 64 batches at a time and
+		// charge the CPU once per group (join work over its bytes), so
+		// small per-batch bookings do not serialize behind large scan
+		// bookings on the shared FCFS CPU server.
+		var group []storage.Batch // non-empty when a step runs at the end of its CPU charge
+		e.C.Eng.GoTask(fmt.Sprintf("%scons.%d", name, b), func(t *sim.Task) {
+			if !h.aborted {
 				for _, batch := range group {
 					x.fold(b, batch)
 				}
 			}
-			x.done.Done()
+			group = mb.TryRecvManyInto(group[:0], 64)
+			if len(group) == 0 {
+				if mb.Closed() {
+					x.done.Done()
+				} else {
+					mb.Wait(t)
+				}
+				return
+			}
+			var bytes float64
+			for _, batch := range group {
+				bytes += batch.Bytes()
+			}
+			node.CPU.ProcessAsync(bytes*e.cfg.JoinWork, t.Step)
 		})
 	}
 	for nd, node := range e.C.Nodes {
 		nd, node := nd, node
 		e.C.Eng.Go(fmt.Sprintf("%sscan.%d", name, nd), func(p *sim.Proc) {
 			q := sim.NewQueue[storage.Batch](fmt.Sprintf("%sq.%d", name, nd), e.cfg.MailboxCap)
-			e.C.Eng.Go(fmt.Sprintf("%sship.%d", name, nd), func(sp *sim.Proc) {
-				route := x.route(nd)
-				send := func(dst int, b storage.Batch) {
-					e.C.Send(sp, cluster.Message{From: nd, To: dst, Batch: b, Dest: x.mailboxes[dst]})
-				}
-				for {
-					out, ok := q.Get(sp)
-					if !ok {
-						break
-					}
-					if !h.aborted {
-						route(out, send)
-					}
-				}
-				for _, dst := range x.eos(nd) {
-					e.C.Send(sp, cluster.Message{From: nd, To: dst, EOS: true, Dest: x.mailboxes[dst]})
-				}
-			})
+			h.ship(x, nd, q)
 			src := x.open(p, node)
 			// Close on every exit. On normal exhaustion the cursor has
 			// already released itself and Close books nothing, so timings
@@ -216,6 +199,51 @@ func (h *Handle) exchange(x exchange) {
 			q.Close()
 		})
 	}
+}
+
+// ship spawns node nd's ship task: each batch off q becomes the shares
+// route makes of it, sent in order; q closed and drained, the EOS fan-out.
+func (h *Handle) ship(x exchange, nd int, q *sim.Queue[storage.Batch]) {
+	e := h.exec
+	route := x.route(nd)
+	var (
+		out  []cluster.Message // the current batch's shares, or the EOS fan-out
+		sent int               // out[:sent] is delivered
+		paid bool              // TrySend's progress on out[sent]
+		eos  bool              // out is the EOS fan-out
+	)
+	collect := func(dst int, b storage.Batch) {
+		out = append(out, cluster.Message{From: nd, To: dst, Batch: b, Dest: x.mailboxes[dst]})
+	}
+	e.C.Eng.GoTask(fmt.Sprintf("%s.%sship.%d", h.ID, x.side, nd), func(t *sim.Task) {
+		for {
+			for ; sent < len(out); sent++ {
+				if !e.C.TrySend(t, out[sent], &paid) {
+					return
+				}
+				out[sent] = cluster.Message{} // the batch is the receiver's now
+			}
+			if eos {
+				return
+			}
+			out, sent = out[:0], 0
+			b, ok := q.TryGet()
+			switch {
+			case ok:
+				if !h.aborted {
+					route(b, collect)
+				}
+			case q.Closed():
+				eos = true
+				for _, dst := range x.eos(nd) {
+					out = append(out, cluster.Message{From: nd, To: dst, EOS: true, Dest: x.mailboxes[dst]})
+				}
+			default:
+				q.WaitGet(t)
+				return
+			}
+		}
+	})
 }
 
 // LaunchJoin spawns all processes for one join query on the engine's
@@ -284,7 +312,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	}
 	// Per owner: the hash table and one build + one probe input. Under
 	// Broadcast and Prepartitioned an owner probes its own rows locally,
-	// so only the non-owners' ship processes (plus the owner's own EOS)
+	// so only the non-owners' ship tasks (plus the owner's own EOS)
 	// feed its probe mailbox.
 	local := spec.Method == Broadcast || spec.Method == Prepartitioned
 	probeSenders := n
@@ -463,9 +491,9 @@ func newRouter(dests []int, weights []float64) *router {
 }
 
 // routeEach splits b across the router's destinations, invoking emit
-// once per destination that receives rows, in destination order. No
-// per-batch routed slice exists: the consumer (a ship process) sends
-// each share as it is produced.
+// once per destination that receives rows, in destination order. The
+// caller (a ship task) collects the shares in a slice it reuses, so no
+// routed slice is allocated per batch.
 func (r *router) routeEach(b storage.Batch, emit sendFunc) {
 	d := len(r.dests)
 	if d == 1 {

@@ -4,8 +4,8 @@
 // (shuffle and broadcast) and hash-join operators built on the columnar
 // storage engine.
 //
-// The engine runs on a simulated cluster (internal/cluster): operators
-// are simulation processes; every byte scanned, shuffled, built or probed
+// The engine runs on a simulated cluster (internal/cluster): operators are
+// simulation processes and tasks; every byte scanned, shuffled, built or probed
 // charges the owning node's CPU/disk/NIC rate servers, so response time
 // comes from the discrete-event clock and energy from the per-node power
 // meters. With materialized tables (small scale factors) the operators
@@ -25,8 +25,8 @@
 // All of them are one stage composed twice. Both inputs of a hash join
 // go through the same scan → select → exchange → hash chain, so join.go
 // describes a side as an exchange value and Handle.exchange spawns it:
-// a consumer per hash-table owner (grouped mailbox drain, CPU charged
-// per group, fold), then per node a scan process and the ship process it
+// a consumer task per hash-table owner (grouped mailbox drain, CPU charged
+// per group, fold), then per node a scan process and the ship task it
 // feeds through a bounded queue. The five per-side values are the source
 // cursor (open: the plain scan, or — probe side — build barrier,
 // dimension hashing and the scan wrapped in the dimension filters), the

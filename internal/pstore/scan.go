@@ -16,7 +16,7 @@ import (
 // intermediate batch slice exists anywhere on the path. Resource
 // charging per block:
 //
-//   - cold cache: a disk prefetch process books the disk server at I
+//   - cold cache: a disk prefetch task books the disk server at I
 //     MB/s for raw bytes, feeding a bounded queue; Next books the CPU at
 //     C MB/s for the same raw bytes. The pipeline overlaps the two, so
 //     the effective scan rate is min(I, C) — the paper's disk-bound
@@ -57,7 +57,7 @@ var _ storage.Cursor = (*scanCursor)(nil)
 
 // scan opens the scan-filter cursor over a node-local partition. The
 // calling process owns the cursor: Next blocks it on the simulated
-// resources. Cold scans additionally spawn the disk-pump process here,
+// resources. Cold scans additionally spawn the disk-pump task here,
 // so construction must happen at the operator's start position.
 //
 // When the engine has a delta store attached for (table, node), the
@@ -87,17 +87,22 @@ func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, se
 		return c
 	}
 	c.prefetch = sim.NewQueue[storage.Batch](fmt.Sprintf("n%d.prefetch", node.ID), 4)
-	p.Engine().Go(fmt.Sprintf("n%d.diskpump", node.ID), func(dp *sim.Proc) {
+	var b storage.Batch
+	var read bool // b is off the disk, not yet in the prefetch queue
+	p.Engine().GoTask(fmt.Sprintf("n%d.diskpump", node.ID), func(t *sim.Task) {
 		for !c.stop {
-			b, ok := src.Next()
-			if !ok {
-				break
+			if !read {
+				if b, read = src.Next(); !read {
+					break
+				}
+				node.Disk.ProcessAsync(b.Bytes(), t.Step)
+				return
 			}
-			node.Disk.Process(dp, b.Bytes())
-			if c.stop {
-				break
+			if !c.prefetch.TryPut(b) {
+				c.prefetch.WaitPut(t)
+				return
 			}
-			c.prefetch.Put(dp, b)
+			read = false
 		}
 		src.Close()
 		c.prefetch.Close()

@@ -78,6 +78,36 @@ func BenchmarkQueueProducerConsumer(b *testing.B) {
 	}
 }
 
+// BenchmarkQueueTaskConsumer is BenchmarkQueueProducerConsumer with the
+// consumer as a task: the same 4096 items through the same capacity-16
+// ring and the same events, the consumer's now callbacks on the root
+// instead of switches into a coroutine. The difference between the two
+// is what moving one pump off a process saves.
+func BenchmarkQueueTaskConsumer(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		q := NewQueue[int]("bench", 16)
+		e.Go("producer", func(p *Proc) {
+			for j := 0; j < 4096; j++ {
+				q.Put(p, j)
+			}
+			q.Close()
+		})
+		e.GoTask("consumer", func(t *Task) {
+			for {
+				if _, ok := q.TryGet(); !ok {
+					if !q.Closed() {
+						q.WaitGet(t)
+					}
+					return
+				}
+			}
+		})
+		e.Run()
+	}
+}
+
 // BenchmarkServerProcess measures FCFS rate-server booking plus the
 // scheduler round trip per job.
 func BenchmarkServerProcess(b *testing.B) {

@@ -91,8 +91,25 @@ func TestStatsCountEveryEventOnce(t *testing.T) {
 	})
 	e.Schedule(10, func() {})
 	e.Schedule(10, func() {})
+	// A task's events are callbacks: its start, a wake off a queue, the end
+	// of a server booking and the wake by Close — plus the two callbacks
+	// that put and close.
+	tq, srv, served := NewQueue[int]("tq", 1), NewServer(e, "srv", 1), 0
+	e.GoTask("task", func(t *Task) {
+		if v, ok := tq.TryGet(); ok {
+			served += v
+			srv.ProcessAsync(5, t.Step)
+		} else if !tq.Closed() {
+			tq.WaitGet(t)
+		}
+	})
+	e.Schedule(20, func() { tq.TryPut(7) })
+	e.Schedule(30, tq.Close)
 	e.Run()
-	want := Stats{Events: 13, Resumes: 8, Continues: 3, Callbacks: 2, HeapHigh: 3}
+	if served != 7 || e.Now() != 30 || srv.BusySeconds() != 5 {
+		t.Fatalf("task served %d, clock %v, server busy %v s; want 7, 30, 5", served, e.Now(), srv.BusySeconds())
+	}
+	want := Stats{Events: 19, Resumes: 8, Continues: 3, Callbacks: 8, HeapHigh: 5}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
@@ -106,9 +123,9 @@ func TestStatsCountEveryEventOnce(t *testing.T) {
 	}
 	e.Shutdown()
 	after := TotalStats()
-	if after.Events-before.Events != 14 || after.Resumes-before.Resumes != 8 ||
-		after.Continues-before.Continues != 3 || after.Callbacks-before.Callbacks != 3 {
-		t.Fatalf("process-wide totals moved %+v -> %+v, want +14 events (+1 from Step), +8 resumes, +3 continues, +3 callbacks", before, after)
+	if after.Events-before.Events != 20 || after.Resumes-before.Resumes != 8 ||
+		after.Continues-before.Continues != 3 || after.Callbacks-before.Callbacks != 9 {
+		t.Fatalf("process-wide totals moved %+v -> %+v, want +20 events (+1 from Step), +8 resumes, +3 continues, +9 callbacks", before, after)
 	}
 	if TotalEvents() != after.Events || after.HeapHigh < want.HeapHigh {
 		t.Fatalf("TotalEvents() = %d, TotalStats() = %+v", TotalEvents(), after)

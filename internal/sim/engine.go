@@ -14,6 +14,7 @@
 //
 //   - Engine:    virtual clock + event queue
 //   - Proc:      a simulated process (Hold, blocking helpers)
+//   - Task:      a stackless process: one callback per step, no coroutine
 //   - Server:    a FCFS rate server (models CPU MB/s, disk MB/s, NIC ports)
 //   - Queue[T]:  a bounded FIFO with blocking Put/Get (backpressure)
 //   - WaitGroup: barrier synchronization between processes
@@ -28,6 +29,10 @@
 // is the heap. The one shortcut keeps that order: a process whose own
 // resume is the very next event takes it without switching out and back
 // (see Proc.block). Needs Go 1.23 for iter (proc.go's build constraint).
+//
+// Processes are for programs, tasks for pumps: a body that blocks inside
+// its callees (a scan, in Cursor.Next) needs a stack and is a Proc; a loop
+// "take from a queue, book a server, put to a queue" is a Task: no switch.
 package sim
 
 import (
@@ -204,6 +209,8 @@ type Engine struct {
 	// pendingPanic carries a process body's panic out of its coroutine to
 	// the root caller, which re-throws it.
 	pendingPanic *ProcPanic
+	// task is the task whose step is running, so that finish can name it.
+	task *Task
 }
 
 // New returns a fresh simulation engine with the clock at zero. The
@@ -221,9 +228,10 @@ func (e *Engine) Events() uint64 { return e.stats.Events }
 // Stats returns the engine's counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// flush publishes what the engine did since the last flush to the
-// process-wide counters.
-func (e *Engine) flush() {
+// finish ends a Run, RunUntil or Step: it publishes what the engine did
+// since the last one to the process-wide counters, and re-throws a panic
+// that is unwinding out of a task step as *ProcPanic.
+func (e *Engine) finish() {
 	s, f := e.stats, e.flushed
 	total.Lock()
 	total.Events += s.Events - f.Events
@@ -233,6 +241,12 @@ func (e *Engine) flush() {
 	total.HeapHigh = max(total.HeapHigh, s.HeapHigh)
 	total.Unlock()
 	e.flushed = s
+	if t := e.task; t != nil {
+		e.task = nil
+		if r := recover(); r != nil {
+			panic(&ProcPanic{Proc: t.name, Value: r})
+		}
+	}
 }
 
 // Schedule runs fn after delay seconds of virtual time.
@@ -334,7 +348,7 @@ func (e *Engine) rethrow() {
 // run executes events with timestamps <= limit until none is left or
 // Halt is called.
 func (e *Engine) run(limit Time) {
-	defer e.flush()
+	defer e.finish()
 	e.halted = false
 	e.limit = limit
 	for !e.halted && e.step(limit) {
@@ -360,7 +374,7 @@ func (e *Engine) RunUntil(t Time) {
 // It returns false when the event queue is empty. A process body panic
 // surfaces here (see ProcPanic), after the process has been unwound.
 func (e *Engine) Step() bool {
-	defer e.flush()
+	defer e.finish()
 	e.limit = math.Inf(-1) // the process stepped into must yield, not continue
 	return e.step(math.Inf(1))
 }

@@ -73,6 +73,31 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 	return p
 }
 
+// Task is a stackless process: a named step function the root runs as a
+// plain callback event. A step does what it can without blocking, arranges
+// its next step — Queue.WaitGet or WaitPut, or Step handed to
+// Server.ProcessAsync or Engine.At — and returns; each costs the one (time,
+// seq) event the blocking form costs a Proc. A task is reachable only from
+// the event queue or wait-list that holds it: Shutdown unwinds nothing.
+type Task struct {
+	name string
+	Step func() // runs one step; its panic reaches the Run caller as *ProcPanic
+	wake func() // reusable wait-list entry: schedules Step at now
+}
+
+// GoTask spawns a task. Like Go, its first step is an event at the current
+// time; nothing is allocated after this call.
+func (e *Engine) GoTask(name string, step func(t *Task)) *Task {
+	if e.down {
+		panic(fmt.Sprintf("sim: GoTask(%q) after Shutdown", name))
+	}
+	t := &Task{name: name}
+	t.Step = func() { e.task = t; step(t); e.task = nil }
+	t.wake = func() { e.at(e.now, t.Step, nil) }
+	t.wake()
+	return t
+}
+
 // unwind is what block panics with once Shutdown has stopped the
 // process: the body unwinds through its deferred calls and resume's
 // wrapper recovers it. (Not a Goexit: iter.Pull would carry that into the

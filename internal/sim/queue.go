@@ -44,7 +44,11 @@ func (q *Queue[T]) push(v T) {
 		}
 		q.buf, q.head = grown, 0
 	}
-	q.buf[(q.head+q.n)%len(q.buf)] = v
+	i := q.head + q.n
+	if i >= len(q.buf) { // wrap by compare: capacities are not powers of two, and a divide costs
+		i -= len(q.buf)
+	}
+	q.buf[i] = v
 	q.n++
 }
 
@@ -53,7 +57,9 @@ func (q *Queue[T]) shift() T {
 	v := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero // release for GC
-	q.head = (q.head + 1) % len(q.buf)
+	if q.head++; q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.n--
 	return v
 }
@@ -136,6 +142,20 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 	v = q.shift()
 	q.wakePutters()
 	return v, true
+}
+
+// WaitGet is the task form of parking in Get: t is stepped once, when an
+// item arrives or the queue closes, and tries again. The caller found
+// TryGet empty and the queue not Closed (that one wakes nobody again).
+func (q *Queue[T]) WaitGet(t *Task) { q.getters = append(q.getters, t.wake) }
+
+// WaitPut is the task form of parking in Put, after a refused TryPut.
+// TryPut refuses a closed queue too, where Put panics, so WaitPut does.
+func (q *Queue[T]) WaitPut(t *Task) {
+	if q.closed {
+		panic("sim: Put on closed queue " + q.name)
+	}
+	q.putters = append(q.putters, t.wake)
 }
 
 // Close marks the queue closed, waking any blocked getters. Items already

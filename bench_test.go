@@ -66,7 +66,8 @@ func benchSuite(b *testing.B, workers, shards int) {
 
 // BenchmarkSuiteSerial is the fully serial baseline for the full
 // evaluation (one worker, no intra-experiment sharding): its ns/op is
-// the raw kernel + data-path speed the BENCH_*.json trajectory tracks.
+// the raw kernel + data-path speed; the benchmark/ module's suite_sf100
+// workload times the same serial run as a user types it.
 // BenchmarkSuiteParallel fans whole experiments out over GOMAXPROCS
 // workers; BenchmarkSuiteSharded keeps one experiment at a time but
 // shards each experiment's simulation grid over GOMAXPROCS workers (the

@@ -12,8 +12,8 @@
 //	repro -exp fig3 -sf 50         override the figure 3-5 engine scale factor
 //	repro -exp fig3 -sf 1000       paper-scale run (sharded across cores)
 //	repro -exp all -md -o EXPERIMENTS.md   write the Markdown record
-//	repro -exp all -bench-json     also write a BENCH_<date>.json snapshot
-//	repro -exp all -bench-json -bench-o ci.json   snapshot to a chosen path
+//	repro -exp all -bench-json     also write a BENCH_<date>.json snapshot (events, cache traffic)
+//	repro -exp all -bench-json -bench-o run.json  snapshot to a chosen path
 //	repro -exp htap1 -htap-rates 0,4,32    sweep the HTAP update stream (Mrows/s)
 //	repro -exp fault1 -fault-seed 7        re-seed the fault1/fault2 fault plans
 //	repro -exp fig3 -cpuprofile cpu.prof   capture a pprof CPU profile
@@ -29,6 +29,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -40,7 +41,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/experiments"
 	"repro/internal/pstore"
 	"repro/internal/report"
@@ -106,13 +106,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: -batch-rows must be >= 0 (0 = default), got %d\n", *batchRows)
 		os.Exit(2)
 	}
-	// Catch a directory -bench-o up front: the snapshot is written after
+	// Catch a bad snapshot path up front: the snapshot is written after
 	// the run, and a bad path must not waste an hours-long session.
 	if *benchPath != "" {
 		if fi, err := os.Stat(*benchPath); err == nil && fi.IsDir() {
 			fmt.Fprintf(os.Stderr, "repro: -bench-o %s is a directory, want a snapshot file path (e.g. %s)\n", *benchPath, filepath.Join(*benchPath, "BENCH_2026-01-01.json"))
 			os.Exit(2)
 		}
+	} else {
+		*benchPath = "BENCH_" + time.Now().Format("2006-01-02") + ".json"
+	}
+	if _, err := os.Stat(*benchPath); err == nil && *benchOut && !*benchForce {
+		fmt.Fprintf(os.Stderr, "repro: %s already exists; write to another path (-bench-o) or force the overwrite (-bench-force)\n", *benchPath)
+		os.Exit(2)
 	}
 	expOpts := experiments.Options{SF: tpch.ScaleFactor(*sf), Shards: *shards, BatchRows: *batchRows, FaultSeed: *faultSeed}
 	if *conc != "" {
@@ -228,18 +234,27 @@ func main() {
 	if *benchOut {
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)
-		path, berr := writeBenchSnapshot(benchInputs{
-			results: results, wall: wall,
-			events: sim.TotalEvents() - events0,
-			allocs: ms1.Mallocs - ms0.Mallocs,
-			bytes:  ms1.TotalAlloc - ms0.TotalAlloc,
-			sf:     *sf, workers: *workers, shards: *shards,
-			cache: joinCache, path: *benchPath, force: *benchForce,
-		})
-		if berr != nil {
+		snap := benchSnapshot{
+			Date:             time.Now().Format("2006-01-02"),
+			GoVersion:        runtime.Version(),
+			GOMAXPROCS:       runtime.GOMAXPROCS(0),
+			SuiteWallSeconds: wall.Seconds(),
+			Events:           sim.TotalEvents() - events0,
+		}
+		if wall > 0 {
+			snap.EventsPerSec = float64(snap.Events) / wall.Seconds()
+		}
+		if snap.Events > 0 {
+			snap.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(snap.Events)
+		}
+		if joinCache != nil {
+			s := joinCache.Stats()
+			snap.CacheHits, snap.CacheMisses = s.Hits, s.Misses
+		}
+		if berr := snap.write(*benchPath, *benchForce); berr != nil {
 			fatal(1, berr)
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", path)
+		fmt.Fprintf(os.Stderr, "wrote %s\n", *benchPath)
 	}
 	if *memProf != "" {
 		f, ferr := os.Create(*memProf)
@@ -257,70 +272,39 @@ func main() {
 	}
 }
 
-// benchInputs carries the measurements of one run into the snapshot
-// writer.
-type benchInputs struct {
-	results []runner.Result
-	wall    time.Duration
-	events  uint64
-	allocs  uint64
-	bytes   uint64
-	sf      float64
-	workers int
-	shards  int
-	cache   *pstore.Cache
-	path    string
-	force   bool
+// benchSnapshot is what -bench-json writes: the run's wall time, the
+// simulated events it executed, its allocation pressure and its join-cache
+// traffic.
+type benchSnapshot struct {
+	Date             string  `json:"date"`
+	GoVersion        string  `json:"go_version"`
+	GOMAXPROCS       int     `json:"gomaxprocs"`
+	SuiteWallSeconds float64 `json:"suite_wall_seconds"`
+	Events           uint64  `json:"events"`
+	EventsPerSec     float64 `json:"events_per_sec"`
+	AllocsPerEvent   float64 `json:"allocs_per_event"`
+	CacheHits        int64   `json:"cache_hits"`
+	CacheMisses      int64   `json:"cache_misses"`
 }
 
-// writeBenchSnapshot writes the bench.Snapshot for one run (default path
-// BENCH_<YYYY-MM-DD>.json in the working directory) and returns the
-// path. Worker and shard pool sizes are recorded as the EFFECTIVE values
-// the run used — a 0 flag resolves to GOMAXPROCS exactly as the pools
-// do — so two snapshots are comparable without knowing each flag's
-// default. An existing file is never silently overwritten
-// (bench.Snapshot.WriteFile); use -bench-o / -bench-force.
-func writeBenchSnapshot(in benchInputs) (string, error) {
-	effective := func(v int) int {
-		if v <= 0 {
-			return runtime.GOMAXPROCS(0)
-		}
-		return v
+// write stores the snapshot at path. Without force an existing file is
+// never overwritten, even one created while the run was going.
+func (s benchSnapshot) write(path string, force bool) error {
+	buf, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		return err
 	}
-	snap := bench.Snapshot{
-		Date:             time.Now().Format("2006-01-02"),
-		GoVersion:        runtime.Version(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		SF:               in.sf,
-		Workers:          effective(in.workers),
-		Shards:           effective(in.shards),
-		Cached:           in.cache != nil,
-		SuiteWallSeconds: in.wall.Seconds(),
-		Events:           in.events,
-		Allocs:           in.allocs,
-		AllocBytes:       in.bytes,
+	mode := os.O_WRONLY | os.O_CREATE | os.O_TRUNC
+	if !force {
+		mode |= os.O_EXCL
 	}
-	if s := in.wall.Seconds(); s > 0 {
-		snap.EventsPerSec = float64(in.events) / s
+	f, err := os.OpenFile(path, mode, 0o644)
+	if err != nil {
+		return err
 	}
-	if in.events > 0 {
-		snap.AllocsPerEvent = float64(in.allocs) / float64(in.events)
-		snap.AllocBytesPerEvent = float64(in.bytes) / float64(in.events)
+	if _, err := f.Write(append(buf, '\n')); err != nil {
+		f.Close()
+		return err
 	}
-	if in.cache != nil {
-		s := in.cache.Stats()
-		snap.CacheRequests, snap.CacheHits, snap.CacheMisses = s.Requests(), s.Hits, s.Misses
-	}
-	for _, r := range in.results {
-		be := bench.Experiment{ID: r.Experiment.ID, WallMS: float64(r.Wall.Microseconds()) / 1000}
-		if r.Err != nil {
-			be.Error = r.Err.Error()
-		}
-		snap.Experiments = append(snap.Experiments, be)
-	}
-	path := in.path
-	if path == "" {
-		path = "BENCH_" + snap.Date + ".json"
-	}
-	return path, snap.WriteFile(path, in.force)
+	return f.Close()
 }

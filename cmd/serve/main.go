@@ -19,6 +19,10 @@
 //	serve -load -load-trace t.jsonl -load-speedup 10   replay a recorded trace 10x
 //	serve -load -load-dump t.jsonl                     write the synthetic trace and exit
 //
+// The load harness prints a per-tenant latency and shed report; it is a
+// functional check, not a benchmark. Serving performance is measured by
+// the benchmark/ module's serve_miss, serve_hit and serve_flood workloads.
+//
 // Request format (one JSON object per line, strict — unknown fields are
 // errors naming the field):
 //
@@ -50,7 +54,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,7 +61,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/pstore"
 	"repro/internal/replay"
 	"repro/internal/report"
@@ -90,10 +92,6 @@ func main() {
 		loadSpeedup  = flag.Float64("load-speedup", 0, "replay speed: 1 = real time, 10 = 10x, <= 0 = flood (as fast as the service answers)")
 		loadInflight = flag.Int("load-inflight", 256, "concurrent submissions the harness keeps in flight")
 		loadDump     = flag.String("load-dump", "", "write the synthetic trace to this file and exit (for committing fixed traces)")
-
-		benchOut   = flag.Bool("bench-json", false, "with -load: write a machine-readable BENCH_<date>.json serving-perf snapshot")
-		benchPath  = flag.String("bench-o", "", "snapshot path for -bench-json (default BENCH_<date>.json)")
-		benchForce = flag.Bool("bench-force", false, "allow -bench-json to overwrite an existing snapshot file")
 	)
 	flag.Parse()
 
@@ -171,8 +169,7 @@ func main() {
 		err = runLoad(s, loadOpts{
 			requests: *loadRequests, tenants: *loadTenants, hot: *loadHot,
 			seed: *loadSeed, trace: *loadTrace, speedup: *loadSpeedup,
-			inflight: *loadInflight, workers: *workers, cached: *cache,
-			benchOut: *benchOut, benchPath: *benchPath, benchForce: *benchForce,
+			inflight: *loadInflight,
 		})
 		if err != nil {
 			s.Close()
@@ -269,12 +266,6 @@ type loadOpts struct {
 	trace    string
 	speedup  float64
 	inflight int
-
-	workers    int
-	cached     bool
-	benchOut   bool
-	benchPath  string
-	benchForce bool
 }
 
 // runLoad replays a trace (recorded or synthetic) against the service
@@ -339,57 +330,7 @@ func runLoad(s *service.Server, opts loadOpts) error {
 			name, tm.Received, tm.OK, tm.Shed, tm.Deadline, tm.Errors,
 			tm.P50*1000, tm.P95*1000, tm.P99*1000, tm.QueueP50*1000, tm.QueueP99*1000)
 	}
-
-	if opts.benchOut {
-		path, err := writeServingSnapshot(m, n, wall, opts)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "serve: wrote perf snapshot %s\n", path)
-	}
 	return nil
-}
-
-// writeServingSnapshot records the load run in the same bench.Snapshot
-// format cmd/repro emits, so cmd/benchdiff gates serving latency and
-// throughput alongside the experiment suite. Experiment rows are
-// serving metrics where higher is worse: latency percentiles in ms,
-// shed and cache-miss percentages.
-func writeServingSnapshot(m report.ServiceMetrics, n int, wall float64, opts loadOpts) (string, error) {
-	snap := bench.Snapshot{
-		Date:             time.Now().Format("2006-01-02"),
-		GoVersion:        runtime.Version(),
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		Workers:          opts.workers,
-		Cached:           opts.cached,
-		SuiteWallSeconds: wall,
-		Events:           uint64(n),
-		CacheRequests:    m.CacheHits + m.CacheMisses,
-		CacheHits:        m.CacheHits,
-		CacheMisses:      m.CacheMisses,
-	}
-	if wall > 0 {
-		snap.EventsPerSec = float64(n) / wall
-	}
-	shedPct, missPct := 0.0, 0.0
-	if m.Received > 0 {
-		shedPct = 100 * float64(m.Shed) / float64(m.Received)
-	}
-	if m.CacheHits+m.CacheMisses > 0 {
-		missPct = 100 * float64(m.CacheMisses) / float64(m.CacheHits+m.CacheMisses)
-	}
-	snap.Experiments = []bench.Experiment{
-		{ID: "serve-p50", WallMS: m.P50 * 1000},
-		{ID: "serve-p95", WallMS: m.P95 * 1000},
-		{ID: "serve-p99", WallMS: m.P99 * 1000},
-		{ID: "serve-shed-pct", WallMS: shedPct},
-		{ID: "serve-cache-miss-pct", WallMS: missPct},
-	}
-	path := opts.benchPath
-	if path == "" {
-		path = "BENCH_" + snap.Date + ".json"
-	}
-	return path, snap.WriteFile(path, opts.benchForce)
 }
 
 // serveStdin answers one JSON request per input line until EOF.

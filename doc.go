@@ -41,15 +41,15 @@
 // hash-table build/probe all pull batches one at a time, with row-count
 // hints pre-sizing the open-addressing hash tables — README "The
 // streaming data path"), and each experiment's simulation grid shards
-// across workers (-shards) without changing a byte of output. `-bench-json`
-// records a run's wall time, events/sec and allocation pressure in
-// BENCH_<date>.json — the repo's performance trajectory — and
+// across workers (-shards) without changing a byte of output.
 // `-cpuprofile`/`-memprofile` write pprof profiles of any run.
 //
 // A simulated cluster runs on exactly one sim.Engine (README "Why one
-// engine"); real cores are used by -j and -shards. internal/bench and
-// cmd/benchdiff turn BENCH snapshots into CI's perf regression gate
-// (README "The CI perf gate").
+// engine"); real cores are used by -j and -shards. Performance has one
+// measuring instrument, the benchmark/ module: CI's perf job records the
+// base and the head revision on one runner and gates on its -compare
+// verdicts, and the committed BENCH_<date>.json record pins what the
+// suite simulates (README "Measuring performance").
 //
 // The determinism and resource invariants are machine-checked:
 // cmd/repro-vet (internal/lint) is a stdlib-only go/analysis-style

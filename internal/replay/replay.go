@@ -88,7 +88,7 @@ func Load(r io.Reader) ([]Event, error) {
 		events = append(events, ev)
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("replay: %v", err)
+		return nil, fmt.Errorf("replay: line %d: %v", line+1, err)
 	}
 	if len(events) == 0 {
 		return nil, errors.New("replay: trace has no events")

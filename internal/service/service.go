@@ -380,13 +380,10 @@ func (s *Server) worker() {
 		s.inflight++
 		s.mu.Unlock()
 		s.serve(j)
-		s.mu.Lock()
-		s.inflight--
-		s.mu.Unlock()
 	}
 }
 
-// serve runs one dequeued job and answers it.
+// serve runs one dequeued job and answers it, freeing the worker slot.
 func (s *Server) serve(j *job) {
 	// A request whose queue wait already blew its deadline is answered
 	// without launching: under overload the service sheds stale work
@@ -398,8 +395,7 @@ func (s *Server) serve(j *job) {
 			Error:  fmt.Sprintf("service: deadline (%gs) exceeded after %.3fs in queue", j.deadline, waited)}
 		resp.QueueSeconds = waited
 		resp.WallSeconds = waited
-		s.count(resp, j.tenant)
-		j.done <- resp
+		s.answer(j, resp)
 		return
 	}
 	arrival := j.arrival.Sub(s.start).Seconds()
@@ -410,8 +406,7 @@ func (s *Server) serve(j *job) {
 	resp := s.handle(j)
 	resp.QueueSeconds = launched.Sub(j.arrival).Seconds()
 	resp.WallSeconds = s.now().Sub(j.arrival).Seconds()
-	s.count(resp, j.tenant)
-	j.done <- resp
+	s.answer(j, resp)
 }
 
 // handle executes one admitted request; the job's arrival anchors its
@@ -588,15 +583,22 @@ func (s *Server) allowRetry(used int, j *job) bool {
 	return true
 }
 
-// count folds one finished (or refused) response into the aggregates.
-func (s *Server) count(r report.ServiceResponse, tenant string) {
+// answer folds a worker's finished job into the aggregates and frees its
+// worker slot in the same critical section, then hands the response to
+// the caller. Freeing the slot before the send matters: a caller whose
+// next Do follows its answer must find the worker idle, or a zero-quota
+// tenant is shed by an idle service.
+func (s *Server) answer(j *job, r report.ServiceResponse) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.countLocked(r, tenant)
+	s.countLocked(r, j.tenant)
+	s.inflight--
+	s.mu.Unlock()
+	j.done <- r
 }
 
-// countLocked is count with s.mu already held. The caller has already
-// booked received (admission counts every submission exactly once).
+// countLocked folds one finished (or refused) response into the
+// aggregates; s.mu is held. The caller has already booked received
+// (admission counts every submission exactly once).
 func (s *Server) countLocked(r report.ServiceResponse, tenant string) {
 	ts := s.tenantLocked(tenant)
 	switch r.Status {

@@ -799,7 +799,7 @@ func TestServiceDeadlineExpiresQueuedRequests(t *testing.T) {
 
 // TestServiceZeroQueueAdmitsIdleWorkers: QueueDepth 0 means no waiting
 // room, but an idle worker must still accept work — sequential requests
-// are never shed.
+// are never shed. The worker is free by the time its answer arrives.
 func TestServiceZeroQueueAdmitsIdleWorkers(t *testing.T) {
 	s, err := New(Config{Execution: Execution{Workers: 1, Engine: engineCfg()}})
 	if err != nil {
@@ -809,6 +809,9 @@ func TestServiceZeroQueueAdmitsIdleWorkers(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		if r := s.Do(Request{Join: &workload.JoinRequest{SF: 5}}); !r.OK() {
 			t.Fatalf("sequential request %d refused by an idle service: %+v", i, r)
+		}
+		if inflight, queued := s.inflightQueued(); inflight != 0 || queued != 0 {
+			t.Fatalf("after answer %d the pool shows %d in flight, %d queued", i, inflight, queued)
 		}
 	}
 	if m := s.Metrics(); m.Shed != 0 || m.OK != 5 {

@@ -183,10 +183,10 @@ func TotalStats() Stats {
 }
 
 // TotalEvents returns the cumulative number of events executed across
-// all completed Engine.Run/RunUntil/Step calls in this process. The
-// benchmark snapshot (cmd/repro -bench-json) and the repo benchmark's
-// probes (benchmark/, sim.events and pstore.join_sf100_events) divide its
-// delta by wall time to report simulator throughput in events/sec.
+// all completed Engine.Run/RunUntil/Step calls in this process. cmd/repro
+// reports it for a run (-times, -bench-json), and the repo
+// benchmark's probes (benchmark/, sim.events and pstore.join_sf100_events)
+// divide it by wall time to report simulator throughput in events/sec.
 func TotalEvents() uint64 { return TotalStats().Events }
 
 // Engine is a discrete-event simulation engine. The zero value is not

@@ -125,10 +125,9 @@ func (c *materializedMerged) Next() (storage.Batch, bool) {
 		if c.tomb.Len() == 0 {
 			return b, true
 		}
-		keys := b.Cols[storage.ColKey]
 		c.idx = c.idx[:0]
-		for r := 0; r < b.Rows; r++ {
-			if c.tomb.Get(keys.Int64(r)) == 0 {
+		for r, k := range b.Cols[storage.ColKey] {
+			if c.tomb.Get(k) == 0 {
 				c.idx = append(c.idx, r)
 			}
 		}
@@ -150,7 +149,7 @@ func (c *materializedMerged) Next() (storage.Batch, bool) {
 		if len(col) > 0 {
 			return storage.Batch{
 				Rows: len(col), Width: c.s.def.Width,
-				Cols: []storage.Column{col},
+				Cols: []storage.Int64Column{col},
 			}, true
 		}
 	}

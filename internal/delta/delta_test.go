@@ -52,10 +52,7 @@ func keysOf(t *testing.T, c storage.Cursor) []int64 {
 			t.Errorf("materialized cursor yielded a phantom batch")
 			return out
 		}
-		col := b.Cols[storage.ColKey]
-		for i := 0; i < b.Rows; i++ {
-			out = append(out, col.Int64(i))
-		}
+		out = append(out, b.Cols[storage.ColKey]...)
 	}
 }
 

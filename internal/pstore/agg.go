@@ -58,7 +58,7 @@ func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, floa
 			// Fold the aggregate over the scan cursor: each pulled batch is
 			// already filtered, so the loop only charges the agg work and
 			// accumulates — no intermediate batch list.
-			src := e.scan(p, node, part, spec.Sel)
+			src := e.scan(p, node, part, spec.Sel, keyCols)
 			defer src.Close()
 			for {
 				out, ok := src.Next()
@@ -68,15 +68,14 @@ func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, floa
 				node.CPU.Process(p, out.Bytes()*spec.AggWork)
 				rows += int64(out.Rows)
 				if !out.Phantom() {
-					keys := out.Cols[storage.ColKey]
-					for i := 0; i < out.Rows; i++ {
-						sum += uint64(keys.Int64(i))
+					for _, k := range out.Cols[storage.ColKey] {
+						sum += uint64(k)
 					}
 				}
 			}
 			// Ship the partial aggregate: one tiny tuple (32 bytes).
 			agg := storage.Batch{Rows: 1, Width: 32,
-				Cols: []storage.Column{storage.Int64Column{int64(rows)}, storage.Int64Column{int64(sum)}}}
+				Cols: []storage.Int64Column{{int64(rows)}, {int64(sum)}}}
 			c.Send(p, cluster.Message{From: nd, To: spec.Coordinator, Batch: agg, Dest: mb})
 			c.Send(p, cluster.Message{From: nd, To: spec.Coordinator, EOS: true, Dest: mb})
 		})
@@ -88,8 +87,8 @@ func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, floa
 			if !ok {
 				break
 			}
-			res.QualifiedRows += b.Cols[0].Int64(0)
-			res.Sum += uint64(b.Cols[1].Int64(0))
+			res.QualifiedRows += b.Cols[0][0]
+			res.Sum += uint64(b.Cols[1][0])
 		}
 		res.Seconds = p.Now()
 		done.Fire()

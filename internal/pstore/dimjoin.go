@@ -21,8 +21,9 @@ type DimJoin struct {
 	Dim storage.TableDef
 	// Sel is the predicate selectivity on the dimension.
 	Sel float64
-	// KeyCol is the probe-batch column carrying the dimension foreign key
-	// (storage.LineitemColSupp for the LINEITEM->SUPPLIER edge).
+	// KeyCol is the stored probe column carrying the dimension foreign
+	// key. LINEITEM's storage.LineitemColSupp, for the LINEITEM->SUPPLIER
+	// edge, is the only one stored; JoinSpec.Validate rejects any other.
 	KeyCol int
 	// Work is extra CPU bytes charged per probe byte evaluated (default 1).
 	Work float64
@@ -43,10 +44,17 @@ func (d DimJoin) Validate() error {
 	if d.Dim.Placement != storage.Replicated {
 		return fmt.Errorf("pstore: dimension %s must be replicated", d.Dim.Table)
 	}
-	if d.KeyCol < 0 {
-		return fmt.Errorf("pstore: negative dimension key column")
-	}
 	return nil
+}
+
+// probeCols returns the probe scan's projection: the join key, plus
+// every foreign key a dimension filter reads behind it.
+func probeCols(dims []DimJoin) int {
+	cols := keyCols
+	for _, d := range dims {
+		cols = max(cols, d.KeyCol+1)
+	}
+	return cols
 }
 
 // dimFilter is the runtime form: a qualifying-key set (materialized runs)
@@ -87,10 +95,10 @@ func newDimFilters(dims []DimJoin, materialized bool) (filters []dimFilter, buil
 // cursor: every pulled batch flows through all dimension filters before
 // it emerges, so rows eliminated by a selective dimension never reach
 // the exchange. Materialized batches are filtered on one shared
-// survivor row-index list narrowed per dimension, with a single column
-// gather at the end — instead of the old batch-in/batch-out copy per
-// dimension. The CPU charge per dimension is unchanged (surviving rows
-// x width x per-dimension work), so timing is byte-identical; only the
+// survivor row-index list narrowed per dimension, and only the join key
+// is gathered at the end: nothing downstream reads the foreign keys.
+// The CPU charge per dimension is unchanged (surviving rows x width x
+// per-dimension work), so timing is byte-identical; only the
 // intermediate column copies disappear.
 type dimFilterCursor struct {
 	in      storage.Cursor
@@ -155,7 +163,8 @@ func (c *dimFilterCursor) apply(b storage.Batch) storage.Batch {
 		return b
 	}
 	// Materialized: narrow the survivor list per dimension over the
-	// ORIGINAL batch's columns; gather once at the end.
+	// ORIGINAL batch's columns; gather the key once at the end.
+	keys := storage.Batch{Rows: b.Rows, Width: b.Width, Cols: b.Cols[:keyCols]}
 	rows := b.Rows
 	c.idx = c.idx[:0]
 	first := true
@@ -166,8 +175,8 @@ func (c *dimFilterCursor) apply(b storage.Batch) storage.Batch {
 		c.cpu.Process(c.p, float64(rows)*float64(b.Width)*f.spec.work())
 		col := b.Cols[f.spec.KeyCol]
 		if first {
-			for i := 0; i < b.Rows; i++ {
-				if f.qualify.Get(col.Int64(i)) != 0 {
+			for i, k := range col {
+				if f.qualify.Get(k) != 0 {
 					c.idx = append(c.idx, i)
 				}
 			}
@@ -175,7 +184,7 @@ func (c *dimFilterCursor) apply(b storage.Batch) storage.Batch {
 		} else {
 			kept := c.idx[:0]
 			for _, i := range c.idx {
-				if f.qualify.Get(col.Int64(i)) != 0 {
+				if f.qualify.Get(col[i]) != 0 {
 					kept = append(kept, i)
 				}
 			}
@@ -184,9 +193,9 @@ func (c *dimFilterCursor) apply(b storage.Batch) storage.Batch {
 		rows = len(c.idx)
 	}
 	if first {
-		return b // no filters configured: pass through untouched
+		return keys // no filters configured: pass the key through
 	}
-	return storage.FilterBatch(b, c.idx)
+	return storage.FilterBatch(keys, c.idx)
 }
 
 // SupplierDim returns the standard Q21-style SUPPLIER dimension semijoin

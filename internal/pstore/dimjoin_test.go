@@ -1,7 +1,9 @@
 package pstore
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -26,6 +28,57 @@ func TestDimJoinValidate(t *testing.T) {
 	bad.Dim.Placement = storage.HashSegmented
 	if err := bad.Validate(); err == nil {
 		t.Fatal("non-replicated dimension accepted")
+	}
+}
+
+// A dimension's KeyCol must be a stored foreign key of the probe table,
+// LINEITEM's L_SUPPKEY being the only one. Validate rejects every other
+// index, naming the table and the index, on materialized and phantom
+// probes alike, so no bad spec reaches the simulation.
+func TestJoinSpecValidateRejectsDimKeyCol(t *testing.T) {
+	for _, mat := range []bool{true, false} {
+		orders, lineitem := smallDefs(mat)
+		for _, tc := range []struct {
+			name   string
+			probe  storage.TableDef
+			keyCol int
+			ok     bool
+		}{
+			{"L_SUPPKEY", lineitem, storage.LineitemColSupp, true},
+			{"out of range", lineitem, 7, false},
+			{"selection column", lineitem, storage.LineitemColSel, false},
+			{"join key", lineitem, storage.ColKey, false},
+			{"negative", lineitem, -1, false},
+			{"probe without a foreign key", orders, storage.LineitemColSupp, false},
+		} {
+			build := orders
+			if tc.probe.Table == tpch.Orders {
+				build = lineitem
+			}
+			d := SupplierDim(testSF, 0.5, mat)
+			d.KeyCol = tc.keyCol
+			spec := JoinSpec{Build: build, Probe: tc.probe, BuildSel: 0.1, ProbeSel: 0.1,
+				Method: DualShuffle, Dims: []DimJoin{d}}
+			c := newCluster(t, 2)
+			err := spec.Validate(c)
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("mat=%v %s: %v", mat, tc.name, err)
+				}
+				continue
+			}
+			if err == nil {
+				t.Fatalf("mat=%v %s: KeyCol %d accepted", mat, tc.name, tc.keyCol)
+			}
+			for _, want := range []string{tc.probe.Table.String(), fmt.Sprint(tc.keyCol)} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("mat=%v %s: error %q does not name %q", mat, tc.name, err, want)
+				}
+			}
+			if _, _, err := RunJoin(c, cfgSmall(), spec); err == nil {
+				t.Fatalf("mat=%v %s: RunJoin accepted KeyCol %d", mat, tc.name, tc.keyCol)
+			}
+		}
 	}
 }
 

@@ -25,9 +25,8 @@ func (h *mapHashTable) insertBatch(b storage.Batch) {
 	if h.counts == nil {
 		h.counts = make(map[int64]int64)
 	}
-	keys := b.Cols[storage.ColKey]
-	for i := 0; i < b.Rows; i++ {
-		h.counts[keys.Int64(i)]++
+	for _, k := range b.Cols[storage.ColKey] {
+		h.counts[k]++
 	}
 }
 
@@ -40,9 +39,7 @@ func (h *mapHashTable) probeBatch(b storage.Batch, matchRate float64, fracAcc *f
 	}
 	var matches int64
 	var sum uint64
-	keys := b.Cols[storage.ColKey]
-	for i := 0; i < b.Rows; i++ {
-		k := keys.Int64(i)
+	for _, k := range b.Cols[storage.ColKey] {
 		if c := h.counts[k]; c > 0 {
 			matches += c
 			sum += uint64(k) * uint64(c)
@@ -60,7 +57,7 @@ func randBatch(rng *rand.Rand, rows int, phantom bool) storage.Batch {
 	for i := range keys {
 		keys[i] = int64(rng.Intn(500))
 	}
-	b.Cols = []storage.Column{keys}
+	b.Cols = []storage.Int64Column{keys}
 	return b
 }
 

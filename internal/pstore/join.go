@@ -34,9 +34,8 @@ func (h *hashTable) insertBatch(b storage.Batch) {
 	if h.counts == nil {
 		h.counts = storage.NewInt64Table(h.hint)
 	}
-	keys := b.Cols[storage.ColKey]
-	for i := 0; i < b.Rows; i++ {
-		h.counts.Add(keys.Int64(i), 1)
+	for _, k := range b.Cols[storage.ColKey] {
+		h.counts.Add(k, 1)
 	}
 }
 
@@ -55,9 +54,7 @@ func (h *hashTable) probeBatch(b storage.Batch, matchRate float64, fracAcc *floa
 	}
 	var matches int64
 	var sum uint64
-	keys := b.Cols[storage.ColKey]
-	for i := 0; i < b.Rows; i++ {
-		k := keys.Int64(i)
+	for _, k := range b.Cols[storage.ColKey] {
 		if c := h.counts.Get(k); c > 0 {
 			matches += c
 			sum += uint64(k) * uint64(c)
@@ -336,7 +333,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	h.exchange(exchange{
 		side: "build", owners: owners, mailboxes: buildMB, done: &h.buildWG,
 		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
-			return e.scan(p, nd, buildParts[nd.ID], spec.BuildSel)
+			return e.scan(p, nd, buildParts[nd.ID], spec.BuildSel, keyCols)
 		},
 		route: func(nd int) routeFunc {
 			switch spec.Method {
@@ -379,7 +376,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 			if dimBytes > 0 {
 				nd.CPU.Process(p, dimBytes*e.cfg.JoinWork)
 			}
-			src := e.scan(p, nd, probeParts[nd.ID], spec.ProbeSel)
+			src := e.scan(p, nd, probeParts[nd.ID], spec.ProbeSel, probeCols(spec.Dims))
 			if len(dims) == 0 {
 				return src
 			}
@@ -515,12 +512,11 @@ func (r *router) routeEach(b storage.Batch, emit sendFunc) {
 		}
 		return
 	}
-	keys := b.Cols[storage.ColKey]
 	for j := range r.idx {
 		r.idx[j] = r.idx[j][:0]
 	}
-	for i := 0; i < b.Rows; i++ {
-		j := int(tpch.Hash64(uint64(keys.Int64(i))) % uint64(d))
+	for i, k := range b.Cols[storage.ColKey] {
+		j := int(tpch.Hash64(uint64(k)) % uint64(d))
 		r.idx[j] = append(r.idx[j], i)
 	}
 	for j, rows := range r.idx {

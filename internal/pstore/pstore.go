@@ -163,6 +163,13 @@ func (s JoinSpec) Validate(c *cluster.Cluster) error {
 		if err := d.Validate(); err != nil {
 			return err
 		}
+		// The key column must be a stored foreign key of the probe table,
+		// and LINEITEM's L_SUPPKEY is the only one: a stale index would
+		// read another column, or panic, inside the simulation.
+		if s.Probe.Table != tpch.Lineitem || d.KeyCol != storage.LineitemColSupp {
+			return fmt.Errorf("pstore: dimension %s key column %d is not a stored foreign key of %s",
+				d.Dim.Table, d.KeyCol, s.Probe.Table)
+		}
 	}
 	return nil
 }

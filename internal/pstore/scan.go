@@ -26,8 +26,10 @@ import (
 //     maximum CPU bandwidth").
 //
 // Filtering: materialized batches evaluate the predicate "selcol <
-// threshold" row-by-row; phantom batches shrink analytically with
-// deterministic remainder accounting so total qualified rows are exact.
+// threshold" row-by-row and gather only the stored-column prefix the
+// consumer reads (what is charged is Rows x Width either way); phantom
+// batches shrink analytically with deterministic remainder accounting
+// so total qualified rows are exact.
 //
 // RowHint is the selectivity pushed back up: expected qualified rows =
 // partition rows x selectivity, which downstream consumers use to
@@ -40,6 +42,7 @@ type scanCursor struct {
 
 	thr    int64
 	selIdx int
+	cols   int // stored-column prefix passed on
 
 	acc float64 // phantom fractional-row accumulator
 	idx []int   // materialized row-index scratch, reused across blocks
@@ -55,16 +58,21 @@ type scanCursor struct {
 
 var _ storage.Cursor = (*scanCursor)(nil)
 
-// scan opens the scan-filter cursor over a node-local partition. The
-// calling process owns the cursor: Next blocks it on the simulated
-// resources. Cold scans additionally spawn the disk-pump task here,
-// so construction must happen at the operator's start position.
+// keyCols is the scan projection of a consumer that reads the join key
+// alone: the hash-table build, the plain probe, the aggregate.
+const keyCols = storage.ColKey + 1
+
+// scan opens the scan-filter cursor over a node-local partition, passing
+// on the first cols stored columns. The calling process owns the
+// cursor: Next blocks it on the simulated resources. Cold scans
+// additionally spawn the disk-pump task here, so construction must
+// happen at the operator's start position.
 //
 // When the engine has a delta store attached for (table, node), the
 // block source is the store's merged view — base blocks with the
 // unmerged overlay applied — and the cardinality hint uses the store's
 // visible row count instead of the raw partition's.
-func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, sel float64) *scanCursor {
+func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, sel float64, cols int) *scanCursor {
 	rows := part.Rows
 	var src storage.Cursor
 	if st := e.deltaFor(part.Def.Table, node.ID); st != nil {
@@ -78,6 +86,7 @@ func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, se
 		p: p, node: node, exec: e, sel: sel,
 		thr:    tpch.SelThreshold(sel),
 		selIdx: selColIndex(part.Def.Table),
+		cols:   cols,
 		warm:   e.cfg.WarmCache,
 		hint:   int64(float64(rows) * sel),
 	}
@@ -178,7 +187,8 @@ func (c *scanCursor) read() (storage.Batch, bool) {
 	return c.prefetch.Get(c.p)
 }
 
-// filter applies the pushed-down selection to one raw block.
+// filter applies the pushed-down selection and projection to one raw
+// block.
 func (c *scanCursor) filter(b storage.Batch) storage.Batch {
 	if b.Phantom() {
 		c.acc += float64(b.Rows) * c.sel
@@ -187,11 +197,11 @@ func (c *scanCursor) filter(b storage.Batch) storage.Batch {
 		return storage.Batch{Rows: take, Width: b.Width}
 	}
 	c.idx = c.idx[:0]
-	col := b.Cols[c.selIdx]
-	for r := 0; r < b.Rows; r++ {
-		if col.Int64(r) < c.thr {
+	for r, v := range b.Cols[c.selIdx] {
+		if v < c.thr {
 			c.idx = append(c.idx, r)
 		}
 	}
+	b.Cols = b.Cols[:c.cols]
 	return storage.FilterBatch(b, c.idx)
 }

@@ -40,7 +40,7 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 				var gotSum uint64
 				var hint int64
 				c.Eng.Go("scan", func(p *sim.Proc) {
-					sc := e.scan(p, c.Nodes[0], part, sel)
+					sc := e.scan(p, c.Nodes[0], part, sel, keyCols)
 					hint, _ = sc.RowHint()
 					for {
 						b, ok := sc.Next()
@@ -52,9 +52,8 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 						}
 						gotRows += int64(b.Rows)
 						if !b.Phantom() {
-							keys := b.Cols[storage.ColKey]
-							for i := 0; i < b.Rows; i++ {
-								gotSum += uint64(keys.Int64(i))
+							for _, k := range b.Cols[storage.ColKey] {
+								gotSum += uint64(k)
 							}
 						}
 					}
@@ -77,12 +76,11 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 						wantRows += int64(take)
 						continue
 					}
-					col := b.Cols[selIdx]
 					keys := b.Cols[storage.ColKey]
-					for i := 0; i < b.Rows; i++ {
-						if col.Int64(i) < thr {
+					for i, v := range b.Cols[selIdx] {
+						if v < thr {
 							wantRows++
-							wantSum += uint64(keys.Int64(i))
+							wantSum += uint64(keys[i])
 						}
 					}
 				}
@@ -95,5 +93,91 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The scan passes on only the stored-column prefix its consumer reads:
+// the key alone for the build side, the plain probe side and the
+// aggregate; the key and L_SUPPKEY under a dimension filter, whose
+// output is the key alone again. Every projected column holds exactly
+// the qualifying rows of the stored block.
+func TestScanProjectsConsumerPrefix(t *testing.T) {
+	const batchRows = 512
+	def := storage.TableDef{Table: tpch.Lineitem, SF: testSF, Width: tpch.Q3ProjectedWidth,
+		Placement: storage.HashSegmented, SegmentColumn: "L_SHIPDATE", Materialize: true}
+	parts, err := storage.PartitionTable(def, 1, batchRows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sel = 0.25
+	dims := []DimJoin{supplierDim(0.4, true)}
+	for _, tc := range []struct {
+		consumer string
+		cols     int
+		want     int
+	}{
+		{"build, aggregate", keyCols, 1},
+		{"plain probe", probeCols(nil), 1},
+		{"probe under a dimension filter", probeCols(dims), 2},
+	} {
+		// Reference: the predicate over the stored blocks, every column
+		// gathered.
+		thr := tpch.SelThreshold(sel)
+		var want []storage.Batch
+		for _, b := range parts[0].Batches(batchRows) {
+			var idx []int
+			for i, v := range b.Cols[storage.LineitemColSel] {
+				if v < thr {
+					idx = append(idx, i)
+				}
+			}
+			if len(idx) > 0 {
+				want = append(want, storage.FilterBatch(b, idx))
+			}
+		}
+		c := newCluster(t, 1)
+		e := New(c, Config{BatchRows: batchRows, WarmCache: true})
+		var got []storage.Batch
+		c.Eng.Go("scan", func(p *sim.Proc) {
+			sc := e.scan(p, c.Nodes[0], parts[0], sel, tc.cols)
+			for b, ok := sc.Next(); ok; b, ok = sc.Next() {
+				got = append(got, b)
+			}
+		})
+		c.Run()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d batches, want %d", tc.consumer, len(got), len(want))
+		}
+		for bi, b := range got {
+			if len(b.Cols) != tc.want {
+				t.Fatalf("%s: batch %d carries %d columns, want %d", tc.consumer, bi, len(b.Cols), tc.want)
+			}
+			for k, col := range b.Cols {
+				for r, v := range col {
+					if v != want[bi].Cols[k][r] {
+						t.Fatalf("%s: batch %d column %d row %d = %d, want %d", tc.consumer, bi, k, r, v, want[bi].Cols[k][r])
+					}
+				}
+			}
+		}
+	}
+
+	// The dimension filter reads L_SUPPKEY and emits the key alone.
+	filters, _ := newDimFilters(dims, true)
+	c := newCluster(t, 1)
+	e := New(c, Config{BatchRows: batchRows, WarmCache: true})
+	var rows int
+	c.Eng.Go("probe", func(p *sim.Proc) {
+		dc := &dimFilterCursor{in: e.scan(p, c.Nodes[0], parts[0], sel, probeCols(dims)), p: p, cpu: c.Nodes[0].CPU, filters: filters}
+		for b, ok := dc.Next(); ok; b, ok = dc.Next() {
+			if len(b.Cols) != 1 {
+				t.Errorf("dimension filter emitted %d columns, want 1", len(b.Cols))
+			}
+			rows += b.Rows
+		}
+	})
+	c.Run()
+	if rows == 0 {
+		t.Fatal("dimension filter emitted no rows")
 	}
 }

@@ -59,9 +59,8 @@ func batchChecksum(b Batch, rows *int64, sum *uint64) {
 	if b.Phantom() {
 		return
 	}
-	keys := b.Cols[ColKey]
-	for i := 0; i < b.Rows; i++ {
-		*sum += uint64(keys.Int64(i))
+	for _, k := range b.Cols[ColKey] {
+		*sum += uint64(k)
 	}
 }
 

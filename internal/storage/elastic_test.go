@@ -84,15 +84,16 @@ func TestElasticMatchesNativeAtFullSize(t *testing.T) {
 
 func TestElasticAdoptionRoutesByHomeHash(t *testing.T) {
 	// Materialized: every row on online node j must satisfy
-	// (hash(key) % homes) % n == j.
+	// (hash(key) % homes) % n == j. The segmentation key O_CUSTKEY is not
+	// stored: recompute it from the stored O_ORDERKEY (row index + 1).
 	def := elasticDef(8, true)
 	n := 5
 	parts, _ := PartitionTable(def, n, 512)
 	for _, p := range parts {
 		for _, b := range p.Batches(512) {
-			cust := b.Cols[1]
-			for i := 0; i < b.Rows; i++ {
-				h := int(tpch.Hash64(uint64(cust.Int64(i))) % 8)
+			for _, key := range b.Cols[ColKey] {
+				cust := tpch.GenOrder(def.SF, key-1).CustKey
+				h := int(tpch.Hash64(uint64(cust)) % 8)
 				if h%n != p.Node {
 					t.Fatalf("row with home %d on node %d (want %d)", h, p.Node, h%n)
 				}

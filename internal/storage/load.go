@@ -10,14 +10,21 @@ import (
 // Column indexes of materialized batches. tableSchema places each
 // generator at its index, so the stored layout and these constants are
 // one definition: two generators on one index do not compile.
+//
+// A table stores only the columns some operator reads, ordered so that
+// every consumer reads a prefix: the join key (hash-table build and
+// probe, exchange router, aggregate), then the foreign key a dimension
+// semijoin reads (LINEITEM's L_SUPPKEY), then the selection column,
+// which only the scan's predicate reads. A scan therefore passes on a
+// prefix and never gathers the columns behind it.
 const (
 	ColKey = 0 // join key column of every table
 
-	LineitemColSel  = 3
-	LineitemColSupp = 4
-	OrdersColSel    = 3
-	CustomerColSel  = 2
-	SupplierColSel  = 2
+	LineitemColSupp = 1
+	LineitemColSel  = 2
+	OrdersColSel    = 1
+	CustomerColSel  = 1
+	SupplierColSel  = 1
 )
 
 // schema is the one description of a materialized table: the generators
@@ -25,7 +32,7 @@ const (
 // that hash segmentation routes on.
 type schema struct {
 	cols    []tpch.Column
-	segment tpch.Column // need not be stored: LINEITEM's L_SHIPDATE is not
+	segment tpch.Column // need not be stored: L_SHIPDATE and O_CUSTKEY are not
 }
 
 // tableSchema returns def's schema. The segmentation column is the one
@@ -47,10 +54,8 @@ func tableSchema(def TableDef) schema {
 		c := tpch.LineitemColumns(def.SF, def.SkewTheta)
 		s := schema{segment: c.OrderKey, cols: []tpch.Column{
 			ColKey:          c.OrderKey,
-			1:               c.ExtendedPrice,
-			2:               c.Discount,
-			LineitemColSel:  c.SelCol,
 			LineitemColSupp: c.SuppKey,
+			LineitemColSel:  c.SelCol,
 		}}
 		if def.SegmentColumn == "L_SHIPDATE" {
 			s.segment = c.ShipDate
@@ -60,8 +65,6 @@ func tableSchema(def TableDef) schema {
 		c := tpch.OrderColumns(def.SF)
 		s := schema{segment: c.CustKey, cols: []tpch.Column{
 			ColKey:       c.OrderKey,
-			1:            c.CustKey,
-			2:            c.OrderDate,
 			OrdersColSel: c.SelCol,
 		}}
 		if def.SegmentColumn == "O_ORDERKEY" {
@@ -70,18 +73,10 @@ func tableSchema(def TableDef) schema {
 		return s
 	case tpch.Customer:
 		c := tpch.CustomerColumns()
-		return schema{segment: c.CustKey, cols: []tpch.Column{
-			ColKey:         c.CustKey,
-			1:              c.NationKey,
-			CustomerColSel: c.SelCol,
-		}}
+		return schema{segment: c.CustKey, cols: []tpch.Column{ColKey: c.CustKey, CustomerColSel: c.SelCol}}
 	case tpch.Supplier:
 		c := tpch.SupplierColumns()
-		return schema{segment: c.SuppKey, cols: []tpch.Column{
-			ColKey:         c.SuppKey,
-			1:              c.NationKey,
-			SupplierColSel: c.SelCol,
-		}}
+		return schema{segment: c.SuppKey, cols: []tpch.Column{ColKey: c.SuppKey, SupplierColSel: c.SelCol}}
 	default:
 		// Generic single-key table: the key is the row index.
 		key := tpch.RowIndexColumn()
@@ -236,7 +231,7 @@ func blocks(def TableDef, cols []Int64Column, blockRows int) []Batch {
 	out := make([]Batch, 0, rows/blockRows+1)
 	for start, end := 0, 0; start < rows; start = end {
 		end = start + min(blockRows, rows-start)
-		b := Batch{Rows: end - start, Width: def.Width, Cols: make([]Column, len(cols))}
+		b := Batch{Rows: end - start, Width: def.Width, Cols: make([]Int64Column, len(cols))}
 		for k, c := range cols {
 			b.Cols[k] = c[start:end:end]
 		}

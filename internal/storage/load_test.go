@@ -22,20 +22,20 @@ func oracleRow(def TableDef, i int64) (stored []int64, seg int64) {
 		if def.SegmentColumn == "L_SHIPDATE" {
 			seg = r.ShipDate
 		}
-		return []int64{r.OrderKey, r.ExtendedPrice, r.Discount, r.SelCol, r.SuppKey}, seg
+		return []int64{r.OrderKey, r.SuppKey, r.SelCol}, seg
 	case tpch.Orders:
 		r := tpch.GenOrder(def.SF, i)
 		seg = r.CustKey
 		if def.SegmentColumn == "O_ORDERKEY" {
 			seg = r.OrderKey
 		}
-		return []int64{r.OrderKey, r.CustKey, r.OrderDate, r.SelCol}, seg
+		return []int64{r.OrderKey, r.SelCol}, seg
 	case tpch.Customer:
 		r := tpch.GenCustomer(def.SF, i)
-		return []int64{r.CustKey, r.NationKey, r.SelCol}, r.CustKey
+		return []int64{r.CustKey, r.SelCol}, r.CustKey
 	case tpch.Supplier:
 		r := tpch.GenSupplier(def.SF, i)
-		return []int64{r.SuppKey, r.NationKey, r.SelCol}, r.SuppKey
+		return []int64{r.SuppKey, r.SelCol}, r.SuppKey
 	default:
 		return []int64{i}, i
 	}
@@ -100,8 +100,7 @@ func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRo
 			if len(b.Cols) != len(want[nd]) {
 				t.Fatalf("node %d block %d: %d columns, want %d", nd, bi, len(b.Cols), len(want[nd]))
 			}
-			for k, c := range b.Cols {
-				col := c.(Int64Column)
+			for k, col := range b.Cols {
 				if len(col) != b.Rows || cap(col) != b.Rows {
 					t.Fatalf("node %d block %d col %d: len %d cap %d, want both %d", nd, bi, k, len(col), cap(col), b.Rows)
 				}
@@ -179,22 +178,25 @@ func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 }
 
 // Hash segmentation must place every row on the node the exchange router
-// and Prepartitioned joins expect: Hash64 of the stored segmentation
-// column, modulo homes, modulo n. SUPPLIER used to be routed on the row
+// and Prepartitioned joins expect: Hash64 of the segmentation column,
+// modulo homes, modulo n. The column is read from the stored key: it is
+// the key itself, or — O_CUSTKEY, which is not stored — recomputed from
+// O_ORDERKEY = row index + 1. SUPPLIER used to be routed on the row
 // index while storing S_SUPPKEY = index+1.
 func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
 	defs := oracleDefs()
+	custKey := func(key int64) int64 { return tpch.GenOrder(defs["orders/custkey"].SF, key-1).CustKey }
 	for _, tc := range []struct {
-		def string
-		col int
+		def     string
+		segment func(key int64) int64 // nil: the key itself
 	}{
-		{"lineitem/orderkey", ColKey},
-		{"lineitem/orderkey/skew", ColKey},
-		{"orders/custkey", 1},
-		{"orders/orderkey", ColKey},
-		{"customer", ColKey},
-		{"supplier", ColKey},
-		{"generic", ColKey},
+		{"lineitem/orderkey", nil},
+		{"lineitem/orderkey/skew", nil},
+		{"orders/custkey", custKey},
+		{"orders/orderkey", nil},
+		{"customer", nil},
+		{"supplier", nil},
+		{"generic", nil},
 	} {
 		for _, homes := range []int{0, 8} {
 			for _, n := range []int{3, 4} {
@@ -210,8 +212,10 @@ func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
 				}
 				for _, p := range parts {
 					for _, b := range p.Batches(512) {
-						for r := 0; r < b.Rows; r++ {
-							v := b.Cols[tc.col].Int64(r)
+						for _, v := range b.Cols[ColKey] {
+							if tc.segment != nil {
+								v = tc.segment(v)
+							}
 							if d := int(tpch.Hash64(uint64(v))%h) % n; d != p.Node {
 								t.Fatalf("%s homes %d n %d: value %d on node %d hashes to node %d", tc.def, homes, n, v, p.Node, d)
 							}
@@ -264,9 +268,9 @@ func TestReplicatedPartitionsShareColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := parts[0].Batches(64)[1].Cols[SupplierColSel].(Int64Column)
+	first := parts[0].Batches(64)[1].Cols[SupplierColSel]
 	for _, p := range parts[1:] {
-		if col := p.Batches(64)[1].Cols[SupplierColSel].(Int64Column); &col[0] != &first[0] {
+		if col := p.Batches(64)[1].Cols[SupplierColSel]; &col[0] != &first[0] {
 			t.Fatalf("node %d holds its own copy of the replicated table", p.Node)
 		}
 	}

@@ -2,9 +2,11 @@
 // that P-store is built on (the paper builds on the block-iterator
 // tuple-scan module and storage engine of Harizopoulos et al. [16]).
 //
-// The engine stores tables as typed column vectors grouped into fixed-size
-// blocks. A Batch is the unit flowing between operators: a set of column
-// vectors plus a logical row count. Batches come in two flavours:
+// The engine stores each table as int64 column vectors grouped into
+// fixed-size blocks, and only the columns some operator reads: the join
+// key, LINEITEM's supplier foreign key, and the selection column. A
+// Batch is the unit flowing between operators: a slice of Int64Column
+// plus a logical row count and tuple width. Batches come in two flavours:
 //
 //   - materialized: column data is present; operators compute real
 //     results (used by functional tests and small-scale runs);
@@ -41,11 +43,13 @@ import (
 type Batch struct {
 	// Rows is the logical row count.
 	Rows int
-	// Width is bytes per tuple (projected width).
+	// Width is bytes per tuple (projected width): simulated costs come
+	// from Rows x Width, not from the columns Cols carries.
 	Width int
 	// Cols holds materialized column vectors, nil for phantom batches.
-	// All columns have length Rows.
-	Cols []Column
+	// All columns have length Rows: a stored block's are its table's
+	// stored columns (load.go), a scan's output a prefix of them.
+	Cols []Int64Column
 }
 
 // Bytes returns the batch's logical size in bytes.
@@ -54,44 +58,23 @@ func (b Batch) Bytes() float64 { return float64(b.Rows) * float64(b.Width) }
 // Phantom reports whether the batch carries no materialized data.
 func (b Batch) Phantom() bool { return b.Cols == nil }
 
-// Column is a typed column vector. Only int64 columns are needed by the
-// paper's projections (keys, dates, prices-in-cents, priorities); the
-// interface leaves room for more types.
-type Column interface {
-	Len() int
-	// Int64 returns the value at row i (all paper columns are integral).
-	Int64(i int) int64
-	// Gather returns a new column with the rows at the given indexes.
-	Gather(idx []int) Column
-}
-
-// Int64Column is the concrete integral column.
+// Int64Column is a column vector. Every stored column is integral
+// (keys, foreign keys, the selection column), so it is the only type.
 type Int64Column []int64
 
-// Len implements Column.
-func (c Int64Column) Len() int { return len(c) }
-
-// Int64 implements Column.
-func (c Int64Column) Int64(i int) int64 { return c[i] }
-
-// Gather implements Column.
-func (c Int64Column) Gather(idx []int) Column {
-	out := make(Int64Column, len(idx))
-	for j, i := range idx {
-		out[j] = c[i]
-	}
-	return out
-}
-
-// FilterBatch applies a row-index selection to all columns.
+// FilterBatch gathers the rows at idx from every column of b into new
+// columns.
 func FilterBatch(b Batch, idx []int) Batch {
 	out := Batch{Rows: len(idx), Width: b.Width}
 	if b.Phantom() {
 		return out
 	}
-	out.Cols = make([]Column, len(b.Cols))
-	for i, c := range b.Cols {
-		out.Cols[i] = c.Gather(idx)
+	out.Cols = make([]Int64Column, len(b.Cols))
+	for k, c := range b.Cols {
+		out.Cols[k] = make(Int64Column, len(idx))
+		for j, i := range idx {
+			out.Cols[k][j] = c[i]
+		}
 	}
 	return out
 }

@@ -85,16 +85,18 @@ func TestReplicatedPlacement(t *testing.T) {
 
 func TestSegmentationRoutesByKeyHash(t *testing.T) {
 	// Every row in node i's partition must hash to node i — the property
-	// "partition-compatible join needs no shuffle" relies on this.
+	// "partition-compatible join needs no shuffle" relies on this. ORDERS
+	// is segmented on O_CUSTKEY, which is not stored: recompute it from
+	// the stored O_ORDERKEY (row index + 1).
 	def := ordDef(0.01, true)
 	n := 4
 	parts, _ := PartitionTable(def, n, 512)
 	for _, p := range parts {
 		for _, b := range p.Batches(512) {
-			cust := b.Cols[1] // ORDERS col 1 = custkey
-			for i := 0; i < b.Rows; i++ {
-				if int(tpch.Hash64(uint64(cust.Int64(i)))%uint64(n)) != p.Node {
-					t.Fatalf("row with custkey %d on wrong node %d", cust.Int64(i), p.Node)
+			for _, key := range b.Cols[ColKey] {
+				cust := tpch.GenOrder(def.SF, key-1).CustKey
+				if int(tpch.Hash64(uint64(cust))%uint64(n)) != p.Node {
+					t.Fatalf("row with custkey %d on wrong node %d", cust, p.Node)
 				}
 			}
 		}
@@ -148,10 +150,11 @@ func TestBatchBytes(t *testing.T) {
 func TestFilterBatchMaterialized(t *testing.T) {
 	b := Batch{
 		Rows: 4, Width: 8,
-		Cols: []Column{Int64Column{10, 20, 30, 40}},
+		Cols: []Int64Column{{10, 20, 30, 40}, {1, 2, 3, 4}},
 	}
 	f := FilterBatch(b, []int{1, 3})
-	if f.Rows != 2 || f.Cols[0].Int64(0) != 20 || f.Cols[0].Int64(1) != 40 {
+	if f.Rows != 2 || len(f.Cols) != 2 ||
+		f.Cols[0][0] != 20 || f.Cols[0][1] != 40 || f.Cols[1][0] != 2 || f.Cols[1][1] != 4 {
 		t.Fatalf("filtered batch wrong: %+v", f)
 	}
 }
@@ -171,15 +174,19 @@ func TestPartitionTableRejectsZeroNodes(t *testing.T) {
 }
 
 func TestMaterializedMatchesGenerator(t *testing.T) {
-	// Values in materialized batches must be exactly the tpch generator's.
+	// Values in materialized batches must be exactly the tpch generator's,
+	// in every stored column and no other.
 	def := liDef(0.01, true)
 	parts, _ := PartitionTable(def, 1, 1<<20)
 	b := parts[0].Batches(1 << 20)[0]
+	if len(b.Cols) != 3 {
+		t.Fatalf("LINEITEM stores %d columns, want 3", len(b.Cols))
+	}
 	for i := 0; i < 100; i++ {
 		want := tpch.GenLineitem(def.SF, int64(i))
-		if b.Cols[0].Int64(i) != want.OrderKey || b.Cols[3].Int64(i) != want.SelCol {
-			t.Fatalf("row %d: batch (%d,%d) != generator (%d,%d)", i,
-				b.Cols[0].Int64(i), b.Cols[3].Int64(i), want.OrderKey, want.SelCol)
+		got := [3]int64{b.Cols[ColKey][i], b.Cols[LineitemColSupp][i], b.Cols[LineitemColSel][i]}
+		if got != [3]int64{want.OrderKey, want.SuppKey, want.SelCol} {
+			t.Fatalf("row %d: batch %v != generator (%d,%d,%d)", i, got, want.OrderKey, want.SuppKey, want.SelCol)
 		}
 	}
 }
@@ -199,7 +206,7 @@ func TestPartitionConservationProperty(t *testing.T) {
 		for _, p := range parts {
 			for _, b := range p.Batches(blk) {
 				for _, c := range b.Cols {
-					if c.Len() != b.Rows {
+					if len(c) != b.Rows {
 						return false
 					}
 				}

@@ -395,22 +395,20 @@ func (c Column) Fill(lo int64, mix []uint64, out []int64) {
 // index itself.
 func RowIndexColumn() Column { return seqColumn(1, 0) }
 
-// LineitemCols holds one Column per LineitemRow field.
+// LineitemCols holds the generators of the LineitemRow fields a table
+// stores or segments on; the other fields exist only in GenLineitem.
 type LineitemCols struct {
-	OrderKey, SuppKey, ExtendedPrice, Discount, ShipDate, Quantity, SelCol Column
+	OrderKey, SuppKey, ShipDate, SelCol Column
 }
 
 // LineitemColumns returns the LINEITEM column generators: GenLineitem's
 // fields, or GenLineitemSkewed's when theta is positive.
 func LineitemColumns(sf ScaleFactor, theta float64) LineitemCols {
 	c := LineitemCols{
-		OrderKey:      seqColumn(4, 1),
-		SuppKey:       drawColumn(0x50BB, uint64(sf.Suppliers()), 1),
-		ExtendedPrice: drawColumn(0xFA1CE, 10_000_00, 100),
-		Discount:      drawColumn(0xD15C, 1001, 0),
-		ShipDate:      drawColumn(0x5417, 2557, 0),
-		Quantity:      drawColumn(0x9771, 50, 1),
-		SelCol:        drawColumn(0x5E11, SelDomain, 0),
+		OrderKey: seqColumn(4, 1),
+		SuppKey:  drawColumn(0x50BB, uint64(sf.Suppliers()), 1),
+		ShipDate: drawColumn(0x5417, 2557, 0),
+		SelCol:   drawColumn(0x5E11, SelDomain, 0),
 	}
 	if theta > 0 {
 		c.OrderKey = Column{kind: colZipf, stream: streamKey(0x5C3B), keys: sf.Orders(), theta: theta}
@@ -418,48 +416,45 @@ func LineitemColumns(sf ScaleFactor, theta float64) LineitemCols {
 	return c
 }
 
-// OrderCols holds one Column per OrderRow field.
+// OrderCols holds the generators of the OrderRow fields a table stores
+// or segments on.
 type OrderCols struct {
-	OrderKey, CustKey, OrderDate, ShipPriority, SelCol Column
+	OrderKey, CustKey, SelCol Column
 }
 
 // OrderColumns returns the ORDERS column generators (GenOrder's fields).
 func OrderColumns(sf ScaleFactor) OrderCols {
 	return OrderCols{
-		OrderKey:     seqColumn(1, 1),
-		CustKey:      drawColumn(0xA11CE, uint64(sf.Customers()), 1),
-		OrderDate:    drawColumn(0xDA7E, 2557, 0),
-		ShipPriority: drawColumn(0x5A1B, 5, 0),
-		SelCol:       drawColumn(0x5E10, SelDomain, 0),
+		OrderKey: seqColumn(1, 1),
+		CustKey:  drawColumn(0xA11CE, uint64(sf.Customers()), 1),
+		SelCol:   drawColumn(0x5E10, SelDomain, 0),
 	}
 }
 
-// CustomerCols holds one Column per CustomerRow field.
+// CustomerCols holds the generators of the stored CustomerRow fields.
 type CustomerCols struct {
-	CustKey, NationKey, SelCol Column
+	CustKey, SelCol Column
 }
 
 // CustomerColumns returns the CUSTOMER column generators (GenCustomer's
 // fields).
 func CustomerColumns() CustomerCols {
 	return CustomerCols{
-		CustKey:   seqColumn(1, 1),
-		NationKey: drawColumn(0x0A70, 25, 0),
-		SelCol:    drawColumn(0x5E12, SelDomain, 0),
+		CustKey: seqColumn(1, 1),
+		SelCol:  drawColumn(0x5E12, SelDomain, 0),
 	}
 }
 
-// SupplierCols holds one Column per SupplierRow field.
+// SupplierCols holds the generators of the stored SupplierRow fields.
 type SupplierCols struct {
-	SuppKey, NationKey, SelCol Column
+	SuppKey, SelCol Column
 }
 
 // SupplierColumns returns the SUPPLIER column generators (GenSupplier's
 // fields).
 func SupplierColumns() SupplierCols {
 	return SupplierCols{
-		SuppKey:   seqColumn(1, 1),
-		NationKey: drawColumn(0x50FF, 25, 0),
-		SelCol:    drawColumn(0x5E13, SelDomain, 0),
+		SuppKey: seqColumn(1, 1),
+		SelCol:  drawColumn(0x5E13, SelDomain, 0),
 	}
 }

@@ -2,6 +2,7 @@ package pstore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
@@ -22,6 +23,19 @@ type AggSpec struct {
 	Coordinator int
 }
 
+// Validate sanity-checks the spec against a cluster.
+func (s AggSpec) Validate(c *cluster.Cluster) error {
+	switch {
+	case !(s.Sel > 0 && s.Sel <= 1): // rejects NaN
+		return fmt.Errorf("pstore: selectivity must be in (0,1], got %v", s.Sel)
+	case s.Coordinator < 0 || s.Coordinator >= len(c.Nodes):
+		return fmt.Errorf("pstore: coordinator %d out of range", s.Coordinator)
+	case !(s.AggWork >= 0 && s.AggWork <= math.MaxFloat64): // rejects NaN and +Inf
+		return fmt.Errorf("pstore: aggregate work must be finite and >= 0, got %v", s.AggWork)
+	}
+	return nil
+}
+
 // AggResult reports one executed aggregation query.
 type AggResult struct {
 	Seconds       float64
@@ -34,12 +48,15 @@ type AggResult struct {
 // RunAggregate executes the aggregation query on the cluster and returns
 // the result plus total cluster energy.
 func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, float64, error) {
+	if err := spec.Validate(c); err != nil {
+		return AggResult{}, 0, err
+	}
 	e := New(c, cfg)
 	if spec.AggWork == 0 {
 		spec.AggWork = 1.0
 	}
 	n := len(c.Nodes)
-	parts, err := storage.PartitionTable(spec.Table, n, e.cfg.BatchRows)
+	parts, err := storage.PartitionColumns(spec.Table, n, e.cfg.BatchRows, loadCols(spec.Table, keyCols))
 	if err != nil {
 		return AggResult{}, 0, err
 	}

@@ -38,7 +38,7 @@ func (d DimJoin) work() float64 {
 
 // Validate checks the dimension spec.
 func (d DimJoin) Validate() error {
-	if d.Sel <= 0 || d.Sel > 1 {
+	if !(d.Sel > 0 && d.Sel <= 1) { // rejects NaN
 		return fmt.Errorf("pstore: dimension selectivity %v out of (0,1]", d.Sel)
 	}
 	if d.Dim.Placement != storage.Replicated {

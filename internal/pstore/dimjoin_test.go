@@ -19,12 +19,14 @@ func TestDimJoinValidate(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := d
-	bad.Sel = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("zero selectivity accepted")
+	for _, sel := range []float64{0, -0.5, 1.5, math.NaN()} {
+		bad := d
+		bad.Sel = sel
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("selectivity %v accepted", sel)
+		}
 	}
-	bad = d
+	bad := d
 	bad.Dim.Placement = storage.HashSegmented
 	if err := bad.Validate(); err == nil {
 		t.Fatal("non-replicated dimension accepted")
@@ -46,7 +48,7 @@ func TestJoinSpecValidateRejectsDimKeyCol(t *testing.T) {
 		}{
 			{"L_SUPPKEY", lineitem, storage.LineitemColSupp, true},
 			{"out of range", lineitem, 7, false},
-			{"selection column", lineitem, storage.LineitemColSel, false},
+			{"selection column", lineitem, storage.ColSel, false},
 			{"join key", lineitem, storage.ColKey, false},
 			{"negative", lineitem, -1, false},
 			{"probe without a foreign key", orders, storage.LineitemColSupp, false},

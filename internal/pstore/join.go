@@ -271,11 +271,11 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 		return nil, fmt.Errorf("pstore: prepartitioned join requires all nodes to build")
 	}
 
-	buildParts, err := storage.PartitionTable(spec.Build, n, e.cfg.BatchRows)
+	buildParts, err := storage.PartitionColumns(spec.Build, n, e.cfg.BatchRows, loadCols(spec.Build, keyCols))
 	if err != nil {
 		return nil, err
 	}
-	probeParts, err := storage.PartitionTable(spec.Probe, n, e.cfg.BatchRows)
+	probeParts, err := storage.PartitionColumns(spec.Probe, n, e.cfg.BatchRows, loadCols(spec.Probe, probeCols(spec.Dims)))
 	if err != nil {
 		return nil, err
 	}

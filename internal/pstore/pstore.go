@@ -147,7 +147,7 @@ func (s JoinSpec) matchRate() float64 {
 
 // Validate sanity-checks the spec against a cluster.
 func (s JoinSpec) Validate(c *cluster.Cluster) error {
-	if s.BuildSel <= 0 || s.BuildSel > 1 || s.ProbeSel <= 0 || s.ProbeSel > 1 {
+	if !(s.BuildSel > 0 && s.BuildSel <= 1 && s.ProbeSel > 0 && s.ProbeSel <= 1) { // rejects NaN
 		return fmt.Errorf("pstore: selectivities must be in (0,1], got build=%v probe=%v",
 			s.BuildSel, s.ProbeSel)
 	}
@@ -227,21 +227,4 @@ func (e *Exec) AttachDeltas(ds *delta.Set) { e.deltas = ds }
 // deltaFor returns the attached store for (table, node), or nil.
 func (e *Exec) deltaFor(t tpch.Table, node int) *delta.Store {
 	return e.deltas.For(t, node) // nil-receiver safe
-}
-
-// selColIndex returns the selectivity column index for materialized
-// batches of the given table.
-func selColIndex(t tpch.Table) int {
-	switch t {
-	case tpch.Lineitem:
-		return storage.LineitemColSel
-	case tpch.Orders:
-		return storage.OrdersColSel
-	case tpch.Customer:
-		return storage.CustomerColSel
-	case tpch.Supplier:
-		return storage.SupplierColSel
-	default:
-		return 0
-	}
 }

@@ -313,17 +313,28 @@ func TestMemoryCheckRejectsOversizedHashTable(t *testing.T) {
 	}
 }
 
+// A NaN selectivity fails every comparison, so a range check written as
+// "s <= 0 || s > 1" let it through to a join that qualified no rows and
+// matched its reference join on zero rows. Every bad spec must be
+// refused, and a materialized join must not run it.
 func TestValidateRejectsBadSpecs(t *testing.T) {
-	c := newCluster(t, 2)
-	build, probe := smallDefs(false)
-	bad := []JoinSpec{
-		{Build: build, Probe: probe, BuildSel: 0, ProbeSel: 0.5},
-		{Build: build, Probe: probe, BuildSel: 0.5, ProbeSel: 1.5},
-		{Build: build, Probe: probe, BuildSel: 0.5, ProbeSel: 0.5, BuildNodes: []int{5}},
-	}
-	for i, s := range bad {
-		if err := s.Validate(c); err == nil {
-			t.Errorf("bad spec %d validated", i)
+	build, probe := smallDefs(true)
+	nanDim := supplierDim(math.NaN(), true)
+	for name, s := range map[string]JoinSpec{
+		"zero build selectivity":     {BuildSel: 0, ProbeSel: 0.5},
+		"probe selectivity above 1":  {BuildSel: 0.5, ProbeSel: 1.5},
+		"NaN build selectivity":      {BuildSel: math.NaN(), ProbeSel: 0.5},
+		"NaN probe selectivity":      {BuildSel: 0.5, ProbeSel: math.NaN()},
+		"NaN dimension selectivity":  {BuildSel: 0.5, ProbeSel: 0.5, Dims: []DimJoin{nanDim}},
+		"build node out of range":    {BuildSel: 0.5, ProbeSel: 0.5, BuildNodes: []int{5}},
+		"negative build selectivity": {BuildSel: -1, ProbeSel: 0.5},
+	} {
+		s.Build, s.Probe = build, probe
+		if err := s.Validate(newCluster(t, 2)); err == nil {
+			t.Errorf("%s: validated", name)
+		}
+		if res, _, err := RunJoin(newCluster(t, 2), cfgSmall(), s); err == nil {
+			t.Errorf("%s: RunJoin answered %d rows and no error", name, res.OutputRows)
 		}
 	}
 }
@@ -351,6 +362,44 @@ func TestAggregateMatchesReference(t *testing.T) {
 		}
 		if res.QualifiedRows != wantRows || res.Sum != wantSum {
 			t.Fatalf("n=%d: agg (%d,%d), want (%d,%d)", n, res.QualifiedRows, res.Sum, wantRows, wantSum)
+		}
+	}
+}
+
+// RunAggregate validates its spec before it loads or simulates
+// anything: a NaN or negative selectivity used to answer zero rows and
+// no error, and a coordinator outside the cluster panicked inside the
+// simulation.
+func TestAggSpecValidate(t *testing.T) {
+	def := storage.TableDef{Table: tpch.Lineitem, SF: testSF, Width: tpch.Q3ProjectedWidth,
+		Placement: storage.HashSegmented, Materialize: true}
+	for _, tc := range []struct {
+		name string
+		spec AggSpec
+		ok   bool
+	}{
+		{"defaults", AggSpec{Sel: 0.25}, true},
+		{"full selectivity, last coordinator, explicit work", AggSpec{Sel: 1, Coordinator: 3, AggWork: 2}, true},
+		{"NaN selectivity", AggSpec{Sel: math.NaN()}, false},
+		{"negative selectivity", AggSpec{Sel: -1}, false},
+		{"zero selectivity", AggSpec{Sel: 0}, false},
+		{"selectivity above 1", AggSpec{Sel: 1.5}, false},
+		{"coordinator past the last node", AggSpec{Sel: 0.25, Coordinator: 9}, false},
+		{"coordinator one past the last node", AggSpec{Sel: 0.25, Coordinator: 4}, false},
+		{"negative coordinator", AggSpec{Sel: 0.25, Coordinator: -1}, false},
+		{"NaN work", AggSpec{Sel: 0.25, AggWork: math.NaN()}, false},
+		{"negative work", AggSpec{Sel: 0.25, AggWork: -1}, false},
+		{"infinite work", AggSpec{Sel: 0.25, AggWork: math.Inf(1)}, false},
+	} {
+		tc.spec.Table = def
+		if err := tc.spec.Validate(newCluster(t, 4)); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)
+		}
+		if tc.ok {
+			continue
+		}
+		if res, _, err := RunAggregate(newCluster(t, 4), cfgSmall(), tc.spec); err == nil {
+			t.Errorf("%s: RunAggregate answered %d rows and no error", tc.name, res.QualifiedRows)
 		}
 	}
 }

@@ -40,9 +40,8 @@ type scanCursor struct {
 	exec *Exec
 	sel  float64
 
-	thr    int64
-	selIdx int
-	cols   int // stored-column prefix passed on
+	thr  int64
+	cols int // stored-column prefix passed on
 
 	acc float64 // phantom fractional-row accumulator
 	idx []int   // materialized row-index scratch, reused across blocks
@@ -61,6 +60,12 @@ var _ storage.Cursor = (*scanCursor)(nil)
 // keyCols is the scan projection of a consumer that reads the join key
 // alone: the hash-table build, the plain probe, the aggregate.
 const keyCols = storage.ColKey + 1
+
+// loadCols is the stored-column prefix a scan of def passing on cols
+// columns reads: through the selection column, and at least cols.
+func loadCols(def storage.TableDef, cols int) int {
+	return min(max(storage.ColSel+1, cols), storage.StoredCols(def))
+}
 
 // scan opens the scan-filter cursor over a node-local partition, passing
 // on the first cols stored columns. The calling process owns the
@@ -84,11 +89,10 @@ func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, se
 	}
 	c := &scanCursor{
 		p: p, node: node, exec: e, sel: sel,
-		thr:    tpch.SelThreshold(sel),
-		selIdx: selColIndex(part.Def.Table),
-		cols:   cols,
-		warm:   e.cfg.WarmCache,
-		hint:   int64(float64(rows) * sel),
+		thr:  tpch.SelThreshold(sel),
+		cols: cols,
+		warm: e.cfg.WarmCache,
+		hint: int64(float64(rows) * sel),
 	}
 	e.openCursors++
 	if c.warm {
@@ -197,7 +201,7 @@ func (c *scanCursor) filter(b storage.Batch) storage.Batch {
 		return storage.Batch{Rows: take, Width: b.Width}
 	}
 	c.idx = c.idx[:0]
-	for r, v := range b.Cols[c.selIdx] {
+	for r, v := range b.Cols[min(storage.ColSel, len(b.Cols)-1)] { // a generic table selects on its key
 		if v < c.thr {
 			c.idx = append(c.idx, r)
 		}

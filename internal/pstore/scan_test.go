@@ -64,7 +64,6 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 				// partition's block list, with the same deterministic
 				// fractional accounting for phantom blocks.
 				thr := tpch.SelThreshold(sel)
-				selIdx := selColIndex(def.Table)
 				var wantRows int64
 				var wantSum uint64
 				var acc float64
@@ -77,7 +76,7 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 						continue
 					}
 					keys := b.Cols[storage.ColKey]
-					for i, v := range b.Cols[selIdx] {
+					for i, v := range b.Cols[storage.ColSel] {
 						if v < thr {
 							wantRows++
 							wantSum += uint64(keys[i])
@@ -98,9 +97,11 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 
 // The scan passes on only the stored-column prefix its consumer reads:
 // the key alone for the build side, the plain probe side and the
-// aggregate; the key and L_SUPPKEY under a dimension filter, whose
-// output is the key alone again. Every projected column holds exactly
-// the qualifying rows of the stored block.
+// aggregate; the key, the selection column and L_SUPPKEY under a
+// dimension filter, whose output is the key alone again. Every
+// projected column holds exactly the qualifying rows of the stored
+// block, whether the table was loaded whole or only the prefix loadCols
+// picks for the consumer.
 func TestScanProjectsConsumerPrefix(t *testing.T) {
 	const batchRows = 512
 	def := storage.TableDef{Table: tpch.Lineitem, SF: testSF, Width: tpch.Q3ProjectedWidth,
@@ -118,7 +119,7 @@ func TestScanProjectsConsumerPrefix(t *testing.T) {
 	}{
 		{"build, aggregate", keyCols, 1},
 		{"plain probe", probeCols(nil), 1},
-		{"probe under a dimension filter", probeCols(dims), 2},
+		{"probe under a dimension filter", probeCols(dims), 3},
 	} {
 		// Reference: the predicate over the stored blocks, every column
 		// gathered.
@@ -126,7 +127,7 @@ func TestScanProjectsConsumerPrefix(t *testing.T) {
 		var want []storage.Batch
 		for _, b := range parts[0].Batches(batchRows) {
 			var idx []int
-			for i, v := range b.Cols[storage.LineitemColSel] {
+			for i, v := range b.Cols[storage.ColSel] {
 				if v < thr {
 					idx = append(idx, i)
 				}
@@ -135,27 +136,34 @@ func TestScanProjectsConsumerPrefix(t *testing.T) {
 				want = append(want, storage.FilterBatch(b, idx))
 			}
 		}
-		c := newCluster(t, 1)
-		e := New(c, Config{BatchRows: batchRows, WarmCache: true})
-		var got []storage.Batch
-		c.Eng.Go("scan", func(p *sim.Proc) {
-			sc := e.scan(p, c.Nodes[0], parts[0], sel, tc.cols)
-			for b, ok := sc.Next(); ok; b, ok = sc.Next() {
-				got = append(got, b)
-			}
-		})
-		c.Run()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d batches, want %d", tc.consumer, len(got), len(want))
+		prefix, err := storage.PartitionColumns(def, 1, batchRows, loadCols(def, tc.cols))
+		if err != nil {
+			t.Fatal(err)
 		}
-		for bi, b := range got {
-			if len(b.Cols) != tc.want {
-				t.Fatalf("%s: batch %d carries %d columns, want %d", tc.consumer, bi, len(b.Cols), tc.want)
+		for _, part := range []*storage.Partition{parts[0], prefix[0]} {
+			c := newCluster(t, 1)
+			e := New(c, Config{BatchRows: batchRows, WarmCache: true})
+			var got []storage.Batch
+			c.Eng.Go("scan", func(p *sim.Proc) {
+				sc := e.scan(p, c.Nodes[0], part, sel, tc.cols)
+				for b, ok := sc.Next(); ok; b, ok = sc.Next() {
+					got = append(got, b)
+				}
+			})
+			c.Run()
+			loaded := len(part.Batches(batchRows)[0].Cols)
+			if len(got) != len(want) {
+				t.Fatalf("%s, %d columns loaded: %d batches, want %d", tc.consumer, loaded, len(got), len(want))
 			}
-			for k, col := range b.Cols {
-				for r, v := range col {
-					if v != want[bi].Cols[k][r] {
-						t.Fatalf("%s: batch %d column %d row %d = %d, want %d", tc.consumer, bi, k, r, v, want[bi].Cols[k][r])
+			for bi, b := range got {
+				if len(b.Cols) != tc.want {
+					t.Fatalf("%s, %d columns loaded: batch %d carries %d columns, want %d", tc.consumer, loaded, bi, len(b.Cols), tc.want)
+				}
+				for k, col := range b.Cols {
+					for r, v := range col {
+						if v != want[bi].Cols[k][r] {
+							t.Fatalf("%s, %d columns loaded: batch %d column %d row %d = %d, want %d", tc.consumer, loaded, bi, k, r, v, want[bi].Cols[k][r])
+						}
 					}
 				}
 			}
@@ -179,5 +187,31 @@ func TestScanProjectsConsumerPrefix(t *testing.T) {
 	c.Run()
 	if rows == 0 {
 		t.Fatal("dimension filter emitted no rows")
+	}
+}
+
+// A join or aggregate loads the stored columns its scan reads: the key
+// and the selection column for a plain Q3 side, L_SUPPKEY behind them
+// for a LINEITEM probe under a dimension semijoin, and the key alone for
+// a generic single-key table, which selects on it.
+func TestLoadColsCoversTheScan(t *testing.T) {
+	orders, lineitem := smallDefs(true)
+	generic := storage.TableDef{Table: tpch.Part, Width: 8, Placement: storage.HashSegmented, Materialize: true}
+	dims := []DimJoin{supplierDim(0.4, true)}
+	for _, tc := range []struct {
+		name string
+		def  storage.TableDef
+		cols int
+		want int
+	}{
+		{"Q3 build", orders, keyCols, 2},
+		{"Q3 probe", lineitem, probeCols(nil), 2},
+		{"aggregate", lineitem, keyCols, 2},
+		{"dimension probe", lineitem, probeCols(dims), 3},
+		{"generic", generic, keyCols, 1},
+	} {
+		if got := loadCols(tc.def, tc.cols); got != tc.want {
+			t.Errorf("%s: loadCols = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }

@@ -11,20 +11,15 @@ import (
 // generator at its index, so the stored layout and these constants are
 // one definition: two generators on one index do not compile.
 //
-// A table stores only the columns some operator reads, ordered so that
-// every consumer reads a prefix: the join key (hash-table build and
-// probe, exchange router, aggregate), then the foreign key a dimension
-// semijoin reads (LINEITEM's L_SUPPKEY), then the selection column,
-// which only the scan's predicate reads. A scan therefore passes on a
-// prefix and never gathers the columns behind it.
+// A table stores only the columns some operator reads, in the order a
+// scan reads them: the join key, the selection column, then the foreign
+// key only a dimension semijoin reads (LINEITEM's L_SUPPKEY). A load of
+// a prefix never generates the columns behind it. A generic single-key
+// table stores its key alone and selects on it.
 const (
-	ColKey = 0 // join key column of every table
-
-	LineitemColSupp = 1
-	LineitemColSel  = 2
-	OrdersColSel    = 1
-	CustomerColSel  = 1
-	SupplierColSel  = 1
+	ColKey          = 0 // join key column of every table
+	ColSel          = 1 // selection column of every TPC-H table
+	LineitemColSupp = 2 // L_SUPPKEY
 )
 
 // schema is the one description of a materialized table: the generators
@@ -54,8 +49,8 @@ func tableSchema(def TableDef) schema {
 		c := tpch.LineitemColumns(def.SF, def.SkewTheta)
 		s := schema{segment: c.OrderKey, cols: []tpch.Column{
 			ColKey:          c.OrderKey,
+			ColSel:          c.SelCol,
 			LineitemColSupp: c.SuppKey,
-			LineitemColSel:  c.SelCol,
 		}}
 		if def.SegmentColumn == "L_SHIPDATE" {
 			s.segment = c.ShipDate
@@ -63,20 +58,17 @@ func tableSchema(def TableDef) schema {
 		return s
 	case tpch.Orders:
 		c := tpch.OrderColumns(def.SF)
-		s := schema{segment: c.CustKey, cols: []tpch.Column{
-			ColKey:       c.OrderKey,
-			OrdersColSel: c.SelCol,
-		}}
+		s := schema{segment: c.CustKey, cols: []tpch.Column{ColKey: c.OrderKey, ColSel: c.SelCol}}
 		if def.SegmentColumn == "O_ORDERKEY" {
 			s.segment = c.OrderKey
 		}
 		return s
 	case tpch.Customer:
 		c := tpch.CustomerColumns()
-		return schema{segment: c.CustKey, cols: []tpch.Column{ColKey: c.CustKey, CustomerColSel: c.SelCol}}
+		return schema{segment: c.CustKey, cols: []tpch.Column{ColKey: c.CustKey, ColSel: c.SelCol}}
 	case tpch.Supplier:
 		c := tpch.SupplierColumns()
-		return schema{segment: c.SuppKey, cols: []tpch.Column{ColKey: c.SuppKey, SupplierColSel: c.SelCol}}
+		return schema{segment: c.SuppKey, cols: []tpch.Column{ColKey: c.SuppKey, ColSel: c.SelCol}}
 	default:
 		// Generic single-key table: the key is the row index.
 		key := tpch.RowIndexColumn()
@@ -88,7 +80,7 @@ const (
 	// chunkRows is the loader's unit of parallel work. It fixes how rows
 	// are grouped, never where they land, so it is a constant rather
 	// than a function of the worker count: 64 Ki rows keep a worker's
-	// scratch (mix + one column, 1 MiB) inside its L2 cache while a
+	// scratch (mix + two columns, 1.5 MiB) near its L2 cache while a
 	// table of a million rows still splits into enough chunks to
 	// balance.
 	chunkRows = 1 << 16
@@ -100,8 +92,8 @@ const (
 // chunk is the row range [lo, hi) of one unit of loader work.
 type chunk struct{ lo, hi int64 }
 
-// load generates every row of a table once and returns the stored
-// columns of each of n destination nodes: row i goes to node
+// load generates every row of a table once and returns the columns
+// sch.cols of each of n destination nodes: row i goes to node
 // Hash64(segment key) % homes % n, and a node's rows are in row-index
 // order.
 //
@@ -110,11 +102,12 @@ type chunk struct{ lo, hi int64 }
 // destination and counts rows per (chunk, node). Exclusive prefix sums
 // of those counts, taken in chunk order, give each chunk the offset at
 // which its rows start in each node's columns, and the totals size those
-// columns exactly. Pass two generates each chunk's columns and stores
-// every value at its final offset. Chunks write disjoint ranges, so the
-// workers share nothing, and because the offsets depend only on the
-// chunk order the result is the one a serial row-by-row append would
-// build, whatever the worker count.
+// columns exactly. Pass two generates each chunk's columns, then reads
+// each row's destination once and stores all of its values at their
+// final offset. Chunks write disjoint ranges, so the workers share
+// nothing, and because the offsets depend only on the chunk order the
+// result is the one a serial row-by-row append would build, whatever
+// the worker count.
 func load(sch schema, total int64, homes, n int) [][]Int64Column {
 	chunks := make([]chunk, 0, (total+chunkRows-1)/chunkRows)
 	for lo := int64(0); lo < total; lo += chunkRows {
@@ -128,23 +121,38 @@ func load(sch schema, total int64, homes, n int) [][]Int64Column {
 	if n == 1 {
 		size[0] = int(total)
 	} else {
-		// homeNode maps a home partition to the node serving it.
+		// A row goes to homeNode[Hash64(key) % homes], the modulus taken by
+		// multiplication; a drawn segment column of at most chunkRows values
+		// (L_SHIPDATE has 2557) is routed by a value -> node table instead.
+		m := tpch.NewModulus(uint64(homes))
 		homeNode := make([]uint16, homes)
 		for h := range homeNode {
 			homeNode[h] = uint16(h % n)
+		}
+		var node []uint16
+		if bound, ok := sch.segment.Bound(); ok && bound <= chunkRows {
+			node = make([]uint16, bound)
+			for v := range node {
+				node[v] = homeNode[m.Mod(tpch.Hash64(uint64(v)))]
+			}
 		}
 		dest = make([]uint16, total)
 		offsets, _ = par.Map(0, chunks, func(_ int, c chunk) ([]int, error) {
 			s := scratchPool.Get().(*scratch)
 			defer scratchPool.Put(s)
-			keys := s.vals[:c.hi-c.lo]
+			keys := s.columns(1)[0][:c.hi-c.lo]
 			sch.segment.Fill(c.lo, s.mixFor(c, sch.segment), keys)
-			counts := make([]int, n)
-			d := dest[c.lo:c.hi]
-			for j, k := range keys {
-				nd := homeNode[tpch.Hash64(uint64(k))%uint64(homes)]
-				d[j] = nd
-				counts[nd]++
+			counts, d := make([]int, n), dest[c.lo:c.hi]
+			if node != nil {
+				for j, k := range keys {
+					d[j] = node[k]
+					counts[d[j]]++
+				}
+			} else {
+				for j, k := range keys {
+					d[j] = homeNode[m.Mod(tpch.Hash64(uint64(k)))]
+					counts[d[j]]++
+				}
 			}
 			return counts, nil
 		})
@@ -176,20 +184,21 @@ func load(sch schema, total int64, homes, n int) [][]Int64Column {
 			}
 			return struct{}{}, nil
 		}
-		vals := s.vals[:c.hi-c.lo]
-		d := dest[c.lo:c.hi]
-		into := make([]Int64Column, n)
-		next := make([]int, n)
+		vals := s.columns(len(sch.cols))
 		for k, col := range sch.cols {
-			col.Fill(c.lo, mix, vals)
-			for nd := range into {
-				into[nd] = out[nd][k]
-			}
-			copy(next, offsets[ci])
-			for j, v := range vals {
-				nd := d[j]
-				into[nd][next[nd]] = v
-				next[nd]++
+			col.Fill(c.lo, mix, vals[k][:c.hi-c.lo])
+		}
+		// Row-major. The key, which every table stores, is written outside
+		// the column loop: that halves the cost of a two-column scatter.
+		d := dest[c.lo:c.hi]
+		key, rest := vals[ColKey][:len(d)], vals[ColKey+1:]
+		next := offsets[ci] // this chunk's last use of its offsets
+		for j, nd := range d {
+			at, into := next[nd], out[nd]
+			next[nd]++
+			into[ColKey][at] = key[j]
+			for k, v := range rest {
+				into[ColKey+1+k][at] = v[j]
 			}
 		}
 		return struct{}{}, nil
@@ -197,17 +206,23 @@ func load(sch schema, total int64, homes, n int) [][]Int64Column {
 	return out
 }
 
-// scratch is a worker's buffers for one chunk: the row mixes and one
-// generated column. Pooled: allocating (faulting in, zeroing) a fresh
-// megabyte per chunk made BenchmarkPartitionTable about 15 % slower.
+// scratch is a worker's buffers for one chunk: the row mixes and the
+// generated columns. Pooled: allocating (faulting in, zeroing) fresh
+// megabytes per chunk made BenchmarkPartitionTable about 15 % slower.
 type scratch struct {
 	mix  []uint64
-	vals []int64
+	vals [][]int64
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{mix: make([]uint64, chunkRows), vals: make([]int64, chunkRows)}
-}}
+var scratchPool = sync.Pool{New: func() any { return &scratch{mix: make([]uint64, chunkRows)} }}
+
+// columns returns k chunk-sized column buffers.
+func (s *scratch) columns(k int) [][]int64 {
+	for len(s.vals) < k {
+		s.vals = append(s.vals, make([]int64, chunkRows))
+	}
+	return s.vals[:k]
+}
 
 // mixFor returns the row mixes the columns need to fill chunk c: none
 // when every one of them is a function of the row index alone.

@@ -22,7 +22,7 @@ func oracleRow(def TableDef, i int64) (stored []int64, seg int64) {
 		if def.SegmentColumn == "L_SHIPDATE" {
 			seg = r.ShipDate
 		}
-		return []int64{r.OrderKey, r.SuppKey, r.SelCol}, seg
+		return []int64{r.OrderKey, r.SelCol, r.SuppKey}, seg
 	case tpch.Orders:
 		r := tpch.GenOrder(def.SF, i)
 		seg = r.CustKey
@@ -115,8 +115,24 @@ func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRo
 	}
 }
 
+// oraclePrefix is want with every node holding only its first cols
+// columns: what PartitionColumns(def, n, blockRows, cols) must build.
+func oraclePrefix(want [][][]int64, cols int) [][][]int64 {
+	out := make([][][]int64, len(want))
+	for nd, w := range want {
+		if w != nil {
+			out[nd] = w[:cols]
+		}
+	}
+	return out
+}
+
 // oracleDefs is one definition per schema and segmentation column, each
-// of oracleRows rows: three loader chunks, the last one partial.
+// of oracleRows rows: three loader chunks, the last one partial. At SF
+// 0.01 every drawn segmentation column has a domain of at most chunkRows
+// values, which the loader routes through a value -> node table; ORDERS
+// at SF 0.5 draws O_CUSTKEY from 75 000 customers, which it routes by
+// hash and modulus, as it does every sequential key.
 const oracleRows = 2*chunkRows + 4099
 
 func oracleDefs() map[string]TableDef {
@@ -130,6 +146,7 @@ func oracleDefs() map[string]TableDef {
 		"lineitem/orderkey/skew": def(tpch.Lineitem, "L_ORDERKEY", 0.8),
 		"lineitem/shipdate/skew": def(tpch.Lineitem, "L_SHIPDATE", 0.8),
 		"orders/custkey":         def(tpch.Orders, "O_CUSTKEY", 0),
+		"orders/custkey/sf0.5":   {Table: tpch.Orders, SF: 0.5, Width: tpch.Q3ProjectedWidth, Materialize: true, SegmentColumn: "O_CUSTKEY", RowsOverride: oracleRows},
 		"orders/orderkey":        def(tpch.Orders, "O_ORDERKEY", 0),
 		"customer":               def(tpch.Customer, "", 0),
 		"supplier":               def(tpch.Supplier, "", 0),
@@ -139,10 +156,12 @@ func oracleDefs() map[string]TableDef {
 
 // The loader must build exactly what a serial row-at-a-time route-and-
 // append builds — same blocks, same rows in the same order — for every
-// schema, placement, home layout, node count and block size, and at
-// every worker count. Blocks are cut from a node's finished columns, so
-// the two small block sizes, which cost the check an allocation per cell,
-// run at one node count and one worker count.
+// schema, placement, home layout, node count, block size and stored-
+// column prefix, and at every worker count. Blocks are cut from a node's
+// finished columns, so the two small block sizes, which cost the check
+// an allocation per cell, run at one node count, one worker count and
+// every column; a shorter prefix runs at one block size and worker
+// count.
 func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type run struct{ blockRows, procs int }
@@ -156,20 +175,26 @@ func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 				}
 				for _, n := range []int{1, 3, 4, 8} {
 					def.Placement, def.HomeNodes = placement, homes
-					want := oraclePartition(def, n)
-					todo := runs
-					if n == 3 {
-						todo = append(smallBlocks, runs...)
-					}
-					for _, r := range todo {
-						runtime.GOMAXPROCS(r.procs)
-						parts, err := PartitionTable(def, n, r.blockRows)
-						if err != nil {
-							t.Fatal(err)
+					all := oraclePartition(def, n)
+					for cols := 1; cols <= StoredCols(def); cols++ {
+						want := oraclePrefix(all, cols)
+						todo := runs[1:2] // {4096, 4}
+						if cols == StoredCols(def) {
+							todo = runs
+							if n == 3 {
+								todo = append(smallBlocks, runs...)
+							}
 						}
-						t.Run(fmt.Sprintf("%s/%v/homes%d/n%d/block%d/procs%d", name, placement, homes, n, r.blockRows, r.procs), func(t *testing.T) {
-							checkPartitions(t, parts, want, r.blockRows)
-						})
+						for _, r := range todo {
+							runtime.GOMAXPROCS(r.procs)
+							parts, err := PartitionColumns(def, n, r.blockRows, cols)
+							if err != nil {
+								t.Fatal(err)
+							}
+							t.Run(fmt.Sprintf("%s/%v/homes%d/n%d/cols%d/block%d/procs%d", name, placement, homes, n, cols, r.blockRows, r.procs), func(t *testing.T) {
+								checkPartitions(t, parts, want, r.blockRows)
+							})
+						}
 					}
 				}
 			}
@@ -185,14 +210,17 @@ func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 // index while storing S_SUPPKEY = index+1.
 func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
 	defs := oracleDefs()
-	custKey := func(key int64) int64 { return tpch.GenOrder(defs["orders/custkey"].SF, key-1).CustKey }
+	custKey := func(sf tpch.ScaleFactor) func(int64) int64 {
+		return func(key int64) int64 { return tpch.GenOrder(sf, key-1).CustKey }
+	}
 	for _, tc := range []struct {
 		def     string
 		segment func(key int64) int64 // nil: the key itself
 	}{
 		{"lineitem/orderkey", nil},
 		{"lineitem/orderkey/skew", nil},
-		{"orders/custkey", custKey},
+		{"orders/custkey", custKey(defs["orders/custkey"].SF)},
+		{"orders/custkey/sf0.5", custKey(defs["orders/custkey/sf0.5"].SF)},
 		{"orders/orderkey", nil},
 		{"customer", nil},
 		{"supplier", nil},
@@ -268,11 +296,27 @@ func TestReplicatedPartitionsShareColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := parts[0].Batches(64)[1].Cols[SupplierColSel]
+	first := parts[0].Batches(64)[1].Cols[ColSel]
 	for _, p := range parts[1:] {
-		if col := p.Batches(64)[1].Cols[SupplierColSel]; &col[0] != &first[0] {
+		if col := p.Batches(64)[1].Cols[ColSel]; &col[0] != &first[0] {
 			t.Fatalf("node %d holds its own copy of the replicated table", p.Node)
 		}
+	}
+}
+
+// oracleDefs must keep both routing paths under test: some drawn
+// segmentation column small enough for the value -> node table, and one
+// too large for it.
+func TestOracleDefsCoverBothRoutes(t *testing.T) {
+	var table, modulus bool
+	for _, def := range oracleDefs() {
+		if bound, ok := tableSchema(def).segment.Bound(); ok {
+			table = table || bound <= chunkRows
+			modulus = modulus || bound > chunkRows
+		}
+	}
+	if !table || !modulus {
+		t.Fatalf("drawn segmentation columns routed by table: %v, by modulus: %v; want both", table, modulus)
 	}
 }
 
@@ -297,4 +341,51 @@ func TestPartitionTableRejectsBadArguments(t *testing.T) {
 	if parts, err := PartitionTable(tiny, maxNodes, 64); err != nil || len(parts) != maxNodes {
 		t.Errorf("%d nodes: %d partitions, err %v", maxNodes, len(parts), err)
 	}
+	// A prefix holds at least the key and no more than the table stores.
+	li := TableDef{Table: tpch.Lineitem, SF: 0.0001, Width: 20, Placement: HashSegmented, Materialize: true}
+	for _, mat := range []bool{true, false} {
+		li.Materialize = mat
+		for _, cols := range []int{0, -1, StoredCols(li) + 1} {
+			if _, err := PartitionColumns(li, 2, 64, cols); err == nil {
+				t.Errorf("materialize=%v: no error for a %d-column prefix of %s", mat, cols, li.Table)
+			}
+		}
+	}
+}
+
+// FuzzPartitionTable loads a random table — schema, segmentation column,
+// scale factor, skew, placement, row count up to three chunks, node and
+// home count, block size and stored-column prefix — and compares it with
+// the row-at-a-time oracle.
+func FuzzPartitionTable(f *testing.F) {
+	f.Add(uint8(0), uint8(1), false, false, false, uint32(oracleRows), uint8(4), uint8(0), uint16(4096), uint8(1))
+	f.Add(uint8(1), uint8(0), true, false, false, uint32(chunkRows), uint8(3), uint8(8), uint16(100), uint8(0))
+	f.Add(uint8(0), uint8(0), false, true, true, uint32(1000), uint8(2), uint8(0), uint16(7), uint8(2))
+	f.Add(uint8(4), uint8(0), false, false, false, uint32(0), uint8(5), uint8(3), uint16(1), uint8(0))
+	f.Fuzz(func(t *testing.T, table, segment uint8, bigSF, skew, replicated bool, rows uint32, n, homes uint8, blockRows uint16, prefix uint8) {
+		tables := []tpch.Table{tpch.Lineitem, tpch.Orders, tpch.Customer, tpch.Supplier, tpch.Part}
+		segments := []string{"", "L_SHIPDATE", "O_ORDERKEY"} // "": the table default
+		def := TableDef{Table: tables[int(table)%len(tables)], SF: 0.01, Width: tpch.Q3ProjectedWidth,
+			Materialize: true, SegmentColumn: segments[int(segment)%len(segments)],
+			RowsOverride: int64(rows % (3 * chunkRows)), HomeNodes: int(homes % 24)}
+		if def.RowsOverride == 0 {
+			def.SF = 0 // RowsOverride 0 means the scale factor's rows: none
+		}
+		if bigSF && def.RowsOverride > 0 {
+			def.SF = 0.5
+		}
+		if skew {
+			def.SkewTheta = 0.8
+		}
+		if replicated {
+			def.Placement = Replicated
+		}
+		nodes, blk := int(n%16)+1, int(blockRows)%8192+1
+		cols := int(prefix)%StoredCols(def) + 1
+		parts, err := PartitionColumns(def, nodes, blk, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPartitions(t, parts, oraclePrefix(oraclePartition(def, nodes), cols), blk)
+	})
 }

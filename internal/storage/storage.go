@@ -3,10 +3,11 @@
 // tuple-scan module and storage engine of Harizopoulos et al. [16]).
 //
 // The engine stores each table as int64 column vectors grouped into
-// fixed-size blocks, and only the columns some operator reads: the join
-// key, LINEITEM's supplier foreign key, and the selection column. A
-// Batch is the unit flowing between operators: a slice of Int64Column
-// plus a logical row count and tuple width. Batches come in two flavours:
+// fixed-size blocks, and only the columns some operator reads, in the
+// order a scan reads them (key, selection, LINEITEM's supplier foreign
+// key), so a join loads only the prefix its scans read. A Batch is the
+// unit flowing between operators: a slice of Int64Column plus a logical
+// row count and tuple width. Batches come in two flavours:
 //
 //   - materialized: column data is present; operators compute real
 //     results (used by functional tests and small-scale runs);
@@ -24,13 +25,14 @@
 // the table in fixed-size row chunks: pass one routes every row and
 // counts rows per (chunk, node); prefix sums over the chunks, in chunk
 // order, turn the counts into write offsets; pass two generates each
-// chunk's columns once and stores every value at its final position in
-// columns allocated once at their exact size. The offsets depend on the
-// chunk order alone, so the layout — which rows a node holds, in what
-// order, cut into which blocks — is that of a serial row-by-row load and
-// does not depend on how many workers ran it; simulated time, energy and
-// event counts therefore cannot move with GOMAXPROCS. The blocks handed
-// to operators are read-only views of those columns.
+// chunk's columns once, then stores each row's values at their final
+// position in columns allocated once at their exact size. The offsets
+// depend on the chunk order alone, so the layout — which rows a node
+// holds, in what order, cut into which blocks — is that of a serial
+// row-by-row load and depends neither on how many workers ran it nor on
+// how many columns it loaded; simulated time, energy and event counts
+// therefore cannot move with GOMAXPROCS. The blocks handed to operators
+// are read-only views of those columns.
 package storage
 
 import (
@@ -172,23 +174,36 @@ func (p *Partition) Batches(blockRows int) []Batch {
 
 // PartitionTable splits a table across n nodes according to its placement,
 // returning one Partition per node, each cut into blocks of blockRows rows.
-//
-// Materialized partitions (Def.Materialize) hold the table's stored
-// columns, generated by the loader in load.go: every row is generated
-// once, routed by the same Hash64 the exchange operator uses, and written
-// straight to its final position, so a partition's rows are in row-index
-// order and its blocks are views of one allocation per column. The n
-// partitions of a Replicated table share a single column set. Blocks are
-// read-only: cursors and delta stores hand them out without copying.
-//
-// Phantom partitions hold only row counts.
+// Materialized partitions hold every stored column of the table.
 func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
+	return PartitionColumns(def, n, blockRows, StoredCols(def))
+}
+
+// StoredCols returns how many columns a materialized def stores (load.go).
+func StoredCols(def TableDef) int { return len(tableSchema(def).cols) }
+
+// PartitionColumns is PartitionTable for a consumer that reads only the
+// first cols stored columns, 1 <= cols <= StoredCols(def): materialized
+// partitions hold that prefix alone, in the same layout. The loader in
+// load.go generates every row once, routes it by the same Hash64 the
+// exchange operator uses and writes it straight to its final position,
+// so a partition's rows are in row-index order and its blocks are views
+// of one allocation per column. The n partitions of a Replicated table
+// share a single column set. Blocks are read-only: cursors and delta
+// stores hand them out without copying. Phantom partitions hold only
+// row counts.
+func PartitionColumns(def TableDef, n, blockRows, cols int) ([]*Partition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("storage: need at least one node, got %d", n)
 	}
 	if blockRows <= 0 {
 		return nil, fmt.Errorf("storage: blockRows must be positive, got %d", blockRows)
 	}
+	sch := tableSchema(def)
+	if cols < 1 || cols > len(sch.cols) {
+		return nil, fmt.Errorf("storage: %s stores %d columns, cannot load %d", def.Table, len(sch.cols), cols)
+	}
+	sch.cols = sch.cols[:cols]
 	parts := make([]*Partition, n)
 	for i := range parts {
 		parts[i] = &Partition{Def: def, Node: i}
@@ -198,7 +213,7 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 	if def.Placement == Replicated {
 		var batches []Batch
 		if def.Materialize {
-			batches = blocks(def, load(tableSchema(def), total, 1, 1)[0], blockRows)
+			batches = blocks(def, load(sch, total, 1, 1)[0], blockRows)
 		}
 		for _, p := range parts {
 			p.Rows, p.batches = total, batches
@@ -217,7 +232,7 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 		if n > maxNodes {
 			return nil, fmt.Errorf("storage: a materialized table spans at most %d nodes, got %d", maxNodes, n)
 		}
-		for nd, cols := range load(tableSchema(def), total, homes, n) {
+		for nd, cols := range load(sch, total, homes, n) {
 			parts[nd].Rows = int64(len(cols[ColKey]))
 			parts[nd].batches = blocks(def, cols, blockRows)
 		}

@@ -184,9 +184,9 @@ func TestMaterializedMatchesGenerator(t *testing.T) {
 	}
 	for i := 0; i < 100; i++ {
 		want := tpch.GenLineitem(def.SF, int64(i))
-		got := [3]int64{b.Cols[ColKey][i], b.Cols[LineitemColSupp][i], b.Cols[LineitemColSel][i]}
-		if got != [3]int64{want.OrderKey, want.SuppKey, want.SelCol} {
-			t.Fatalf("row %d: batch %v != generator (%d,%d,%d)", i, got, want.OrderKey, want.SuppKey, want.SelCol)
+		got := [3]int64{b.Cols[ColKey][i], b.Cols[ColSel][i], b.Cols[LineitemColSupp][i]}
+		if got != [3]int64{want.OrderKey, want.SelCol, want.SuppKey} {
+			t.Fatalf("row %d: batch %v != generator (%d,%d,%d)", i, got, want.OrderKey, want.SelCol, want.SuppKey)
 		}
 	}
 }

@@ -86,6 +86,40 @@ func TestSequentialColumnsIgnoreMix(t *testing.T) {
 	}
 }
 
+// Bound is exact for a uniform draw — its values fill [0, bound) or, for
+// a key drawn from 1, [1, bound) — and absent for every other column: a
+// loader indexes a table of bound entries by the drawn values.
+func TestBoundCoversDrawnValues(t *testing.T) {
+	const sf = 0.01
+	li, o := LineitemColumns(sf, 0), OrderColumns(sf)
+	for _, tc := range []struct {
+		name      string
+		c         Column
+		lo, bound int64
+	}{
+		{"L_SHIPDATE", li.ShipDate, 0, 2557},
+		{"L_SUPPKEY", li.SuppKey, 1, ScaleFactor(sf).Suppliers() + 1},
+		{"O_CUSTKEY", o.CustKey, 1, ScaleFactor(sf).Customers() + 1},
+		{"O_SELCOL", o.SelCol, 0, SelDomain},
+	} {
+		if bound, ok := tc.c.Bound(); !ok || bound != tc.bound {
+			t.Fatalf("%s: Bound = %d, %v; want %d, true", tc.name, bound, ok, tc.bound)
+		}
+		minV, maxV := tc.bound, int64(-1)
+		for _, v := range columnRun(tc.c, 0, 200_000) {
+			minV, maxV = min(minV, v), max(maxV, v)
+		}
+		if minV < tc.lo || maxV >= tc.bound {
+			t.Fatalf("%s: values in [%d, %d], outside [%d, %d)", tc.name, minV, maxV, tc.lo, tc.bound)
+		}
+	}
+	for _, c := range []Column{li.OrderKey, o.OrderKey, LineitemColumns(sf, 0.8).OrderKey, RowIndexColumn()} {
+		if _, ok := c.Bound(); ok {
+			t.Fatalf("column %+v is not a draw but reports a bound", c)
+		}
+	}
+}
+
 var sinkRow LineitemRow
 
 // BenchmarkGenLineitem is the row-at-a-time generator: every field of
@@ -114,7 +148,7 @@ func BenchmarkLineitemColumns(b *testing.B) {
 	}
 }
 
-// modulus.mod must equal % for every divisor and dividend, including the
+// Modulus.Mod must equal % for every divisor and dividend, including the
 // divisors whose reciprocal overflows (1) or is exact (powers of two).
 func TestModulusMatchesRemainder(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
@@ -123,13 +157,13 @@ func TestModulusMatchesRemainder(t *testing.T) {
 		divisors = append(divisors, rng.Uint64()>>uint(rng.Intn(64))|1)
 	}
 	for _, n := range divisors {
-		m := newModulus(n)
+		m := NewModulus(n)
 		xs := []uint64{0, 1, n - 1, n, n + 1, 2*n - 1, 2 * n, ^uint64(0) - 1, ^uint64(0), ^uint64(0) / n * n, ^uint64(0)/n*n - 1}
 		for i := 0; i < 2000; i++ {
 			xs = append(xs, rng.Uint64())
 		}
 		for _, x := range xs {
-			if got := m.mod(x); got != x%n {
+			if got := m.Mod(x); got != x%n {
 				t.Fatalf("%d mod %d = %d, want %d", x, n, got, x%n)
 			}
 		}

@@ -302,26 +302,27 @@ func MixRows(lo int64, mix []uint64) {
 	}
 }
 
-// modulus computes x % n exactly with four multiplications in place of a
+// Modulus computes x % n exactly with four multiplications in place of a
 // divide instruction (Lemire, Kaser and Kurz, "Faster remainder by direct
-// computation", 2019). A column's domain is fixed when the column is
-// built but is not a compile-time constant, and an integer divide per
-// drawn value would cost more than the draw.
-type modulus struct {
+// computation", 2019). A column's domain, like a loader's partition
+// count, is fixed before the rows are drawn but is not a compile-time
+// constant, and an integer divide per row would cost more than the draw.
+type Modulus struct {
 	n      uint64
 	hi, lo uint64 // floor((2^128-1)/n) + 1
 }
 
-func newModulus(n uint64) modulus {
+// NewModulus returns the Modulus for n > 0.
+func NewModulus(n uint64) Modulus {
 	hi, rem := bits.Div64(0, ^uint64(0), n)
 	lo, _ := bits.Div64(rem, ^uint64(0), n)
 	lo, carry := bits.Add64(lo, 1, 0)
-	return modulus{n: n, hi: hi + carry, lo: lo}
+	return Modulus{n: n, hi: hi + carry, lo: lo}
 }
 
-// mod returns x % m.n: the fractional part of x/n, held in 128 bits,
+// Mod returns x % n: the fractional part of x/n, held in 128 bits,
 // times n.
-func (m modulus) mod(x uint64) uint64 {
+func (m Modulus) Mod(x uint64) uint64 {
 	fh, fl := bits.Mul64(m.lo, x)
 	fh += m.hi * x
 	low, _ := bits.Mul64(fl, m.n)
@@ -346,7 +347,7 @@ const (
 type Column struct {
 	kind   columnKind
 	stream uint64  // colDraw, colZipf: streamKey of the field's stream constant
-	n      modulus // colDraw: domain size
+	n      Modulus // colDraw: domain size
 	keys   int64   // colZipf: key count
 	base   int64   // colSeq, colDraw: added to every value
 	per    int64   // colSeq: consecutive rows sharing one value
@@ -359,12 +360,16 @@ func drawColumn(stream, n uint64, base int64) Column {
 	if n == 0 { // uniform's empty-domain case: every draw is 0
 		n = 1
 	}
-	return Column{kind: colDraw, stream: streamKey(stream), n: newModulus(n), base: base}
+	return Column{kind: colDraw, stream: streamKey(stream), n: NewModulus(n), base: base}
 }
 
 // Sequential reports whether the column is a function of the row index
 // alone, so that Fill ignores mix.
 func (c Column) Sequential() bool { return c.kind == colSeq }
+
+// Bound returns the exclusive upper bound of a uniform draw's values,
+// which are non-negative; ok is false for any other column.
+func (c Column) Bound() (bound int64, ok bool) { return c.base + int64(c.n.n), c.kind == colDraw }
 
 // Fill writes the column's values for rows [lo, lo+len(out)) into out.
 // Unless the column is Sequential, mix[j] must hold MixRows' value for
@@ -381,7 +386,7 @@ func (c Column) Fill(lo int64, mix []uint64, out []int64) {
 		}
 	case colDraw:
 		for j, h := range mix[:len(out)] {
-			out[j] = int64(c.n.mod(splitmix64(c.stream^h))) + c.base
+			out[j] = int64(c.n.Mod(splitmix64(c.stream^h))) + c.base
 		}
 	case colZipf:
 		for j, h := range mix[:len(out)] {

@@ -12,14 +12,16 @@ import (
 // (adding the engine's inherent utilization floor G, as in f(G + U/C)),
 // and accumulates watt-seconds.
 //
-// Integration is lazy: windows are evaluated when Sync or Stop is called,
-// so the meter schedules no simulation events of its own (a live periodic
-// tick would keep the event loop alive forever). Results are identical to
-// an online 1 Hz sampler because Server retains busy intervals until the
-// meter consumes them.
+// The meter observes its CPU server's bookings and keeps their busy
+// intervals itself. A window is integrated at the first booking after
+// virtual time has passed its end: no later booking can start before the
+// current time, so the window's busy time is final, and the intervals it
+// covers are dropped. The meter therefore holds only the intervals of its
+// open window, and schedules no simulation events of its own (a live
+// periodic tick would keep the event loop alive forever). Sync and Stop
+// integrate the rest, ending with one trailing partial window.
 type Meter struct {
 	eng      *sim.Engine
-	cpu      *sim.Server
 	model    Model
 	g        float64 // engine inherent utilization constant (G_B / G_W)
 	interval float64
@@ -33,15 +35,56 @@ type Meter struct {
 	trace    []Sample
 	tracing  bool
 
+	// Busy intervals not yet integrated: sorted, non-overlapping, merged
+	// when adjacent. Each window drops those that end at or before it.
+	segs []interval
+
 	sleepLookup func(a, b sim.Time) float64
 	sleepWatts  float64
 }
 
-// NewMeter attaches a 1 Hz meter to a CPU server. g is the inherent
-// engine utilization constant (the paper's G_B=0.25, G_W=0.13); model is
-// the node's fitted power curve.
+type interval struct{ start, end sim.Time }
+
+// NewMeter attaches a 1 Hz meter to a CPU server, which must not have
+// booked work yet. g is the inherent engine utilization constant (the
+// paper's G_B=0.25, G_W=0.13); model is the node's fitted power curve.
 func NewMeter(eng *sim.Engine, cpu *sim.Server, model Model, g float64) *Meter {
-	return &Meter{eng: eng, cpu: cpu, model: model, g: g, interval: 1.0}
+	m := &Meter{eng: eng, model: model, g: g, interval: 1.0}
+	cpu.Observe(m.book)
+	return m
+}
+
+// book records one CPU busy interval, first integrating every full window
+// that ends before now. A window ending exactly now stays open: a booking
+// at now may still extend the interval that ends there.
+func (m *Meter) book(start, end sim.Time) {
+	if m.stopped {
+		return
+	}
+	now := m.eng.Now()
+	for m.lastTick+m.interval < now {
+		m.window(m.lastTick+m.interval, m.interval)
+	}
+	if n := len(m.segs); n > 0 && m.segs[n-1].end >= start {
+		m.segs[n-1].end = end
+	} else {
+		m.segs = append(m.segs, interval{start, end})
+	}
+}
+
+// busyBetween returns the busy seconds overlapping window [a, b).
+func (m *Meter) busyBetween(a, b sim.Time) float64 {
+	busy := 0.0
+	for _, sg := range m.segs {
+		if sg.end <= a {
+			continue
+		}
+		if sg.start >= b {
+			break
+		}
+		busy += min(sg.end, b) - max(sg.start, a)
+	}
+	return busy
 }
 
 // Trace enables recording of every (utilization, watts) sample.
@@ -59,7 +102,14 @@ func (m *Meter) SetSleepModel(lookup func(a, b sim.Time) float64, watts float64)
 
 // window integrates one window ending at upto of the given width.
 func (m *Meter) window(upto sim.Time, width float64) {
-	busy := m.cpu.ConsumeBusyUpTo(upto, width)
+	busy := m.busyBetween(upto-width, upto)
+	i := 0
+	for i < len(m.segs) && m.segs[i].end <= upto {
+		i++
+	}
+	if i > 0 {
+		m.segs = append(m.segs[:0], m.segs[i:]...)
+	}
 	awake := width
 	var asleep float64
 	if m.sleepLookup != nil {

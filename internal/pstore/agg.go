@@ -48,6 +48,9 @@ type AggResult struct {
 // RunAggregate executes the aggregation query on the cluster and returns
 // the result plus total cluster energy.
 func RunAggregate(c *cluster.Cluster, cfg Config, spec AggSpec) (AggResult, float64, error) {
+	if err := cfg.Validate(); err != nil {
+		return AggResult{}, 0, err
+	}
 	if err := spec.Validate(c); err != nil {
 		return AggResult{}, 0, err
 	}

@@ -248,6 +248,9 @@ func (h *Handle) ship(x exchange, nd int, q *sim.Queue[storage.Batch]) {
 // the query completes; multiple concurrent joins may be launched before
 // running the simulation.
 func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
+	if err := e.cfg.Validate(); err != nil {
+		return nil, err
+	}
 	if err := spec.Validate(e.C); err != nil {
 		return nil, err
 	}

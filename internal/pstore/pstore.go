@@ -39,6 +39,7 @@ package pstore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/delta"
@@ -91,6 +92,16 @@ type Config struct {
 	// CheckMemory enforces the paper's constraint that P-store has no
 	// 2-pass join: a build hash table exceeding node memory is an error.
 	CheckMemory bool
+}
+
+// Validate sanity-checks the configuration. A negative or NaN JoinWork
+// would panic a CPU server mid-query, and an infinite one would book work
+// that never completes.
+func (c Config) Validate() error {
+	if !(c.JoinWork >= 0 && c.JoinWork <= math.MaxFloat64) { // rejects NaN and +Inf
+		return fmt.Errorf("pstore: join work must be finite and >= 0, got %v", c.JoinWork)
+	}
+	return nil
 }
 
 // MaxBatchRows caps the tuples per exchange batch. Above this a single

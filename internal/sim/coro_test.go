@@ -13,9 +13,11 @@ import (
 // TestInvalidTimesAndWorkPanic: a NaN fails every ordering comparison, so
 // one that reached the heap would end every later Run before its first
 // event, and one booked on a server would turn busy time — and joules —
-// into NaN. All four ways in must panic, naming what was called.
+// into NaN. A +Inf time is never reached, yet Run would advance the clock
+// to it, and a meter would then integrate windows forever. All the ways
+// in must panic, naming what was called.
 func TestInvalidTimesAndWorkPanic(t *testing.T) {
-	nan := math.NaN()
+	nan, inf := math.NaN(), math.Inf(1)
 	inProc := func(body func(e *Engine, p *Proc)) func() {
 		return func() {
 			e := New()
@@ -32,6 +34,12 @@ func TestInvalidTimesAndWorkPanic(t *testing.T) {
 		{"Proc.HoldUntil", inProc(func(e *Engine, p *Proc) { p.HoldUntil(nan) }), []string{"worker", "HoldUntil(NaN)"}},
 		{"Proc.Hold", inProc(func(e *Engine, p *Proc) { p.Hold(nan) }), []string{"worker", "Hold", "NaN"}},
 		{"Server.Process", inProc(func(e *Engine, p *Proc) { NewServer(e, "cpu", 1).Process(p, nan) }), []string{`"cpu"`, "NaN"}},
+		{"Engine.At/Inf", func() { New().At(inf, func() {}) }, []string{"At(+Inf)"}},
+		{"Engine.Schedule/Inf", func() { New().Schedule(inf, func() {}) }, []string{"Schedule", "+Inf"}},
+		{"Proc.HoldUntil/Inf", inProc(func(e *Engine, p *Proc) { p.HoldUntil(inf) }), []string{"worker", "HoldUntil(+Inf)"}},
+		{"Proc.Hold/Inf", inProc(func(e *Engine, p *Proc) { p.Hold(inf) }), []string{"worker", "Hold", "+Inf"}},
+		{"Server.ProcessAsync/Inf", func() { NewServer(New(), "cpu", 1).ProcessAsync(inf, nil) }, []string{`"cpu"`, "+Inf"}},
+		{"Server.Process/overflow", inProc(func(e *Engine, p *Proc) { NewServer(e, "cpu", 0.5).Process(p, 1e308) }), []string{`"cpu"`, "1e+308"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -46,12 +54,12 @@ func TestInvalidTimesAndWorkPanic(t *testing.T) {
 						t.Fatalf("panic %q does not mention %q", msg, w)
 					}
 				}
-				if strings.Contains(msg, "Schedule") {
+				if strings.Contains(msg, "Schedule") != strings.Contains(tc.name, "Schedule") {
 					t.Fatalf("panic %q blames Schedule", msg)
 				}
 			}()
 			tc.call()
-			t.Fatal("NaN accepted")
+			t.Fatal("invalid value accepted")
 		})
 	}
 

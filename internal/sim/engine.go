@@ -252,7 +252,7 @@ func (e *Engine) finish() {
 // Schedule runs fn after delay seconds of virtual time.
 // A negative delay panics: causality violations are always bugs.
 func (e *Engine) Schedule(delay float64, fn func()) {
-	if delay < 0 || math.IsNaN(delay) {
+	if !(delay >= 0 && delay <= math.MaxFloat64) {
 		panic(fmt.Sprintf("sim: Schedule with invalid delay %v at t=%v", delay, e.now))
 	}
 	e.at(e.now+delay, fn, nil)
@@ -263,9 +263,10 @@ func (e *Engine) At(t Time, fn func()) { e.at(t, fn, nil) }
 
 // at enqueues an event; events due exactly now take the ring fast path.
 // A NaN time fails every comparison: it would pass the past check, sit at
-// the heap root and end every later Run before its first event.
+// the heap root and end every later Run before its first event. A +Inf
+// time would never be reached, yet Run would advance the clock to it.
 func (e *Engine) at(t Time, fn func(), p *Proc) {
-	if t < e.now || math.IsNaN(t) {
+	if !(t >= e.now && t <= math.MaxFloat64) {
 		panic(fmt.Sprintf("sim: At(%v) invalid or in the past (now=%v)", t, e.now))
 	}
 	e.seq++

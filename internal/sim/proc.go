@@ -174,7 +174,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 
 // Hold suspends the process for d seconds of virtual time.
 func (p *Proc) Hold(d float64) {
-	if d < 0 || math.IsNaN(d) {
+	if !(d >= 0 && d <= math.MaxFloat64) {
 		panic(fmt.Sprintf("sim: %s Hold with invalid delay %v at t=%v", p.name, d, p.eng.now))
 	}
 	// Even a zero hold yields to the scheduler, preserving fairness.
@@ -184,7 +184,7 @@ func (p *Proc) Hold(d float64) {
 
 // HoldUntil suspends the process until absolute virtual time t.
 func (p *Proc) HoldUntil(t Time) {
-	if t < p.eng.now || math.IsNaN(t) {
+	if !(t >= p.eng.now && t <= math.MaxFloat64) {
 		panic(fmt.Sprintf("sim: %s HoldUntil(%v) invalid or in the past (now=%v)", p.name, t, p.eng.now))
 	}
 	p.eng.resumeAt(t, p)

@@ -13,23 +13,19 @@ import (
 // direction (rate = L).
 //
 // Jobs are serialized: a job submitted at time t with size s completes at
-// max(t, lastCompletion) + s/rate. The server records its busy intervals
-// so power meters can compute utilization over arbitrary windows.
+// max(t, lastCompletion) + s/rate. The server keeps no busy history: it
+// reports each booking with positive duration to its observer, if one is
+// set (a power meter), and otherwise records nothing.
 type Server struct {
-	eng  *Engine
-	name string
-	rate float64 // units per second
-	free Time    // time at which the server next becomes idle
-
-	// Busy intervals, sorted, non-overlapping, merged when adjacent.
-	// Pruned by ConsumeBusyUpTo as meters advance.
-	segs []interval
+	eng     *Engine
+	name    string
+	rate    float64 // units per second
+	free    Time    // time at which the server next becomes idle
+	observe func(start, end Time)
 
 	busyTotal float64 // cumulative busy seconds ever booked
 	unitsDone float64 // cumulative units processed
 }
-
-type interval struct{ start, end Time }
 
 // NewServer creates a rate server. Rate must be positive.
 func NewServer(eng *Engine, name string, rate float64) *Server {
@@ -47,26 +43,33 @@ func (s *Server) Rate() float64 { return s.rate }
 
 // book reserves service for size units and returns the completion time.
 func (s *Server) book(size float64) Time {
-	if size < 0 || math.IsNaN(size) {
+	dur := size / s.rate
+	if !(size >= 0 && dur <= math.MaxFloat64) { // rejects NaN, +Inf and an overflowing duration
 		panic(fmt.Sprintf("sim: server %q invalid work %v at t=%v", s.name, size, s.eng.now))
 	}
 	start := s.eng.now
 	if s.free > start {
 		start = s.free
 	}
-	dur := size / s.rate
 	end := start + dur
 	s.free = end
 	s.busyTotal += dur
 	s.unitsDone += size
-	if dur > 0 {
-		if n := len(s.segs); n > 0 && s.segs[n-1].end >= start {
-			s.segs[n-1].end = end
-		} else {
-			s.segs = append(s.segs, interval{start, end})
-		}
+	if dur > 0 && s.observe != nil {
+		s.observe(start, end)
 	}
 	return end
+}
+
+// Observe registers fn to receive every booking with positive duration as
+// its busy interval [start, end), in booking order. Bookings never start
+// before the engine's current time, nor before an earlier booking ends.
+// A server has at most one observer.
+func (s *Server) Observe(fn func(start, end Time)) {
+	if s.observe != nil {
+		panic(fmt.Sprintf("sim: server %q already observed", s.name))
+	}
+	s.observe = fn
 }
 
 // Process submits size units of work and blocks the calling process until
@@ -130,40 +133,3 @@ func (s *Server) BusySeconds() float64 { return s.busyTotal }
 
 // UnitsProcessed returns total units ever booked.
 func (s *Server) UnitsProcessed() float64 { return s.unitsDone }
-
-// BusyBetween returns the busy seconds overlapping window [a, b).
-func (s *Server) BusyBetween(a, b Time) float64 {
-	busy := 0.0
-	for _, sg := range s.segs {
-		if sg.end <= a {
-			continue
-		}
-		if sg.start >= b {
-			break
-		}
-		lo, hi := sg.start, sg.end
-		if lo < a {
-			lo = a
-		}
-		if hi > b {
-			hi = b
-		}
-		busy += hi - lo
-	}
-	return busy
-}
-
-// ConsumeBusyUpTo returns busy seconds in [upto-window, upto) and prunes
-// interval history that ends before upto. Meters call this once per tick
-// so memory stays bounded regardless of run length.
-func (s *Server) ConsumeBusyUpTo(upto Time, window float64) float64 {
-	busy := s.BusyBetween(upto-window, upto)
-	i := 0
-	for i < len(s.segs) && s.segs[i].end <= upto {
-		i++
-	}
-	if i > 0 {
-		s.segs = append(s.segs[:0], s.segs[i:]...)
-	}
-	return busy
-}

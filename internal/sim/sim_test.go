@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -223,49 +224,53 @@ func TestServerFCFSLatency(t *testing.T) {
 	}
 }
 
-func TestServerBusyTracking(t *testing.T) {
+// TestServerObserve: the observer sees each booking with positive
+// duration as its busy interval, in booking order — zero-size work and
+// stalls report nothing — and a second observer is refused.
+func TestServerObserve(t *testing.T) {
 	e := New()
 	s := NewServer(e, "cpu", 10)
+	var got [][2]Time
+	s.Observe(func(start, end Time) { got = append(got, [2]Time{start, end}) })
 	e.Go("a", func(p *Proc) {
 		p.Hold(1)
 		s.Process(p, 20) // busy [1,3)
-		p.Hold(2)        // idle [3,5)
-		s.Process(p, 10) // busy [5,6)
+		s.Process(p, 0)
+		s.StallUntil(5)
+		s.ProcessAsync(10, nil) // busy [5,6)
+		s.ProcessAsync(10, nil) // busy [6,7), queued behind it
 	})
 	e.Run()
-	if got := s.BusyBetween(0, 10); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("total busy = %v, want 3", got)
+	want := [][2]Time{{1, 3}, {5, 6}, {6, 7}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("observed %v, want %v", got, want)
 	}
-	if got := s.BusyBetween(0, 2); math.Abs(got-1) > 1e-9 {
-		t.Fatalf("busy [0,2) = %v, want 1", got)
+	if got := s.BusySeconds(); math.Abs(got-4) > 1e-9 {
+		t.Fatalf("BusySeconds = %v, want 4", got)
 	}
-	if got := s.BusyBetween(3, 5); got != 0 {
-		t.Fatalf("busy [3,5) = %v, want 0", got)
-	}
-	if got := s.BusySeconds(); math.Abs(got-3) > 1e-9 {
-		t.Fatalf("BusySeconds = %v, want 3", got)
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("second observer accepted")
+		}
+	}()
+	s.Observe(func(start, end Time) {})
 }
 
-func TestServerConsumePrunes(t *testing.T) {
+// TestUnobservedServerBooksWithoutAllocating: a server with no meter
+// keeps no busy history, so booking work allocates nothing however many
+// separate busy intervals it makes (a growing history would reallocate
+// about once per run of 10 000 bookings).
+func TestUnobservedServerBooksWithoutAllocating(t *testing.T) {
 	e := New()
-	s := NewServer(e, "cpu", 1)
-	e.Go("a", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			s.Process(p, 0.5)
-			p.Hold(0.5)
+	s := NewServer(e, "disk", 1)
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 10_000; i++ {
+			s.StallUntil(s.FreeAt() + 1) // a gap: each booking is its own interval
+			s.ProcessAsync(1, nil)
 		}
 	})
-	e.Run()
-	total := 0.0
-	for w := 1; w <= 100; w++ {
-		total += s.ConsumeBusyUpTo(Time(w), 1)
-	}
-	if math.Abs(total-50) > 1e-6 {
-		t.Fatalf("windowed busy sum = %v, want 50", total)
-	}
-	if len(s.segs) > 1 {
-		t.Fatalf("segments not pruned: %d remain", len(s.segs))
+	if allocs != 0 {
+		t.Fatalf("unobserved booking allocates %v times, want 0", allocs)
 	}
 }
 
@@ -462,8 +467,8 @@ func TestServerStallUntil(t *testing.T) {
 	if math.Abs(done-5) > 1e-9 {
 		t.Fatalf("completion = %v, want 5", done)
 	}
-	if got := s.BusyBetween(0, 4); got != 0 {
-		t.Fatalf("stall booked %v busy seconds, want 0", got)
+	if got := s.BusySeconds(); got != 1 {
+		t.Fatalf("stall booked %v busy seconds, want only the 1 s of work", got)
 	}
 	// A stall earlier than the queue's end is a no-op.
 	s.StallUntil(2)

@@ -145,7 +145,7 @@ func sweepGrid(spec string, params func(bs, ps float64) model.Params, nodes int,
 		if err != nil {
 			return fmt.Errorf("designer: bad -sweep value %q: %w", f, err)
 		}
-		if v <= 0 || v > 1 {
+		if !(v > 0 && v <= 1) {
 			return fmt.Errorf("designer: -sweep selectivity %v out of (0,1]", v)
 		}
 		sels = append(sels, v)

@@ -14,7 +14,6 @@
 //	serve -window 30               batch launches on 30 s window boundaries
 //	serve -timeout 5 -retries 2    default deadline and retry budget
 //	serve -nodes 8 -warm=false     per-request simulated cluster and engine config
-//	serve -compat=false            reject pre-envelope flat requests
 //	serve -load                    synthetic load harness (1M requests, 4 tenants)
 //	serve -load -load-trace t.jsonl -load-speedup 10   replay a recorded trace 10x
 //	serve -load -load-dump t.jsonl                     write the synthetic trace and exit
@@ -32,7 +31,7 @@
 //	{"kind":"metrics"}
 //
 // The pre-envelope flat form ({"id":"q1","sf":10,...}) is deprecated but
-// still accepted (and answered byte-identically) while -compat is on.
+// still accepted, and answered byte-identically.
 //
 // Responses are one JSON line each, in completion order, correlated by
 // id: per-request latency and joules, cache hit/miss, and the status
@@ -80,7 +79,6 @@ func main() {
 		cache     = flag.Bool("cache", true, "answer repeated identical joins from memory")
 		timeout   = flag.Float64("timeout", 0, "default per-request deadline in seconds (0 = none), overridden per request by deadline_s")
 		retries   = flag.Int("retries", 0, "retry budget per failed join request; retries are shed before fresh work")
-		compat    = flag.Bool("compat", true, "accept deprecated pre-envelope flat requests (answered byte-identically)")
 		httpAddr  = flag.String("http", "", "serve HTTP on this address instead of reading stdin")
 
 		load         = flag.Bool("load", false, "run the load harness instead of serving: replay a trace (or a synthetic one) against this process's service and report per-tenant latency")
@@ -108,6 +106,8 @@ func main() {
 		fatalf("serve: -queue must not be negative, got %d", *queue)
 	case *nodes < 1:
 		fatalf("serve: -nodes must be at least 1, got %d", *nodes)
+	case *batchRows < 1:
+		fatalf("serve: -batch-rows must be at least 1, got %d", *batchRows)
 	case *loadInflight < 1:
 		fatalf("serve: -load-inflight must be at least 1, got %d", *loadInflight)
 	case *loadRequests < 1:
@@ -176,9 +176,9 @@ func main() {
 			fatalf("serve: %v", err)
 		}
 	case *httpAddr != "":
-		serveHTTP(s, *httpAddr, *compat)
+		serveHTTP(s, *httpAddr)
 	default:
-		serveStdin(s, *compat)
+		serveStdin(s)
 	}
 
 	s.Close()
@@ -335,7 +335,7 @@ func runLoad(s *service.Server, opts loadOpts) error {
 
 // serveStdin answers one JSON request per input line until EOF.
 // Responses appear in completion order, one JSON line each.
-func serveStdin(s *service.Server, compat bool) {
+func serveStdin(s *service.Server) {
 	var outMu sync.Mutex
 	emit := func(r report.ServiceResponse) {
 		outMu.Lock()
@@ -353,7 +353,7 @@ func serveStdin(s *service.Server, compat bool) {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		req, err := service.Decode([]byte(line), compat)
+		req, err := service.Decode([]byte(line), true)
 		if err != nil {
 			emit(report.ServiceResponse{ID: req.ID, Kind: "request", Tenant: req.Tenant,
 				Status: "error", Error: err.Error(), Invalid: true})
@@ -382,7 +382,7 @@ func serveStdin(s *service.Server, compat bool) {
 // newMux builds the HTTP surface: POST / (one request per body) and GET
 // /metrics. Status mapping: ok 200; shed 429 with Retry-After; deadline
 // 504; invalid request 400; failed run 500.
-func newMux(s *service.Server, compat bool) *http.ServeMux {
+func newMux(s *service.Server) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -394,7 +394,7 @@ func newMux(s *service.Server, compat bool) *http.ServeMux {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		req, err := service.Decode(body, compat)
+		req, err := service.Decode(body, true)
 		var resp report.ServiceResponse
 		if err != nil {
 			resp = report.ServiceResponse{ID: req.ID, Kind: "request", Tenant: req.Tenant,
@@ -432,8 +432,8 @@ func newMux(s *service.Server, compat bool) *http.ServeMux {
 }
 
 // serveHTTP serves newMux on addr until SIGINT/SIGTERM.
-func serveHTTP(s *service.Server, addr string, compat bool) {
-	srv := &http.Server{Addr: addr, Handler: newMux(s, compat)}
+func serveHTTP(s *service.Server, addr string) {
+	srv := &http.Server{Addr: addr, Handler: newMux(s)}
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)

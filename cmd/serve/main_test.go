@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,13 +17,13 @@ import (
 	"repro/internal/service"
 )
 
-func testServer(t *testing.T, compat bool, cfg service.Config) *httptest.Server {
+func testServer(t *testing.T, cfg service.Config) *httptest.Server {
 	t.Helper()
 	s, err := service.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newMux(s, compat))
+	ts := httptest.NewServer(newMux(s))
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
@@ -58,7 +60,7 @@ func post(t *testing.T, url, body string) (int, string, http.Header) {
 // requests are 200s — the caller's fault vs the service's, split by the
 // response's invalid flag.
 func TestHTTPStatusMapping(t *testing.T) {
-	ts := testServer(t, true, defaultConfig())
+	ts := testServer(t, defaultConfig())
 	cases := []struct {
 		name     string
 		body     string
@@ -115,16 +117,6 @@ func TestHTTPStatusMapping(t *testing.T) {
 	}
 }
 
-// TestHTTPCompatOffRejectsLegacy: with -compat=false a flat request is a
-// 400 pointing at the compat switch.
-func TestHTTPCompatOffRejectsLegacy(t *testing.T) {
-	ts := testServer(t, false, defaultConfig())
-	code, body, _ := post(t, ts.URL+"/", `{"id":"legacy","sf":5}`)
-	if code != http.StatusBadRequest || !strings.Contains(body, "-compat") {
-		t.Fatalf("legacy with compat off -> %d %q", code, body)
-	}
-}
-
 // gateRunner parks every join until its gate closes.
 type gateRunner struct{ gate chan struct{} }
 
@@ -143,7 +135,7 @@ func (g *gateRunner) RunConcurrent(c *cluster.Cluster, cfg pstore.Config, spec p
 // one is still running.
 func TestHTTPShedMapsTo429WithRetryAfter(t *testing.T) {
 	gr := &gateRunner{gate: make(chan struct{})}
-	ts := testServer(t, true, service.Config{
+	ts := testServer(t, service.Config{
 		Execution: service.Execution{Workers: 1, Runner: gr,
 			Engine: pstore.Config{WarmCache: true, BatchRows: 200_000}},
 	})
@@ -194,7 +186,7 @@ func (failRunner) RunConcurrent(c *cluster.Cluster, cfg pstore.Config, spec psto
 // TestHTTPRunFailureMapsTo500: a valid request whose run fails is the
 // service's fault — 500, not 400.
 func TestHTTPRunFailureMapsTo500(t *testing.T) {
-	ts := testServer(t, true, service.Config{
+	ts := testServer(t, service.Config{
 		Admission: service.Admission{QueueDepth: 4},
 		Execution: service.Execution{Workers: 1, Runner: failRunner{},
 			Engine: pstore.Config{WarmCache: true, BatchRows: 200_000}},
@@ -208,7 +200,7 @@ func TestHTTPRunFailureMapsTo500(t *testing.T) {
 // TestHTTPMetricsEndpoint: GET /metrics includes the per-tenant
 // breakdown.
 func TestHTTPMetricsEndpoint(t *testing.T) {
-	ts := testServer(t, true, defaultConfig())
+	ts := testServer(t, defaultConfig())
 	if code, body, _ := post(t, ts.URL+"/", `{"join":{"sf":5}}`); code != http.StatusOK {
 		t.Fatalf("warmup POST -> %d %q", code, body)
 	}
@@ -275,5 +267,76 @@ func TestLoadTenantNames(t *testing.T) {
 		if _, err := loadTenantNames(bad); err == nil {
 			t.Fatalf("loadTenantNames(%q) accepted", bad)
 		}
+	}
+}
+
+// buildServe builds the command into a temporary directory.
+func buildServe(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "serve")
+	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("building serve: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestFlagValidation execs the built binary: every bad flag value is
+// rejected with exit 2 and a message naming the flag, before any request
+// is served. -compat is gone, so it is an undefined flag.
+func TestFlagValidation(t *testing.T) {
+	bin := buildServe(t)
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the combined output
+	}{
+		{[]string{"-window", "-1"}, "serve: -window must be a non-negative, finite number, got -1"},
+		{[]string{"-window", "Inf"}, "serve: -window must be a non-negative, finite number, got +Inf"},
+		{[]string{"-timeout", "NaN"}, "serve: -timeout must be a positive, finite number of seconds (0 = none), got NaN"},
+		{[]string{"-retries", "-1"}, "serve: -retries must not be negative, got -1"},
+		{[]string{"-workers", "0"}, "serve: -workers must be at least 1, got 0"},
+		{[]string{"-queue", "-1"}, "serve: -queue must not be negative, got -1"},
+		{[]string{"-nodes", "0"}, "serve: -nodes must be at least 1, got 0"},
+		{[]string{"-batch-rows", "0"}, "serve: -batch-rows must be at least 1, got 0"},
+		{[]string{"-batch-rows", "-5"}, "serve: -batch-rows must be at least 1, got -5"},
+		{[]string{"-load-inflight", "0"}, "serve: -load-inflight must be at least 1, got 0"},
+		{[]string{"-load-requests", "0"}, "serve: -load-requests must be at least 1, got 0"},
+		{[]string{"-load-hot", "1.5"}, "serve: -load-hot must be in [0,1], got 1.5"},
+		{[]string{"-load-hot", "NaN"}, "serve: -load-hot must be in [0,1], got NaN"},
+		{[]string{"-tenants", "dash"}, `serve: -tenants entry "dash": want name=depth or name=depth:weight`},
+		{[]string{"-load-dump", filepath.Join(dir, "t.jsonl"), "-load-tenants", "0"}, "serve: -load-tenants count must be at least 1, got 0"},
+		{[]string{"-load-dump", dir, "-load-requests", "1"}, "is a directory"},
+		{[]string{"-load-trace", filepath.Join(dir, "missing.jsonl")}, "no such file"},
+		{[]string{"-compat=false"}, "flag provided but not defined: -compat"},
+	} {
+		out, err := exec.Command(bin, tc.args...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("serve %v: err = %v, want exit 2\n%s", tc.args, err, out)
+			continue
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("serve %v: output lacks %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestStdinAnswersBothForms: a JSON-lines session on stdin answers an
+// envelope request and a deprecated flat one, with no flag needed for
+// the flat form, and exits 0 at EOF.
+func TestStdinAnswersBothForms(t *testing.T) {
+	cmd := exec.Command(buildServe(t), "-nodes", "4")
+	cmd.Stdin = strings.NewReader(`{"v":1,"id":"env","join":{"sf":5}}` + "\n" + `{"id":"flat","sf":5}` + "\n")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("serve: %v\n%s", err, out)
+	}
+	for _, id := range []string{"env", "flat"} {
+		if !strings.Contains(string(out), `"id":"`+id+`"`) {
+			t.Errorf("no response for %s:\n%s", id, out)
+		}
+	}
+	if n := strings.Count(string(out), `"status":"ok"`); n != 2 {
+		t.Errorf("%d ok responses, want 2:\n%s", n, out)
 	}
 }

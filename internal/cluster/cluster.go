@@ -26,7 +26,6 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/hw"
 	"repro/internal/power"
@@ -278,9 +277,6 @@ type Config struct {
 	Specs []hw.Spec
 	// InboxCapacity bounds staged batches per node (default 8).
 	InboxCapacity int
-	// TraceMeters records per-second (utilization, watts) samples on
-	// every node so Timeline can render execution heat strips.
-	TraceMeters bool
 }
 
 // New builds a cluster on a fresh simulation engine.
@@ -305,9 +301,6 @@ func New(cfg Config) (*Cluster, error) {
 		n.Ingress = sim.NewServer(eng, fmt.Sprintf("n%d.rx", i), spec.NetMBps*1e6)
 		n.Meter = power.NewMeter(eng, n.CPU, spec.Power, spec.UtilFloor)
 		n.Meter.SetSleepModel(n.AsleepBetween, spec.SleepModelWatts())
-		if cfg.TraceMeters {
-			n.Meter.Trace()
-		}
 		n.inbox = sim.NewQueue[Message](fmt.Sprintf("n%d.inbox", i), cap)
 		c.Nodes = append(c.Nodes, n)
 		c.startIngressPump(n)
@@ -426,59 +419,6 @@ func (c *Cluster) TotalJoules() float64 {
 		j += n.Meter.Joules()
 	}
 	return j
-}
-
-// Timeline renders an ASCII heat strip of per-node CPU utilization over
-// the metered run, one row per node and one column per second of virtual
-// time (downsampled to fit width). Requires Config.TraceMeters and
-// Stop having been called. Glyph scale: ' ' idle floor, '.', '-',
-// '=', '#' saturated.
-func (c *Cluster) Timeline(width int) string {
-	if width < 10 {
-		width = 10
-	}
-	glyph := func(u float64) byte {
-		switch {
-		case u >= 0.9:
-			return '#'
-		case u >= 0.7:
-			return '='
-		case u >= 0.45:
-			return '-'
-		case u >= 0.3:
-			return '.'
-		default:
-			return ' '
-		}
-	}
-	var b strings.Builder
-	for _, n := range c.Nodes {
-		samples := n.Meter.Samples()
-		row := make([]byte, width)
-		for i := range row {
-			row[i] = ' '
-		}
-		if len(samples) > 0 {
-			for i := 0; i < width; i++ {
-				lo := i * len(samples) / width
-				hi := (i + 1) * len(samples) / width
-				if hi <= lo {
-					hi = lo + 1
-				}
-				if hi > len(samples) {
-					hi = len(samples)
-				}
-				sum := 0.0
-				for _, s := range samples[lo:hi] {
-					sum += s.Util
-				}
-				row[i] = glyph(sum / float64(hi-lo))
-			}
-		}
-		fmt.Fprintf(&b, "n%-2d %-6s |%s|\n", n.ID, n.Spec.Class, string(row))
-	}
-	b.WriteString("    (' '<30% '.'<45% '-'<70% '='<90% '#'>=90% CPU utilization)\n")
-	return b.String()
 }
 
 // Homogeneous builds a Config with n identical nodes.

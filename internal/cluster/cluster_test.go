@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -251,44 +250,6 @@ func TestHomogeneousConfig(t *testing.T) {
 	cfg := Homogeneous(5, hw.ClusterV())
 	if len(cfg.Specs) != 5 {
 		t.Fatalf("Homogeneous(5) has %d specs", len(cfg.Specs))
-	}
-}
-
-func TestTimelineRendersHeatStrips(t *testing.T) {
-	cfg := Homogeneous(2, hw.BeefyL5630())
-	cfg.TraceMeters = true
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Eng.Go("load", func(p *sim.Proc) {
-		c.Nodes[0].CPU.Process(p, c.Nodes[0].Spec.CPUBandwidth*1e6*5) // 5 s busy
-	})
-	c.Eng.RunUntil(10)
-	c.Stop()
-	tl := c.Timeline(20)
-	lines := strings.Split(strings.TrimSpace(tl), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("timeline has %d lines, want 3:\n%s", len(lines), tl)
-	}
-	if !strings.Contains(lines[0], "#") {
-		t.Fatalf("busy node shows no saturation:\n%s", tl)
-	}
-	if strings.Contains(lines[1], "#") {
-		t.Fatalf("idle node shows saturation:\n%s", tl)
-	}
-}
-
-func TestTimelineWithoutTraceIsEmptyStrips(t *testing.T) {
-	c, err := New(Homogeneous(1, hw.BeefyL5630()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Eng.RunUntil(3)
-	c.Stop()
-	tl := c.Timeline(10)
-	if !strings.Contains(tl, "|          |") {
-		t.Fatalf("untraced timeline should be blank strips:\n%s", tl)
 	}
 }
 

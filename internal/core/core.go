@@ -197,7 +197,7 @@ func (d Designer) Classify(tol float64) (Scalability, error) {
 // (e.g. 0.6 = accept up to 40% slower than the all-Beefy full cluster),
 // applying the Figure 12 principles.
 func (d Designer) Recommend(perfTarget float64) (Advice, error) {
-	if perfTarget <= 0 || perfTarget > 1 {
+	if !(perfTarget > 0 && perfTarget <= 1) {
 		return Advice{}, fmt.Errorf("core: performance target must be in (0,1], got %v", perfTarget)
 	}
 	cands, err := d.Explore()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/hw"
@@ -139,6 +140,36 @@ func TestRecommendRejectsBadTarget(t *testing.T) {
 			t.Errorf("target %v accepted", target)
 		}
 	}
+}
+
+// TestRecommendRejectsNonFinite: a NaN target, and NaN or infinite
+// workload parameters, are refused with an error naming what is wrong
+// rather than reported as an unmet performance target.
+func TestRecommendRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		base   model.Params
+		target float64
+		want   string
+	}{
+		{"NaN target", fig12Params(0.10, 0.10), nan, "performance target"},
+		{"NaN build selectivity", fig12Params(nan, 0.10), 0.6, "Sbld"},
+		{"NaN probe selectivity", fig12Params(0.10, nan), 0.6, "Sprb"},
+		{"NaN build size", withSizes(fig12Params(0.10, 0.10), nan, 2_800_000), 0.6, "Bld"},
+		{"infinite probe size", withSizes(fig12Params(0.10, 0.10), 700_000, inf), 0.6, "Prb"},
+	} {
+		d := Designer{Base: tc.base, MaxNodes: 8}
+		_, err := d.Recommend(tc.target)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Recommend = %v, want an error naming %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+func withSizes(p model.Params, bld, prb float64) model.Params {
+	p.Bld, p.Prb = bld, prb
+	return p
 }
 
 func TestRecommendImpossibleTarget(t *testing.T) {

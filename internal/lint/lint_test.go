@@ -2,6 +2,8 @@ package lint_test
 
 import (
 	"go/ast"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/lint"
@@ -77,5 +79,37 @@ func TestSimKernelHasNoGoroutineOrChannel(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestEveryProgramIsTested keeps shipped programs checked: a main package
+// lives under cmd/, and every cmd/ package has a test in its directory.
+// A program nothing runs drifts from the numbers it prints.
+func TestEveryProgramIsTested(t *testing.T) {
+	pkgs, err := load.Packages("../..", "./...")
+	if err != nil {
+		t.Fatalf("loading repo packages: %v", err)
+	}
+	var cmds int
+	for _, pkg := range pkgs {
+		rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, "repro"), "/")
+		inCmd := strings.HasPrefix(rel, "cmd/")
+		if pkg.Name == "main" && !inCmd {
+			t.Errorf("%s: package main outside cmd/", rel)
+		}
+		if !inCmd {
+			continue
+		}
+		cmds++
+		tests, err := filepath.Glob(filepath.Join("../..", rel, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tests) == 0 {
+			t.Errorf("%s: no _test.go: nothing checks this program", rel)
+		}
+	}
+	if cmds == 0 {
+		t.Fatal("found no cmd/ packages: the guard checked nothing")
 	}
 }

@@ -98,17 +98,32 @@ func (p Params) scanRate(cpuBandwidth float64) float64 {
 	return p.I
 }
 
-// Validate checks parameter sanity.
+// Validate checks parameter sanity. Each bound is written so that NaN
+// fails it, and the error names the offending field.
 func (p Params) Validate() error {
 	switch {
 	case p.NB < 0 || p.NW < 0 || p.N() == 0:
 		return fmt.Errorf("model: need at least one node (NB=%d NW=%d)", p.NB, p.NW)
-	case p.Sbld <= 0 || p.Sbld > 1 || p.Sprb <= 0 || p.Sprb > 1:
-		return fmt.Errorf("model: selectivities out of (0,1]")
-	case p.I <= 0 || p.L <= 0 || p.CB <= 0:
-		return fmt.Errorf("model: rates must be positive")
-	case p.Bld <= 0 || p.Prb <= 0:
-		return fmt.Errorf("model: table sizes must be positive")
+	case !(p.Sbld > 0 && p.Sbld <= 1):
+		return fmt.Errorf("model: build selectivity Sbld must be in (0,1], got %v", p.Sbld)
+	case !(p.Sprb > 0 && p.Sprb <= 1):
+		return fmt.Errorf("model: probe selectivity Sprb must be in (0,1], got %v", p.Sprb)
+	}
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{
+		{"disk bandwidth I", p.I},
+		{"network bandwidth L", p.L},
+		{"Beefy CPU bandwidth CB", p.CB},
+		{"build table size Bld", p.Bld},
+		{"probe table size Prb", p.Prb},
+	} {
+		if !(f.v > 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("model: %s must be positive and finite, got %v", f.name, f.v)
+		}
+	}
+	switch {
 	case p.FB == nil:
 		return fmt.Errorf("model: missing Beefy power model")
 	case p.NW > 0 && (p.FW == nil || p.CW <= 0):

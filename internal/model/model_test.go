@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -33,6 +34,41 @@ func TestValidate(t *testing.T) {
 	bad.NB, bad.NW = 0, 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero nodes validated")
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN and ±Inf in a selectivity, rate or
+// table size are refused with an error naming the field, not passed on
+// to the model as if they were in range.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		set   func(p *Params)
+	}{
+		{"Sbld", func(p *Params) { p.Sbld = nan }},
+		{"Sbld", func(p *Params) { p.Sbld = inf }},
+		{"Sprb", func(p *Params) { p.Sprb = nan }},
+		{"Sprb", func(p *Params) { p.Sprb = -inf }},
+		{"bandwidth I", func(p *Params) { p.I = nan }},
+		{"bandwidth I", func(p *Params) { p.I = inf }},
+		{"bandwidth L", func(p *Params) { p.L = nan }},
+		{"bandwidth CB", func(p *Params) { p.CB = inf }},
+		{"Bld", func(p *Params) { p.Bld = nan }},
+		{"Bld", func(p *Params) { p.Bld = -inf }},
+		{"Prb", func(p *Params) { p.Prb = inf }},
+		{"Prb", func(p *Params) { p.Prb = nan }},
+	} {
+		p := section54Params()
+		p.Sbld, p.Sprb = 0.1, 0.1
+		tc.set(&p)
+		err := p.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", tc.field, err, tc.field)
+		}
+		if _, err := p.HashJoin(); err == nil {
+			t.Errorf("%s: HashJoin accepted a non-finite field", tc.field)
+		}
 	}
 }
 

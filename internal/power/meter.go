@@ -32,8 +32,10 @@ type Meter struct {
 	samples  int
 	lastTick sim.Time
 	stopped  bool
-	trace    []Sample
-	tracing  bool
+	// When tracing, trace records every window's (utilization, watts)
+	// sample; the package's tests set it to check the integration.
+	trace   []Sample
+	tracing bool
 
 	// Busy intervals not yet integrated: sorted, non-overlapping, merged
 	// when adjacent. Each window drops those that end at or before it.
@@ -86,9 +88,6 @@ func (m *Meter) busyBetween(a, b sim.Time) float64 {
 	}
 	return busy
 }
-
-// Trace enables recording of every (utilization, watts) sample.
-func (m *Meter) Trace() { m.tracing = true }
 
 // SetSleepModel teaches the meter about node suspend states: lookup(a,b)
 // must return the seconds the node was asleep during [a,b), and watts is
@@ -182,6 +181,3 @@ func (m *Meter) AvgUtil() float64 {
 	}
 	return m.utilSum / float64(m.samples)
 }
-
-// Samples returns the recorded trace (empty unless Trace was enabled).
-func (m *Meter) Samples() []Sample { return m.trace }

@@ -15,7 +15,7 @@ func TestMeterBusyTracking(t *testing.T) {
 	eng := sim.New()
 	cpu := sim.NewServer(eng, "cpu", 10)
 	m := NewMeter(eng, cpu, Linear{Idle: 0, Peak: 100}, 0)
-	m.Trace()
+	m.tracing = true
 	eng.Go("a", func(p *sim.Proc) {
 		p.Hold(1)
 		cpu.Process(p, 20) // busy [1,3)
@@ -36,7 +36,7 @@ func TestMeterStallIsIdle(t *testing.T) {
 	eng := sim.New()
 	cpu := sim.NewServer(eng, "cpu", 100)
 	m := NewMeter(eng, cpu, Linear{Idle: 0, Peak: 100}, 0)
-	m.Trace()
+	m.tracing = true
 	eng.Go("a", func(p *sim.Proc) {
 		cpu.StallUntil(4)
 		cpu.Process(p, 100) // starts at 4, completes at 5
@@ -75,7 +75,7 @@ func TestMeterPrunesAsTimePasses(t *testing.T) {
 
 func assertUtils(t *testing.T, m *Meter, want []float64) {
 	t.Helper()
-	s := m.Samples()
+	s := m.trace
 	if len(s) != len(want) {
 		t.Fatalf("%d samples, want %d", len(s), len(want))
 	}
@@ -356,7 +356,7 @@ func TestMeterMatchesLazyReference(t *testing.T) {
 			m = NewMeter(eng, cpu, model, g)
 			sync = m.Sync
 		}
-		m.Trace()
+		m.tracing = true
 		sl := &sleeper{eng: eng}
 		m.SetSleepModel(sl.between, 7)
 		meterScript(seed, eng, cpu, sl, sync)
@@ -371,10 +371,10 @@ func TestMeterMatchesLazyReference(t *testing.T) {
 		sameBits(t, where+" seconds", m.Seconds(), ref.seconds)
 		sameBits(t, where+" seconds against the stop time", m.Seconds(), eng.Now())
 		sameBits(t, where+" avg util", m.AvgUtil(), ref.utilSum/float64(ref.samples))
-		if len(m.Samples()) != len(ref.trace) {
-			t.Fatalf("%s: %d samples, reference %d", where, len(m.Samples()), len(ref.trace))
+		if len(m.trace) != len(ref.trace) {
+			t.Fatalf("%s: %d samples, reference %d", where, len(m.trace), len(ref.trace))
 		}
-		for i, s := range m.Samples() {
+		for i, s := range m.trace {
 			sameBits(t, fmt.Sprintf("%s sample %d util", where, i), s.Util, ref.trace[i].Util)
 			sameBits(t, fmt.Sprintf("%s sample %d watts", where, i), s.Watts, ref.trace[i].Watts)
 		}

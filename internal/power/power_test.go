@@ -217,12 +217,12 @@ func TestMeterTrace(t *testing.T) {
 	eng := sim.New()
 	cpu := sim.NewServer(eng, "cpu", 1)
 	m := NewMeter(eng, cpu, Constant{W: 42}, 0)
-	m.Trace()
+	m.tracing = true
 	eng.Go("idle", func(p *sim.Proc) { p.Hold(3) })
 	eng.Run()
 	m.Stop()
-	if len(m.Samples()) != 3 {
-		t.Fatalf("trace has %d samples, want 3", len(m.Samples()))
+	if len(m.trace) != 3 {
+		t.Fatalf("trace has %d samples, want 3", len(m.trace))
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //	 "deadline_s":5, "kind":"join",
 //	 "join":{"sf":10, "build_sel":0.05, "probe_sel":0.05, "method":"dual-shuffle"}}
 //
-// The pre-envelope flat form (join/design parameters at the top level)
-// is still decoded by Decode when compat is enabled; see Decode.
+// The deprecated pre-envelope flat form (join/design parameters at the
+// top level) is still decoded by Decode; see Decode.
 type Request struct {
 	// V is the envelope version. 0 (unset) and 1 both mean v1; anything
 	// else is rejected, so a future v2 envelope fails loudly instead of
@@ -112,9 +112,9 @@ func (r Request) validate() error {
 }
 
 // legacyRequest is the pre-envelope flat wire form: join parameters and
-// design parameters all at the top level. It is kept decodable (behind
-// Decode's compat switch) so existing clients and recorded traces keep
-// working; new clients should send the envelope.
+// design parameters all at the top level. It is kept decodable so
+// existing clients and recorded traces keep working; new clients should
+// send the envelope.
 type legacyRequest struct {
 	ID                   string `json:"id,omitempty"`
 	Kind                 string `json:"kind,omitempty"`
@@ -128,7 +128,7 @@ type legacyRequest struct {
 
 // legacyFields are the flat-form top-level keys that do not exist on the
 // envelope; an envelope decode that trips over one of these is really a
-// legacy request, so compat error reporting prefers the legacy decoder's
+// legacy request, so error reporting prefers the legacy decoder's
 // verdict for them.
 var legacyFields = map[string]bool{
 	"sf": true, "build_sel": true, "probe_sel": true, "method": true,
@@ -160,9 +160,13 @@ func (l legacyRequest) envelope() Request {
 
 // Decode parses one request object strictly: unknown fields are errors
 // that name the offending field, so a typo like "probe_sell" surfaces as
-// a named "error" response instead of silently running defaults. With
-// compat true the legacy flat form (pre-envelope: sf/build_sel/... at
-// the top level) is accepted too, decoded just as strictly.
+// a named "error" response instead of silently running defaults. The
+// deprecated legacy flat form (pre-envelope: sf/build_sel/... at the top
+// level) is accepted too, decoded just as strictly.
+//
+// compat is ignored: the flat form is always accepted. The parameter is
+// kept for existing callers, the benchmark module among them, which pass
+// both values.
 //
 // The partially decoded request is returned even on error so the
 // response can carry the caller's id.
@@ -172,20 +176,18 @@ func Decode(b []byte, compat bool) (Request, error) {
 	if envErr == nil {
 		return env, nil
 	}
-	if compat {
-		var leg legacyRequest
-		legErr := decodeStrict(b, &leg)
-		if legErr == nil {
-			return leg.envelope(), nil
-		}
-		// Both decoders failed. If the envelope tripped over a known
-		// legacy field, the caller meant the flat form — report what
-		// the legacy decoder found instead.
-		if f, ok := unknownField(envErr); ok && legacyFields[f] {
-			return env, named(legErr, compat)
-		}
+	var leg legacyRequest
+	legErr := decodeStrict(b, &leg)
+	if legErr == nil {
+		return leg.envelope(), nil
 	}
-	return env, named(envErr, compat)
+	// Both decoders failed. If the envelope tripped over a known legacy
+	// field, the caller meant the flat form — report what the legacy
+	// decoder found instead.
+	if f, ok := unknownField(envErr); ok && legacyFields[f] {
+		return env, named(legErr)
+	}
+	return env, named(envErr)
 }
 
 // decodeStrict decodes one JSON object with unknown fields disallowed
@@ -214,13 +216,9 @@ func unknownField(err error) (string, bool) {
 }
 
 // named rewrites a decode error to lead with the offending field.
-func named(err error, compat bool) error {
+func named(err error) error {
 	if f, ok := unknownField(err); ok {
-		hint := "envelope fields: v, id, tenant, priority, deadline_s, kind, join, design"
-		if !compat && legacyFields[f] {
-			hint = "legacy flat requests need the -compat decode path; send the envelope form instead"
-		}
-		return fmt.Errorf("service: unknown request field %q (%s)", f, hint)
+		return fmt.Errorf("service: unknown request field %q (envelope fields: v, id, tenant, priority, deadline_s, kind, join, design)", f)
 	}
 	var ute *json.UnmarshalTypeError
 	if errors.As(err, &ute) && ute.Field != "" {

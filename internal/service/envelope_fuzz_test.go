@@ -3,14 +3,16 @@ package service
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
 	"testing"
 )
 
-// FuzzDecode holds Decode to its contract on arbitrary bytes, with the
-// legacy flat form on and off: it never panics; a request it accepts
+// FuzzDecode holds Decode to its contract on arbitrary bytes, envelope
+// and legacy flat form alike, with either compat value: it never
+// panics; the compat argument changes nothing; a request it accepts
 // re-encodes and re-decodes to itself (nothing is read that the
 // envelope cannot carry); one it rejects gets an error that names the
 // offending field or gives the reason. Seeded with the requests of the
@@ -51,6 +53,10 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte, compat bool) {
 		req, err := Decode(b, compat)
+		other, otherErr := Decode(b, !compat)
+		if !reflect.DeepEqual(req, other) || fmt.Sprint(err) != fmt.Sprint(otherErr) {
+			t.Fatalf("compat %v and %v disagree:\n %+v, %v\n %+v, %v", compat, !compat, req, err, other, otherErr)
+		}
 		if err != nil {
 			msg := err.Error()
 			for _, lead := range []string{

@@ -65,82 +65,70 @@ func TestDecodeEnvelope(t *testing.T) {
 	}
 }
 
-// TestDecodeLegacyCompat: the pre-envelope flat form decodes (behind
-// compat) into the equivalent envelope.
+// TestDecodeLegacyCompat: the pre-envelope flat form decodes into the
+// equivalent envelope, whichever compat value the caller passes.
 func TestDecodeLegacyCompat(t *testing.T) {
-	got, err := Decode([]byte(`{"id":"a","sf":5,"build_sel":0.1,"probe_sel":0.02,"method":"broadcast"}`), true)
-	if err != nil {
-		t.Fatalf("legacy join: %v", err)
-	}
-	if got.ID != "a" || got.Tenant != "" || got.Join == nil ||
-		(*got.Join != workload.JoinRequest{SF: 5, BuildSel: 0.1, ProbeSel: 0.02, Method: "broadcast"}) {
-		t.Fatalf("legacy join lifted to %+v", got)
-	}
-	got, err = Decode([]byte(`{"id":"d","kind":"design","build_gb":700,"probe_gb":2800,"nodes":8,"target":0.6,"build_sel":0.1,"probe_sel":0.02}`), true)
-	if err != nil {
-		t.Fatalf("legacy design: %v", err)
-	}
-	if got.Design == nil || (*got.Design != DesignRequest{BuildGB: 700, ProbeGB: 2800, Nodes: 8, Target: 0.6, BuildSel: 0.1, ProbeSel: 0.02}) {
-		t.Fatalf("legacy design lifted to %+v", got)
+	for _, compat := range []bool{true, false} {
+		got, err := Decode([]byte(`{"id":"a","sf":5,"build_sel":0.1,"probe_sel":0.02,"method":"broadcast"}`), compat)
+		if err != nil {
+			t.Fatalf("legacy join (compat %v): %v", compat, err)
+		}
+		if got.ID != "a" || got.Tenant != "" || got.Join == nil ||
+			(*got.Join != workload.JoinRequest{SF: 5, BuildSel: 0.1, ProbeSel: 0.02, Method: "broadcast"}) {
+			t.Fatalf("legacy join (compat %v) lifted to %+v", compat, got)
+		}
+		got, err = Decode([]byte(`{"id":"d","kind":"design","build_gb":700,"probe_gb":2800,"nodes":8,"target":0.6,"build_sel":0.1,"probe_sel":0.02}`), compat)
+		if err != nil {
+			t.Fatalf("legacy design (compat %v): %v", compat, err)
+		}
+		if got.Design == nil || (*got.Design != DesignRequest{BuildGB: 700, ProbeGB: 2800, Nodes: 8, Target: 0.6, BuildSel: 0.1, ProbeSel: 0.02}) {
+			t.Fatalf("legacy design (compat %v) lifted to %+v", compat, got)
+		}
 	}
 }
 
-// TestDecodeErrorsNameTheField: unknown fields, type mismatches, and
-// disabled compat all produce errors that tell the caller which field to
-// fix.
+// TestDecodeErrorsNameTheField: unknown fields and type mismatches
+// produce errors that tell the caller which field to fix.
 func TestDecodeErrorsNameTheField(t *testing.T) {
 	cases := []struct {
 		name    string
 		in      string
-		compat  bool
 		wantSub []string
 	}{
 		{
 			name:    "typo in envelope field",
 			in:      `{"tenannt":"x"}`,
-			compat:  true,
 			wantSub: []string{`"tenannt"`, "envelope fields"},
 		},
 		{
 			name:    "typo in join payload",
 			in:      `{"join":{"probe_sell":0.1}}`,
-			compat:  true,
 			wantSub: []string{`"probe_sell"`},
-		},
-		{
-			name:    "legacy field with compat off",
-			in:      `{"sf":5}`,
-			compat:  false,
-			wantSub: []string{`"sf"`, "-compat"},
 		},
 		{
 			name:    "type mismatch reported from the legacy decoder",
 			in:      `{"sf":"ten"}`,
-			compat:  true,
 			wantSub: []string{`"sf"`, "want a number", "got string"},
 		},
 		{
 			name:    "type mismatch in envelope",
 			in:      `{"deadline_s":"soon","join":{"sf":5}}`,
-			compat:  true,
 			wantSub: []string{`"deadline_s"`, "want a number"},
 		},
 		{
 			name:    "trailing data",
 			in:      `{"join":{"sf":5}} {"join":{"sf":6}}`,
-			compat:  true,
 			wantSub: []string{"trailing data"},
 		},
 		{
 			name:    "not an object",
 			in:      `[1,2]`,
-			compat:  true,
 			wantSub: []string{"invalid"},
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Decode([]byte(tc.in), tc.compat)
+			_, err := Decode([]byte(tc.in), true)
 			if err == nil {
 				t.Fatalf("Decode(%s) accepted", tc.in)
 			}

@@ -66,14 +66,9 @@ func MicrobenchJoin() pstore.JoinSpec {
 	}
 }
 
-// RunMicrobench executes the Figure 6 workload on one node of the given
-// hardware and returns (response seconds, joules).
-func RunMicrobench(spec hw.Spec) (float64, float64, error) {
-	return RunMicrobenchOn(pstore.Engine{}, spec)
-}
-
-// RunMicrobenchOn is RunMicrobench with an injectable join runner, so a
-// suite-wide pstore.Cache also memoizes the Figure 6 microbenchmarks.
+// RunMicrobenchOn executes the Figure 6 workload on one node of the given
+// hardware through r and returns (response seconds, joules). r is a join
+// runner so a suite-wide pstore.Cache also memoizes the microbenchmarks.
 func RunMicrobenchOn(r pstore.JoinRunner, spec hw.Spec) (float64, float64, error) {
 	c, err := cluster.New(cluster.Homogeneous(1, spec))
 	if err != nil {

@@ -58,7 +58,7 @@ func TestMicrobenchFigure6Anchors(t *testing.T) {
 		{hw.LaptopBMicro(), 25, 800},
 	}
 	for _, c := range cases {
-		sec, j, err := RunMicrobench(c.spec)
+		sec, j, err := RunMicrobenchOn(pstore.Engine{}, c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec.Name, err)
 		}
@@ -77,7 +77,7 @@ func TestMicrobenchLaptopBWins(t *testing.T) {
 	bestName, bestJ := "", math.Inf(1)
 	fastestName, fastestS := "", math.Inf(1)
 	for _, spec := range hw.MicrobenchSystems() {
-		sec, j, err := RunMicrobench(spec)
+		sec, j, err := RunMicrobenchOn(pstore.Engine{}, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 package repro
 
 // Ablation benchmarks for the simulator's load-bearing design choices
-// (warm-cache regime, batch granularity, skew, DVFS, switch congestion,
-// the JoinWork constant, scheduling policy, elasticity). Each reports the
-// quantity the ablation is about as a custom metric, so `go test
-// -bench=Ablation` doubles as a sensitivity report.
+// (warm-cache regime, batch granularity, DVFS, switch congestion, the
+// JoinWork constant). Each reports the quantity the ablation is about as
+// a custom metric, so `go test -bench=Ablation` doubles as a sensitivity
+// report.
 
 import (
 	"math"
@@ -16,18 +16,8 @@ import (
 	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/pstore"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
-
-func mustCluster(b *testing.B, n int, spec hw.Spec) *cluster.Cluster {
-	b.Helper()
-	c, err := cluster.New(cluster.Homogeneous(n, spec))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c
-}
 
 // joinSeconds runs one independent join on a fresh homogeneous cluster;
 // the multi-configuration ablations below fan these out with par.Map
@@ -83,29 +73,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 	if dev > 0.05 {
 		b.Fatalf("batch size changes virtual time by %.1f%%; fidelity bug", dev*100)
 	}
-}
-
-// BenchmarkAblationSkew quantifies the §4.1 data-skew bottleneck: Zipf
-// probe keys vs uniform, same join, same cluster.
-func BenchmarkAblationSkew(b *testing.B) {
-	var slow, waste float64
-	for i := 0; i < b.N; i++ {
-		run := func(theta float64) (float64, float64) {
-			c := mustCluster(b, 8, hw.ClusterV())
-			spec := workload.Q3Join(10, 0.05, 0.5, pstore.DualShuffle)
-			spec.Probe.SkewTheta = theta
-			r, j, err := pstore.RunJoin(c, pstore.Config{WarmCache: true, BatchRows: 200_000}, spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return r.Seconds, j
-		}
-		t0, j0 := run(0)
-		t1, j1 := run(1.0)
-		slow, waste = t1/t0, j1/j0
-	}
-	b.ReportMetric(slow, "zipf1-slowdown")
-	b.ReportMetric(waste, "zipf1-energy-ratio")
 }
 
 // BenchmarkAblationDVFS reports the EDP effect of downclocking to 60%
@@ -172,74 +139,4 @@ func BenchmarkAblationJoinWork(b *testing.B) {
 		spread = (secs[2] - secs[0]) / secs[0]
 	}
 	b.ReportMetric(spread, "joinwork-0.5..2-spread")
-}
-
-// BenchmarkAblationBatchingPolicy reports the delayed-execution trade
-// (internal/sched): energy ratio and mean-response ratio of batched vs
-// immediate scheduling for a sparse stream.
-func BenchmarkAblationBatchingPolicy(b *testing.B) {
-	var energyRatio, respRatio float64
-	for i := 0; i < b.N; i++ {
-		wl := sched.Periodic(workload.Q3Join(10, 0.05, 0.05, pstore.DualShuffle), 8, 15)
-		mk := func() (*cluster.Cluster, error) {
-			return cluster.New(cluster.Homogeneous(4, hw.ClusterV()))
-		}
-		imm, bat, err := sched.Compare(mk, pstore.Config{WarmCache: true, BatchRows: 200_000}, wl, 60)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := math.Max(imm.Makespan, bat.Makespan)
-		sleepW := imm.IdleWatts * 0.1
-		energyRatio = bat.EnergyWithSleep(h, sleepW, 10) / imm.EnergyWithSleep(h, sleepW, 10)
-		respRatio = bat.MeanResp / imm.MeanResp
-	}
-	b.ReportMetric(energyRatio, "batched/immediate-sleep-energy")
-	b.ReportMetric(respRatio, "batched/immediate-resp")
-}
-
-// BenchmarkAblationElastic quantifies replication-based elastic
-// scale-down (chained replica adoption, §2 [24]) against native
-// repartitioning: divisible online counts match; indivisible ones pay
-// the straggler tax.
-func BenchmarkAblationElastic(b *testing.B) {
-	var at6, at4 float64
-	for i := 0; i < b.N; i++ {
-		type elasticCase struct{ n, homes int }
-		cases := []elasticCase{{6, 8}, {6, 0}, {4, 8}, {4, 0}}
-		secs, err := par.Map(0, cases, func(_ int, ec elasticCase) (float64, error) {
-			spec := workload.Q3Join(10, 0.02, 0.02, pstore.DualShuffle)
-			spec.Build.HomeNodes = ec.homes
-			spec.Probe.HomeNodes = ec.homes
-			return joinSeconds(ec.n, hw.ClusterV(), pstore.Config{WarmCache: true, BatchRows: 200_000}, spec)
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		at6 = secs[0] / secs[1]
-		at4 = secs[2] / secs[3]
-	}
-	b.ReportMetric(at6, "elastic/native@6of8")
-	b.ReportMetric(at4, "elastic/native@4of8")
-}
-
-// BenchmarkAblationManagedSleep compares the fully simulated
-// power-managed scheduler against the unmanaged run for a sparse stream.
-func BenchmarkAblationManagedSleep(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		wl := sched.Periodic(workload.Q3Join(10, 0.05, 0.05, pstore.DualShuffle), 6, 60)
-		policy := sched.Batched{Window: 120}
-		cu := mustCluster(b, 4, hw.ClusterV())
-		unmanaged, err := sched.Run(cu, pstore.Config{WarmCache: true, BatchRows: 200_000}, wl, policy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cm := mustCluster(b, 4, hw.ClusterV())
-		managed, err := sched.RunManaged(cm, pstore.Config{WarmCache: true, BatchRows: 200_000}, wl, policy)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = managed.Joules / unmanaged.Joules
-	}
-	b.ReportMetric(ratio, "managed/unmanaged-energy")
 }

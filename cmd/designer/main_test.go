@@ -43,6 +43,9 @@ func TestBadInputsExitNonZero(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("designer %v: output lacks %q:\n%s", tc.args, tc.want, out)
 		}
+		if strings.Contains(string(out), "infeasible") {
+			t.Errorf("designer %v: an input error reported as an infeasible design:\n%s", tc.args, out)
+		}
 	}
 }
 

@@ -6,13 +6,12 @@
 // query execution kernel and the analytical performance/energy model of
 // parallel hash joins — on top of a deterministic discrete-event cluster
 // simulator, regenerates every table and figure of the evaluation, and
-// implements the paper's stated future work (data skew, entire
-// workloads with power management, DVFS, replication-based elasticity).
-// An HTAP extension (internal/delta, experiments htap1/htap2)
-// re-measures the energy trade-offs with a transactional write path —
-// per-node delta stores, merged-view scans, background merges —
-// contending with the analytics for the same simulated hardware; see
-// README "The HTAP write path".
+// implements DVFS, one item of the paper's stated future work. An HTAP
+// extension (internal/delta, experiments htap1/htap2) re-measures the
+// energy trade-offs with a transactional write path — per-node delta
+// stores, merged-view scans, background merges — contending with the
+// analytics for the same simulated hardware; see README "The HTAP write
+// path".
 //
 // Experiments are a typed API: each internal/experiments generator takes
 // an Options (scale factor, concurrency levels, injectable
@@ -36,11 +35,10 @@
 // none when a process's own resume is next; a 4-ary event heap, an
 // at-now FIFO fast path, zero steady-state allocations), the join data
 // path is a lazy cursor pipeline end-to-end (storage.Cursor:
-// selection-pushdown scans,
-// chained dimension-semijoin filters, per-destination routing and
-// hash-table build/probe all pull batches one at a time, with row-count
-// hints pre-sizing the open-addressing hash tables — README "The
-// streaming data path"), and each experiment's simulation grid shards
+// selection-pushdown scans, per-destination routing and hash-table
+// build/probe all pull batches one at a time, and the planner's estimate
+// pre-sizes the open-addressing hash tables — README "The streaming data
+// path"), and each experiment's simulation grid shards
 // across workers (-shards) without changing a byte of output.
 // `-cpuprofile`/`-memprofile` write pprof profiles of any run.
 //

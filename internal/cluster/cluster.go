@@ -126,10 +126,7 @@ type Node struct {
 
 	inbox *sim.Queue[Message]
 
-	eng       *sim.Engine
-	asleep    bool
-	sleepFrom sim.Time
-	sleeps    [][2]sim.Time
+	eng *sim.Engine
 
 	down     bool
 	downFrom sim.Time
@@ -139,63 +136,6 @@ type Node struct {
 
 // IsWimpy reports whether the node is a low-power node.
 func (n *Node) IsWimpy() bool { return n.Spec.Class == hw.Wimpy }
-
-// Asleep reports whether the node is currently suspended.
-func (n *Node) Asleep() bool { return n.asleep }
-
-// Sleep suspends the node at the current virtual time. The node must be
-// quiescent (no queued CPU work); running work while asleep is a
-// scheduler bug the meter will catch.
-func (n *Node) Sleep() error {
-	now := n.eng.Now()
-	if n.asleep {
-		return fmt.Errorf("cluster: node %d already asleep", n.ID)
-	}
-	if n.CPU.FreeAt() > now {
-		return fmt.Errorf("cluster: node %d has queued CPU work until t=%.3f", n.ID, n.CPU.FreeAt())
-	}
-	n.asleep = true
-	n.sleepFrom = now
-	return nil
-}
-
-// Wake begins the suspend->ready transition at the current virtual time:
-// the sleep interval ends now, and the node is usable WakeDelay seconds
-// later (the transition burns idle power — §2's "direct cost"). It
-// returns the time at which the node is ready.
-func (n *Node) Wake() sim.Time {
-	now := n.eng.Now()
-	if n.asleep {
-		n.sleeps = append(n.sleeps, [2]sim.Time{n.sleepFrom, now})
-		n.asleep = false
-	}
-	return now + n.Spec.WakeDelay()
-}
-
-// AsleepBetween returns the seconds the node was suspended during [a, b),
-// including a still-open sleep interval.
-func (n *Node) AsleepBetween(a, b sim.Time) float64 {
-	total := 0.0
-	overlap := func(s, e sim.Time) {
-		lo, hi := s, e
-		if lo < a {
-			lo = a
-		}
-		if hi > b {
-			hi = b
-		}
-		if hi > lo {
-			total += hi - lo
-		}
-	}
-	for _, iv := range n.sleeps {
-		overlap(iv[0], iv[1])
-	}
-	if n.asleep {
-		overlap(n.sleepFrom, b)
-	}
-	return total
-}
 
 // Down reports whether the node is currently crashed.
 func (n *Node) Down() bool { return n.down }
@@ -300,7 +240,6 @@ func New(cfg Config) (*Cluster, error) {
 		n.Egress = sim.NewServer(eng, fmt.Sprintf("n%d.tx", i), spec.NetMBps*1e6)
 		n.Ingress = sim.NewServer(eng, fmt.Sprintf("n%d.rx", i), spec.NetMBps*1e6)
 		n.Meter = power.NewMeter(eng, n.CPU, spec.Power, spec.UtilFloor)
-		n.Meter.SetSleepModel(n.AsleepBetween, spec.SleepModelWatts())
 		n.inbox = sim.NewQueue[Message](fmt.Sprintf("n%d.inbox", i), cap)
 		c.Nodes = append(c.Nodes, n)
 		c.startIngressPump(n)

@@ -112,10 +112,17 @@ type Designer struct {
 
 // Explore evaluates all homogeneous sizes in [MinNodes, MaxNodes] and all
 // Beefy/Wimpy mixes of MaxNodes total nodes, normalized against the
-// all-Beefy MaxNodes design.
+// all-Beefy MaxNodes design. Bad workload parameters are an input error;
+// "infeasible" means only that the reference design's hash table does
+// not fit.
 func (d Designer) Explore() ([]Candidate, error) {
 	if d.MaxNodes <= 0 {
 		return nil, fmt.Errorf("core: MaxNodes must be positive")
+	}
+	base := d.Base
+	base.NB, base.NW = d.MaxNodes, 0
+	if err := base.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	min := d.MinNodes
 	if min <= 0 {
@@ -179,9 +186,8 @@ func (d Designer) Explore() ([]Candidate, error) {
 // every phase of the join is scan-bound on the full-size cluster — i.e.
 // no phase saturates the network. A network-bound phase means sub-linear
 // speedup, which is exactly when smaller or heterogeneous designs save
-// energy (Figure 12(b,c)). The tol parameter is reserved (pass 0).
-func (d Designer) Classify(tol float64) (Scalability, error) {
-	_ = tol
+// energy (Figure 12(b,c)).
+func (d Designer) Classify() (Scalability, error) {
 	p := d.Base
 	p.NB, p.NW = d.MaxNodes, 0
 	if err := p.Validate(); err != nil {
@@ -204,7 +210,7 @@ func (d Designer) Recommend(perfTarget float64) (Advice, error) {
 	if err != nil {
 		return Advice{}, err
 	}
-	class, err := d.Classify(0)
+	class, err := d.Classify()
 	if err != nil {
 		return Advice{}, err
 	}

@@ -54,7 +54,7 @@ func TestExploreNormalizesAgainstFullBeefy(t *testing.T) {
 func TestClassifyBottlenecked(t *testing.T) {
 	// O 10% shuffle join is network-bound: sub-linear speedup.
 	d := Designer{Base: fig12Params(0.10, 0.10), MaxNodes: 8}
-	class, err := d.Classify(0)
+	class, err := d.Classify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClassifyScalable(t *testing.T) {
 	// Deeply selective predicates: scan-bound on both phases => ideal
 	// speedup (the Q1 regime of Figure 12(a)).
 	d := Designer{Base: fig12Params(0.01, 0.01), MaxNodes: 8}
-	class, err := d.Classify(0)
+	class, err := d.Classify()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,6 +163,8 @@ func TestRecommendRejectsNonFinite(t *testing.T) {
 		_, err := d.Recommend(tc.target)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Recommend = %v, want an error naming %q", tc.name, err, tc.want)
+		} else if strings.Contains(err.Error(), "infeasible") {
+			t.Errorf("%s: Recommend = %v, an input error reported as an infeasible design", tc.name, err)
 		}
 	}
 }

@@ -204,36 +204,6 @@ func VerticaQ21() Query {
 	}
 }
 
-// VerticaQ6 models TPC-H Q6: a pure scan+aggregate over LINEITEM with
-// highly selective predicates — even lighter than Q1, and like it a
-// perfectly partitionable workload with flat energy across sizes.
-func VerticaQ6() Query {
-	return Query{
-		Name: "Vertica TPC-H Q6 (SF1000)",
-		Stages: []Stage{
-			// Q6 touches four LINEITEM columns (~20 B/row) with a cheap
-			// predicate+aggregate.
-			{Name: "local scan+agg", Kind: Local, BytesMB: 6e9 * 20 / 1e6 * 1.2},
-		},
-	}
-}
-
-// VerticaQ3 models TPC-H Q3: the LINEITEM⋈ORDERS⋈CUSTOMER join. With the
-// cluster-V layout (ORDERS segmented on O_CUSTKEY), the CUSTOMER join is
-// partition-compatible but the LINEITEM join repartitions ORDERS — a
-// middle ground between Q12 and Q21 (~20% network at 8N).
-func VerticaQ3() Query {
-	const shuffleMB = 60_000
-	const localMB = 21.2e6
-	return Query{
-		Name: "Vertica TPC-H Q3 (SF1000)",
-		Stages: []Stage{
-			{Name: "local scans+customer join", Kind: Local, BytesMB: localMB},
-			{Name: "repartition ORDERS", Kind: Repartition, BytesMB: shuffleMB, Congestion: Q12Congestion},
-		},
-	}
-}
-
 // HadoopDBQ1 models the HadoopDB behaviour of Section 3.2: the same
 // partitionable work as Q1 plus Hadoop's per-job coordination overhead,
 // which neither shrinks with cluster size nor uses the CPUs. The paper

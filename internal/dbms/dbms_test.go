@@ -178,29 +178,3 @@ func TestEnergyEqualsMeterIntegral(t *testing.T) {
 		t.Fatalf("energy = %.1f, want %.1f", r.Joules, want)
 	}
 }
-
-func TestQ6FlatEnergyLikeQ1(t *testing.T) {
-	res := sweep(t, VerticaQ6())
-	for _, n := range []int{8, 12} {
-		if _, e := norm(res, n); math.Abs(e-1.0) > 0.05 {
-			t.Fatalf("Q6 %dN energy = %.3f, want flat", n, e)
-		}
-	}
-}
-
-func TestQ3IntermediateNetworkShare(t *testing.T) {
-	r8, err := Run(VerticaQ3(), 8, hw.ClusterV())
-	if err != nil {
-		t.Fatal(err)
-	}
-	frac := r8.NetworkFraction(VerticaQ3())
-	if frac < 0.10 || frac > 0.35 {
-		t.Fatalf("Q3 network fraction at 8N = %.3f, want between Q21 (0.055) and Q12 (0.48)", frac)
-	}
-	// Energy behaviour sits between Q21 (flat) and Q12 (drops ~0.78).
-	res := sweep(t, VerticaQ3())
-	_, e8 := norm(res, 8)
-	if e8 <= 0.78 || e8 >= 1.0 {
-		t.Fatalf("Q3 8N energy = %.3f, want in (0.78, 1.0)", e8)
-	}
-}

@@ -36,7 +36,6 @@ func (s *Store) MergedCursor(blockRows int) storage.Cursor {
 		tomb:      s.tomb,
 		tailKeys:  s.tailKeys,
 		tailLive:  s.tailLive,
-		hint:      s.VisibleRows(),
 	}
 }
 
@@ -91,8 +90,6 @@ func (c *phantomMerged) Next() (storage.Batch, bool) {
 	return storage.Batch{}, false
 }
 
-func (c *phantomMerged) RowHint() (int64, bool) { return c.survive + c.tailLeft, true }
-
 func (c *phantomMerged) Close() { c.closed = true }
 
 // materializedMerged filters each base block against the tombstone set,
@@ -109,7 +106,6 @@ type materializedMerged struct {
 	ti       int
 
 	idx    []int // survivor scratch, reused across blocks
-	hint   int64
 	closed bool
 }
 
@@ -155,8 +151,6 @@ func (c *materializedMerged) Next() (storage.Batch, bool) {
 	}
 	return storage.Batch{}, false
 }
-
-func (c *materializedMerged) RowHint() (int64, bool) { return c.hint, true }
 
 func (c *materializedMerged) Close() {
 	c.closed = true

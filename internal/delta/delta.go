@@ -171,9 +171,6 @@ func NewStore(part *storage.Partition, node int, cpu *sim.Server, cfg Config) (*
 	return s, nil
 }
 
-// Node returns the owning node's ID.
-func (s *Store) Node() int { return s.node }
-
 // Apply ingests one write batch, charging the owning node's CPU for the
 // write-path work (rows x width x ApplyWork bytes). The calling process
 // blocks for the simulated service time, so a saturated CPU throttles
@@ -278,16 +275,16 @@ func (s *Store) shadowedRows() int64 {
 	}
 	// Tombstones are keyed, not counted: with unique keys (the generic
 	// generator's regime) each tombstone hides at most one base row, so
-	// the tombstone count bounds the shadowed rows. Good enough for the
-	// hint; the cursor filters exactly.
+	// the tombstone count bounds the shadowed rows. Good enough for an
+	// estimate; the cursor filters exactly.
 	t := int64(s.tomb.Len())
 	return min64(t, s.baseRows)
 }
 
 // VisibleRows returns the merged view's row count: base minus shadowed
 // plus the live tail. For phantom stores this is exact; for
-// materialized stores it is the pre-sizing estimate (the cursor's
-// actual yield is exact).
+// materialized stores it is an estimate (the cursor's actual yield is
+// exact).
 func (s *Store) VisibleRows() int64 {
 	return s.baseRows - s.shadowedRows() + s.liveTailRows()
 }
@@ -381,17 +378,4 @@ func (ds *Set) NodeTailBytes(node int) float64 {
 		}
 	}
 	return b
-}
-
-// Stores returns every registered store in (table, node) key order, so
-// callers folding over the set observe a deterministic sequence.
-func (ds *Set) Stores() []*Store {
-	if ds == nil {
-		return nil
-	}
-	out := make([]*Store, 0, len(ds.stores))
-	for _, k := range ds.sortedKeys() {
-		out = append(out, ds.stores[k])
-	}
-	return out
 }

@@ -78,7 +78,7 @@ func TestOverlayShadowing(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("merged view = %v, want %v", got, want)
 		}
-		// The hint is an estimate: tombstones are keyed, and 42 (deleted
+		// VisibleRows is an estimate: tombstones are keyed, and 42 (deleted
 		// while tail-only) never had a base copy, so the estimate counts
 		// one shadow too many: base 10 - tomb {3,7,42} + live tail
 		// {3,100,42} = 10 vs. 11 actual.

@@ -191,7 +191,8 @@ func TestInjectorStopDisarms(t *testing.T) {
 }
 
 // TestFingerprintCoversNodesAndSpecs: the fingerprint is a function of
-// node count and hardware.
+// node count and hardware, and it is stable: it seeds every fault plan,
+// so it is pinned for two clusters.
 func TestFingerprintCoversNodesAndSpecs(t *testing.T) {
 	a := Fingerprint(testCluster(t, 4))
 	if a != Fingerprint(testCluster(t, 4)) {
@@ -207,5 +208,23 @@ func TestFingerprintCoversNodesAndSpecs(t *testing.T) {
 	}
 	if a == Fingerprint(mc) {
 		t.Fatal("fingerprint ignores hardware specs")
+	}
+	mixedL, err := cluster.New(cluster.Mixed(2, hw.BeefyL5630(), 2, hw.LaptopB()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct {
+		name string
+		got  uint64
+		want uint64
+	}{
+		{"4 x ClusterV", a, 0xff2e1eade055208d},
+		{"2 x BeefyL5630 + 2 x LaptopB", Fingerprint(mixedL), 0x56d738c37e8aba9},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("Fingerprint(%s) = %#x, pinned %#x: a change to an hw.Spec field or its value "+
+				"reseeds every fault plan, which moves the fault1/fault2 experiments and the "+
+				"workload.faulted_retries benchmark row", pin.name, pin.got, pin.want)
+		}
 	}
 }

@@ -67,14 +67,10 @@ type Spec struct {
 	// f(UtilFloor) is what simulations draw when idle under P-store).
 	IdleWatts float64
 
-	// SleepWatts is the node's power while suspended (S3-like). Zero
-	// means "default": 10% of the engine-idle power f(UtilFloor).
-	SleepWatts float64
-	// WakeSeconds is the suspend->ready transition time (during which
-	// the node burns idle power but cannot run work). Zero means the
-	// 30 s default — the paper notes on/off switching has "direct costs
-	// such as increased query latency" (§2).
-	WakeSeconds float64
+	// SleepWatts and WakeSeconds are unread. They stay because
+	// fault.Fingerprint hashes every field: removing one reseeds every
+	// fault plan.
+	SleepWatts, WakeSeconds float64
 
 	// Cores/Threads as reported in Tables 1-2 (informational).
 	Cores, Threads int
@@ -100,30 +96,6 @@ func (s Spec) Validate() error {
 	}
 	return nil
 }
-
-// IdleModelWatts returns the power the simulation charges when the node
-// is idle under the engine: f(UtilFloor).
-func (s Spec) IdleModelWatts() float64 { return s.Power.Watts(s.UtilFloor) }
-
-// SleepModelWatts returns the suspended power draw (SleepWatts, or the
-// 10%-of-idle default).
-func (s Spec) SleepModelWatts() float64 {
-	if s.SleepWatts > 0 {
-		return s.SleepWatts
-	}
-	return 0.1 * s.IdleModelWatts()
-}
-
-// WakeDelay returns the suspend->ready transition time (default 30 s).
-func (s Spec) WakeDelay() float64 {
-	if s.WakeSeconds > 0 {
-		return s.WakeSeconds
-	}
-	return 30
-}
-
-// PeakWatts returns f(1).
-func (s Spec) PeakWatts() float64 { return s.Power.Watts(1) }
 
 // ---------------------------------------------------------------------------
 // Cluster-V (Table 1): 16× HP ProLiant DL360G6, dual Intel X5550, 48 GB RAM,

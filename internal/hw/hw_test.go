@@ -77,7 +77,7 @@ func TestSection531ValidationSettings(t *testing.T) {
 
 func TestWimpyPowerFractionOfBeefy(t *testing.T) {
 	// §5.4: Wimpy power footprint ≈ 10% of Beefy.
-	r := LaptopB().PeakWatts() / ClusterV().PeakWatts()
+	r := LaptopB().Power.Watts(1) / ClusterV().Power.Watts(1)
 	if r < 0.05 || r > 0.2 {
 		t.Errorf("peak wimpy/beefy = %v, want ~0.1", r)
 	}
@@ -101,7 +101,7 @@ func TestMicrobenchFigure6Anchors(t *testing.T) {
 	}
 	for _, a := range anchors {
 		sec := workMB / a.spec.CPUBandwidth
-		j := sec * a.spec.PeakWatts()
+		j := sec * a.spec.Power.Watts(1)
 		if math.Abs(sec-a.wantSec)/a.wantSec > 0.02 {
 			t.Errorf("%s: modelled time %.1f s, want ~%.0f", a.spec.Name, sec, a.wantSec)
 		}
@@ -116,7 +116,7 @@ func TestLaptopBLowestEnergyInMicrobench(t *testing.T) {
 	best := ""
 	bestJ := math.Inf(1)
 	for _, s := range MicrobenchSystems() {
-		j := workMB / s.CPUBandwidth * s.PeakWatts()
+		j := workMB / s.CPUBandwidth * s.Power.Watts(1)
 		if j < bestJ {
 			bestJ, best = j, s.Name
 		}

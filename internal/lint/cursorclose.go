@@ -17,7 +17,7 @@ import (
 // cursor must either be closed (directly or deferred — the check is
 // intraprocedural and any-path, not all-paths) or handed off: passed to
 // a call, returned, stored into a struct/slice/map/channel, or captured
-// by address. A cursor whose only uses are Next/RowHint pulls, or whose
+// by address. A cursor whose only uses are Next pulls, or whose
 // producing call's result is discarded outright, is reported. Suppress
 // with //lint:closed <reason>.
 var Cursorclose = &analysis.Analyzer{

@@ -1,5 +1,5 @@
 // Package cursor is the cursorclose fixture: a self-contained cursor
-// shape (Next + RowHint + Close) with leaking and non-leaking callers.
+// shape (Next + Close) with leaking and non-leaking callers.
 package cursor
 
 type Batch struct{ Rows int }
@@ -7,15 +7,13 @@ type Batch struct{ Rows int }
 // Cursor has the storage.Cursor shape the analyzer recognizes.
 type Cursor interface {
 	Next() (Batch, bool)
-	RowHint() (int64, bool)
 	Close()
 }
 
 type source struct{}
 
-func (s *source) Next() (Batch, bool)    { return Batch{}, false }
-func (s *source) RowHint() (int64, bool) { return 0, false }
-func (s *source) Close()                 {}
+func (s *source) Next() (Batch, bool) { return Batch{}, false }
+func (s *source) Close()              {}
 
 func Open() Cursor           { return &source{} }
 func OpenVal() source        { return source{} }

@@ -414,35 +414,6 @@ func SweepMix(base Params, n int) []DesignPoint {
 	return out
 }
 
-// SweepSize evaluates homogeneous clusters of the given sizes (largest
-// first is conventional), normalizing against the largest — the
-// Figure 1(a)/2/3/4 methodology.
-func SweepSize(base Params, sizes []int) []DesignPoint {
-	var out []DesignPoint
-	var ref Result
-	maxN := 0
-	for _, n := range sizes {
-		if n > maxN {
-			maxN = n
-		}
-	}
-	refP := base
-	refP.NB, refP.NW = maxN, 0
-	ref, _ = refP.HashJoin()
-	for _, n := range sizes {
-		p := base
-		p.NB, p.NW = n, 0
-		res, err := p.HashJoin()
-		dp := DesignPoint{NB: n, Res: res, Err: err}
-		if err == nil && res.Seconds() > 0 && ref.Joules() > 0 {
-			dp.NormPerf = ref.Seconds() / res.Seconds()
-			dp.NormEng = res.Joules() / ref.Joules()
-		}
-		out = append(out, dp)
-	}
-	return out
-}
-
 // Knee returns the index of the "knee" in a mix sweep: the last design
 // (scanning from all-Beefy toward all-Wimpy) whose PROBE-phase rate is
 // within tol of the all-Beefy design's. The paper defines the knee on the

@@ -332,24 +332,6 @@ func TestFig11LowSelectivityDipsBelowEDP(t *testing.T) {
 	}
 }
 
-func TestSweepSizeSubLinear(t *testing.T) {
-	// Homogeneous size sweep under a network bottleneck (O 10%): smaller
-	// clusters retain more than proportional performance.
-	p := section54Params()
-	p.Sbld, p.Sprb = 0.10, 0.10
-	pts := SweepSize(p, []int{16, 14, 12, 10, 8})
-	if math.Abs(pts[0].NormPerf-1) > 1e-9 {
-		t.Fatal("16N not normalized to 1")
-	}
-	p8 := pts[len(pts)-1]
-	if p8.NormPerf <= 0.5 {
-		t.Fatalf("8N perf %.3f, want > 0.5 (sub-linear speedup)", p8.NormPerf)
-	}
-	if p8.NormEng >= 1 {
-		t.Fatalf("8N energy %.3f, want < 1", p8.NormEng)
-	}
-}
-
 func TestWarmCacheUsesCPURates(t *testing.T) {
 	p := section54Params()
 	p.Sbld, p.Sprb = 0.001, 0.001 // deeply scan-bound

@@ -40,9 +40,6 @@ type Meter struct {
 	// Busy intervals not yet integrated: sorted, non-overlapping, merged
 	// when adjacent. Each window drops those that end at or before it.
 	segs []interval
-
-	sleepLookup func(a, b sim.Time) float64
-	sleepWatts  float64
 }
 
 type interval struct{ start, end sim.Time }
@@ -89,16 +86,6 @@ func (m *Meter) busyBetween(a, b sim.Time) float64 {
 	return busy
 }
 
-// SetSleepModel teaches the meter about node suspend states: lookup(a,b)
-// must return the seconds the node was asleep during [a,b), and watts is
-// the suspended power draw. During asleep time the meter charges watts
-// instead of f(util); CPU activity overlapping sleep is a scheduler bug
-// and panics.
-func (m *Meter) SetSleepModel(lookup func(a, b sim.Time) float64, watts float64) {
-	m.sleepLookup = lookup
-	m.sleepWatts = watts
-}
-
 // window integrates one window ending at upto of the given width.
 func (m *Meter) window(upto sim.Time, width float64) {
 	busy := m.busyBetween(upto-width, upto)
@@ -109,24 +96,15 @@ func (m *Meter) window(upto sim.Time, width float64) {
 	if i > 0 {
 		m.segs = append(m.segs[:0], m.segs[i:]...)
 	}
-	awake := width
-	var asleep float64
-	if m.sleepLookup != nil {
-		asleep = m.sleepLookup(upto-width, upto)
-		awake = width - asleep
-		if busy > awake+1e-9 {
-			panic("power: CPU busy while node asleep")
-		}
-	}
 	util := 1.0
-	if awake > 1e-12 {
-		util = m.g + busy/awake
+	if width > 1e-12 {
+		util = m.g + busy/width
 		if util > 1 {
 			util = 1
 		}
 	}
 	w := m.model.Watts(util)
-	m.joules += w*awake + m.sleepWatts*asleep
+	m.joules += float64(w * width) // rounded product: never fused into the sum
 	m.seconds += width
 	m.utilSum += util
 	m.samples++

@@ -141,11 +141,9 @@ func BenchmarkMeteredRun(b *testing.B) {
 // up to now at once. It is the reference the online Meter must match bit
 // for bit.
 type lazyMeter struct {
-	eng         *sim.Engine
-	model       Model
-	g           float64
-	sleepLookup func(a, b sim.Time) float64
-	sleepWatts  float64
+	eng   *sim.Engine
+	model Model
+	g     float64
 
 	segs                     []interval
 	joules, seconds, utilSum float64
@@ -202,24 +200,15 @@ func (m *lazyMeter) consumeBusyUpTo(upto sim.Time, window float64) float64 {
 
 func (m *lazyMeter) window(upto sim.Time, width float64) {
 	busy := m.consumeBusyUpTo(upto, width)
-	awake := width
-	var asleep float64
-	if m.sleepLookup != nil {
-		asleep = m.sleepLookup(upto-width, upto)
-		awake = width - asleep
-		if busy > awake+1e-9 {
-			panic("power: CPU busy while node asleep")
-		}
-	}
 	util := 1.0
-	if awake > 1e-12 {
-		util = m.g + busy/awake
+	if width > 1e-12 {
+		util = m.g + busy/width
 		if util > 1 {
 			util = 1
 		}
 	}
 	w := m.model.Watts(util)
-	m.joules += w*awake + m.sleepWatts*asleep
+	m.joules += float64(w * width)
 	m.seconds += width
 	m.utilSum += util
 	m.samples++
@@ -248,43 +237,11 @@ func (m *lazyMeter) Stop() {
 	m.stopped = true
 }
 
-// sleeper records a node's suspend intervals the way cluster.Node does.
-type sleeper struct {
-	eng       *sim.Engine
-	asleep    bool
-	sleepFrom sim.Time
-	sleeps    [][2]sim.Time
-}
-
-func (s *sleeper) sleep() { s.asleep, s.sleepFrom = true, s.eng.Now() }
-
-func (s *sleeper) wake() {
-	s.sleeps = append(s.sleeps, [2]sim.Time{s.sleepFrom, s.eng.Now()})
-	s.asleep = false
-}
-
-func (s *sleeper) between(a, b sim.Time) float64 {
-	total := 0.0
-	overlap := func(lo, hi sim.Time) {
-		lo, hi = max(lo, a), min(hi, b)
-		if hi > lo {
-			total += hi - lo
-		}
-	}
-	for _, iv := range s.sleeps {
-		overlap(iv[0], iv[1])
-	}
-	if s.asleep {
-		overlap(s.sleepFrom, b)
-	}
-	return total
-}
-
 // meterScript drives one seeded random CPU workload: adjacent jobs and
 // gaps, times on a 0.25 s grid (so merges land exactly on window edges)
-// and off it, zero-size jobs, stalls, sleep and wake, mid-run syncs, and
-// asynchronous jobs that run past the final stop.
-func meterScript(seed int64, eng *sim.Engine, cpu *sim.Server, sl *sleeper, sync func()) {
+// and off it, zero-size jobs, stalls, mid-run syncs, and asynchronous
+// jobs that run past the final stop.
+func meterScript(seed int64, eng *sim.Engine, cpu *sim.Server, sync func()) {
 	rng := rand.New(rand.NewSource(seed))
 	dur := func() float64 { // seconds: zero, on the grid, or off it
 		switch rng.Intn(4) {
@@ -298,7 +255,7 @@ func meterScript(seed int64, eng *sim.Engine, cpu *sim.Server, sl *sleeper, sync
 	}
 	eng.Go("script", func(p *sim.Proc) {
 		for i := 0; i < 120; i++ {
-			switch rng.Intn(8) {
+			switch rng.Intn(7) {
 			case 0, 1:
 				cpu.Process(p, dur()*cpu.Rate())
 			case 2:
@@ -311,12 +268,6 @@ func meterScript(seed int64, eng *sim.Engine, cpu *sim.Server, sl *sleeper, sync
 				sync()
 				if rng.Intn(2) == 0 { // ends on the next window edge, unless queued
 					cpu.Process(p, cpu.Rate())
-				}
-			case 6:
-				if cpu.FreeAt() <= p.Now() {
-					sl.sleep()
-					p.Hold(dur())
-					sl.wake()
 				}
 			default:
 				cpu.ProcessAsync(dur()*cpu.Rate(), func() {})
@@ -339,9 +290,7 @@ func TestMeterMatchesLazyReference(t *testing.T) {
 		engL := sim.New()
 		cpuL := sim.NewServer(engL, "cpu", rate)
 		ref := newLazyMeter(engL, cpuL, model, g)
-		slL := &sleeper{eng: engL}
-		ref.sleepLookup, ref.sleepWatts = slL.between, 7
-		meterScript(seed, engL, cpuL, slL, ref.Sync)
+		meterScript(seed, engL, cpuL, ref.Sync)
 		engL.Run()
 		ref.Stop()
 
@@ -357,9 +306,7 @@ func TestMeterMatchesLazyReference(t *testing.T) {
 			sync = m.Sync
 		}
 		m.tracing = true
-		sl := &sleeper{eng: eng}
-		m.SetSleepModel(sl.between, 7)
-		meterScript(seed, eng, cpu, sl, sync)
+		meterScript(seed, eng, cpu, sync)
 		eng.Run()
 		m.Stop()
 

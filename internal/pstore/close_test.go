@@ -30,7 +30,7 @@ func TestScanCursorCloseStopsDiskPump(t *testing.T) {
 	}
 	e := New(c, Config{BatchRows: batchRows, WarmCache: false})
 	c.Eng.Go("limit", func(p *sim.Proc) {
-		sc := e.scan(p, c.Nodes[0], parts[0], 1.0, keyCols)
+		sc := e.scan(p, c.Nodes[0], parts[0], 1.0)
 		for i := 0; i < 3; i++ {
 			if _, ok := sc.Next(); !ok {
 				t.Error("scan exhausted early")
@@ -66,7 +66,7 @@ func TestScanCursorCloseWarm(t *testing.T) {
 	}
 	e := New(c, Config{BatchRows: 1000, WarmCache: true})
 	c.Eng.Go("limit", func(p *sim.Proc) {
-		sc := e.scan(p, c.Nodes[0], parts[0], 1.0, keyCols)
+		sc := e.scan(p, c.Nodes[0], parts[0], 1.0)
 		if _, ok := sc.Next(); !ok {
 			t.Error("first batch missing")
 		}

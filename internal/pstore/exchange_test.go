@@ -10,8 +10,8 @@ import (
 )
 
 // exchangeCase is one cell of the exchange matrix: every routing policy
-// of both sides (Method × owners), with and without real rows, with and
-// without the dimension cursor on the probe side, on warm and cold scans.
+// of both sides (Method × owners), with and without real rows, on warm
+// and cold scans.
 type exchangeCase struct {
 	name string
 	cfg  Config
@@ -19,7 +19,7 @@ type exchangeCase struct {
 }
 
 // exchangeMatrix enumerates Method × owners × {materialised, phantom} ×
-// {no dims, SupplierDim} × {warm, cold} on a 2 Beefy + 2 Wimpy cluster.
+// {warm, cold} on a 2 Beefy + 2 Wimpy cluster.
 // Prepartitioned with a Beefy-only owner set is refused at launch (every
 // node must build), so those cells are left out.
 func exchangeMatrix() []exchangeCase {
@@ -30,31 +30,25 @@ func exchangeMatrix() []exchangeCase {
 				continue
 			}
 			for _, mat := range []bool{true, false} {
-				for _, dim := range []bool{false, true} {
-					for _, warm := range []bool{true, false} {
-						build, probe := smallDefs(mat)
-						cfg := Config{BatchRows: 512, WarmCache: warm}
-						if !mat {
-							build.SF, probe.SF = 1, 1
-							cfg.BatchRows = 20_000
-						}
-						if method == Prepartitioned {
-							build.SegmentColumn, probe.SegmentColumn = "O_ORDERKEY", "L_ORDERKEY"
-						}
-						spec := JoinSpec{Build: build, Probe: probe, BuildSel: 0.10, ProbeSel: 0.25, Method: method}
-						name := method.String() + "/all"
-						if beefyOnly {
-							spec.BuildNodes = []int{0, 1}
-							name = method.String() + "/beefy"
-						}
-						if dim {
-							spec.Dims = []DimJoin{SupplierDim(build.SF, 0.4, mat)}
-						}
-						name += map[bool]string{true: "/mat", false: "/phantom"}[mat]
-						name += map[bool]string{true: "/supplier", false: "/nodims"}[dim]
-						name += map[bool]string{true: "/warm", false: "/cold"}[warm]
-						cases = append(cases, exchangeCase{name: name, cfg: cfg, spec: spec})
+				for _, warm := range []bool{true, false} {
+					build, probe := smallDefs(mat)
+					cfg := Config{BatchRows: 512, WarmCache: warm}
+					if !mat {
+						build.SF, probe.SF = 1, 1
+						cfg.BatchRows = 20_000
 					}
+					if method == Prepartitioned {
+						build.SegmentColumn, probe.SegmentColumn = "O_ORDERKEY", "L_ORDERKEY"
+					}
+					spec := JoinSpec{Build: build, Probe: probe, BuildSel: 0.10, ProbeSel: 0.25, Method: method}
+					name := method.String() + "/all"
+					if beefyOnly {
+						spec.BuildNodes = []int{0, 1}
+						name = method.String() + "/beefy"
+					}
+					name += map[bool]string{true: "/mat", false: "/phantom"}[mat]
+					name += map[bool]string{true: "/warm", false: "/cold"}[warm]
+					cases = append(cases, exchangeCase{name: name, cfg: cfg, spec: spec})
 				}
 			}
 		}
@@ -84,26 +78,16 @@ var phantomWant = map[string]struct {
 	rows    int64
 	seconds float64
 }{
-	"dual-shuffle/all/phantom/nodims/warm":     {150000, 0.06772586454371426},
-	"dual-shuffle/all/phantom/nodims/cold":     {150000, 0.14117729130962556},
-	"dual-shuffle/all/phantom/supplier/warm":   {60000, 0.0440132161670786},
-	"dual-shuffle/all/phantom/supplier/cold":   {60000, 0.14050039884180499},
-	"dual-shuffle/beefy/phantom/nodims/warm":   {150000, 0.13121442736737696},
-	"dual-shuffle/beefy/phantom/nodims/cold":   {150000, 0.1494743373816388},
-	"dual-shuffle/beefy/phantom/supplier/warm": {60000, 0.059903021684106106},
-	"dual-shuffle/beefy/phantom/supplier/cold": {60000, 0.14122155936013187},
-	"broadcast/all/phantom/nodims/warm":        {150000, 0.05828833249392662},
-	"broadcast/all/phantom/nodims/cold":        {150000, 0.14182006113646597},
-	"broadcast/all/phantom/supplier/warm":      {60000, 0.06108726960641536},
-	"broadcast/all/phantom/supplier/cold":      {60000, 0.14199720905497792},
-	"broadcast/beefy/phantom/nodims/warm":      {150000, 0.1045909422373581},
-	"broadcast/beefy/phantom/nodims/cold":      {150000, 0.143255437635423},
-	"broadcast/beefy/phantom/supplier/warm":    {60000, 0.05842083114467778},
-	"broadcast/beefy/phantom/supplier/cold":    {60000, 0.14220769846013598},
-	"prepartitioned/all/phantom/nodims/warm":   {150000, 0.04052258635961032},
-	"prepartitioned/all/phantom/nodims/cold":   {150000, 0.13962405275071363},
-	"prepartitioned/all/phantom/supplier/warm": {60000, 0.043321523472099194},
-	"prepartitioned/all/phantom/supplier/cold": {60000, 0.13980120066922558},
+	"dual-shuffle/all/phantom/warm":   {150000, 0.06772586454371426},
+	"dual-shuffle/all/phantom/cold":   {150000, 0.14117729130962556},
+	"dual-shuffle/beefy/phantom/warm": {150000, 0.13121442736737696},
+	"dual-shuffle/beefy/phantom/cold": {150000, 0.1494743373816388},
+	"broadcast/all/phantom/warm":      {150000, 0.05828833249392662},
+	"broadcast/all/phantom/cold":      {150000, 0.14182006113646597},
+	"broadcast/beefy/phantom/warm":    {150000, 0.1045909422373581},
+	"broadcast/beefy/phantom/cold":    {150000, 0.143255437635423},
+	"prepartitioned/all/phantom/warm": {150000, 0.04052258635961032},
+	"prepartitioned/all/phantom/cold": {150000, 0.13962405275071363},
 }
 
 // TestExchangeMatrixMatchesOracle: every materialised cell equals the
@@ -124,10 +108,7 @@ func TestExchangeMatrixMatchesOracle(t *testing.T) {
 			c.Stop()
 			res, spec := h.Result, cs.spec
 			if spec.Build.Materialize {
-				wantRows, wantSum := ReferenceJoinWithDims(spec.Build, spec.Probe, spec.BuildSel, spec.ProbeSel, spec.Dims)
-				if len(spec.Dims) == 0 {
-					wantRows, wantSum = ReferenceJoin(spec.Build, spec.Probe, spec.BuildSel, spec.ProbeSel)
-				}
+				wantRows, wantSum := ReferenceJoin(spec.Build, spec.Probe, spec.BuildSel, spec.ProbeSel)
 				if wantRows == 0 {
 					t.Fatal("degenerate reference")
 				}
@@ -156,27 +137,29 @@ func TestExchangeAbortAtSeededTimes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	reason := errors.New("seeded abort")
 	for _, cs := range exchangeMatrix() {
-		c, _, h := cs.launch(t)
-		c.Run()
-		c.Stop()
-		full := h.Result.Seconds
-		if full <= 0 {
-			t.Fatalf("%s: unaborted run took %v s", cs.name, full)
-		}
-		for i := 0; i < 20; i++ {
-			at := rng.Float64() * full
-			c, e, h := cs.launch(t)
-			c.Eng.At(at, func() { h.Abort(reason) })
+		t.Run(cs.name, func(t *testing.T) {
+			c, _, h := cs.launch(t)
 			c.Run()
-			switch {
-			case !h.Done.Fired():
-				t.Errorf("%s: abort at t=%v: Done never fired", cs.name, at)
-			case !errors.Is(h.Err, reason):
-				t.Errorf("%s: abort at t=%v: Err = %v, want the abort reason", cs.name, at, h.Err)
-			case e.OpenCursors() != 0 || e.InFlight() != 0:
-				t.Errorf("%s: abort at t=%v: %d cursors open, %d queries in flight", cs.name, at, e.OpenCursors(), e.InFlight())
-			}
 			c.Stop()
-		}
+			full := h.Result.Seconds
+			if full <= 0 {
+				t.Fatalf("unaborted run took %v s", full)
+			}
+			for i := 0; i < 20; i++ {
+				at := rng.Float64() * full
+				c, e, h := cs.launch(t)
+				c.Eng.At(at, func() { h.Abort(reason) })
+				c.Run()
+				switch {
+				case !h.Done.Fired():
+					t.Errorf("abort at t=%v: Done never fired", at)
+				case !errors.Is(h.Err, reason):
+					t.Errorf("abort at t=%v: Err = %v, want the abort reason", at, h.Err)
+				case e.OpenCursors() != 0 || e.InFlight() != 0:
+					t.Errorf("abort at t=%v: %d cursors open, %d queries in flight", at, e.OpenCursors(), e.InFlight())
+				}
+				c.Stop()
+			}
+		})
 	}
 }

@@ -274,11 +274,11 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 		return nil, fmt.Errorf("pstore: prepartitioned join requires all nodes to build")
 	}
 
-	buildParts, err := storage.PartitionColumns(spec.Build, n, e.cfg.BatchRows, loadCols(spec.Build, keyCols))
+	buildParts, err := storage.PartitionTable(spec.Build, n, e.cfg.BatchRows)
 	if err != nil {
 		return nil, err
 	}
-	probeParts, err := storage.PartitionColumns(spec.Probe, n, e.cfg.BatchRows, loadCols(spec.Probe, probeCols(spec.Dims)))
+	probeParts, err := storage.PartitionTable(spec.Probe, n, e.cfg.BatchRows)
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +336,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	h.exchange(exchange{
 		side: "build", owners: owners, mailboxes: buildMB, done: &h.buildWG,
 		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
-			return e.scan(p, nd, buildParts[nd.ID], spec.BuildSel, keyCols)
+			return e.scan(p, nd, buildParts[nd.ID], spec.BuildSel)
 		},
 		route: func(nd int) routeFunc {
 			switch spec.Method {
@@ -350,41 +350,23 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 			case Prepartitioned:
 				return toSelf(nd)
 			default: // DualShuffle: route by join key.
-				return newRouter(owners, nil).routeEach
+				return newRouter(owners).routeEach
 			}
 		},
 		eos:  func(int) []int { return owners },
 		fold: func(owner int, b storage.Batch) { h.tables[owner].insertBatch(b) },
 	})
 
-	// Replicated-dimension semijoins: the qualifying-key tables are built
-	// once here and shared read-only; every probe scanner still pays the
-	// CPU for hashing its node's dimension copies and keeps its own
-	// fractional-row accumulators.
-	dims, dimBytes := newDimFilters(spec.Dims, spec.Probe.Materialize)
-	// Skewed probe keys land unevenly across hash-table owners.
-	var probeWeights []float64
-	if spec.Probe.SkewTheta > 0 {
-		probeWeights = skewWeights(spec.Build.TotalRows(), spec.Probe.SkewTheta, len(owners))
-	}
 	matchRate := spec.matchRate()
 	h.exchange(exchange{
 		side: "probe", owners: owners, mailboxes: probeMB, done: &h.probeWG,
 		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
-			// Global build barrier, then the node-local dimension hashing.
+			// Global build barrier.
 			h.buildWG.Wait(p)
 			if nd.ID == owners[0] && h.buildEndAt == 0 {
 				h.buildEndAt = p.Now()
 			}
-			if dimBytes > 0 {
-				nd.CPU.Process(p, dimBytes*e.cfg.JoinWork)
-			}
-			src := e.scan(p, nd, probeParts[nd.ID], spec.ProbeSel, probeCols(spec.Dims))
-			if len(dims) == 0 {
-				return src
-			}
-			// Filter probe tuples before they reach the exchange.
-			return &dimFilterCursor{in: src, p: p, cpu: nd.CPU, filters: append([]dimFilter(nil), dims...)}
+			return e.scan(p, nd, probeParts[nd.ID], spec.ProbeSel)
 		},
 		route: func(nd int) routeFunc {
 			switch {
@@ -401,7 +383,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 					rr++
 				}
 			default: // DualShuffle: route by join key.
-				return newRouter(owners, probeWeights).routeEach
+				return newRouter(owners).routeEach
 			}
 		},
 		eos: func(nd int) []int {
@@ -467,13 +449,11 @@ func (h *Handle) finalize(end sim.Time) {
 // router splits filtered batches across destination nodes. For
 // materialized batches rows are routed by Hash64(join key) — the same
 // hash storage segmentation uses, so partition-compatibility is exact.
-// Phantom batches split by per-destination weights (uniform unless the
-// key distribution is skewed) with fractional-row accumulators so totals
-// are exact.
+// Phantom batches split evenly, with fractional-row accumulators so
+// totals are exact.
 type router struct {
-	dests   []int
-	weights []float64 // nil = uniform
-	acc     []float64
+	dests []int
+	acc   []float64
 
 	// Reused per-route scratch: the per-destination row lists of the
 	// batch being split. Lives for the router's lifetime so the exchange
@@ -481,12 +461,11 @@ type router struct {
 	idx [][]int
 }
 
-func newRouter(dests []int, weights []float64) *router {
+func newRouter(dests []int) *router {
 	return &router{
-		dests:   dests,
-		weights: weights,
-		acc:     make([]float64, len(dests)),
-		idx:     make([][]int, len(dests)),
+		dests: dests,
+		acc:   make([]float64, len(dests)),
+		idx:   make([][]int, len(dests)),
 	}
 }
 
@@ -501,11 +480,8 @@ func (r *router) routeEach(b storage.Batch, emit sendFunc) {
 		return
 	}
 	if b.Phantom() {
+		w := 1.0 / float64(d)
 		for i, dst := range r.dests {
-			w := 1.0 / float64(d)
-			if r.weights != nil {
-				w = r.weights[i]
-			}
 			r.acc[i] += float64(b.Rows) * w
 			take := int(r.acc[i])
 			r.acc[i] -= float64(take)
@@ -527,44 +503,6 @@ func (r *router) routeEach(b storage.Batch, emit sendFunc) {
 			emit(r.dests[j], storage.FilterBatch(b, rows))
 		}
 	}
-}
-
-// skewWeights returns the per-destination share of rows when join keys
-// follow Zipf(theta) over [1, nKeys] and are hash-routed across d
-// destinations: the mass of the hottest keys lands on whichever nodes
-// their hashes select, creating the §4.1 utilization imbalance. The head
-// of the distribution (up to 100k ranks) is enumerated exactly; the
-// near-uniform tail is spread evenly.
-func skewWeights(nKeys int64, theta float64, d int) []float64 {
-	w := make([]float64, d)
-	if theta <= 0 || d <= 1 {
-		for i := range w {
-			w[i] = 1.0 / float64(d)
-		}
-		return w
-	}
-	head := nKeys
-	if head > 100_000 {
-		head = 100_000
-	}
-	var headMass, totalMass float64
-	for r := int64(1); r <= head; r++ {
-		totalMass += math.Pow(float64(r), -theta)
-	}
-	headMass = totalMass
-	// Tail mass via the integral approximation of the truncated zeta sum.
-	if nKeys > head && theta != 1 {
-		totalMass += (math.Pow(float64(nKeys), 1-theta) - math.Pow(float64(head), 1-theta)) / (1 - theta)
-	}
-	for r := int64(1); r <= head; r++ {
-		j := int(tpch.Hash64(uint64(r)) % uint64(d))
-		w[j] += math.Pow(float64(r), -theta) / totalMass
-	}
-	tail := (totalMass - headMass) / totalMass
-	for i := range w {
-		w[i] += tail / float64(d)
-	}
-	return w
 }
 
 // runAll launches k copies of spec at once, runs the simulation to

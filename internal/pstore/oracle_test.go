@@ -105,8 +105,7 @@ func (c *mixCursor) Next() (storage.Batch, bool) {
 	return b, true
 }
 
-func (c *mixCursor) RowHint() (int64, bool) { return 0, false }
-func (c *mixCursor) Close()                 { c.left = 0 }
+func (c *mixCursor) Close() { c.left = 0 }
 
 type folded struct {
 	at              sim.Time

@@ -29,8 +29,8 @@ import (
 // owner will hold — the optimizer-information half of the presize path
 // (Section 6's "query optimizer information"): every owner holds a full
 // copy under Broadcast, a 1/owners share under the hash-routed plans.
-// The estimate seeds each owner's build cursor's row hint, which
-// pre-sizes the hash table before the first batch arrives.
+// The estimate pre-sizes each owner's hash table before the first batch
+// arrives.
 func hashOwnerRowHint(spec JoinSpec, owners int) int {
 	hint := int(float64(spec.Build.TotalRows()) * spec.BuildSel)
 	if spec.Method != Broadcast && owners > 0 {
@@ -94,8 +94,7 @@ func PlanJoin(c *cluster.Cluster, req PlanRequest) (Plan, error) {
 	// 1. Partition compatibility: both sides segmented on the join key.
 	compatible := req.BuildKeyColumn != "" &&
 		req.Build.SegmentColumn == req.BuildKeyColumn &&
-		req.Probe.SegmentColumn == req.ProbeKeyColumn &&
-		req.Build.HomeNodes == req.Probe.HomeNodes
+		req.Probe.SegmentColumn == req.ProbeKeyColumn
 	if compatible {
 		spec.Method = Prepartitioned
 		reasons = append(reasons,

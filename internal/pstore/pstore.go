@@ -28,9 +28,8 @@
 // a consumer task per hash-table owner (grouped mailbox drain, CPU charged
 // per group, fold), then per node a scan process and the ship task it
 // feeds through a bounded queue. The five per-side values are the source
-// cursor (open: the plain scan, or — probe side — build barrier,
-// dimension hashing and the scan wrapped in the dimension filters), the
-// routing policy (route), the end-of-stream fan-out (eos), what a
+// cursor (open: the scan, behind the build barrier on the probe side),
+// the routing policy (route), the end-of-stream fan-out (eos), what a
 // received batch does to the owner's hash table (fold) and the barrier
 // the consumers release (done). LaunchJoin is admission, exchange(build),
 // exchange(probe), finalize — in that order, because spawn order is
@@ -143,10 +142,6 @@ type JoinSpec struct {
 	// paper's foreign-key joins this equals BuildSel. Defaults to
 	// BuildSel when zero.
 	MatchRate float64
-	// Dims are replicated-dimension semijoins applied to probe tuples
-	// before the exchange (the Q21 plan shape: SUPPLIER/NATION joined
-	// locally on every node).
-	Dims []DimJoin
 }
 
 func (s JoinSpec) matchRate() float64 {
@@ -169,18 +164,6 @@ func (s JoinSpec) Validate(c *cluster.Cluster) error {
 	}
 	if s.Build.Materialize != s.Probe.Materialize {
 		return fmt.Errorf("pstore: build/probe materialization must match")
-	}
-	for _, d := range s.Dims {
-		if err := d.Validate(); err != nil {
-			return err
-		}
-		// The key column must be a stored foreign key of the probe table,
-		// and LINEITEM's L_SUPPKEY is the only one: a stale index would
-		// read another column, or panic, inside the simulation.
-		if s.Probe.Table != tpch.Lineitem || d.KeyCol != storage.LineitemColSupp {
-			return fmt.Errorf("pstore: dimension %s key column %d is not a stored foreign key of %s",
-				d.Dim.Table, d.KeyCol, s.Probe.Table)
-		}
 	}
 	return nil
 }

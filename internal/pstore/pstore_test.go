@@ -319,13 +319,11 @@ func TestMemoryCheckRejectsOversizedHashTable(t *testing.T) {
 // refused, and a materialized join must not run it.
 func TestValidateRejectsBadSpecs(t *testing.T) {
 	build, probe := smallDefs(true)
-	nanDim := supplierDim(math.NaN(), true)
 	for name, s := range map[string]JoinSpec{
 		"zero build selectivity":     {BuildSel: 0, ProbeSel: 0.5},
 		"probe selectivity above 1":  {BuildSel: 0.5, ProbeSel: 1.5},
 		"NaN build selectivity":      {BuildSel: math.NaN(), ProbeSel: 0.5},
 		"NaN probe selectivity":      {BuildSel: 0.5, ProbeSel: math.NaN()},
-		"NaN dimension selectivity":  {BuildSel: 0.5, ProbeSel: 0.5, Dims: []DimJoin{nanDim}},
 		"build node out of range":    {BuildSel: 0.5, ProbeSel: 0.5, BuildNodes: []int{5}},
 		"negative build selectivity": {BuildSel: -1, ProbeSel: 0.5},
 	} {
@@ -347,81 +345,6 @@ func TestPrepartitionedRequiresAllNodes(t *testing.T) {
 		BuildSel: 0.5, ProbeSel: 0.5, Method: Prepartitioned, BuildNodes: []int{0}})
 	if err == nil {
 		t.Fatal("prepartitioned with partial build nodes accepted")
-	}
-}
-
-func TestAggregateMatchesReference(t *testing.T) {
-	def := storage.TableDef{Table: tpch.Lineitem, SF: testSF, Width: tpch.Q3ProjectedWidth,
-		Placement: storage.HashSegmented, Materialize: true}
-	wantRows, wantSum := ReferenceAggregate(def, 0.25)
-	for _, n := range []int{1, 3} {
-		c := newCluster(t, n)
-		res, _, err := RunAggregate(c, cfgSmall(), AggSpec{Table: def, Sel: 0.25})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.QualifiedRows != wantRows || res.Sum != wantSum {
-			t.Fatalf("n=%d: agg (%d,%d), want (%d,%d)", n, res.QualifiedRows, res.Sum, wantRows, wantSum)
-		}
-	}
-}
-
-// RunAggregate validates its spec before it loads or simulates
-// anything: a NaN or negative selectivity used to answer zero rows and
-// no error, and a coordinator outside the cluster panicked inside the
-// simulation.
-func TestAggSpecValidate(t *testing.T) {
-	def := storage.TableDef{Table: tpch.Lineitem, SF: testSF, Width: tpch.Q3ProjectedWidth,
-		Placement: storage.HashSegmented, Materialize: true}
-	for _, tc := range []struct {
-		name string
-		spec AggSpec
-		ok   bool
-	}{
-		{"defaults", AggSpec{Sel: 0.25}, true},
-		{"full selectivity, last coordinator, explicit work", AggSpec{Sel: 1, Coordinator: 3, AggWork: 2}, true},
-		{"NaN selectivity", AggSpec{Sel: math.NaN()}, false},
-		{"negative selectivity", AggSpec{Sel: -1}, false},
-		{"zero selectivity", AggSpec{Sel: 0}, false},
-		{"selectivity above 1", AggSpec{Sel: 1.5}, false},
-		{"coordinator past the last node", AggSpec{Sel: 0.25, Coordinator: 9}, false},
-		{"coordinator one past the last node", AggSpec{Sel: 0.25, Coordinator: 4}, false},
-		{"negative coordinator", AggSpec{Sel: 0.25, Coordinator: -1}, false},
-		{"NaN work", AggSpec{Sel: 0.25, AggWork: math.NaN()}, false},
-		{"negative work", AggSpec{Sel: 0.25, AggWork: -1}, false},
-		{"infinite work", AggSpec{Sel: 0.25, AggWork: math.Inf(1)}, false},
-	} {
-		tc.spec.Table = def
-		if err := tc.spec.Validate(newCluster(t, 4)); (err == nil) != tc.ok {
-			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)
-		}
-		if tc.ok {
-			continue
-		}
-		if res, _, err := RunAggregate(newCluster(t, 4), cfgSmall(), tc.spec); err == nil {
-			t.Errorf("%s: RunAggregate answered %d rows and no error", tc.name, res.QualifiedRows)
-		}
-	}
-}
-
-func TestAggregateScalesNearLinearly(t *testing.T) {
-	// Q1-regime: no repartitioning => near-ideal speedup (Figure 2(a)).
-	def := storage.TableDef{Table: tpch.Lineitem, SF: 10, Width: tpch.Q3ProjectedWidth,
-		Placement: storage.HashSegmented, Materialize: false}
-	cfg := Config{BatchRows: 200_000, WarmCache: true}
-	c4 := newCluster(t, 4)
-	r4, _, err := RunAggregate(c4, cfg, AggSpec{Table: def, Sel: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c8 := newCluster(t, 8)
-	r8, _, err := RunAggregate(c8, cfg, AggSpec{Table: def, Sel: 0.25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	speedup := r4.Seconds / r8.Seconds
-	if math.Abs(speedup-2) > 0.2 {
-		t.Fatalf("8N speedup over 4N = %.3f, want ~2 (ideal)", speedup)
 	}
 }
 

@@ -34,21 +34,6 @@ func ReferenceJoin(build, probe storage.TableDef, buildSel, probeSel float64) (r
 	return rows, checksum
 }
 
-// ReferenceAggregate computes the exact qualified-row count and key sum
-// for a scan-filter-aggregate query.
-func ReferenceAggregate(def storage.TableDef, sel float64) (rows int64, sum uint64) {
-	thr := tpch.SelThreshold(sel)
-	n := def.TotalRows()
-	for i := int64(0); i < n; i++ {
-		key, s := refRow(def, i)
-		if s < thr {
-			rows++
-			sum += uint64(key)
-		}
-	}
-	return rows, sum
-}
-
 // refRow returns (join key, selectivity column) for row i of a table
 // from the row-at-a-time tpch.Gen* generators — the oracle the columnar
 // loader behind storage.PartitionTable is tested against.
@@ -56,9 +41,6 @@ func refRow(def storage.TableDef, i int64) (key, sel int64) {
 	switch def.Table {
 	case tpch.Lineitem:
 		r := tpch.GenLineitem(def.SF, i)
-		if def.SkewTheta > 0 {
-			r = tpch.GenLineitemSkewed(def.SF, i, def.SkewTheta)
-		}
 		return r.OrderKey, r.SelCol
 	case tpch.Orders:
 		r := tpch.GenOrder(def.SF, i)

@@ -26,22 +26,16 @@ import (
 //     maximum CPU bandwidth").
 //
 // Filtering: materialized batches evaluate the predicate "selcol <
-// threshold" row-by-row and gather only the stored-column prefix the
-// consumer reads (what is charged is Rows x Width either way); phantom
-// batches shrink analytically with deterministic remainder accounting
-// so total qualified rows are exact.
-//
-// RowHint is the selectivity pushed back up: expected qualified rows =
-// partition rows x selectivity, which downstream consumers use to
-// pre-size hash tables before the first batch lands.
+// threshold" row-by-row and gather only the join key, the one column
+// every consumer reads (what is charged is Rows x Width either way);
+// phantom batches shrink analytically with deterministic remainder
+// accounting so total qualified rows are exact.
 type scanCursor struct {
 	p    *sim.Proc
 	node *cluster.Node
 	exec *Exec
 	sel  float64
-
 	thr  int64
-	cols int // stored-column prefix passed on
 
 	acc float64 // phantom fractional-row accumulator
 	idx []int   // materialized row-index scratch, reused across blocks
@@ -52,36 +46,25 @@ type scanCursor struct {
 	stop     bool                      // cold path: tells the pump to exit
 	closed   bool
 	released bool // openCursors already decremented
-	hint     int64
 }
 
 var _ storage.Cursor = (*scanCursor)(nil)
 
-// keyCols is the scan projection of a consumer that reads the join key
-// alone: the hash-table build, the plain probe, the aggregate.
+// keyCols is the scan projection: the join key alone, all that the
+// hash-table build and the probe read.
 const keyCols = storage.ColKey + 1
 
-// loadCols is the stored-column prefix a scan of def passing on cols
-// columns reads: through the selection column, and at least cols.
-func loadCols(def storage.TableDef, cols int) int {
-	return min(max(storage.ColSel+1, cols), storage.StoredCols(def))
-}
-
-// scan opens the scan-filter cursor over a node-local partition, passing
-// on the first cols stored columns. The calling process owns the
-// cursor: Next blocks it on the simulated resources. Cold scans
-// additionally spawn the disk-pump task here, so construction must
-// happen at the operator's start position.
+// scan opens the scan-filter cursor over a node-local partition. The
+// calling process owns the cursor: Next blocks it on the simulated
+// resources. Cold scans additionally spawn the disk-pump task here, so
+// construction must happen at the operator's start position.
 //
 // When the engine has a delta store attached for (table, node), the
 // block source is the store's merged view — base blocks with the
-// unmerged overlay applied — and the cardinality hint uses the store's
-// visible row count instead of the raw partition's.
-func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, sel float64, cols int) *scanCursor {
-	rows := part.Rows
+// unmerged overlay applied — instead of the raw partition.
+func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, sel float64) *scanCursor {
 	var src storage.Cursor
 	if st := e.deltaFor(part.Def.Table, node.ID); st != nil {
-		rows = st.VisibleRows()
 		src = st.MergedCursor(e.cfg.BatchRows)
 	} else {
 		bc := part.Cursor(e.cfg.BatchRows)
@@ -90,9 +73,7 @@ func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, se
 	c := &scanCursor{
 		p: p, node: node, exec: e, sel: sel,
 		thr:  tpch.SelThreshold(sel),
-		cols: cols,
 		warm: e.cfg.WarmCache,
-		hint: int64(float64(rows) * sel),
 	}
 	e.openCursors++
 	if c.warm {
@@ -144,9 +125,6 @@ func (c *scanCursor) Next() (storage.Batch, bool) {
 	}
 	return storage.Batch{}, false
 }
-
-// RowHint returns the expected qualified row count (rows x selectivity).
-func (c *scanCursor) RowHint() (int64, bool) { return c.hint, true }
 
 // Close terminates the scan early. Warm scans close the block source;
 // cold scans flag the disk pump to exit and drain the prefetch queue so
@@ -206,6 +184,6 @@ func (c *scanCursor) filter(b storage.Batch) storage.Batch {
 			c.idx = append(c.idx, r)
 		}
 	}
-	b.Cols = b.Cols[:c.cols]
+	b.Cols = b.Cols[:keyCols]
 	return storage.FilterBatch(b, c.idx)
 }

@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/hw"
+	"repro/internal/pstore"
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -189,7 +189,7 @@ func TestLegacyResponsesAreByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The pre-envelope wire format, reconstructed from a serial sched.Run
+	// The pre-envelope wire format, reconstructed from a serial RunJoin
 	// of the same spec: id, kind, status, cache tag, seconds, joules — and
 	// nothing else.
 	spec, err := (workload.JoinRequest{SF: 5, BuildSel: 0.05, ProbeSel: 0.05}).Spec()
@@ -200,14 +200,14 @@ func TestLegacyResponsesAreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := sched.Run(c, engineCfg(), sched.Workload{{Name: "legacy-1", Arrival: 0, Spec: spec}}, sched.Immediate{})
+	ref, joules, err := pstore.RunJoin(c, engineCfg(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
 	if err := report.WriteServiceResponse(&want, report.ServiceResponse{
 		ID: "legacy-1", Kind: "join", Status: "ok", Cache: "miss",
-		Seconds: ref.Queries[0].Execution(), Joules: ref.Joules,
+		Seconds: ref.Seconds, Joules: joules,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -41,10 +41,10 @@ func waitState(s *Server, inflight, queued int) {
 	}
 }
 
-// TestServiceByteIdenticalToSchedRun is the correctness anchor: every
+// TestServiceByteIdenticalToRunJoin is the correctness anchor: every
 // per-request result the service emits must be byte-identical to running
-// the same spec through sched.Run serially on a fresh cluster.
-func TestServiceByteIdenticalToSchedRun(t *testing.T) {
+// the same spec through pstore.RunJoin serially on a fresh cluster.
+func TestServiceByteIdenticalToRunJoin(t *testing.T) {
 	reqs := []Request{
 		{ID: "a", Join: &workload.JoinRequest{SF: 5, BuildSel: 0.05, ProbeSel: 0.05}},
 		{ID: "b", Join: &workload.JoinRequest{SF: 5, BuildSel: 0.10, ProbeSel: 0.02}},
@@ -83,15 +83,15 @@ func TestServiceByteIdenticalToSchedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sched.Run(c, engineCfg(), sched.Workload{{Name: r.ID, Arrival: 0, Spec: spec}}, sched.Immediate{})
+		want, joules, err := pstore.RunJoin(c, engineCfg(), spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got[i].Seconds != want.Queries[0].Execution() {
-			t.Fatalf("request %s seconds = %v, sched.Run = %v", r.ID, got[i].Seconds, want.Queries[0].Execution())
+		if got[i].Seconds != want.Seconds {
+			t.Fatalf("request %s seconds = %v, RunJoin = %v", r.ID, got[i].Seconds, want.Seconds)
 		}
-		if got[i].Joules != want.Joules {
-			t.Fatalf("request %s joules = %v, sched.Run = %v", r.ID, got[i].Joules, want.Joules)
+		if got[i].Joules != joules {
+			t.Fatalf("request %s joules = %v, RunJoin = %v", r.ID, got[i].Joules, joules)
 		}
 	}
 }

@@ -40,6 +40,9 @@ func TestInvalidTimesAndWorkPanic(t *testing.T) {
 		{"Proc.Hold/Inf", inProc(func(e *Engine, p *Proc) { p.Hold(inf) }), []string{"worker", "Hold", "+Inf"}},
 		{"Server.ProcessAsync/Inf", func() { NewServer(New(), "cpu", 1).ProcessAsync(inf, nil) }, []string{`"cpu"`, "+Inf"}},
 		{"Server.Process/overflow", inProc(func(e *Engine, p *Proc) { NewServer(e, "cpu", 0.5).Process(p, 1e308) }), []string{`"cpu"`, "1e+308"}},
+		{"Engine.At/beyond MaxTime", func() { New().At(2*MaxTime, func() {}) }, []string{"At(2e+07)", "MaxTime"}},
+		{"Proc.Hold/beyond MaxTime", inProc(func(e *Engine, p *Proc) { p.Hold(1e300) }), []string{"worker", "At(1e+300)", "MaxTime"}},
+		{"Server.Process/beyond MaxTime", inProc(func(e *Engine, p *Proc) { NewServer(e, "cpu", 1).Process(p, 1e300) }), []string{"worker", "At(1e+300)", "MaxTime"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -44,6 +44,12 @@ import (
 // Time is a point in virtual time, in seconds since simulation start.
 type Time = float64
 
+// MaxTime bounds virtual time: 1e7 seconds, about 116 days, far beyond
+// any modelled run. A finite but absurd completion time (a booking of
+// 1e300 bytes) would otherwise make every power meter integrate one
+// window per virtual second on its way there.
+const MaxTime Time = 1e7
+
 // event is a scheduled callback (fn) or process resume (proc). Ordering
 // is by (at, seq) so that events scheduled earlier at the same timestamp
 // run first, which makes runs bit-reproducible. Tagging resumes in the
@@ -263,11 +269,13 @@ func (e *Engine) At(t Time, fn func()) { e.at(t, fn, nil) }
 
 // at enqueues an event; events due exactly now take the ring fast path.
 // A NaN time fails every comparison: it would pass the past check, sit at
-// the heap root and end every later Run before its first event. A +Inf
-// time would never be reached, yet Run would advance the clock to it.
+// the heap root and end every later Run before its first event. A time
+// beyond MaxTime, +Inf included, is refused too: Run would advance the
+// clock to it. Every event, hold and booking completion comes through
+// here.
 func (e *Engine) at(t Time, fn func(), p *Proc) {
-	if !(t >= e.now && t <= math.MaxFloat64) {
-		panic(fmt.Sprintf("sim: At(%v) invalid or in the past (now=%v)", t, e.now))
+	if !(t >= e.now && t <= MaxTime) {
+		panic(fmt.Sprintf("sim: At(%v) invalid, in the past (now=%v) or beyond MaxTime (%v)", t, e.now, MaxTime))
 	}
 	e.seq++
 	ev := event{at: t, seq: e.seq, fn: fn, proc: p}

@@ -7,21 +7,11 @@ package storage
 // at paper scale a single scan is tens of thousands of blocks per node,
 // and the slices between operators, not the DES kernel, were what
 // capped the reachable scale factor by memory.
-//
-// RowHint carries cardinality estimates downstream: a selection-pushdown
-// scan knows its expected qualified row count, so the operator consuming
-// it can pre-size buffers and hash tables before the first batch
-// arrives instead of growing them under load.
 type Cursor interface {
 	// Next returns the next batch; ok=false when the stream is
 	// exhausted. Exhaustion is final: implementations need not be
 	// re-iterable.
 	Next() (b Batch, ok bool)
-	// RowHint estimates the total rows the cursor will yield over its
-	// whole lifetime (not the remainder). ok=false means unknown; the
-	// estimate is for pre-sizing only and carries no exactness
-	// guarantee.
-	RowHint() (rows int64, ok bool)
 	// Close terminates the stream early: every subsequent Next returns
 	// ok=false and any upstream work feeding this cursor stops being
 	// charged to the simulation (a cold scan's disk pump exits, a
@@ -42,7 +32,6 @@ type BatchCursor struct {
 	left    int // phantom rows remaining
 	rows    int // phantom rows per block
 	width   int
-	hint    int64 // total rows at construction
 }
 
 var _ Cursor = (*BatchCursor)(nil)
@@ -50,9 +39,9 @@ var _ Cursor = (*BatchCursor)(nil)
 // Cursor returns a cursor over the partition's blocks of blockRows each.
 func (p *Partition) Cursor(blockRows int) BatchCursor {
 	if p.batches != nil {
-		return BatchCursor{batches: p.batches, hint: p.Rows}
+		return BatchCursor{batches: p.batches}
 	}
-	return BatchCursor{left: int(p.Rows), rows: blockRows, width: p.Def.Width, hint: p.Rows}
+	return BatchCursor{left: int(p.Rows), rows: blockRows, width: p.Def.Width}
 }
 
 // Next returns the next block; ok is false when the partition is
@@ -76,10 +65,6 @@ func (c *BatchCursor) Next() (b Batch, ok bool) {
 	c.left -= r
 	return Batch{Rows: r, Width: c.width}, true
 }
-
-// RowHint returns the partition's exact row count (a leaf scan knows its
-// cardinality precisely).
-func (c *BatchCursor) RowHint() (int64, bool) { return c.hint, true }
 
 // Close drops the remaining blocks; subsequent Next returns ok=false.
 func (c *BatchCursor) Close() {

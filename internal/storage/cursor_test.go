@@ -12,9 +12,6 @@ func TestCursorEmptyPartition(t *testing.T) {
 	if _, ok := c.Next(); ok {
 		t.Fatal("phantom empty partition yielded a batch")
 	}
-	if rows, ok := c.RowHint(); !ok || rows != 0 {
-		t.Fatalf("empty partition RowHint = (%d, %v), want (0, true)", rows, ok)
-	}
 
 	mat := &Partition{Def: liDef(0.01, true), Rows: 0}
 	mc := mat.Cursor(4096)
@@ -101,9 +98,6 @@ func TestCursorMatchesBatches(t *testing.T) {
 					if gotRows != wantRows || gotSum != wantSum {
 						t.Fatalf("%v node %d blockRows=%d: cursor (rows=%d sum=%d) != batches (rows=%d sum=%d)",
 							def.Table, p.Node, blockRows, gotRows, gotSum, wantRows, wantSum)
-					}
-					if hint, ok := c.RowHint(); !ok || hint != p.Rows {
-						t.Fatalf("RowHint = (%d, %v), want (%d, true)", hint, ok, p.Rows)
 					}
 				}
 			}

@@ -39,8 +39,7 @@ func NewInt64Table(hint int) *Int64Table {
 // Reserve grows the table so at least n entries fit under the 3/4
 // load-factor bound without further rehashing — the presize path
 // NewInt64Table takes at construction, available after the fact for
-// callers that learn a cardinality hint late (a join build pulling from
-// a cursor whose row hint arrives with the stream).
+// callers that learn a cardinality late.
 func (t *Int64Table) Reserve(n int) {
 	for len(t.keys)*3/4 < n {
 		t.grow()

@@ -11,15 +11,12 @@ import (
 // generator at its index, so the stored layout and these constants are
 // one definition: two generators on one index do not compile.
 //
-// A table stores only the columns some operator reads, in the order a
-// scan reads them: the join key, the selection column, then the foreign
-// key only a dimension semijoin reads (LINEITEM's L_SUPPKEY). A load of
-// a prefix never generates the columns behind it. A generic single-key
-// table stores its key alone and selects on it.
+// A table stores only the columns a scan reads: the join key, then the
+// selection column. A generic single-key table stores its key alone and
+// selects on it.
 const (
-	ColKey          = 0 // join key column of every table
-	ColSel          = 1 // selection column of every TPC-H table
-	LineitemColSupp = 2 // L_SUPPKEY
+	ColKey = 0 // join key column of every table
+	ColSel = 1 // selection column of every TPC-H table
 )
 
 // schema is the one description of a materialized table: the generators
@@ -41,17 +38,13 @@ type schema struct {
 //     the join incompatible on BOTH sides, forcing the dual shuffle.
 //
 // Every other table is segmented on its stored key column, so a row on
-// node d always satisfies Hash64(cols[ColKey]) % homes % n == d — the
+// node d always satisfies Hash64(cols[ColKey]) % n == d — the
 // placement the exchange router and Prepartitioned joins assume.
 func tableSchema(def TableDef) schema {
 	switch def.Table {
 	case tpch.Lineitem:
-		c := tpch.LineitemColumns(def.SF, def.SkewTheta)
-		s := schema{segment: c.OrderKey, cols: []tpch.Column{
-			ColKey:          c.OrderKey,
-			ColSel:          c.SelCol,
-			LineitemColSupp: c.SuppKey,
-		}}
+		c := tpch.LineitemColumns()
+		s := schema{segment: c.OrderKey, cols: []tpch.Column{ColKey: c.OrderKey, ColSel: c.SelCol}}
 		if def.SegmentColumn == "L_SHIPDATE" {
 			s.segment = c.ShipDate
 		}
@@ -94,8 +87,7 @@ type chunk struct{ lo, hi int64 }
 
 // load generates every row of a table once and returns the columns
 // sch.cols of each of n destination nodes: row i goes to node
-// Hash64(segment key) % homes % n, and a node's rows are in row-index
-// order.
+// Hash64(segment key) % n, and a node's rows are in row-index order.
 //
 // It is a two-pass counting sort over fixed-size row chunks, each pass
 // fanned out over GOMAXPROCS workers. Pass one computes every row's
@@ -108,7 +100,7 @@ type chunk struct{ lo, hi int64 }
 // nothing, and because the offsets depend only on the chunk order the
 // result is the one a serial row-by-row append would build, whatever
 // the worker count.
-func load(sch schema, total int64, homes, n int) [][]Int64Column {
+func load(sch schema, total int64, n int) [][]Int64Column {
 	chunks := make([]chunk, 0, (total+chunkRows-1)/chunkRows)
 	for lo := int64(0); lo < total; lo += chunkRows {
 		chunks = append(chunks, chunk{lo, min(lo+chunkRows, total)})
@@ -121,19 +113,15 @@ func load(sch schema, total int64, homes, n int) [][]Int64Column {
 	if n == 1 {
 		size[0] = int(total)
 	} else {
-		// A row goes to homeNode[Hash64(key) % homes], the modulus taken by
+		// A row goes to node Hash64(key) % n, the modulus taken by
 		// multiplication; a drawn segment column of at most chunkRows values
 		// (L_SHIPDATE has 2557) is routed by a value -> node table instead.
-		m := tpch.NewModulus(uint64(homes))
-		homeNode := make([]uint16, homes)
-		for h := range homeNode {
-			homeNode[h] = uint16(h % n)
-		}
+		m := tpch.NewModulus(uint64(n))
 		var node []uint16
 		if bound, ok := sch.segment.Bound(); ok && bound <= chunkRows {
 			node = make([]uint16, bound)
 			for v := range node {
-				node[v] = homeNode[m.Mod(tpch.Hash64(uint64(v)))]
+				node[v] = uint16(m.Mod(tpch.Hash64(uint64(v))))
 			}
 		}
 		dest = make([]uint16, total)
@@ -150,7 +138,7 @@ func load(sch schema, total int64, homes, n int) [][]Int64Column {
 				}
 			} else {
 				for j, k := range keys {
-					d[j] = homeNode[m.Mod(tpch.Hash64(uint64(k)))]
+					d[j] = uint16(m.Mod(tpch.Hash64(uint64(k))))
 					counts[d[j]]++
 				}
 			}

@@ -15,14 +15,11 @@ func oracleRow(def TableDef, i int64) (stored []int64, seg int64) {
 	switch def.Table {
 	case tpch.Lineitem:
 		r := tpch.GenLineitem(def.SF, i)
-		if def.SkewTheta > 0 {
-			r = tpch.GenLineitemSkewed(def.SF, i, def.SkewTheta)
-		}
 		seg = r.OrderKey
 		if def.SegmentColumn == "L_SHIPDATE" {
 			seg = r.ShipDate
 		}
-		return []int64{r.OrderKey, r.SelCol, r.SuppKey}, seg
+		return []int64{r.OrderKey, r.SelCol}, seg
 	case tpch.Orders:
 		r := tpch.GenOrder(def.SF, i)
 		seg = r.CustKey
@@ -44,16 +41,12 @@ func oracleRow(def TableDef, i int64) (stored []int64, seg int64) {
 // oraclePartition routes the table row by row and appends each row to
 // its node: want[node][column] is that node's column, in arrival order.
 func oraclePartition(def TableDef, n int) [][][]int64 {
-	homes := n
-	if def.HomeNodes > 0 {
-		homes = def.HomeNodes
-	}
 	want := make([][][]int64, n)
 	for i := int64(0); i < def.TotalRows(); i++ {
 		stored, seg := oracleRow(def, i)
 		nd := 0
 		if def.Placement == HashSegmented {
-			nd = int(tpch.Hash64(uint64(seg))%uint64(homes)) % n
+			nd = int(tpch.Hash64(uint64(seg)) % uint64(n))
 		}
 		if want[nd] == nil {
 			want[nd] = make([][]int64, len(stored))
@@ -115,18 +108,6 @@ func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRo
 	}
 }
 
-// oraclePrefix is want with every node holding only its first cols
-// columns: what PartitionColumns(def, n, blockRows, cols) must build.
-func oraclePrefix(want [][][]int64, cols int) [][][]int64 {
-	out := make([][][]int64, len(want))
-	for nd, w := range want {
-		if w != nil {
-			out[nd] = w[:cols]
-		}
-	}
-	return out
-}
-
 // oracleDefs is one definition per schema and segmentation column, each
 // of oracleRows rows: three loader chunks, the last one partial. At SF
 // 0.01 every drawn segmentation column has a domain of at most chunkRows
@@ -136,66 +117,67 @@ func oraclePrefix(want [][][]int64, cols int) [][][]int64 {
 const oracleRows = 2*chunkRows + 4099
 
 func oracleDefs() map[string]TableDef {
-	def := func(table tpch.Table, segment string, theta float64) TableDef {
+	def := func(table tpch.Table, segment string) TableDef {
 		return TableDef{Table: table, SF: 0.01, Width: tpch.Q3ProjectedWidth, Materialize: true,
-			SegmentColumn: segment, SkewTheta: theta, RowsOverride: oracleRows}
+			SegmentColumn: segment, RowsOverride: oracleRows}
 	}
 	return map[string]TableDef{
-		"lineitem/orderkey":      def(tpch.Lineitem, "L_ORDERKEY", 0),
-		"lineitem/shipdate":      def(tpch.Lineitem, "L_SHIPDATE", 0),
-		"lineitem/orderkey/skew": def(tpch.Lineitem, "L_ORDERKEY", 0.8),
-		"lineitem/shipdate/skew": def(tpch.Lineitem, "L_SHIPDATE", 0.8),
-		"orders/custkey":         def(tpch.Orders, "O_CUSTKEY", 0),
-		"orders/custkey/sf0.5":   {Table: tpch.Orders, SF: 0.5, Width: tpch.Q3ProjectedWidth, Materialize: true, SegmentColumn: "O_CUSTKEY", RowsOverride: oracleRows},
-		"orders/orderkey":        def(tpch.Orders, "O_ORDERKEY", 0),
-		"customer":               def(tpch.Customer, "", 0),
-		"supplier":               def(tpch.Supplier, "", 0),
-		"generic":                def(tpch.Part, "", 0),
+		"lineitem/orderkey":    def(tpch.Lineitem, "L_ORDERKEY"),
+		"lineitem/shipdate":    def(tpch.Lineitem, "L_SHIPDATE"),
+		"orders/custkey":       def(tpch.Orders, "O_CUSTKEY"),
+		"orders/custkey/sf0.5": {Table: tpch.Orders, SF: 0.5, Width: tpch.Q3ProjectedWidth, Materialize: true, SegmentColumn: "O_CUSTKEY", RowsOverride: oracleRows},
+		"orders/orderkey":      def(tpch.Orders, "O_ORDERKEY"),
+		"customer":             def(tpch.Customer, ""),
+		"supplier":             def(tpch.Supplier, ""),
+		"generic":              def(tpch.Part, ""),
 	}
 }
 
 // The loader must build exactly what a serial row-at-a-time route-and-
 // append builds — same blocks, same rows in the same order — for every
-// schema, placement, home layout, node count, block size and stored-
-// column prefix, and at every worker count. Blocks are cut from a node's
-// finished columns, so the two small block sizes, which cost the check
-// an allocation per cell, run at one node count, one worker count and
-// every column; a shorter prefix runs at one block size and worker
-// count.
+// schema, placement, node count and block size, and at every worker
+// count. The node counts include 1, which routes nothing, powers of two
+// and the odd moduli 3, 5 and 7. Blocks are cut from a node's finished
+// columns, so the two small block sizes, which cost the check an
+// allocation per cell, run at one node count and one worker count. The
+// edge row counts — one row, which leaves most nodes empty, and a table
+// that ends exactly on or one row past a chunk boundary — run at one
+// block size and worker count.
 func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type run struct{ blockRows, procs int }
-	runs := []run{{4096, 1}, {4096, 4}, {oracleRows + 1, 4}}
+	runs := []run{{4096, 1}, {4096, 2}, {4096, 4}, {oracleRows + 1, 4}}
 	smallBlocks := []run{{1, 4}, {7, 4}}
+	edgeRows := []int64{1, chunkRows, chunkRows + 1}
+	check := func(name string, def TableDef, n int, r run, want [][][]int64) {
+		runtime.GOMAXPROCS(r.procs)
+		parts, err := PartitionTable(def, n, r.blockRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			checkPartitions(t, parts, want, r.blockRows)
+		})
+	}
 	for name, def := range oracleDefs() {
 		for _, placement := range []Placement{HashSegmented, Replicated} {
-			for _, homes := range []int{0, 8} {
-				if placement == Replicated && homes > 0 {
-					continue // HomeNodes only steers hash segmentation
+			def.Placement = placement
+			for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
+				want := oraclePartition(def, n)
+				todo := runs
+				if n == 3 {
+					todo = append(smallBlocks, runs...)
 				}
-				for _, n := range []int{1, 3, 4, 8} {
-					def.Placement, def.HomeNodes = placement, homes
-					all := oraclePartition(def, n)
-					for cols := 1; cols <= StoredCols(def); cols++ {
-						want := oraclePrefix(all, cols)
-						todo := runs[1:2] // {4096, 4}
-						if cols == StoredCols(def) {
-							todo = runs
-							if n == 3 {
-								todo = append(smallBlocks, runs...)
-							}
-						}
-						for _, r := range todo {
-							runtime.GOMAXPROCS(r.procs)
-							parts, err := PartitionColumns(def, n, r.blockRows, cols)
-							if err != nil {
-								t.Fatal(err)
-							}
-							t.Run(fmt.Sprintf("%s/%v/homes%d/n%d/cols%d/block%d/procs%d", name, placement, homes, n, cols, r.blockRows, r.procs), func(t *testing.T) {
-								checkPartitions(t, parts, want, r.blockRows)
-							})
-						}
-					}
+				for _, r := range todo {
+					check(fmt.Sprintf("%s/%v/n%d/block%d/procs%d", name, placement, n, r.blockRows, r.procs), def, n, r, want)
+				}
+			}
+			for _, rows := range edgeRows {
+				edge := def
+				edge.RowsOverride = rows
+				for _, n := range []int{1, 3, 16} {
+					r := run{4096, 4}
+					check(fmt.Sprintf("%s/%v/rows%d/n%d/block%d/procs%d", name, placement, rows, n, r.blockRows, r.procs), edge, n, r, oraclePartition(edge, n))
 				}
 			}
 		}
@@ -204,7 +186,7 @@ func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 
 // Hash segmentation must place every row on the node the exchange router
 // and Prepartitioned joins expect: Hash64 of the segmentation column,
-// modulo homes, modulo n. The column is read from the stored key: it is
+// modulo n. The column is read from the stored key: it is
 // the key itself, or — O_CUSTKEY, which is not stored — recomputed from
 // O_ORDERKEY = row index + 1. SUPPLIER used to be routed on the row
 // index while storing S_SUPPKEY = index+1.
@@ -218,7 +200,6 @@ func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
 		segment func(key int64) int64 // nil: the key itself
 	}{
 		{"lineitem/orderkey", nil},
-		{"lineitem/orderkey/skew", nil},
 		{"orders/custkey", custKey(defs["orders/custkey"].SF)},
 		{"orders/custkey/sf0.5", custKey(defs["orders/custkey/sf0.5"].SF)},
 		{"orders/orderkey", nil},
@@ -226,27 +207,21 @@ func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
 		{"supplier", nil},
 		{"generic", nil},
 	} {
-		for _, homes := range []int{0, 8} {
-			for _, n := range []int{3, 4} {
-				def := defs[tc.def]
-				def.Placement, def.HomeNodes, def.RowsOverride = HashSegmented, homes, 20_000
-				parts, err := PartitionTable(def, n, 512)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := uint64(n)
-				if homes > 0 {
-					h = uint64(homes)
-				}
-				for _, p := range parts {
-					for _, b := range p.Batches(512) {
-						for _, v := range b.Cols[ColKey] {
-							if tc.segment != nil {
-								v = tc.segment(v)
-							}
-							if d := int(tpch.Hash64(uint64(v))%h) % n; d != p.Node {
-								t.Fatalf("%s homes %d n %d: value %d on node %d hashes to node %d", tc.def, homes, n, v, p.Node, d)
-							}
+		for _, n := range []int{3, 4} {
+			def := defs[tc.def]
+			def.Placement, def.RowsOverride = HashSegmented, 20_000
+			parts, err := PartitionTable(def, n, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range parts {
+				for _, b := range p.Batches(512) {
+					for _, v := range b.Cols[ColKey] {
+						if tc.segment != nil {
+							v = tc.segment(v)
+						}
+						if d := int(tpch.Hash64(uint64(v)) % uint64(n)); d != p.Node {
+							t.Fatalf("%s n %d: value %d on node %d hashes to node %d", tc.def, n, v, p.Node, d)
 						}
 					}
 				}
@@ -341,51 +316,36 @@ func TestPartitionTableRejectsBadArguments(t *testing.T) {
 	if parts, err := PartitionTable(tiny, maxNodes, 64); err != nil || len(parts) != maxNodes {
 		t.Errorf("%d nodes: %d partitions, err %v", maxNodes, len(parts), err)
 	}
-	// A prefix holds at least the key and no more than the table stores.
-	li := TableDef{Table: tpch.Lineitem, SF: 0.0001, Width: 20, Placement: HashSegmented, Materialize: true}
-	for _, mat := range []bool{true, false} {
-		li.Materialize = mat
-		for _, cols := range []int{0, -1, StoredCols(li) + 1} {
-			if _, err := PartitionColumns(li, 2, 64, cols); err == nil {
-				t.Errorf("materialize=%v: no error for a %d-column prefix of %s", mat, cols, li.Table)
-			}
-		}
-	}
 }
 
 // FuzzPartitionTable loads a random table — schema, segmentation column,
-// scale factor, skew, placement, row count up to three chunks, node and
-// home count, block size and stored-column prefix — and compares it with
-// the row-at-a-time oracle.
+// scale factor, placement, row count up to three chunks, node count and
+// block size — and compares it with the row-at-a-time oracle.
 func FuzzPartitionTable(f *testing.F) {
-	f.Add(uint8(0), uint8(1), false, false, false, uint32(oracleRows), uint8(4), uint8(0), uint16(4096), uint8(1))
-	f.Add(uint8(1), uint8(0), true, false, false, uint32(chunkRows), uint8(3), uint8(8), uint16(100), uint8(0))
-	f.Add(uint8(0), uint8(0), false, true, true, uint32(1000), uint8(2), uint8(0), uint16(7), uint8(2))
-	f.Add(uint8(4), uint8(0), false, false, false, uint32(0), uint8(5), uint8(3), uint16(1), uint8(0))
-	f.Fuzz(func(t *testing.T, table, segment uint8, bigSF, skew, replicated bool, rows uint32, n, homes uint8, blockRows uint16, prefix uint8) {
+	f.Add(uint8(0), uint8(1), false, false, uint32(oracleRows), uint8(4), uint16(4096))
+	f.Add(uint8(1), uint8(0), true, false, uint32(chunkRows), uint8(3), uint16(100))
+	f.Add(uint8(0), uint8(0), false, true, uint32(1000), uint8(2), uint16(7))
+	f.Add(uint8(4), uint8(0), false, false, uint32(0), uint8(5), uint16(1))
+	f.Fuzz(func(t *testing.T, table, segment uint8, bigSF, replicated bool, rows uint32, n uint8, blockRows uint16) {
 		tables := []tpch.Table{tpch.Lineitem, tpch.Orders, tpch.Customer, tpch.Supplier, tpch.Part}
 		segments := []string{"", "L_SHIPDATE", "O_ORDERKEY"} // "": the table default
 		def := TableDef{Table: tables[int(table)%len(tables)], SF: 0.01, Width: tpch.Q3ProjectedWidth,
 			Materialize: true, SegmentColumn: segments[int(segment)%len(segments)],
-			RowsOverride: int64(rows % (3 * chunkRows)), HomeNodes: int(homes % 24)}
+			RowsOverride: int64(rows % (3 * chunkRows))}
 		if def.RowsOverride == 0 {
 			def.SF = 0 // RowsOverride 0 means the scale factor's rows: none
 		}
 		if bigSF && def.RowsOverride > 0 {
 			def.SF = 0.5
 		}
-		if skew {
-			def.SkewTheta = 0.8
-		}
 		if replicated {
 			def.Placement = Replicated
 		}
 		nodes, blk := int(n%16)+1, int(blockRows)%8192+1
-		cols := int(prefix)%StoredCols(def) + 1
-		parts, err := PartitionColumns(def, nodes, blk, cols)
+		parts, err := PartitionTable(def, nodes, blk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPartitions(t, parts, oraclePrefix(oraclePartition(def, nodes), cols), blk)
+		checkPartitions(t, parts, oraclePartition(def, nodes), blk)
 	})
 }

@@ -3,11 +3,10 @@
 // tuple-scan module and storage engine of Harizopoulos et al. [16]).
 //
 // The engine stores each table as int64 column vectors grouped into
-// fixed-size blocks, and only the columns some operator reads, in the
-// order a scan reads them (key, selection, LINEITEM's supplier foreign
-// key), so a join loads only the prefix its scans read. A Batch is the
-// unit flowing between operators: a slice of Int64Column plus a logical
-// row count and tuple width. Batches come in two flavours:
+// fixed-size blocks, and only the columns a scan reads: the join key and
+// the selection column. A Batch is the unit flowing between operators: a
+// slice of Int64Column plus a logical row count and tuple width. Batches
+// come in two flavours:
 //
 //   - materialized: column data is present; operators compute real
 //     results (used by functional tests and small-scale runs);
@@ -29,9 +28,9 @@
 // position in columns allocated once at their exact size. The offsets
 // depend on the chunk order alone, so the layout — which rows a node
 // holds, in what order, cut into which blocks — is that of a serial
-// row-by-row load and depends neither on how many workers ran it nor on
-// how many columns it loaded; simulated time, energy and event counts
-// therefore cannot move with GOMAXPROCS. The blocks handed to operators
+// row-by-row load and does not depend on how many workers ran it;
+// simulated time, energy and event counts therefore cannot move with
+// GOMAXPROCS. The blocks handed to operators
 // are read-only views of those columns.
 package storage
 
@@ -118,19 +117,6 @@ type TableDef struct {
 	// used for synthetic workloads such as the Figure 6 microbenchmark
 	// (0.1M x 20M rows of 100 bytes).
 	RowsOverride int64
-	// SkewTheta, when positive, draws LINEITEM foreign keys from a
-	// Zipf(theta) distribution instead of the uniform layout — the data
-	// skew substrate of §4.1 (hot orders receive many lineitems).
-	SkewTheta float64
-	// HomeNodes, when positive, declares that the table is physically
-	// laid out for a cluster of HomeNodes nodes with chained replica
-	// placement (Lang et al. [24], §2): when fewer nodes are online,
-	// each offline node's partition is adopted by a surviving replica
-	// holder (home partition h lands on online node h mod n). This
-	// models replication-based elastic scale-down WITHOUT repartitioning:
-	// per-node load is balanced only when n divides HomeNodes, which is
-	// exactly the stair-step behaviour the technique exhibits.
-	HomeNodes int
 }
 
 // TotalRows returns the table cardinality.
@@ -174,25 +160,14 @@ func (p *Partition) Batches(blockRows int) []Batch {
 
 // PartitionTable splits a table across n nodes according to its placement,
 // returning one Partition per node, each cut into blocks of blockRows rows.
-// Materialized partitions hold every stored column of the table.
+// The loader in load.go generates every row once, routes it by the same
+// Hash64 the exchange operator uses and writes it straight to its final
+// position, so a partition's rows are in row-index order and its blocks
+// are views of one allocation per stored column. The n partitions of a
+// Replicated table share a single column set. Blocks are read-only:
+// cursors and delta stores hand them out without copying. Phantom
+// partitions hold only row counts.
 func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
-	return PartitionColumns(def, n, blockRows, StoredCols(def))
-}
-
-// StoredCols returns how many columns a materialized def stores (load.go).
-func StoredCols(def TableDef) int { return len(tableSchema(def).cols) }
-
-// PartitionColumns is PartitionTable for a consumer that reads only the
-// first cols stored columns, 1 <= cols <= StoredCols(def): materialized
-// partitions hold that prefix alone, in the same layout. The loader in
-// load.go generates every row once, routes it by the same Hash64 the
-// exchange operator uses and writes it straight to its final position,
-// so a partition's rows are in row-index order and its blocks are views
-// of one allocation per column. The n partitions of a Replicated table
-// share a single column set. Blocks are read-only: cursors and delta
-// stores hand them out without copying. Phantom partitions hold only
-// row counts.
-func PartitionColumns(def TableDef, n, blockRows, cols int) ([]*Partition, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("storage: need at least one node, got %d", n)
 	}
@@ -200,10 +175,6 @@ func PartitionColumns(def TableDef, n, blockRows, cols int) ([]*Partition, error
 		return nil, fmt.Errorf("storage: blockRows must be positive, got %d", blockRows)
 	}
 	sch := tableSchema(def)
-	if cols < 1 || cols > len(sch.cols) {
-		return nil, fmt.Errorf("storage: %s stores %d columns, cannot load %d", def.Table, len(sch.cols), cols)
-	}
-	sch.cols = sch.cols[:cols]
 	parts := make([]*Partition, n)
 	for i := range parts {
 		parts[i] = &Partition{Def: def, Node: i}
@@ -213,7 +184,7 @@ func PartitionColumns(def TableDef, n, blockRows, cols int) ([]*Partition, error
 	if def.Placement == Replicated {
 		var batches []Batch
 		if def.Materialize {
-			batches = blocks(def, load(sch, total, 1, 1)[0], blockRows)
+			batches = blocks(def, load(sch, total, 1)[0], blockRows)
 		}
 		for _, p := range parts {
 			p.Rows, p.batches = total, batches
@@ -221,18 +192,11 @@ func PartitionColumns(def TableDef, n, blockRows, cols int) ([]*Partition, error
 		return parts, nil
 	}
 
-	// With chained replica placement, rows hash to HomeNodes home
-	// partitions; each home partition is served by online node h mod n.
-	homes := n
-	if def.HomeNodes > 0 {
-		homes = def.HomeNodes
-	}
-
 	if def.Materialize {
 		if n > maxNodes {
 			return nil, fmt.Errorf("storage: a materialized table spans at most %d nodes, got %d", maxNodes, n)
 		}
-		for nd, cols := range load(sch, total, homes, n) {
+		for nd, cols := range load(sch, total, n) {
 			parts[nd].Rows = int64(len(cols[ColKey]))
 			parts[nd].batches = blocks(def, cols, blockRows)
 		}
@@ -241,21 +205,16 @@ func PartitionColumns(def TableDef, n, blockRows, cols int) ([]*Partition, error
 
 	// Phantom: exact per-node counts without materializing values is
 	// impractical for SF>=400 (billions of hash calls), so distribute
-	// home partitions uniformly — justified because Hash64 balances dense
-	// keys to within a fraction of a percent (see tpch tests) and the
-	// paper assumes no skew. Remainder rows go to the lowest-numbered
-	// home partitions.
-	homeRows := make([]int64, homes)
-	base := total / int64(homes)
-	rem := total % int64(homes)
-	for h := range homeRows {
-		homeRows[h] = base
-		if int64(h) < rem {
-			homeRows[h]++
+	// rows uniformly — justified because Hash64 balances dense keys to
+	// within a fraction of a percent (see tpch tests) and the paper
+	// assumes no skew. Remainder rows go to the lowest-numbered nodes.
+	base := total / int64(n)
+	rem := total % int64(n)
+	for nd, p := range parts {
+		p.Rows = base
+		if int64(nd) < rem {
+			p.Rows++
 		}
-	}
-	for h, r := range homeRows {
-		parts[h%n].Rows += r
 	}
 	return parts, nil
 }

@@ -179,14 +179,14 @@ func TestMaterializedMatchesGenerator(t *testing.T) {
 	def := liDef(0.01, true)
 	parts, _ := PartitionTable(def, 1, 1<<20)
 	b := parts[0].Batches(1 << 20)[0]
-	if len(b.Cols) != 3 {
-		t.Fatalf("LINEITEM stores %d columns, want 3", len(b.Cols))
+	if len(b.Cols) != 2 {
+		t.Fatalf("LINEITEM stores %d columns, want 2", len(b.Cols))
 	}
 	for i := 0; i < 100; i++ {
 		want := tpch.GenLineitem(def.SF, int64(i))
-		got := [3]int64{b.Cols[ColKey][i], b.Cols[ColSel][i], b.Cols[LineitemColSupp][i]}
-		if got != [3]int64{want.OrderKey, want.SelCol, want.SuppKey} {
-			t.Fatalf("row %d: batch %v != generator (%d,%d,%d)", i, got, want.OrderKey, want.SelCol, want.SuppKey)
+		got := [2]int64{b.Cols[ColKey][i], b.Cols[ColSel][i]}
+		if got != [2]int64{want.OrderKey, want.SelCol} {
+			t.Fatalf("row %d: batch %v != generator (%d,%d)", i, got, want.OrderKey, want.SelCol)
 		}
 	}
 }

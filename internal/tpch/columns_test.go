@@ -35,19 +35,10 @@ func TestColumnsMatchRowGenerators(t *testing.T) {
 					}
 				}
 			}
-			for _, theta := range []float64{0, 0.8} {
-				li := LineitemColumns(sf, theta)
-				gen := func(i int64) LineitemRow {
-					if theta > 0 {
-						return GenLineitemSkewed(sf, i, theta)
-					}
-					return GenLineitem(sf, i)
-				}
-				check("L_ORDERKEY", li.OrderKey, func(i int64) int64 { return gen(i).OrderKey })
-				check("L_SUPPKEY", li.SuppKey, func(i int64) int64 { return gen(i).SuppKey })
-				check("L_SHIPDATE", li.ShipDate, func(i int64) int64 { return gen(i).ShipDate })
-				check("L_SELCOL", li.SelCol, func(i int64) int64 { return gen(i).SelCol })
-			}
+			li := LineitemColumns()
+			check("L_ORDERKEY", li.OrderKey, func(i int64) int64 { return GenLineitem(sf, i).OrderKey })
+			check("L_SHIPDATE", li.ShipDate, func(i int64) int64 { return GenLineitem(sf, i).ShipDate })
+			check("L_SELCOL", li.SelCol, func(i int64) int64 { return GenLineitem(sf, i).SelCol })
 			o := OrderColumns(sf)
 			check("O_ORDERKEY", o.OrderKey, func(i int64) int64 { return GenOrder(sf, i).OrderKey })
 			check("O_CUSTKEY", o.CustKey, func(i int64) int64 { return GenOrder(sf, i).CustKey })
@@ -66,7 +57,7 @@ func TestColumnsMatchRowGenerators(t *testing.T) {
 // A sequential column reads no mix: the key-only pass of a loader skips
 // MixRows for it.
 func TestSequentialColumnsIgnoreMix(t *testing.T) {
-	li, o := LineitemColumns(1, 0), OrderColumns(1)
+	li, o := LineitemColumns(), OrderColumns(1)
 	for _, c := range []Column{li.OrderKey, o.OrderKey, CustomerColumns().CustKey, SupplierColumns().SuppKey, RowIndexColumn()} {
 		if !c.Sequential() {
 			t.Fatalf("dense key column %+v is not sequential", c)
@@ -79,7 +70,7 @@ func TestSequentialColumnsIgnoreMix(t *testing.T) {
 			}
 		}
 	}
-	for _, c := range []Column{li.ShipDate, o.CustKey, LineitemColumns(1, 0.8).OrderKey} {
+	for _, c := range []Column{li.ShipDate, o.CustKey} {
 		if c.Sequential() {
 			t.Fatalf("drawn column %+v claims to be sequential", c)
 		}
@@ -91,14 +82,13 @@ func TestSequentialColumnsIgnoreMix(t *testing.T) {
 // loader indexes a table of bound entries by the drawn values.
 func TestBoundCoversDrawnValues(t *testing.T) {
 	const sf = 0.01
-	li, o := LineitemColumns(sf, 0), OrderColumns(sf)
+	li, o := LineitemColumns(), OrderColumns(sf)
 	for _, tc := range []struct {
 		name      string
 		c         Column
 		lo, bound int64
 	}{
 		{"L_SHIPDATE", li.ShipDate, 0, 2557},
-		{"L_SUPPKEY", li.SuppKey, 1, ScaleFactor(sf).Suppliers() + 1},
 		{"O_CUSTKEY", o.CustKey, 1, ScaleFactor(sf).Customers() + 1},
 		{"O_SELCOL", o.SelCol, 0, SelDomain},
 	} {
@@ -113,7 +103,7 @@ func TestBoundCoversDrawnValues(t *testing.T) {
 			t.Fatalf("%s: values in [%d, %d], outside [%d, %d)", tc.name, minV, maxV, tc.lo, tc.bound)
 		}
 	}
-	for _, c := range []Column{li.OrderKey, o.OrderKey, LineitemColumns(sf, 0.8).OrderKey, RowIndexColumn()} {
+	for _, c := range []Column{li.OrderKey, o.OrderKey, RowIndexColumn()} {
 		if _, ok := c.Bound(); ok {
 			t.Fatalf("column %+v is not a draw but reports a bound", c)
 		}
@@ -130,12 +120,12 @@ func BenchmarkGenLineitem(b *testing.B) {
 	}
 }
 
-// BenchmarkLineitemColumns generates the three stored columns of
-// LINEITEM a block at a time; one op is one row.
+// BenchmarkLineitemColumns generates the two stored columns of LINEITEM
+// a block at a time; one op is one row.
 func BenchmarkLineitemColumns(b *testing.B) {
 	const block = 4096
-	li := LineitemColumns(2, 0)
-	cols := []Column{li.OrderKey, li.SuppKey, li.SelCol}
+	li := LineitemColumns()
+	cols := []Column{li.OrderKey, li.SelCol}
 	mix := make([]uint64, block)
 	out := make([]int64, block)
 	b.ResetTimer()

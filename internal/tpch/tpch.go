@@ -27,7 +27,6 @@ package tpch
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -167,7 +166,7 @@ func GenOrder(sf ScaleFactor, i int64) OrderRow {
 // LineitemRow is a generated LINEITEM tuple (projected columns).
 type LineitemRow struct {
 	OrderKey      int64
-	SuppKey       int64 // FK to SUPPLIER, uniform (used by Q21-style plans)
+	SuppKey       int64 // FK to SUPPLIER, uniform
 	ExtendedPrice int64 // cents
 	Discount      int64 // basis points
 	ShipDate      int64
@@ -206,63 +205,6 @@ func GenCustomer(sf ScaleFactor, i int64) CustomerRow {
 		NationKey: int64(uniform(0x0A70, uint64(i), 25)),
 		SelCol:    int64(uniform(0x5E12, uint64(i), SelDomain)),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Skewed generation. Section 4.1 names data skew as the third fundamental
-// bottleneck ("even a small skew can cause an imbalance in the
-// utilization of the cluster nodes") and defers its study to future
-// work; these generators provide the substrate for that study.
-
-// ZipfRank maps a uniform u in [0,1) to a 1-based rank in [1,n] following
-// a Zipf(theta) distribution, via the closed-form inverse of the
-// continuous approximation of the Zipf CDF:
-//
-//	CDF(x) ≈ (x^(1-θ) - 1) / (n^(1-θ) - 1), θ != 1
-//
-// theta = 0 degenerates to uniform. The approximation's error against the
-// exact discrete Zipf is immaterial here: experiments only need "a small
-// number of keys receive a large share of rows" with a controllable
-// exponent.
-func ZipfRank(u float64, n int64, theta float64) int64 {
-	if n <= 1 {
-		return 1
-	}
-	if theta <= 0 {
-		r := int64(u*float64(n)) + 1
-		if r > n {
-			r = n
-		}
-		return r
-	}
-	if theta == 1 {
-		theta = 0.9999 // avoid the log form; indistinguishable in effect
-	}
-	e := 1 - theta
-	x := pow(1+u*(pow(float64(n), e)-1), 1/e)
-	r := int64(x)
-	if r < 1 {
-		r = 1
-	}
-	if r > n {
-		r = n
-	}
-	return r
-}
-
-// pow is math.Pow without importing math into this tiny hot path... it
-// simply forwards; kept as a named helper for clarity at call sites.
-func pow(x, y float64) float64 { return math.Pow(x, y) }
-
-// GenLineitemSkewed is GenLineitem with the ORDERKEY foreign key drawn
-// from a Zipf(theta) distribution over the order domain instead of the
-// uniform 4-per-order layout: hot orders receive many lineitems, so
-// hash-partitioned shuffles deliver unbalanced load.
-func GenLineitemSkewed(sf ScaleFactor, i int64, theta float64) LineitemRow {
-	r := GenLineitem(sf, i)
-	u := float64(uniform(0x5C3B, uint64(i), 1<<52)) / float64(int64(1)<<52)
-	r.OrderKey = ZipfRank(u, sf.Orders(), theta)
-	return r
 }
 
 // SupplierRow is a generated SUPPLIER tuple.
@@ -338,20 +280,15 @@ const (
 	colSeq columnKind = iota
 	// colDraw: value = uniform(stream, row, n) + base.
 	colDraw
-	// colZipf: value = ZipfRank(uniform draw, keys, theta) — GenLineitemSkewed's
-	// ORDERKEY.
-	colZipf
 )
 
 // Column generates one column of one table for runs of consecutive rows.
 type Column struct {
 	kind   columnKind
-	stream uint64  // colDraw, colZipf: streamKey of the field's stream constant
+	stream uint64  // colDraw: streamKey of the field's stream constant
 	n      Modulus // colDraw: domain size
-	keys   int64   // colZipf: key count
-	base   int64   // colSeq, colDraw: added to every value
+	base   int64   // added to every value
 	per    int64   // colSeq: consecutive rows sharing one value
-	theta  float64 // colZipf
 }
 
 func seqColumn(per, base int64) Column { return Column{kind: colSeq, per: per, base: base} }
@@ -388,11 +325,6 @@ func (c Column) Fill(lo int64, mix []uint64, out []int64) {
 		for j, h := range mix[:len(out)] {
 			out[j] = int64(c.n.Mod(splitmix64(c.stream^h))) + c.base
 		}
-	case colZipf:
-		for j, h := range mix[:len(out)] {
-			u := float64(splitmix64(c.stream^h)%(1<<52)) / float64(int64(1)<<52)
-			out[j] = ZipfRank(u, c.keys, c.theta)
-		}
 	}
 }
 
@@ -403,22 +335,17 @@ func RowIndexColumn() Column { return seqColumn(1, 0) }
 // LineitemCols holds the generators of the LineitemRow fields a table
 // stores or segments on; the other fields exist only in GenLineitem.
 type LineitemCols struct {
-	OrderKey, SuppKey, ShipDate, SelCol Column
+	OrderKey, ShipDate, SelCol Column
 }
 
-// LineitemColumns returns the LINEITEM column generators: GenLineitem's
-// fields, or GenLineitemSkewed's when theta is positive.
-func LineitemColumns(sf ScaleFactor, theta float64) LineitemCols {
-	c := LineitemCols{
+// LineitemColumns returns the LINEITEM column generators (GenLineitem's
+// fields).
+func LineitemColumns() LineitemCols {
+	return LineitemCols{
 		OrderKey: seqColumn(4, 1),
-		SuppKey:  drawColumn(0x50BB, uint64(sf.Suppliers()), 1),
 		ShipDate: drawColumn(0x5417, 2557, 0),
 		SelCol:   drawColumn(0x5E11, SelDomain, 0),
 	}
-	if theta > 0 {
-		c.OrderKey = Column{kind: colZipf, stream: streamKey(0x5C3B), keys: sf.Orders(), theta: theta}
-	}
-	return c
 }
 
 // OrderCols holds the generators of the OrderRow fields a table stores

@@ -137,12 +137,3 @@ func (r JoinRequest) Spec() (pstore.JoinSpec, error) {
 	}
 	return Q3Join(tpch.ScaleFactor(sf), bsel, psel, method), nil
 }
-
-// HeteroQ3 returns the heterogeneous-execution variant of Q3Join for a
-// cluster whose Beefy nodes are listed in buildNodes (§5.2.2: Wimpy
-// nodes scan/filter/ship; Beefy nodes own the hash tables).
-func HeteroQ3(sf tpch.ScaleFactor, buildSel, probeSel float64, buildNodes []int) pstore.JoinSpec {
-	s := Q3Join(sf, buildSel, probeSel, pstore.DualShuffle)
-	s.BuildNodes = buildNodes
-	return s
-}

@@ -96,13 +96,6 @@ func TestMicrobenchLaptopBWins(t *testing.T) {
 	}
 }
 
-func TestHeteroQ3SetsBuildNodes(t *testing.T) {
-	s := HeteroQ3(400, 0.10, 0.50, []int{0, 1})
-	if len(s.BuildNodes) != 2 || s.Method != pstore.DualShuffle {
-		t.Fatalf("hetero spec wrong: %+v", s)
-	}
-}
-
 func TestJoinRequestSpecDefaults(t *testing.T) {
 	spec, err := JoinRequest{}.Spec()
 	if err != nil {

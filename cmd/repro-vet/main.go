@@ -3,7 +3,7 @@
 // version of the rules that keep every experiment's output
 // byte-identical across -shards and join-cache hits.
 //
-// Standalone usage (CI runs this):
+// Usage (CI runs this):
 //
 //	go run ./cmd/repro-vet ./...
 //	repro-vet -list              # describe the analyzers
@@ -11,14 +11,8 @@
 //
 // Exit status: 0 clean, 1 findings reported, 2 usage or load error.
 //
-// The binary also speaks the `go vet -vettool` protocol, so
-//
-//	go build -o /tmp/repro-vet ./cmd/repro-vet
-//	go vet -vettool=/tmp/repro-vet ./...
-//
-// runs the same suite under the go command's caching and package
-// loading. Diagnostics in _test.go files are suppressed either way:
-// tests may exercise the nondeterminism the engine forbids.
+// Diagnostics in _test.go files are suppressed: tests may exercise the
+// nondeterminism the engine forbids.
 //
 // Suppressions: a finding is silenced by the analyzer's directive
 // comment with a mandatory justification, e.g.
@@ -43,13 +37,6 @@ import (
 )
 
 func main() {
-	// `go vet -vettool` invokes the tool with -V=full (tool
-	// identification), -flags (flag discovery) or a single *.cfg path;
-	// detect those before normal flag parsing.
-	if vettoolMain() {
-		return
-	}
-
 	var (
 		list = flag.Bool("list", false, "describe the analyzers and exit")
 		only = flag.String("only", "", "comma-separated analyzer names to run (default: all)")

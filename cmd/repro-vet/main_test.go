@@ -79,22 +79,3 @@ func TestSeededViolationGoesRed(t *testing.T) {
 		t.Fatalf("clean module: got exit %d, want 0\n%s", code, out)
 	}
 }
-
-// TestVettool drives the same binary through go vet's -vettool
-// protocol, which exercises the unitchecker side (vettool.go).
-func TestVettool(t *testing.T) {
-	bin := buildTool(t)
-
-	out, code := runIn(t, scratchModule(t, true), "go", "vet", "-vettool="+bin, "./...")
-	if code == 0 {
-		t.Fatalf("violating module under go vet: got exit 0, want nonzero\n%s", out)
-	}
-	if !strings.Contains(out, "time.Now") {
-		t.Fatalf("violating module under go vet: missing finding:\n%s", out)
-	}
-
-	out, code = runIn(t, scratchModule(t, false), "go", "vet", "-vettool="+bin, "./...")
-	if code != 0 {
-		t.Fatalf("clean module under go vet: got exit %d, want 0\n%s", code, out)
-	}
-}

@@ -25,7 +25,7 @@
 // additionally shard across -shards workers — also without changing a
 // byte of output. Identical engine joins are memoized across
 // experiments (fig3/fig4/fig5, fig7a/fig8, fig7b/fig9 share
-// simulations); disable with -cache=false.
+// simulations); a cached answer is bit-identical to a fresh run.
 package main
 
 import (
@@ -62,7 +62,6 @@ func main() {
 		times      = flag.Bool("times", false, "print per-experiment wall times (and cache and kernel stats) to stderr")
 		sf         = flag.Float64("sf", 0, "TPC-H scale factor for the figure 3-5 engine runs (default 100; the paper's is 1000)")
 		conc       = flag.String("conc", "", "comma-separated concurrency levels for fig3/fig4 (default 1,2,4)")
-		cache      = flag.Bool("cache", true, "memoize identical engine joins across experiments")
 		shards     = flag.Int("shards", 0, "intra-experiment shard workers for engine-backed figures (0 = GOMAXPROCS, 1 = serial)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
@@ -148,14 +147,21 @@ func main() {
 				fmt.Fprintf(os.Stderr, "repro: bad -htap-rates value %q (want a non-negative Mrows/s number)\n", f)
 				os.Exit(2)
 			}
+			// Rate 0 is htap1's normalisation baseline, so it comes first
+			// and every rate after it is a new one.
+			switch n := len(expOpts.HTAPRates); {
+			case n == 0 && m != 0:
+				fmt.Fprintf(os.Stderr, "repro: -htap-rates must start at 0 (the read-only baseline), got %v\n", m)
+				os.Exit(2)
+			case n > 0 && m*1e6 <= expOpts.HTAPRates[n-1]:
+				fmt.Fprintf(os.Stderr, "repro: -htap-rates must be strictly increasing, got %v after %v\n", m, expOpts.HTAPRates[n-1]/1e6)
+				os.Exit(2)
+			}
 			expOpts.HTAPRates = append(expOpts.HTAPRates, m*1e6)
 		}
 	}
-	var joinCache *pstore.Cache
-	if *cache {
-		joinCache = pstore.NewCache(nil)
-		expOpts.Joins = joinCache
-	}
+	joinCache := pstore.NewCache(nil)
+	expOpts.Joins = joinCache
 
 	// Flags are validated; start profiling just before real work so a
 	// usage error can no longer truncate the profile.
@@ -222,11 +228,9 @@ func main() {
 		for _, r := range results {
 			fmt.Fprintf(os.Stderr, "%-10s %8.1f ms\n", r.Experiment.ID, float64(r.Wall.Microseconds())/1000)
 		}
-		if joinCache != nil {
-			s := joinCache.Stats()
-			fmt.Fprintf(os.Stderr, "join cache: %d requests, %d hits, %d engine runs\n",
-				s.Requests(), s.Hits, s.Misses)
-		}
+		cs := joinCache.Stats()
+		fmt.Fprintf(os.Stderr, "join cache: %d requests, %d hits, %d engine runs\n",
+			cs.Requests(), cs.Hits, cs.Misses)
 		k := sim.TotalStats()
 		fmt.Fprintf(os.Stderr, "kernel: %d events = %d coroutine resumes + %d own-resume continues + %d callbacks; heap high-water %d\n",
 			k.Events, k.Resumes, k.Continues, k.Callbacks, k.HeapHigh)
@@ -247,10 +251,8 @@ func main() {
 		if snap.Events > 0 {
 			snap.AllocsPerEvent = float64(ms1.Mallocs-ms0.Mallocs) / float64(snap.Events)
 		}
-		if joinCache != nil {
-			s := joinCache.Stats()
-			snap.CacheHits, snap.CacheMisses = s.Hits, s.Misses
-		}
+		cs := joinCache.Stats()
+		snap.CacheHits, snap.CacheMisses = cs.Hits, cs.Misses
 		if berr := snap.write(*benchPath, *benchForce); berr != nil {
 			fatal(1, berr)
 		}

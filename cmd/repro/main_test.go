@@ -36,6 +36,10 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-shards", "-3"}, "repro: -shards must be >= 0 (0 = GOMAXPROCS), got -3"},
 		{[]string{"-conc", "2,x"}, `repro: bad -conc value "x"`},
 		{[]string{"-bench-o", t.TempDir()}, "is a directory"},
+		{[]string{"-htap-rates", "0,x"}, `repro: bad -htap-rates value "x"`},
+		{[]string{"-htap-rates", "2,8"}, "repro: -htap-rates must start at 0 (the read-only baseline), got 2"},
+		{[]string{"-htap-rates", "0,0"}, "repro: -htap-rates must be strictly increasing, got 0 after 0"},
+		{[]string{"-htap-rates", "0,8,4"}, "repro: -htap-rates must be strictly increasing, got 4 after 8"},
 	} {
 		args := append([]string{"-exp", "table1"}, tc.args...)
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -47,6 +51,20 @@ func TestFlagValidation(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("repro %v: output lacks %q:\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+// TestEmptyTablesFail: at an SF where every table rounds to zero rows
+// the engine figures report an error and repro exits 1, instead of
+// printing 0 s, 0 J rows as if the joins had run.
+func TestEmptyTablesFail(t *testing.T) {
+	out, err := exec.Command(buildRepro(t), "-exp", "fig3", "-sf", "1e-9").CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("repro -exp fig3 -sf 1e-9: err = %v, want exit 1\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "ORDERS at SF 1e-09 has no rows") {
+		t.Fatalf("output does not name the empty table:\n%s", out)
 	}
 }
 

@@ -76,7 +76,6 @@ func main() {
 		nodes     = flag.Int("nodes", 4, "nodes in the per-request simulated cluster")
 		warm      = flag.Bool("warm", true, "working set cached (scan at CPU rate)")
 		batchRows = flag.Int("batch-rows", 200_000, "engine exchange batch size in rows")
-		cache     = flag.Bool("cache", true, "answer repeated identical joins from memory")
 		timeout   = flag.Float64("timeout", 0, "default per-request deadline in seconds (0 = none), overridden per request by deadline_s")
 		retries   = flag.Int("retries", 0, "retry budget per failed join request; retries are shed before fresh work")
 		httpAddr  = flag.String("http", "", "serve HTTP on this address instead of reading stdin")
@@ -155,9 +154,6 @@ func main() {
 	}
 	if *window > 0 {
 		cfg.Execution.Policy = sched.Batched{Window: *window}
-	}
-	if !*cache {
-		cfg.Execution.Runner = pstore.Engine{}
 	}
 	s, err := service.New(cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/pstore"
@@ -318,6 +320,24 @@ func TestFlagValidation(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("serve %v: output lacks %q:\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+// TestStdinRefusesOversizedSF: a join past the largest servable scale
+// factor gets an error line at once, and the session still exits 0 at
+// EOF.
+func TestStdinRefusesOversizedSF(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, buildServe(t))
+	cmd.Stdin = strings.NewReader(`{"id":"b","join":{"sf":1e9}}` + "\n")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("serve: %v\n%s", err, out)
+	}
+	if !strings.Contains(string(out), `"id":"b"`) || !strings.Contains(string(out), `"status":"error"`) ||
+		!strings.Contains(string(out), "exceeds the largest servable scale factor") {
+		t.Fatalf("sf 1e9 not refused:\n%s", out)
 	}
 }
 

@@ -54,10 +54,9 @@
 // suite — nodeterm (no wall clocks, global rand, env reads or bare
 // goroutines in simulated code), maporder (no map-iteration order in
 // output), fingerprint (join-cache keys fingerprint by content) and
-// cursorclose (scan cursors are closed or handed off). It runs
-// standalone (`go run ./cmd/repro-vet ./...`) or as a
-// `go vet -vettool`, and CI's analysis job keeps the tree at zero
-// findings; suppressions require a written justification
+// cursorclose (scan cursors are closed or handed off). It runs as
+// `go run ./cmd/repro-vet ./...`, and CI's analysis job keeps the tree
+// at zero findings; suppressions require a written justification
 // (README "Static analysis").
 //
 // Start with README.md for the tour and system inventory, and

@@ -31,17 +31,14 @@ import (
 	"repro/internal/tpch"
 )
 
-// Config sets the store's cost model and merge policy.
+// applyWork and mergeWork are the store's CPU costs in charged bytes per
+// byte. Ingesting a byte into the tail hashes the key and appends the
+// version, heavier than a scan's sequential read; a merge reads the old
+// base and tail and writes the new base.
+const applyWork, mergeWork = 2, 2
+
+// Config sets the store's merge policy.
 type Config struct {
-	// ApplyWork is the CPU cost of ingesting one byte into the tail, in
-	// charged bytes per row byte (default 2: hash the key, append the
-	// version — write-path work is heavier than a scan's sequential
-	// read).
-	ApplyWork float64
-	// MergeWork is the CPU cost per byte of merge input (base + tail),
-	// in charged bytes per byte (default 2: read the old base and tail,
-	// write the new base).
-	MergeWork float64
 	// MaxTailRows triggers a merge when the live tail exceeds it
 	// (default 20M rows — 400 MB of 20-byte tuples).
 	MaxTailRows int64
@@ -54,12 +51,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ApplyWork == 0 {
-		c.ApplyWork = 2
-	}
-	if c.MergeWork == 0 {
-		c.MergeWork = 2
-	}
 	if c.MaxTailRows == 0 {
 		c.MaxTailRows = 20_000_000
 	}
@@ -172,14 +163,14 @@ func NewStore(part *storage.Partition, node int, cpu *sim.Server, cfg Config) (*
 }
 
 // Apply ingests one write batch, charging the owning node's CPU for the
-// write-path work (rows x width x ApplyWork bytes). The calling process
+// write-path work (rows x width x applyWork bytes). The calling process
 // blocks for the simulated service time, so a saturated CPU throttles
 // the update stream — the contention under measurement.
 func (s *Store) Apply(p *sim.Proc, w Write) error {
 	if w.Rows <= 0 {
 		return nil
 	}
-	s.cpu.Process(p, float64(w.Rows)*float64(s.def.Width)*s.cfg.ApplyWork)
+	s.cpu.Process(p, float64(w.Rows)*float64(s.def.Width)*applyWork)
 	if !s.dirty {
 		s.dirty = true
 		s.oldestAt = p.Now()

@@ -23,7 +23,7 @@ func (s *Store) NeedsMerge(now sim.Time) bool {
 }
 
 // Merge folds the overlay into a fresh base, charging the owning node's
-// CPU for (base + tail bytes) x MergeWork — the background rewrite that
+// CPU for (base + tail bytes) x mergeWork — the background rewrite that
 // contends with concurrent analytics. The new base is built by draining
 // a MergedCursor, so the post-merge view is byte-identical to the
 // pre-merge merged view by construction.
@@ -37,7 +37,7 @@ func (s *Store) Merge(p *sim.Proc) bool {
 		return false
 	}
 	baseBytes := float64(s.baseRows) * float64(s.def.Width)
-	s.cpu.Process(p, (baseBytes+s.TailBytes())*s.cfg.MergeWork)
+	s.cpu.Process(p, (baseBytes+s.TailBytes())*mergeWork)
 
 	cur := s.MergedCursor(mergeBlockRows)
 	var newBatches []storage.Batch

@@ -41,8 +41,9 @@ type Options struct {
 	BatchRows int
 	// HTAPRates lists the cluster-wide update-stream rates, in rows per
 	// virtual second, that the htap1 sweep runs (default 0, 2M, 8M,
-	// 16M). Rate 0 is the read-only baseline every htap series is
-	// normalized against and must be present.
+	// 16M). The first rate is the baseline every htap series is
+	// normalized against, so the list starts at 0 (read-only) and
+	// increases strictly; cmd/repro refuses any other list.
 	HTAPRates []float64
 	// FaultSeed seeds the fault1/fault2 fault plans (default 1; 0 means
 	// the default, so the zero Options value stays the published

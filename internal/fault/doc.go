@@ -1,13 +1,13 @@
 // Package fault is the deterministic fault plane: a seedable schedule
-// of node crashes, straggler episodes, and transient fabric drops,
-// injected into a simulated cluster entirely through the DES clock.
+// of node crashes and straggler episodes, injected into a simulated
+// cluster entirely through the DES clock.
 //
 // A Plan is derived from (seed, cluster fingerprint) — never from
 // wall-clock time — so the same seed against the same cluster yields
 // the same faults, byte for byte, however the suite is sharded. The
 // fingerprint covers node count and hardware specs only.
 //
-// Three fault classes, matching the failure modes that dominate
+// Two fault classes, matching the failure modes that dominate
 // cluster-design tradeoffs once "node failure is the steady state":
 //
 //   - Crash: the node goes down for a repair interval. All four of its
@@ -18,11 +18,9 @@
 //   - Straggler: the node's CPU/disk/NIC service rates are divided by a
 //     factor for an interval — degraded hardware, not dead hardware.
 //     Work keeps flowing, slowly; tail latency absorbs the damage.
-//   - Drop: a transient fabric fault stalls the node's NIC ports
-//     briefly. No state is lost; in-flight transfers just arrive late.
 //
 // Episode streams are generated per node with exponential interarrival
-// times (MTTF for crashes, fixed means for stragglers and drops), which
+// times (MTTF for crashes, a fixed mean for stragglers), which
 // is the standard renewal model for independent component failures.
 //
 // Recovery lives one layer up: pstore.RunWithRetry detects failed or

@@ -38,12 +38,6 @@ type Config struct {
 	StragglerEvery  float64
 	StragglerSecs   float64
 	StragglerFactor float64
-
-	// DropEvery is the per-node mean seconds between transient fabric
-	// drops; 0 disables them. Each drop stalls the node's NIC ports for
-	// DropSecs (default 0.25).
-	DropEvery float64
-	DropSecs  float64
 }
 
 func (c Config) withDefaults() Config {
@@ -57,9 +51,6 @@ func (c Config) withDefaults() Config {
 		if c.StragglerFactor < 1 {
 			c.StragglerFactor = 4
 		}
-	}
-	if c.DropEvery > 0 && c.DropSecs <= 0 {
-		c.DropSecs = 0.25
 	}
 	return c
 }
@@ -78,8 +69,6 @@ func (c Config) Validate() error {
 		{"MTTR", c.MTTR},
 		{"StragglerEvery", c.StragglerEvery},
 		{"StragglerSecs", c.StragglerSecs},
-		{"DropEvery", c.DropEvery},
-		{"DropSecs", c.DropSecs},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
 			return bad(f.name, f.v)
@@ -93,7 +82,7 @@ func (c Config) Validate() error {
 
 // Enabled reports whether the config can produce any episode at all.
 func (c Config) Enabled() bool {
-	return c.Horizon > 0 && (c.MTTF > 0 || c.StragglerEvery > 0 || c.DropEvery > 0)
+	return c.Horizon > 0 && (c.MTTF > 0 || c.StragglerEvery > 0)
 }
 
 // Crash is one node outage: the node goes down at At and restarts
@@ -113,26 +102,17 @@ type Straggler struct {
 	Factor   float64
 }
 
-// Drop is one transient fabric fault: the node's NIC ports stall for
-// Stall seconds starting at At.
-type Drop struct {
-	Node  int
-	At    sim.Time
-	Stall float64
-}
-
 // Plan is a fully materialized fault schedule. Each slice is sorted by
 // (At, Node); per node, episodes of a class never overlap.
 type Plan struct {
 	Seed       int64
 	Crashes    []Crash
 	Stragglers []Straggler
-	Drops      []Drop
 }
 
 // Empty reports whether the plan schedules no episodes.
 func (p *Plan) Empty() bool {
-	return p == nil || (len(p.Crashes) == 0 && len(p.Stragglers) == 0 && len(p.Drops) == 0)
+	return p == nil || (len(p.Crashes) == 0 && len(p.Stragglers) == 0)
 }
 
 // String summarizes the plan for logs and error messages.
@@ -140,8 +120,8 @@ func (p *Plan) String() string {
 	if p.Empty() {
 		return "fault.Plan{empty}"
 	}
-	return fmt.Sprintf("fault.Plan{seed=%d crashes=%d stragglers=%d drops=%d}",
-		p.Seed, len(p.Crashes), len(p.Stragglers), len(p.Drops))
+	return fmt.Sprintf("fault.Plan{seed=%d crashes=%d stragglers=%d}",
+		p.Seed, len(p.Crashes), len(p.Stragglers))
 }
 
 // Fingerprint hashes the cluster's fault-relevant identity: node count
@@ -195,12 +175,6 @@ func NewPlan(cfg Config, c *cluster.Cluster) (*Plan, error) {
 				t += sim.Time(cfg.StragglerSecs)
 			}
 		}
-		if cfg.DropEvery > 0 {
-			for t := sim.Time(exp(cfg.DropEvery)); t < cfg.Horizon; t += sim.Time(exp(cfg.DropEvery)) {
-				p.Drops = append(p.Drops, Drop{Node: node, At: t, Stall: cfg.DropSecs})
-				t += sim.Time(cfg.DropSecs)
-			}
-		}
 	}
 	sort.Slice(p.Crashes, func(i, j int) bool {
 		a, b := p.Crashes[i], p.Crashes[j]
@@ -211,13 +185,6 @@ func NewPlan(cfg Config, c *cluster.Cluster) (*Plan, error) {
 	})
 	sort.Slice(p.Stragglers, func(i, j int) bool {
 		a, b := p.Stragglers[i], p.Stragglers[j]
-		if a.At != b.At {
-			return a.At < b.At
-		}
-		return a.Node < b.Node
-	})
-	sort.Slice(p.Drops, func(i, j int) bool {
-		a, b := p.Drops[i], p.Drops[j]
 		if a.At != b.At {
 			return a.At < b.At
 		}

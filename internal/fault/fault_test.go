@@ -22,7 +22,6 @@ var testCfg = Config{
 	Seed: 42, Horizon: 100,
 	MTTF: 10, MTTR: 1,
 	StragglerEvery: 8, StragglerSecs: 2, StragglerFactor: 4,
-	DropEvery: 6, DropSecs: 0.25,
 }
 
 // TestPlanDeterministic: same seed + same cluster shape = same plan,
@@ -99,7 +98,7 @@ func TestConfigValidate(t *testing.T) {
 		{MTTF: -1},
 		{Horizon: -5},
 		{StragglerEvery: 1, StragglerFactor: 0.5},
-		{DropSecs: math.NaN()},
+		{StragglerSecs: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := NewPlan(cfg, testCluster(t, 2)); err == nil {
@@ -176,11 +175,17 @@ func TestInjectorStragglerRestoresRates(t *testing.T) {
 func TestInjectorStopDisarms(t *testing.T) {
 	c := testCluster(t, 1)
 	plan := &Plan{
-		Crashes: []Crash{{Node: 0, At: 5, Downtime: 1}},
-		Drops:   []Drop{{Node: 0, At: 6, Stall: 1}},
+		Crashes:    []Crash{{Node: 0, At: 5, Downtime: 1}},
+		Stragglers: []Straggler{{Node: 0, At: 6, Duration: 1, Factor: 4}},
 	}
 	inj := Inject(c, plan)
 	c.Eng.At(1, func() { inj.Stop() })
+	healthy := c.Nodes[0].CPU.Rate()
+	c.Eng.At(6.5, func() {
+		if got := c.Nodes[0].CPU.Rate(); got != healthy {
+			t.Errorf("CPU rate %v inside a disarmed straggler episode, want %v", got, healthy)
+		}
+	})
 	c.Run()
 	if inj.Fired() != (Counts{}) {
 		t.Fatalf("episodes fired after Stop: %+v", inj.Fired())

@@ -10,7 +10,6 @@ import (
 type Counts struct {
 	Crashes    int
 	Stragglers int
-	Drops      int
 }
 
 // Injector arms a plan against a cluster: every episode becomes DES
@@ -78,19 +77,6 @@ func Inject(c *cluster.Cluster, p *Plan) *Injector {
 					s.SetRate(orig[i])
 				}
 			})
-		})
-	}
-	for _, dr := range p.Drops {
-		dr := dr
-		n := c.Nodes[dr.Node]
-		eng.At(dr.At, func() {
-			if inj.stopped {
-				return
-			}
-			inj.fired.Drops++
-			until := eng.Now() + sim.Time(dr.Stall)
-			n.Egress.StallUntil(until)
-			n.Ingress.StallUntil(until)
 		})
 	}
 	return inj

@@ -8,30 +8,27 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// fingerprintRoots are the types whose fmt "%+v" rendering is the join
+// fingerprintRoots are the types whose fmt "%#v" rendering is the join
 // cache's content key (see pstore.fingerprint). Everything reachable
-// from them must render by content: a pointer, channel, func or
-// interface field prints as an address or a lossy dynamic value, so two
-// configs with identical content would fingerprint differently (cache
-// misses) — or worse, different content could collide through a lossy
-// Stringer. This is the exact bug class PR 7 dodged by attaching
-// delta.Set to Exec instead of Config.
+// from them must render by content: a pointer, channel or func field
+// prints as an address, and an interface field as its dynamic value,
+// which may be a pointer. Two configs with identical content would then
+// fingerprint differently, and the cache would miss. This is the bug
+// class that attaching delta.Set to Exec instead of Config avoids.
 var fingerprintRoots = []string{"Config", "JoinSpec"}
 
 // Fingerprint walks the types reachable from pstore's cache-key roots
-// and flags fields whose kind fmt cannot render by content. A field is
-// exempt when its exact type is listed in the package-level
-// canonicalRenderers slice (meaning the reflective canonicalize path
-// handles it) or carries a //lint:fingerprinted <reason> annotation.
+// and flags fields whose kind "%#v" cannot render by content. A field
+// is exempt when it carries a //lint:fingerprinted <reason> annotation.
 var Fingerprint = &analysis.Analyzer{
 	Name:      "fingerprint",
 	Directive: "fingerprinted",
 	Doc: "keep join-cache content keys free of address-rendered fields\n\n" +
-		"The pstore join cache keys results by a fmt rendering of Config and\n" +
-		"JoinSpec. Pointer, chan, func and interface fields reachable from those\n" +
-		"types render by address or through lossy Stringers, silently defeating\n" +
-		"content-keying. Register such a type in canonicalRenderers (and route it\n" +
-		"through canonicalize) or annotate the field //lint:fingerprinted.",
+		"The pstore join cache keys results by the %#v rendering of Config and\n" +
+		"JoinSpec. Pointer, chan and func fields reachable from those types\n" +
+		"render as addresses, and an interface field's dynamic value may be a\n" +
+		"pointer, silently defeating content-keying. Keep such fields out of\n" +
+		"the key types or annotate the field //lint:fingerprinted <reason>.",
 	Run: runFingerprint,
 }
 
@@ -41,7 +38,6 @@ func runFingerprint(pass *analysis.Pass) error {
 	}
 	w := &fingerprintWalker{
 		pass:       pass,
-		registered: registeredRenderers(pass),
 		fieldDecls: localFieldDecls(pass),
 		visited:    map[string]bool{},
 	}
@@ -65,46 +61,8 @@ func runFingerprint(pass *analysis.Pass) error {
 
 type fingerprintWalker struct {
 	pass       *analysis.Pass
-	registered map[string]bool
 	fieldDecls map[types.Object]*ast.Field
 	visited    map[string]bool
-}
-
-// registeredRenderers collects the types listed in the package-level
-// canonicalRenderers composite literal: the declared set of
-// fingerprint-unsafe kinds the canonical renderer knows how to key by
-// content.
-func registeredRenderers(pass *analysis.Pass) map[string]bool {
-	reg := map[string]bool{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if name.Name != "canonicalRenderers" || i >= len(vs.Values) {
-						continue
-					}
-					cl, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					for _, el := range cl.Elts {
-						if t := pass.TypeOf(el); t != nil {
-							reg[t.String()] = true
-						}
-					}
-				}
-			}
-		}
-	}
-	return reg
 }
 
 // localFieldDecls maps struct-field objects declared in this package to
@@ -147,9 +105,6 @@ func (w *fingerprintWalker) walkStruct(st *types.Struct, path string, anchor tok
 }
 
 func (w *fingerprintWalker) walkType(t types.Type, path string, anchor token.Pos) {
-	if w.registered[t.String()] {
-		return
-	}
 	switch u := t.Underlying().(type) {
 	case *types.Pointer:
 		w.report(path, anchor, t, "a pointer renders as its address")
@@ -158,7 +113,7 @@ func (w *fingerprintWalker) walkType(t types.Type, path string, anchor token.Pos
 	case *types.Signature:
 		w.report(path, anchor, t, "a func value has no content rendering")
 	case *types.Interface:
-		w.report(path, anchor, t, "an interface renders through its dynamic value, possibly via a lossy Stringer")
+		w.report(path, anchor, t, "an interface renders its dynamic value, which may be a pointer")
 	case *types.Struct:
 		key := t.String()
 		if w.visited[key] {
@@ -177,5 +132,5 @@ func (w *fingerprintWalker) walkType(t types.Type, path string, anchor token.Pos
 }
 
 func (w *fingerprintWalker) report(path string, anchor token.Pos, t types.Type, why string) {
-	w.pass.Reportf(anchor, "cache-key field %s (type %s) defeats content fingerprinting: %s; list the type in canonicalRenderers or annotate //lint:fingerprinted <reason>", path, t, why)
+	w.pass.Reportf(anchor, "cache-key field %s (type %s) defeats content fingerprinting under %%#v: %s; keep it out of the key or annotate //lint:fingerprinted <reason>", path, t, why)
 }

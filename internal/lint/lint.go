@@ -10,7 +10,8 @@
 //   - maporder: no map-iteration order leaking into slices, channels,
 //     result rows, DES event schedules or float accumulators;
 //   - fingerprint: no pointer/chan/func/interface fields reachable from
-//     the join-cache content key without a canonical renderer;
+//     the join-cache content key, whose %#v rendering would key them by
+//     address;
 //   - cursorclose: every storage.Cursor obtained from a constructor is
 //     closed or handed off.
 //

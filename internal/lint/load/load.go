@@ -113,7 +113,7 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	imp := ExportImporter(fset, exports)
+	imp := exportImporter(fset, exports)
 	var pkgs []*Package
 	for _, t := range targets {
 		if len(t.GoFiles) == 0 {
@@ -132,9 +132,9 @@ func Packages(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// ExportImporter returns a types.Importer that resolves import paths
+// exportImporter returns a types.Importer that resolves import paths
 // through the given map of compiled export-data files.
-func ExportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
+func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {
 	return importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {

@@ -1,7 +1,10 @@
 package pstore
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -240,10 +243,8 @@ func TestCacheInFlightSharing(t *testing.T) {
 }
 
 // ptrCoeffs/ptrModel mimic a fitted power model that holds its
-// coefficients behind a pointer and prints only a generic name: before
-// fingerprinting was made structural, %v rendered every instance through
-// the lossy Stringer (or as an address for nested pointers), so
-// equal-valued models missed and different-valued models collided.
+// coefficients behind a pointer and prints only a generic name. No hw
+// model is built this way; the key renders such a model by address.
 type ptrCoeffs struct{ A, B float64 }
 
 type ptrModel struct{ p *ptrCoeffs }
@@ -262,10 +263,10 @@ func ptrModelCluster(t *testing.T, a, b float64) *cluster.Cluster {
 	return c
 }
 
-// TestFingerprintPointerModels is the regression test for content-keying
-// through pointer-typed power models: separately allocated equal-valued
-// models must share a cache entry, and models differing only in a field
-// the Stringer omits must not.
+// TestFingerprintPointerModels: a pointer-typed power model keys by
+// address. Models that differ only behind the pointer (the Stringer
+// prints the same) must never share a key; separately allocated
+// equal-valued models miss, a conservative cost and never a wrong answer.
 func TestFingerprintPointerModels(t *testing.T) {
 	cfg := Config{WarmCache: true, BatchRows: 200_000}
 	spec := cacheTestSpec(1, 0.05, 0.05, DualShuffle)
@@ -277,25 +278,24 @@ func TestFingerprintPointerModels(t *testing.T) {
 	k1 := fingerprint(c1, cfg, spec, 1)
 	k2 := fingerprint(c2, cfg, spec, 1)
 	k3 := fingerprint(c3, cfg, spec, 1)
-	if k1 != k2 {
-		t.Fatalf("equal-valued pointer models fingerprint differently:\n%s\n%s", k1, k2)
+	if k1 == k3 || k2 == k3 {
+		t.Fatalf("different coefficients behind a pointer collided:\n%s", k3)
 	}
-	if k1 == k3 {
-		t.Fatalf("different coefficients behind a pointer collided:\n%s", k1)
+	if k1 == k2 {
+		t.Fatalf("separately allocated pointer models share a key:\n%s", k1)
+	}
+	if k1 != fingerprint(c1, cfg, spec, 1) {
+		t.Fatal("one cluster fingerprints differently twice")
 	}
 
 	cache := NewCache(nil)
-	if _, _, err := cache.RunJoin(c1, cfg, spec); err != nil {
-		t.Fatal(err)
+	for _, c := range []*cluster.Cluster{c1, c2, c3, c1} {
+		if _, _, err := cache.RunJoin(c, cfg, spec); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, _, err := cache.RunJoin(c2, cfg, spec); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := cache.RunJoin(c3, cfg, spec); err != nil {
-		t.Fatal(err)
-	}
-	if s := cache.Stats(); s.Hits != 1 || s.Misses != 2 {
-		t.Fatalf("stats = %+v, want 1 hit (equal models) / 2 misses", s)
+	if s := cache.Stats(); s.Hits != 1 || s.Misses != 3 {
+		t.Fatalf("stats = %+v, want 1 hit (the same cluster again) / 3 misses", s)
 	}
 }
 
@@ -317,6 +317,109 @@ func TestFingerprintKeepsStringerOmittedFields(t *testing.T) {
 	}
 	if fingerprint(mk(0), cfg, spec, 1) == fingerprint(mk(0.05), cfg, spec, 1) {
 		t.Fatal("PowerLaw.Floor does not participate in the fingerprint")
+	}
+}
+
+// mutateLeaf changes the n-th leaf value reachable from v (depth first,
+// fields in declaration order, through slices and interfaces) and
+// returns the leaf's path. ok is false when v has n or fewer leaves.
+func mutateLeaf(t *testing.T, v reflect.Value, path string, n *int) (string, bool) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p, ok := mutateLeaf(t, v.Field(i), path+"."+v.Type().Field(i).Name, n); ok {
+				return p, true
+			}
+		}
+		return "", false
+	case reflect.Slice:
+		for i := 0; i < v.Len(); i++ {
+			if p, ok := mutateLeaf(t, v.Index(i), fmt.Sprintf("%s[%d]", path, i), n); ok {
+				return p, true
+			}
+		}
+		return "", false
+	case reflect.Interface:
+		// The dynamic value is not addressable: mutate a copy, store it back.
+		cp := reflect.New(v.Elem().Type()).Elem()
+		cp.Set(v.Elem())
+		p, ok := mutateLeaf(t, cp, path+".("+cp.Type().String()+")", n)
+		if ok {
+			v.Set(cp)
+		}
+		return p, ok
+	}
+	if *n > 0 {
+		*n--
+		return "", false
+	}
+	switch {
+	case v.Kind() == reflect.Bool:
+		v.SetBool(!v.Bool())
+	case v.CanInt():
+		v.SetInt(v.Int() + 1)
+	case v.CanFloat():
+		v.SetFloat(v.Float() + 0.5)
+	case v.Kind() == reflect.String:
+		v.SetString(v.String() + "'")
+	default:
+		t.Fatalf("%s: no mutation for kind %v", path, v.Kind())
+	}
+	return path, true
+}
+
+// TestFingerprintCoversEveryField is the field-mutation oracle for the
+// join-cache key: for every value reachable from Config, JoinSpec and a
+// node's hw.Spec, down to the coefficients of each hw power-model type,
+// a copy that differs in that value alone must get a different key.
+func TestFingerprintCoversEveryField(t *testing.T) {
+	type request struct {
+		Cfg  Config
+		Spec JoinSpec
+		Node hw.Spec
+	}
+	for _, tc := range []struct {
+		model power.Model
+		coeff string // a path the walk must reach
+	}{
+		{power.PowerLaw{A: 130.03, B: 0.2369, Floor: 0.05}, "Node.Power.(power.PowerLaw).Floor"},
+		{power.Linear{Idle: 40, Peak: 90}, "Node.Power.(power.Linear).Peak"},
+	} {
+		base := func() *request {
+			r := &request{
+				Cfg:  Config{BatchRows: 200_000, WarmCache: true, JoinWork: 1.5, MailboxCap: 8, CheckMemory: true},
+				Spec: cacheTestSpec(5, 0.05, 0.25, DualShuffle),
+				Node: hw.ClusterV(),
+			}
+			r.Spec.BuildNodes = []int{0, 1}
+			r.Node.Power = tc.model
+			return r
+		}
+		key := func(r *request) string {
+			c, err := cluster.New(cluster.Homogeneous(2, r.Node))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fingerprint(c, r.Cfg, r.Spec, 1)
+		}
+		want := key(base())
+		var paths []string
+		for n := 0; ; n++ {
+			r, left := base(), n
+			path, ok := mutateLeaf(t, reflect.ValueOf(r).Elem(), "", &left)
+			if !ok {
+				break
+			}
+			path = path[1:]
+			paths = append(paths, path)
+			if key(r) == want {
+				t.Errorf("%T: changing %s alone leaves the key unchanged", tc.model, path)
+			}
+		}
+		if !slices.Contains(paths, tc.coeff) {
+			t.Errorf("%T: the walk never reached %s; it visited %v", tc.model, tc.coeff, paths)
+		}
 	}
 }
 
@@ -351,8 +454,7 @@ func TestRunJoinHitReporting(t *testing.T) {
 }
 
 // cyclicModel holds a back-reference to itself: fingerprinting must
-// terminate with a cycle marker, and equal-valued cyclic models must
-// still share a key.
+// terminate, and distinct models must never share a key.
 type cyclicModel struct {
 	A    float64
 	Self *cyclicModel
@@ -375,14 +477,12 @@ func TestFingerprintCyclicModelTerminates(t *testing.T) {
 		}
 		return c
 	}
-	k1 := fingerprint(mk(100), cfg, spec, 1)
-	k2 := fingerprint(mk(100), cfg, spec, 1)
-	k3 := fingerprint(mk(200), cfg, spec, 1)
-	if k1 != k2 {
-		t.Fatalf("equal cyclic models fingerprint differently:\n%s\n%s", k1, k2)
-	}
-	if k1 == k3 {
-		t.Fatal("different cyclic models collided")
+	c1, c2, c3 := mk(100), mk(100), mk(200)
+	k1 := fingerprint(c1, cfg, spec, 1)
+	k2 := fingerprint(c2, cfg, spec, 1)
+	k3 := fingerprint(c3, cfg, spec, 1)
+	if k1 == k3 || k2 == k3 || k1 == k2 {
+		t.Fatalf("distinct cyclic models collided:\n%s\n%s\n%s", k1, k2, k3)
 	}
 }
 

@@ -357,7 +357,10 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 		fold: func(owner int, b storage.Batch) { h.tables[owner].insertBatch(b) },
 	})
 
-	matchRate := spec.matchRate()
+	// A qualified probe tuple of a foreign-key join finds its one build
+	// match exactly when that build row qualified, so phantom output
+	// cardinality is qualified probe rows x BuildSel.
+	matchRate := spec.BuildSel
 	h.exchange(exchange{
 		side: "probe", owners: owners, mailboxes: probeMB, done: &h.probeWG,
 		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {

@@ -137,18 +137,6 @@ type JoinSpec struct {
 	// nil/empty means all nodes (homogeneous execution); a Beefy subset
 	// yields heterogeneous execution.
 	BuildNodes []int
-	// MatchRate is the probability that a qualified probe tuple finds a
-	// match, used for phantom output-cardinality accounting. For the
-	// paper's foreign-key joins this equals BuildSel. Defaults to
-	// BuildSel when zero.
-	MatchRate float64
-}
-
-func (s JoinSpec) matchRate() float64 {
-	if s.MatchRate > 0 {
-		return s.MatchRate
-	}
-	return s.BuildSel
 }
 
 // Validate sanity-checks the spec against a cluster.
@@ -164,6 +152,17 @@ func (s JoinSpec) Validate(c *cluster.Cluster) error {
 	}
 	if s.Build.Materialize != s.Probe.Materialize {
 		return fmt.Errorf("pstore: build/probe materialization must match")
+	}
+	for _, d := range []storage.TableDef{s.Build, s.Probe} {
+		if d.RowsOverride > 0 {
+			continue
+		}
+		if !tpch.RowsFit(d.Table, d.SF) {
+			return fmt.Errorf("pstore: %v at SF %v has more rows than an int64 holds", d.Table, d.SF)
+		}
+		if d.TotalRows() <= 0 {
+			return fmt.Errorf("pstore: %v at SF %v has no rows", d.Table, d.SF)
+		}
 	}
 	return nil
 }

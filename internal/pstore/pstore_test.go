@@ -2,6 +2,7 @@ package pstore
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -165,7 +166,7 @@ func TestPhantomRowAccountingMatchesMaterialized(t *testing.T) {
 	if math.Abs(float64(ph.BuildRowsTotal-mat.BuildRowsTotal))/float64(mat.BuildRowsTotal) > 0.15 {
 		t.Fatalf("phantom build rows %d vs materialized %d", ph.BuildRowsTotal, mat.BuildRowsTotal)
 	}
-	// Output: phantom = qualifiedProbe * matchRate ~= materialized join.
+	// Output: phantom = qualifiedProbe * BuildSel ~= materialized join.
 	if math.Abs(float64(ph.OutputRows-mat.OutputRows))/float64(mat.OutputRows) > 0.1 {
 		t.Fatalf("phantom output %d vs materialized %d", ph.OutputRows, mat.OutputRows)
 	}
@@ -334,6 +335,32 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		if res, _, err := RunJoin(newCluster(t, 2), cfgSmall(), s); err == nil {
 			t.Errorf("%s: RunJoin answered %d rows and no error", name, res.OutputRows)
 		}
+	}
+}
+
+// A side that rounds to zero rows, or whose count wraps an int64, would
+// print a 0 s, 0 J join as if it had run: Validate refuses it, naming
+// the table and the SF.
+func TestValidateRejectsEmptyAndOverflowedTables(t *testing.T) {
+	for _, tc := range []struct {
+		sf   tpch.ScaleFactor
+		want string
+	}{
+		{1e-9, "ORDERS at SF 1e-09 has no rows"},
+		{4e12, "LINEITEM at SF 4e+12 has more rows than an int64 holds"},
+		{1e13, "ORDERS at SF 1e+13 has more rows than an int64 holds"},
+	} {
+		build, probe := smallDefs(false)
+		build.SF, probe.SF = tc.sf, tc.sf
+		s := JoinSpec{Build: build, Probe: probe, BuildSel: 0.05, ProbeSel: 0.05}
+		if err := s.Validate(newCluster(t, 2)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("SF %v: err = %v, want %q", tc.sf, err, tc.want)
+		}
+	}
+	build, probe := smallDefs(false)
+	build.SF, probe.SF = 1000, 1000
+	if err := (JoinSpec{Build: build, Probe: probe, BuildSel: 0.05, ProbeSel: 0.05}).Validate(newCluster(t, 2)); err != nil {
+		t.Errorf("SF 1000 refused: %v", err)
 	}
 }
 

@@ -1,10 +1,8 @@
 package pstore
 
 import (
+	"bytes"
 	"fmt"
-	"reflect"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -22,13 +20,6 @@ type JoinRunner interface {
 	// RunConcurrent executes k simultaneous copies of spec and returns
 	// the makespan, per-query response times and total energy.
 	RunConcurrent(c *cluster.Cluster, cfg Config, spec JoinSpec, k int) (makespan float64, perQuery []float64, joules float64, err error)
-}
-
-// HitReporter is the optional JoinRunner extension for runners that can
-// say whether a request was answered from a shared result. Cache
-// implements it; the service mode uses it to tag streamed responses.
-type HitReporter interface {
-	RunJoinHit(c *cluster.Cluster, cfg Config, spec JoinSpec) (res JoinResult, joules float64, hit bool, err error)
 }
 
 // Engine is the pass-through JoinRunner: every call runs a fresh
@@ -96,12 +87,6 @@ func NewCache(inner JoinRunner) *Cache {
 func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
-
-// NoteHit books one answered-from-memory request that bypassed the
-// cache's own lookup path. The service layer memoizes repeated requests
-// above the fingerprint machinery; crediting those here keeps
-// Stats.Requests equal to the number of joins the cache answered.
-func (c *Cache) NoteHit() { c.hits.Add(1) }
 
 // lookup returns the entry for key and whether it already existed. A new
 // entry is published immediately (under the lock) so concurrent callers
@@ -193,110 +178,19 @@ func (c *Cache) RunConcurrent(cl *cluster.Cluster, cfg Config, spec JoinSpec, k 
 
 // fingerprint is the content key: concurrency level, effective engine
 // configuration, the full join spec, and every node's hardware spec in
-// cluster order. Config and JoinSpec are plain values, so %+v is a
-// complete, deterministic serialization. Node specs go through
-// canonicalize instead: their power model is an interface whose
-// implementation may be pointer-typed or have a lossy String method, and
-// fmt would render it through the Stringer (dropping fields) or print
-// addresses for nested pointers — either silently defeats content-keying.
+// cluster order, each rendered with %#v. Go-syntax formatting prints
+// every field, and an interface field (a node's power model) as its
+// concrete type and value; it never calls String, so a Stringer that
+// omits a field (PowerLaw.Floor) cannot merge two keys. Every hw power
+// model is a value struct. A pointer-typed one would render as its
+// address: a conservative miss, never a collision. The key is built in a
+// bytes.Buffer, whose String copies, so a stored key is exact-size
+// instead of pinning the buffer's grown capacity.
 func fingerprint(c *cluster.Cluster, cfg Config, spec JoinSpec, k int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "k=%d|cfg=%+v|spec=%+v|nodes=%d", k, cfg.withDefaults(), spec, len(c.Nodes))
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "k=%d|cfg=%#v|spec=%#v|nodes=%d", k, cfg.withDefaults(), spec, len(c.Nodes))
 	for _, n := range c.Nodes {
-		b.WriteByte('|')
-		canonicalize(&b, reflect.ValueOf(n.Spec), make(map[uintptr]bool))
+		fmt.Fprintf(&b, "|%#v", n.Spec)
 	}
 	return b.String()
-}
-
-// canonicalize renders a value for content-keying: pointers are followed
-// to the pointed-to value (never an address), interfaces are tagged with
-// the concrete type, every struct field participates (no Stringer
-// shortcuts), and maps are keyed in sorted order. Unkeyable kinds (funcs,
-// channels) have no content to key, so they render by identity — a
-// conservative cache miss, never false sharing. path tracks the pointers
-// on the current traversal path so cyclic structures terminate: a
-// back-reference renders as a marker instead of recursing forever.
-func canonicalize(b *strings.Builder, v reflect.Value, path map[uintptr]bool) {
-	switch v.Kind() {
-	case reflect.Invalid:
-		b.WriteString("<nil>")
-	case reflect.Pointer:
-		if v.IsNil() {
-			b.WriteString("<nil>")
-			return
-		}
-		p := v.Pointer()
-		if path[p] {
-			b.WriteString("&cycle")
-			return
-		}
-		path[p] = true
-		b.WriteByte('&')
-		canonicalize(b, v.Elem(), path)
-		delete(path, p)
-	case reflect.Interface:
-		if v.IsNil() {
-			b.WriteString("<nil>")
-			return
-		}
-		b.WriteString(v.Elem().Type().String())
-		b.WriteByte('(')
-		canonicalize(b, v.Elem(), path)
-		b.WriteByte(')')
-	case reflect.Struct:
-		t := v.Type()
-		b.WriteByte('{')
-		for i := 0; i < v.NumField(); i++ {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(t.Field(i).Name)
-			b.WriteByte(':')
-			canonicalize(b, v.Field(i), path)
-		}
-		b.WriteByte('}')
-	case reflect.Slice, reflect.Array:
-		b.WriteByte('[')
-		for i := 0; i < v.Len(); i++ {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			canonicalize(b, v.Index(i), path)
-		}
-		b.WriteByte(']')
-	case reflect.Map:
-		p := v.Pointer()
-		if path[p] {
-			b.WriteString("map-cycle")
-			return
-		}
-		path[p] = true
-		keys := make([]string, 0, v.Len())
-		byKey := make(map[string]reflect.Value, v.Len())
-		for it := v.MapRange(); it.Next(); {
-			var kb strings.Builder
-			canonicalize(&kb, it.Key(), path)
-			keys = append(keys, kb.String())
-			byKey[kb.String()] = it.Value()
-		}
-		sort.Strings(keys)
-		b.WriteString("map[")
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			b.WriteString(k)
-			b.WriteByte(':')
-			canonicalize(b, byKey[k], path)
-		}
-		b.WriteByte(']')
-		delete(path, p)
-	case reflect.Func, reflect.Chan, reflect.UnsafePointer:
-		fmt.Fprintf(b, "%s@%x", v.Type(), v.Pointer())
-	default:
-		// Basic kinds. fmt formats a reflect.Value as the value it holds,
-		// which works for unexported fields too.
-		fmt.Fprintf(b, "%v", v)
-	}
 }

@@ -143,8 +143,11 @@ type Server struct {
 	cfg    Config
 	policy sched.Policy
 	runner pstore.JoinRunner
-	mk     func() (*cluster.Cluster, error)
-	wg     sync.WaitGroup
+	// cache is runner when it is a *pstore.Cache, else nil: it tags
+	// join responses hit/miss and turns the memos on.
+	cache *pstore.Cache
+	mk    func() (*cluster.Cluster, error)
+	wg    sync.WaitGroup
 
 	start time.Time
 	now   func() time.Time
@@ -173,13 +176,13 @@ type Server struct {
 	tenants     map[string]*tenantStats
 
 	// memo short-circuits repeated identical requests without touching
-	// the shared cache's fingerprint path (no cluster build, no
-	// reflective canonicalization): within one Server the engine config
-	// and cluster factory are fixed, so the request value alone is a
-	// complete key. Join memo hits still count (and tag) as cache hits;
-	// design memoization is silent — design responses never carried a
-	// cache tag. memo is nil when the runner is not a memoizing cache,
-	// so -cache=false keeps every run fresh.
+	// the shared cache's fingerprint path (no cluster build, no key
+	// rendering): within one Server the engine config and cluster
+	// factory are fixed, so the request value alone is a complete key.
+	// Join memo hits count (and tag) as cache hits in the service's own
+	// metrics; design memoization is silent — design responses never
+	// carried a cache tag. memo is nil when the runner is not a
+	// memoizing cache, so an injected runner sees every request.
 	memo       map[workload.JoinRequest]memoVal
 	memoDesign map[DesignRequest]report.ServiceResponse
 }
@@ -232,7 +235,8 @@ func New(cfg Config) (*Server, error) {
 	if s.runner == nil {
 		s.runner = pstore.NewCache(nil)
 	}
-	if _, ok := s.runner.(pstore.HitReporter); ok {
+	s.cache, _ = s.runner.(*pstore.Cache)
+	if s.cache != nil {
 		s.memo = make(map[workload.JoinRequest]memoVal)
 		s.memoDesign = make(map[DesignRequest]report.ServiceResponse)
 	}
@@ -436,7 +440,6 @@ func (s *Server) handle(j *job) report.ServiceResponse {
 				resp.Cache = "hit"
 				resp.Seconds = v.seconds
 				resp.Joules = v.joules
-				s.noteMemoHit()
 				return resp
 			}
 		}
@@ -450,9 +453,9 @@ func (s *Server) handle(j *job) report.ServiceResponse {
 			}
 			var res pstore.JoinResult
 			var joules float64
-			if hr, ok := s.runner.(pstore.HitReporter); ok {
+			if s.cache != nil {
 				var hit bool
-				res, joules, hit, err = hr.RunJoinHit(c, s.cfg.Execution.Engine, spec)
+				res, joules, hit, err = s.cache.RunJoinHit(c, s.cfg.Execution.Engine, spec)
 				if err == nil {
 					resp.Cache = "miss"
 					if hit {
@@ -506,15 +509,6 @@ func (s *Server) handle(j *job) report.ServiceResponse {
 		return resp
 	default:
 		return fail(fmt.Errorf("service: unknown request kind %q (want join or design)", req.Kind), true)
-	}
-}
-
-// noteMemoHit books a memo answer as a cache hit in the shared runner's
-// stats, so Cache.Stats and the service metrics keep agreeing on how
-// many requests were answered from memory.
-func (s *Server) noteMemoHit() {
-	if c, ok := s.runner.(*pstore.Cache); ok {
-		c.NoteHit()
 	}
 }
 

@@ -99,7 +99,7 @@ func TestServiceByteIdenticalToRunJoin(t *testing.T) {
 // TestServiceAnswersRepeatsFromCache checks the shared-memory path:
 // identical streamed requests are answered from memory (the service memo
 // over the pstore.Cache) with bit-identical results and tagged as hits,
-// and the cache's own counters agree.
+// and the engine runs once.
 func TestServiceAnswersRepeatsFromCache(t *testing.T) {
 	cache := pstore.NewCache(nil)
 	s, err := New(Config{
@@ -125,8 +125,8 @@ func TestServiceAnswersRepeatsFromCache(t *testing.T) {
 			t.Fatalf("repeat %d result drifted: %+v vs %+v", i, r, first)
 		}
 	}
-	if st := cache.Stats(); st.Hits != 5 || st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 5 hits / 1 miss", st)
+	if st := cache.Stats(); st.Misses != 1 {
+		t.Fatalf("cache stats = %+v, want 1 engine run", st)
 	}
 	m := s.Metrics()
 	if m.CacheHits != 5 || m.CacheMisses != 1 {
@@ -564,8 +564,10 @@ func TestServiceDesignRequests(t *testing.T) {
 	}
 }
 
-// TestServiceErrorResponses: invalid requests are answered (status
-// "error", flagged request-invalid), counted, and never crash a worker.
+// TestServiceErrorResponses: invalid requests are answered at once
+// (status "error", flagged request-invalid), counted, and never crash a
+// worker. A join past the largest servable SF is one: it would otherwise
+// hold a worker for hours.
 func TestServiceErrorResponses(t *testing.T) {
 	s, err := New(Config{
 		Admission: Admission{QueueDepth: 4},
@@ -577,6 +579,7 @@ func TestServiceErrorResponses(t *testing.T) {
 	bad := []Request{
 		{ID: "m", Join: &workload.JoinRequest{Method: "sort-merge"}},
 		{ID: "sf", Join: &workload.JoinRequest{SF: -3}},
+		{ID: "huge", Join: &workload.JoinRequest{SF: 1e9}},
 		{ID: "k", Kind: "compactions"},
 		{ID: "t", Design: &DesignRequest{Target: 2}},
 		{ID: "v", V: 2, Join: &workload.JoinRequest{SF: 5}},
@@ -584,7 +587,11 @@ func TestServiceErrorResponses(t *testing.T) {
 		{ID: "dl", Deadline: -1, Join: &workload.JoinRequest{SF: 5}},
 	}
 	for _, r := range bad {
+		start := time.Now()
 		resp := s.Do(r)
+		if took := time.Since(start); took > time.Second {
+			t.Fatalf("request %s answered after %v", r.ID, took)
+		}
 		if resp.Status != "error" || resp.Error == "" {
 			t.Fatalf("request %s: %+v", r.ID, resp)
 		}

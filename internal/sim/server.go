@@ -117,7 +117,7 @@ const maxRate = 1e300
 // work booked from now on starts no earlier than t (behind whatever was
 // already queued). The stall books no busy time — the server is down,
 // not working — so power meters see the interval as idle. The fault
-// plane uses this for crash downtime and transient fabric drops.
+// plane uses this for crash downtime.
 func (s *Server) StallUntil(t Time) {
 	if t > s.free {
 		s.free = t

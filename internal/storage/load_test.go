@@ -44,20 +44,12 @@ func oraclePartition(def TableDef, n int) [][][]int64 {
 	want := make([][][]int64, n)
 	for i := int64(0); i < def.TotalRows(); i++ {
 		stored, seg := oracleRow(def, i)
-		nd := 0
-		if def.Placement == HashSegmented {
-			nd = int(tpch.Hash64(uint64(seg)) % uint64(n))
-		}
+		nd := int(tpch.Hash64(uint64(seg)) % uint64(n))
 		if want[nd] == nil {
 			want[nd] = make([][]int64, len(stored))
 		}
 		for k, v := range stored {
 			want[nd][k] = append(want[nd][k], v)
-		}
-	}
-	if def.Placement == Replicated {
-		for nd := range want {
-			want[nd] = want[0]
 		}
 	}
 	return want
@@ -135,20 +127,23 @@ func oracleDefs() map[string]TableDef {
 
 // The loader must build exactly what a serial row-at-a-time route-and-
 // append builds — same blocks, same rows in the same order — for every
-// schema, placement, node count and block size, and at every worker
-// count. The node counts include 1, which routes nothing, powers of two
-// and the odd moduli 3, 5 and 7. Blocks are cut from a node's finished
+// schema, node count and block size, and at every worker count. The node
+// counts include 1, which routes nothing, powers of two, the odd moduli
+// 3, 5, 7 and 9 and the even non-powers 6 and 12. The worker counts
+// include 3, which splits the three chunks one each. The block sizes are
+// a power of two, 1000 (which divides neither a chunk nor the table) and
+// one block for the whole table. Blocks are cut from a node's finished
 // columns, so the two small block sizes, which cost the check an
 // allocation per cell, run at one node count and one worker count. The
-// edge row counts — one row, which leaves most nodes empty, and a table
-// that ends exactly on or one row past a chunk boundary — run at one
-// block size and worker count.
+// edge row counts — one and two rows, which leave most nodes empty, and a
+// table that ends one row before, exactly on or one row past a chunk
+// boundary — run at one block size and worker count.
 func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type run struct{ blockRows, procs int }
-	runs := []run{{4096, 1}, {4096, 2}, {4096, 4}, {oracleRows + 1, 4}}
+	runs := []run{{4096, 1}, {4096, 2}, {4096, 3}, {4096, 4}, {1000, 4}, {oracleRows + 1, 4}}
 	smallBlocks := []run{{1, 4}, {7, 4}}
-	edgeRows := []int64{1, chunkRows, chunkRows + 1}
+	edgeRows := []int64{1, 2, chunkRows - 1, chunkRows, chunkRows + 1}
 	check := func(name string, def TableDef, n int, r run, want [][][]int64) {
 		runtime.GOMAXPROCS(r.procs)
 		parts, err := PartitionTable(def, n, r.blockRows)
@@ -160,25 +155,22 @@ func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 		})
 	}
 	for name, def := range oracleDefs() {
-		for _, placement := range []Placement{HashSegmented, Replicated} {
-			def.Placement = placement
-			for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 16} {
-				want := oraclePartition(def, n)
-				todo := runs
-				if n == 3 {
-					todo = append(smallBlocks, runs...)
-				}
-				for _, r := range todo {
-					check(fmt.Sprintf("%s/%v/n%d/block%d/procs%d", name, placement, n, r.blockRows, r.procs), def, n, r, want)
-				}
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 16} {
+			want := oraclePartition(def, n)
+			todo := runs
+			if n == 3 {
+				todo = append(smallBlocks, runs...)
 			}
-			for _, rows := range edgeRows {
-				edge := def
-				edge.RowsOverride = rows
-				for _, n := range []int{1, 3, 16} {
-					r := run{4096, 4}
-					check(fmt.Sprintf("%s/%v/rows%d/n%d/block%d/procs%d", name, placement, rows, n, r.blockRows, r.procs), edge, n, r, oraclePartition(edge, n))
-				}
+			for _, r := range todo {
+				check(fmt.Sprintf("%s/%v/n%d/block%d/procs%d", name, def.Placement, n, r.blockRows, r.procs), def, n, r, want)
+			}
+		}
+		for _, rows := range edgeRows {
+			edge := def
+			edge.RowsOverride = rows
+			for _, n := range []int{1, 3, 7, 16} {
+				r := run{4096, 4}
+				check(fmt.Sprintf("%s/%v/rows%d/n%d/block%d/procs%d", name, def.Placement, rows, n, r.blockRows, r.procs), edge, n, r, oraclePartition(edge, n))
 			}
 		}
 	}
@@ -263,22 +255,6 @@ func TestZeroRowPartitionStaysMaterialized(t *testing.T) {
 	}
 }
 
-// A Replicated table is generated once: every node's blocks are views of
-// the same columns.
-func TestReplicatedPartitionsShareColumns(t *testing.T) {
-	def := TableDef{Table: tpch.Supplier, SF: 0.01, Width: 16, Placement: Replicated, Materialize: true}
-	parts, err := PartitionTable(def, 3, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := parts[0].Batches(64)[1].Cols[ColSel]
-	for _, p := range parts[1:] {
-		if col := p.Batches(64)[1].Cols[ColSel]; &col[0] != &first[0] {
-			t.Fatalf("node %d holds its own copy of the replicated table", p.Node)
-		}
-	}
-}
-
 // oracleDefs must keep both routing paths under test: some drawn
 // segmentation column small enough for the value -> node table, and one
 // too large for it.
@@ -299,12 +275,10 @@ func TestPartitionTableRejectsBadArguments(t *testing.T) {
 	tiny := TableDef{Table: tpch.Part, Width: 8, Placement: HashSegmented, Materialize: true, RowsOverride: 2}
 	phantom := tiny
 	phantom.Materialize = false
-	replicated := tiny
-	replicated.Placement = Replicated
-	for _, def := range []TableDef{tiny, phantom, replicated} {
+	for _, def := range []TableDef{tiny, phantom} {
 		for _, blockRows := range []int{0, -1} {
 			if _, err := PartitionTable(def, 2, blockRows); err == nil {
-				t.Errorf("%v materialize=%v: no error for blockRows %d", def.Placement, def.Materialize, blockRows)
+				t.Errorf("materialize=%v: no error for blockRows %d", def.Materialize, blockRows)
 			}
 		}
 	}
@@ -319,14 +293,14 @@ func TestPartitionTableRejectsBadArguments(t *testing.T) {
 }
 
 // FuzzPartitionTable loads a random table — schema, segmentation column,
-// scale factor, placement, row count up to three chunks, node count and
-// block size — and compares it with the row-at-a-time oracle.
+// scale factor, row count up to three chunks, node count and block size
+// — and compares it with the row-at-a-time oracle.
 func FuzzPartitionTable(f *testing.F) {
-	f.Add(uint8(0), uint8(1), false, false, uint32(oracleRows), uint8(4), uint16(4096))
-	f.Add(uint8(1), uint8(0), true, false, uint32(chunkRows), uint8(3), uint16(100))
-	f.Add(uint8(0), uint8(0), false, true, uint32(1000), uint8(2), uint16(7))
-	f.Add(uint8(4), uint8(0), false, false, uint32(0), uint8(5), uint16(1))
-	f.Fuzz(func(t *testing.T, table, segment uint8, bigSF, replicated bool, rows uint32, n uint8, blockRows uint16) {
+	f.Add(uint8(0), uint8(1), false, uint32(oracleRows), uint8(4), uint16(4096))
+	f.Add(uint8(1), uint8(0), true, uint32(chunkRows), uint8(3), uint16(100))
+	f.Add(uint8(0), uint8(0), false, uint32(1000), uint8(2), uint16(7))
+	f.Add(uint8(4), uint8(0), false, uint32(0), uint8(5), uint16(1))
+	f.Fuzz(func(t *testing.T, table, segment uint8, bigSF bool, rows uint32, n uint8, blockRows uint16) {
 		tables := []tpch.Table{tpch.Lineitem, tpch.Orders, tpch.Customer, tpch.Supplier, tpch.Part}
 		segments := []string{"", "L_SHIPDATE", "O_ORDERKEY"} // "": the table default
 		def := TableDef{Table: tables[int(table)%len(tables)], SF: 0.01, Width: tpch.Q3ProjectedWidth,
@@ -337,9 +311,6 @@ func FuzzPartitionTable(f *testing.F) {
 		}
 		if bigSF && def.RowsOverride > 0 {
 			def.SF = 0.5
-		}
-		if replicated {
-			def.Placement = Replicated
 		}
 		nodes, blk := int(n%16)+1, int(blockRows)%8192+1
 		parts, err := PartitionTable(def, nodes, blk)

@@ -15,8 +15,8 @@
 //     carry no data (used for paper-scale runs, SF 400-1000, where
 //     materializing terabytes is impossible — DESIGN.md §5).
 //
-// Partitioning supports the paper's placement schemes: hash segmentation
-// on a chosen column (Vertica's hash segmentation) and full replication.
+// Partitioning is the paper's placement scheme: hash segmentation on a
+// chosen column (Vertica's hash segmentation).
 //
 // A materialized table is loaded by one two-pass parallel scatter
 // (load.go). Each table has one schema — its stored columns' generators
@@ -90,17 +90,9 @@ const (
 	// HashSegmented partitions rows by hash of a key column (Vertica's
 	// hash segmentation; §3.1).
 	HashSegmented Placement = iota
-	// Replicated stores a full copy on every node (used for small tables:
-	// SUPPLIER, NATION, ...; §3.1).
-	Replicated
 )
 
-func (p Placement) String() string {
-	if p == Replicated {
-		return "replicated"
-	}
-	return "hash-segmented"
-}
+func (Placement) String() string { return "hash-segmented" }
 
 // TableDef describes one stored table (a projection in Vertica terms).
 type TableDef struct {
@@ -158,13 +150,12 @@ func (p *Partition) Batches(blockRows int) []Batch {
 	return out
 }
 
-// PartitionTable splits a table across n nodes according to its placement,
+// PartitionTable hash-segments a table across n nodes,
 // returning one Partition per node, each cut into blocks of blockRows rows.
 // The loader in load.go generates every row once, routes it by the same
 // Hash64 the exchange operator uses and writes it straight to its final
 // position, so a partition's rows are in row-index order and its blocks
-// are views of one allocation per stored column. The n partitions of a
-// Replicated table share a single column set. Blocks are read-only:
+// are views of one allocation per stored column. Blocks are read-only:
 // cursors and delta stores hand them out without copying. Phantom
 // partitions hold only row counts.
 func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
@@ -180,17 +171,6 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 		parts[i] = &Partition{Def: def, Node: i}
 	}
 	total := def.TotalRows()
-
-	if def.Placement == Replicated {
-		var batches []Batch
-		if def.Materialize {
-			batches = blocks(def, load(sch, total, 1)[0], blockRows)
-		}
-		for _, p := range parts {
-			p.Rows, p.batches = total, batches
-		}
-		return parts, nil
-	}
 
 	if def.Materialize {
 		if n > maxNodes {

@@ -73,16 +73,6 @@ func TestPhantomPartitionCountsExact(t *testing.T) {
 	}
 }
 
-func TestReplicatedPlacement(t *testing.T) {
-	def := TableDef{Table: tpch.Supplier, SF: 0.01, Width: 16, Placement: Replicated, Materialize: true}
-	parts, _ := PartitionTable(def, 3, 64)
-	for _, p := range parts {
-		if p.Rows != def.TotalRows() {
-			t.Fatalf("replica on node %d has %d rows, want %d", p.Node, p.Rows, def.TotalRows())
-		}
-	}
-}
-
 func TestSegmentationRoutesByKeyHash(t *testing.T) {
 	// Every row in node i's partition must hash to node i — the property
 	// "partition-compatible join needs no shuffle" relies on this. ORDERS
@@ -221,7 +211,7 @@ func TestPartitionConservationProperty(t *testing.T) {
 }
 
 func TestPlacementString(t *testing.T) {
-	if HashSegmented.String() != "hash-segmented" || Replicated.String() != "replicated" {
+	if HashSegmented.String() != "hash-segmented" {
 		t.Error("Placement.String broken")
 	}
 }

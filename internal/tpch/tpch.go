@@ -27,6 +27,7 @@ package tpch
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -137,6 +138,17 @@ func Rows(t Table, sf ScaleFactor) int64 {
 		return sf.Parts()
 	}
 	return 0
+}
+
+// RowsFit reports whether Rows(t, sf) is t's true cardinality: the
+// scaled count (4 rows per order for LINEITEM) fits in an int64, where
+// the conversion and the product would otherwise wrap silently. NATION
+// and REGION do not scale.
+func RowsFit(t Table, sf ScaleFactor) bool {
+	if t == Nation || t == Region {
+		return true
+	}
+	return float64(Rows(t, 1))*float64(sf) < math.MaxInt64
 }
 
 // ---------------------------------------------------------------------------

@@ -46,6 +46,28 @@ func TestRowsDispatch(t *testing.T) {
 	}
 }
 
+// At SF 4e12 LINEITEM's 2.4e19 rows wrap an int64 to a positive count;
+// RowsFit must refuse it while ORDERS (6e18 rows) still fits.
+func TestRowsFit(t *testing.T) {
+	for _, tc := range []struct {
+		table Table
+		sf    ScaleFactor
+		want  bool
+	}{
+		{Lineitem, 1000, true},
+		{Lineitem, 4e12, false},
+		{Orders, 4e12, true},
+		{Orders, 1e13, false},
+		{Customer, 1e13, true},
+		{Customer, 1e14, false},
+		{Nation, 1e30, true},
+	} {
+		if got := RowsFit(tc.table, tc.sf); got != tc.want {
+			t.Errorf("RowsFit(%v, %v) = %v, want %v (Rows = %d)", tc.table, tc.sf, got, tc.want, Rows(tc.table, tc.sf))
+		}
+	}
+}
+
 func TestGenDeterministic(t *testing.T) {
 	sf := ScaleFactor(0.1)
 	for i := int64(0); i < 100; i++ {

@@ -11,12 +11,12 @@ import (
 
 // FaultedSpec describes one mixed run under a fault plan: the HTAP
 // workload (analytics, plus the update stream when a rate is set)
-// executed while the fault plane crashes nodes, degrades hardware and
-// drops fabric links, with query-level retry absorbing the damage.
+// executed while the fault plane crashes nodes and degrades hardware,
+// with query-level retry absorbing the damage.
 type FaultedSpec struct {
 	HTAP HTAPSpec
 	// Faults parameterizes the deterministic fault plan (seed, MTTF,
-	// straggler and drop processes). A zero config injects nothing and
+	// straggler processes). A zero config injects nothing and
 	// the run's query timings match RunHTAP exactly.
 	Faults fault.Config
 	// Retry bounds per-query failure recovery (zero = pstore defaults;

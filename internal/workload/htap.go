@@ -39,10 +39,6 @@ type HTAPSpec struct {
 	// per virtual second; 0 runs the analytics read-only (the baseline
 	// every htap series is normalized against).
 	UpdateRowsPerSec float64
-	// UpdateBatchRows is the rows per transactional batch (default
-	// 50000 — 1 MB of 20-byte tuples, one "transaction" for energy
-	// accounting).
-	UpdateBatchRows int
 	// Delta configures the per-node delta stores (zero = defaults).
 	Delta delta.Config
 }
@@ -57,11 +53,12 @@ func (s HTAPSpec) withDefaults() HTAPSpec {
 	if s.ProbeSel == 0 {
 		s.ProbeSel = 0.05
 	}
-	if s.UpdateBatchRows <= 0 {
-		s.UpdateBatchRows = 50_000
-	}
 	return s
 }
+
+// updateBatchRows is the rows per transactional batch: 1 MB of 20-byte
+// tuples, one "transaction" for energy accounting.
+const updateBatchRows = 50_000
 
 // opMix is the deterministic per-node operation cycle the appliers walk:
 // mostly inserts, some updates, the odd delete — enough churn that both
@@ -185,7 +182,7 @@ func buildHTAPPlant(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (*htap
 	pl := &htapPlant{e: e, join: join, stores: stores}
 
 	if spec.UpdateRowsPerSec > 0 {
-		interval := float64(spec.UpdateBatchRows) / (spec.UpdateRowsPerSec / float64(n))
+		interval := float64(updateBatchRows) / (spec.UpdateRowsPerSec / float64(n))
 		applyMB := make([]*cluster.Mailbox, n)
 		for i := 0; i < n; i++ {
 			applyMB[i] = cluster.NewMailbox(fmt.Sprintf("htap.ingest.%d", i), n, e.Config().MailboxCap)
@@ -222,7 +219,7 @@ func buildHTAPPlant(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (*htap
 				rr++
 				c.Send(p, cluster.Message{
 					From: i, To: dst,
-					Batch: storage.Batch{Rows: spec.UpdateBatchRows, Width: join.Probe.Width},
+					Batch: storage.Batch{Rows: updateBatchRows, Width: join.Probe.Width},
 					Dest:  applyMB[dst],
 				})
 				return true

@@ -61,8 +61,7 @@ func MicrobenchJoin() pstore.JoinSpec {
 			Placement: storage.HashSegmented, RowsOverride: 20_000_000,
 		},
 		BuildSel: 1.0, ProbeSel: 1.0,
-		Method:    pstore.Prepartitioned,
-		MatchRate: 1.0,
+		Method: pstore.Prepartitioned,
 	}
 }
 
@@ -95,6 +94,11 @@ type JoinRequest struct {
 	Method string `json:"method,omitempty"`
 }
 
+// maxRequestSF is the largest scale factor a join request may ask for:
+// the streaming path's reach (README). A served join's wall time grows
+// linearly with SF, so a larger one would hold a worker for hours.
+const maxRequestSF = 10_000
+
 // ParseJoinMethod maps a request method name to the physical plan.
 func ParseJoinMethod(s string) (pstore.JoinMethod, error) {
 	switch s {
@@ -117,6 +121,9 @@ func (r JoinRequest) Spec() (pstore.JoinSpec, error) {
 	}
 	if sf < 0 || math.IsNaN(sf) || math.IsInf(sf, 0) {
 		return pstore.JoinSpec{}, fmt.Errorf("workload: sf must be a positive, finite number, got %v", r.SF)
+	}
+	if sf > maxRequestSF {
+		return pstore.JoinSpec{}, fmt.Errorf("workload: sf %v exceeds the largest servable scale factor, %d", sf, maxRequestSF)
 	}
 	bsel, psel := r.BuildSel, r.ProbeSel
 	if bsel == 0 {

@@ -130,10 +130,17 @@ func TestJoinRequestSpecRejectsBadNumbers(t *testing.T) {
 		{BuildSel: -0.5},
 		{BuildSel: 1.5},
 		{ProbeSel: math.NaN()},
+		// A served join's wall time is linear in SF: past the streaming
+		// path's reach the request is refused, not run for hours.
+		{SF: maxRequestSF + 1},
+		{SF: 1e9},
 	}
 	for _, r := range bad {
 		if _, err := r.Spec(); err == nil {
 			t.Fatalf("request %+v accepted", r)
 		}
+	}
+	if _, err := (JoinRequest{SF: maxRequestSF}).Spec(); err != nil {
+		t.Fatalf("sf %d refused: %v", maxRequestSF, err)
 	}
 }

@@ -153,9 +153,7 @@ func NewStore(part *storage.Partition, node int, cpu *sim.Server, cfg Config) (*
 		case tpch.Lineitem, tpch.Orders, tpch.Customer, tpch.Supplier:
 			return nil, fmt.Errorf("delta: materialized %v has a multi-column schema; delta stores materialize generic single-key tables only", part.Def.Table)
 		}
-		// blockRows is unused by Batches for materialized partitions
-		// (the blocks already exist); 1 is a placeholder.
-		s.baseBatches = part.Batches(1)
+		s.baseBatches = part.Batches(0) // a materialized partition keeps PartitionTable's block size
 		s.tomb = storage.NewInt64Table(0)
 		s.tailIdx = storage.NewInt64Table(0)
 	}

@@ -56,6 +56,30 @@ func keysOf(t *testing.T, c storage.Cursor) []int64 {
 	}
 }
 
+// A quiescent store over a materialized partition presents the
+// partition's own blocks — the size PartitionTable cut them to, and its
+// keys in order — whatever block size the merged view is opened with.
+func TestMaterializedBaseKeepsPartitionBlocks(t *testing.T) {
+	const rows, blockRows = 2_500, 512
+	part := genericPart(t, rows, blockRows)
+	s := driveStore(t, part, Config{}, func(*sim.Proc, *Store) {})
+	c := s.MergedCursor(50_000)
+	var sizes []int
+	var keys []int64
+	for b, ok := c.Next(); ok; b, ok = c.Next() {
+		sizes = append(sizes, b.Rows)
+		keys = append(keys, b.Cols[storage.ColKey]...)
+	}
+	if want := []int{512, 512, 512, 512, 452}; !reflect.DeepEqual(sizes, want) {
+		t.Fatalf("merged view blocks %v, want %v", sizes, want)
+	}
+	for i, k := range keys {
+		if k != int64(i) {
+			t.Fatalf("merged view row %d holds key %d", i, k)
+		}
+	}
+}
+
 // TestOverlayShadowing: updates and deletes are visible through the
 // merged view before any merge — updated keys move from their base
 // position to the tail, deleted keys vanish, inserts append.

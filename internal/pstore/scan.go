@@ -25,11 +25,14 @@ import (
 //     "we changed the scan rate of the build phase to that of the
 //     maximum CPU bandwidth").
 //
-// Filtering: materialized batches evaluate the predicate "selcol <
-// threshold" row-by-row and gather only the join key, the one column
-// every consumer reads (what is charged is Rows x Width either way);
-// phantom batches shrink analytically with deterministic remainder
-// accounting so total qualified rows are exact.
+// Filtering: over a materialized partition the scan reads blocks that
+// carry only their sizes, tracks its offset into the partition's row IDs
+// as the blocks arrive in order, decides "selcol < threshold" from the
+// IDs and generates only the join key of the surviving rows, the one
+// column every consumer reads (what is charged is Rows x Width either
+// way). Blocks of a delta store's merged view carry columns and are
+// filtered on them. Phantom batches shrink analytically with
+// deterministic remainder accounting so total qualified rows are exact.
 type scanCursor struct {
 	p    *sim.Proc
 	node *cluster.Node
@@ -37,8 +40,11 @@ type scanCursor struct {
 	sel  float64
 	thr  int64
 
-	acc float64 // phantom fractional-row accumulator
-	idx []int   // materialized row-index scratch, reused across blocks
+	acc  float64            // phantom fractional-row accumulator
+	idx  []int              // merged-view row-index scratch, reused across blocks
+	part *storage.Partition // materialized partition read by row ID; nil otherwise
+	off  int                // part: rows of the blocks already read
+	keep []uint32           // part: surviving row-ID scratch, reused across blocks
 
 	warm     bool
 	cur      storage.Cursor            // warm path: direct block reads
@@ -63,17 +69,20 @@ const keyCols = storage.ColKey + 1
 // block source is the store's merged view — base blocks with the
 // unmerged overlay applied — instead of the raw partition.
 func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, sel float64) *scanCursor {
-	var src storage.Cursor
-	if st := e.deltaFor(part.Def.Table, node.ID); st != nil {
-		src = st.MergedCursor(e.cfg.BatchRows)
-	} else {
-		bc := part.Cursor(e.cfg.BatchRows)
-		src = &bc
-	}
 	c := &scanCursor{
 		p: p, node: node, exec: e, sel: sel,
 		thr:  tpch.SelThreshold(sel),
 		warm: e.cfg.WarmCache,
+	}
+	var src storage.Cursor
+	if st := e.deltaFor(part.Def.Table, node.ID); st != nil {
+		src = st.MergedCursor(e.cfg.BatchRows)
+	} else {
+		bc := part.Costs(e.cfg.BatchRows)
+		src = &bc
+		if part.Def.Materialize {
+			c.part = part
+		}
 	}
 	e.openCursors++
 	if c.warm {
@@ -172,6 +181,12 @@ func (c *scanCursor) read() (storage.Batch, bool) {
 // filter applies the pushed-down selection and projection to one raw
 // block.
 func (c *scanCursor) filter(b storage.Batch) storage.Batch {
+	if c.part != nil {
+		var keys storage.Int64Column
+		keys, c.keep = c.part.Select(c.off, b.Rows, c.thr, c.keep)
+		c.off += b.Rows
+		return storage.Batch{Rows: len(keys), Width: b.Width, Cols: []storage.Int64Column{keys}}
+	}
 	if b.Phantom() {
 		c.acc += float64(b.Rows) * c.sel
 		take := int(c.acc)

@@ -147,3 +147,57 @@ func TestScanProjectsTheKey(t *testing.T) {
 		}
 	}
 }
+
+// The scan of a materialized partition decides its predicate from the
+// row IDs and generates only the surviving keys; it must yield exactly
+// the batches — rows, keys and order — that filtering the partition's
+// generated blocks on their columns yields, at every selectivity from
+// none to all, with a block size that does not divide the partition.
+func TestScanRowIDsMatchColumnScan(t *testing.T) {
+	const batchRows = 1024
+	for _, def := range []storage.TableDef{
+		{Table: tpch.Lineitem, SF: testSF, Width: tpch.Q3ProjectedWidth,
+			Placement: storage.HashSegmented, SegmentColumn: "L_SHIPDATE", Materialize: true},
+		{Table: tpch.Part, Width: 8, RowsOverride: 5003, Placement: storage.HashSegmented, Materialize: true},
+	} {
+		parts, err := storage.PartitionTable(def, 1, batchRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		part := parts[0]
+		if part.Rows%batchRows == 0 {
+			t.Fatalf("%s: %d rows divide into blocks of %d", def.Table, part.Rows, batchRows)
+		}
+		for _, sel := range []float64{0, 1e-6, 0.05, 0.5, 1} {
+			col := &scanCursor{sel: sel, thr: tpch.SelThreshold(sel)}
+			var want []storage.Batch
+			for _, b := range part.Batches(batchRows) {
+				if out := col.filter(b); out.Rows > 0 {
+					want = append(want, out)
+				}
+			}
+			c := newCluster(t, 1)
+			e := New(c, Config{BatchRows: batchRows})
+			var got []storage.Batch
+			c.Eng.Go("scan", func(p *sim.Proc) {
+				sc := e.scan(p, c.Nodes[0], part, sel)
+				for b, ok := sc.Next(); ok; b, ok = sc.Next() {
+					got = append(got, b)
+				}
+			})
+			c.Run()
+			if len(got) != len(want) {
+				t.Fatalf("%s sel %v: %d batches, column scan %d", def.Table, sel, len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Rows != want[i].Rows || got[i].Width != want[i].Width ||
+					len(got[i].Cols) != keyCols || !slices.Equal(got[i].Cols[storage.ColKey], want[i].Cols[storage.ColKey]) {
+					t.Fatalf("%s sel %v: batch %d is %+v, column scan %+v", def.Table, sel, i, got[i], want[i])
+				}
+			}
+			if sel == 1 && len(got) != int(part.Rows+batchRows-1)/batchRows {
+				t.Fatalf("%s: every row qualifies, but %d of the blocks came through", def.Table, len(got))
+			}
+		}
+	}
+}

@@ -1,5 +1,7 @@
 package storage
 
+import "repro/internal/tpch"
+
 // Cursor is the streaming interface batches flow through between
 // operators: a pull-based lazy sequence of blocks. Operators compose as
 // cursor combinators (a filter wraps a scan, a join pulls from both
@@ -23,52 +25,60 @@ type Cursor interface {
 }
 
 // BatchCursor streams a partition's blocks one at a time — the leaf
-// cursor every operator pipeline bottoms out in. Unlike Batches, a
-// phantom partition's cursor never materializes the block slice: blocks
-// are synthesized on demand from the remaining row count.
+// cursor every operator pipeline bottoms out in. It never materializes
+// the block slice: a phantom block is synthesized from the remaining row
+// count, and a materialized block's columns are generated from its row
+// IDs as it is pulled.
 type BatchCursor struct {
-	batches []Batch // materialized blocks; nil for phantom partitions
-	i       int
-	left    int // phantom rows remaining
-	rows    int // phantom rows per block
-	width   int
+	ids   []uint32      // row IDs not yet read; nil for phantom blocks
+	cols  []tpch.Column // generators of the stored columns
+	left  int           // rows remaining
+	rows  int           // rows per block
+	width int
 }
 
 var _ Cursor = (*BatchCursor)(nil)
 
-// Cursor returns a cursor over the partition's blocks of blockRows each.
+// Cursor returns a cursor over the partition's blocks: of blockRows
+// rows each for a phantom partition, of the size PartitionTable was
+// given for a materialized one.
 func (p *Partition) Cursor(blockRows int) BatchCursor {
-	if p.batches != nil {
-		return BatchCursor{batches: p.batches}
+	if p.ids != nil {
+		blockRows = p.blockRows
 	}
-	return BatchCursor{left: int(p.Rows), rows: blockRows, width: p.Def.Width}
+	return BatchCursor{ids: p.ids, cols: p.cols, left: int(p.Rows), rows: blockRows, width: p.Def.Width}
+}
+
+// Costs returns a cursor over the blocks Cursor yields that carries
+// their sizes and no data: what a scan that decides its predicate from
+// the row IDs (Select) charges simulated time on.
+func (p *Partition) Costs(blockRows int) BatchCursor {
+	c := p.Cursor(blockRows)
+	c.ids = nil
+	return c
 }
 
 // Next returns the next block; ok is false when the partition is
 // exhausted.
 func (c *BatchCursor) Next() (b Batch, ok bool) {
-	if c.batches != nil {
-		if c.i >= len(c.batches) {
-			return Batch{}, false
-		}
-		b = c.batches[c.i]
-		c.i++
-		return b, true
-	}
 	if c.left <= 0 {
 		return Batch{}, false
 	}
-	r := c.rows
-	if c.left < r {
-		r = c.left
+	b = Batch{Rows: min(c.rows, c.left), Width: c.width}
+	c.left -= b.Rows
+	if c.ids != nil {
+		b.Cols = make([]Int64Column, len(c.cols))
+		for k, col := range c.cols {
+			b.Cols[k] = make(Int64Column, b.Rows)
+			col.Gen(c.ids[:b.Rows], b.Cols[k])
+		}
+		c.ids = c.ids[b.Rows:]
 	}
-	c.left -= r
-	return Batch{Rows: r, Width: c.width}, true
+	return b, true
 }
 
 // Close drops the remaining blocks; subsequent Next returns ok=false.
 func (c *BatchCursor) Close() {
-	c.batches = nil
-	c.i = 0
+	c.ids = nil
 	c.left = 0
 }

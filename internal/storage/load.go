@@ -73,34 +73,37 @@ const (
 	// chunkRows is the loader's unit of parallel work. It fixes how rows
 	// are grouped, never where they land, so it is a constant rather
 	// than a function of the worker count: 64 Ki rows keep a worker's
-	// scratch (mix + two columns, 1.5 MiB) near its L2 cache while a
+	// scratch (mix + segment keys, 1 MiB) near its L2 cache while a
 	// table of a million rows still splits into enough chunks to
 	// balance.
 	chunkRows = 1 << 16
 	// maxNodes bounds the node count of a materialized table: a row's
 	// destination is stored in a uint16.
 	maxNodes = 1 << 16
+	// maxRows bounds the row count of a materialized table: a row ID is
+	// stored in a uint32.
+	maxRows = 1 << 32
 )
 
 // chunk is the row range [lo, hi) of one unit of loader work.
 type chunk struct{ lo, hi int64 }
 
-// load generates every row of a table once and returns the columns
-// sch.cols of each of n destination nodes: row i goes to node
-// Hash64(segment key) % n, and a node's rows are in row-index order.
+// load routes every row of a table once and returns the row IDs each of
+// n destination nodes holds: row i goes to node Hash64(segment key) % n,
+// and a node's IDs are in row-index order. It generates no stored
+// column; a partition's columns are generated from its IDs on read.
 //
 // It is a two-pass counting sort over fixed-size row chunks, each pass
-// fanned out over GOMAXPROCS workers. Pass one computes every row's
-// destination and counts rows per (chunk, node). Exclusive prefix sums
-// of those counts, taken in chunk order, give each chunk the offset at
-// which its rows start in each node's columns, and the totals size those
-// columns exactly. Pass two generates each chunk's columns, then reads
-// each row's destination once and stores all of its values at their
-// final offset. Chunks write disjoint ranges, so the workers share
-// nothing, and because the offsets depend only on the chunk order the
-// result is the one a serial row-by-row append would build, whatever
-// the worker count.
-func load(sch schema, total int64, n int) [][]Int64Column {
+// fanned out over GOMAXPROCS workers. Pass one generates every row's
+// segment key, computes its destination and counts rows per (chunk,
+// node). Exclusive prefix sums of those counts, taken in chunk order,
+// give each chunk the offset at which its rows start in each node's
+// IDs, and the totals size those lists exactly. Pass two reads each
+// row's destination once and stores its ID at its final offset. Chunks
+// write disjoint ranges, so the workers share nothing, and because the
+// offsets depend only on the chunk order the result is the one a serial
+// row-by-row append would build, whatever the worker count.
+func load(sch schema, total int64, n int) [][]uint32 {
 	chunks := make([]chunk, 0, (total+chunkRows-1)/chunkRows)
 	for lo := int64(0); lo < total; lo += chunkRows {
 		chunks = append(chunks, chunk{lo, min(lo+chunkRows, total)})
@@ -128,8 +131,13 @@ func load(sch schema, total int64, n int) [][]Int64Column {
 		offsets, _ = par.Map(0, chunks, func(_ int, c chunk) ([]int, error) {
 			s := scratchPool.Get().(*scratch)
 			defer scratchPool.Put(s)
-			keys := s.columns(1)[0][:c.hi-c.lo]
-			sch.segment.Fill(c.lo, s.mixFor(c, sch.segment), keys)
+			keys := s.keys[:c.hi-c.lo]
+			var mix []uint64
+			if !sch.segment.Sequential() {
+				mix = s.mix[:len(keys)]
+				tpch.MixRows(c.lo, mix)
+			}
+			sch.segment.Fill(c.lo, mix, keys)
 			counts, d := make([]int, n), dest[c.lo:c.hi]
 			if node != nil {
 				for j, k := range keys {
@@ -151,94 +159,38 @@ func load(sch schema, total int64, n int) [][]Int64Column {
 		}
 	}
 
-	// Each node's columns are allocated once, at their exact size; the
+	// Each node's IDs are allocated once, at their exact size; the
 	// allocations (and the zeroing they pay) run in parallel too.
-	out, _ := par.Map(0, size, func(_ int, rows int) ([]Int64Column, error) {
-		cols := make([]Int64Column, len(sch.cols))
-		for k := range cols {
-			cols[k] = make(Int64Column, rows)
-		}
-		return cols, nil
+	out, _ := par.Map(0, size, func(_ int, rows int) ([]uint32, error) {
+		return make([]uint32, rows), nil
 	})
 
 	// Pass two.
 	par.Map(0, chunks, func(ci int, c chunk) (struct{}, error) {
-		s := scratchPool.Get().(*scratch)
-		defer scratchPool.Put(s)
-		mix := s.mixFor(c, sch.cols...)
 		if n == 1 {
-			for k, col := range sch.cols {
-				col.Fill(c.lo, mix, out[0][k][c.lo:c.hi])
+			for i := c.lo; i < c.hi; i++ {
+				out[0][i] = uint32(i)
 			}
 			return struct{}{}, nil
 		}
-		vals := s.columns(len(sch.cols))
-		for k, col := range sch.cols {
-			col.Fill(c.lo, mix, vals[k][:c.hi-c.lo])
-		}
-		// Row-major. The key, which every table stores, is written outside
-		// the column loop: that halves the cost of a two-column scatter.
-		d := dest[c.lo:c.hi]
-		key, rest := vals[ColKey][:len(d)], vals[ColKey+1:]
 		next := offsets[ci] // this chunk's last use of its offsets
-		for j, nd := range d {
-			at, into := next[nd], out[nd]
+		for j, nd := range dest[c.lo:c.hi] {
+			out[nd][next[nd]] = uint32(c.lo) + uint32(j)
 			next[nd]++
-			into[ColKey][at] = key[j]
-			for k, v := range rest {
-				into[ColKey+1+k][at] = v[j]
-			}
 		}
 		return struct{}{}, nil
 	})
 	return out
 }
 
-// scratch is a worker's buffers for one chunk: the row mixes and the
-// generated columns. Pooled: allocating (faulting in, zeroing) fresh
+// scratch is a worker's buffers for one chunk of pass one: the row mixes
+// and the segment keys. Pooled: allocating (faulting in, zeroing) fresh
 // megabytes per chunk made BenchmarkPartitionTable about 15 % slower.
 type scratch struct {
 	mix  []uint64
-	vals [][]int64
+	keys []int64
 }
 
-var scratchPool = sync.Pool{New: func() any { return &scratch{mix: make([]uint64, chunkRows)} }}
-
-// columns returns k chunk-sized column buffers.
-func (s *scratch) columns(k int) [][]int64 {
-	for len(s.vals) < k {
-		s.vals = append(s.vals, make([]int64, chunkRows))
-	}
-	return s.vals[:k]
-}
-
-// mixFor returns the row mixes the columns need to fill chunk c: none
-// when every one of them is a function of the row index alone.
-func (s *scratch) mixFor(c chunk, cols ...tpch.Column) []uint64 {
-	for _, col := range cols {
-		if !col.Sequential() {
-			mix := s.mix[:c.hi-c.lo]
-			tpch.MixRows(c.lo, mix)
-			return mix
-		}
-	}
-	return nil
-}
-
-// blocks cuts a node's columns into batches of blockRows rows. Each
-// batch is a view of the columns, not a copy; the full slice expression
-// caps it at its own rows so an append to one block's column can never
-// write into the next block.
-func blocks(def TableDef, cols []Int64Column, blockRows int) []Batch {
-	rows := len(cols[ColKey])
-	out := make([]Batch, 0, rows/blockRows+1)
-	for start, end := 0, 0; start < rows; start = end {
-		end = start + min(blockRows, rows-start)
-		b := Batch{Rows: end - start, Width: def.Width, Cols: make([]Int64Column, len(cols))}
-		for k, c := range cols {
-			b.Cols[k] = c[start:end:end]
-		}
-		out = append(out, b)
-	}
-	return out
-}
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{mix: make([]uint64, chunkRows), keys: make([]int64, chunkRows)}
+}}

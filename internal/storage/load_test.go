@@ -3,6 +3,8 @@ package storage
 import (
 	"fmt"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/tpch"
@@ -56,8 +58,9 @@ func oraclePartition(def TableDef, n int) [][][]int64 {
 }
 
 // checkPartitions asserts parts hold exactly want, cut into blocks of
-// blockRows: same block count, same Rows per block, same value in every
-// cell, every block a capped view.
+// blockRows, reading them back through the generating Batches: same
+// block count, same Rows per block, same value in every cell, every
+// column exactly a block long.
 func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRows int) {
 	t.Helper()
 	if len(parts) != len(want) {
@@ -71,14 +74,15 @@ func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRo
 		if p.Node != nd || p.Rows != int64(rows) {
 			t.Fatalf("partition %d: node %d with %d rows, want %d rows", nd, p.Node, p.Rows, rows)
 		}
-		if p.batches == nil {
+		if p.ids == nil {
 			t.Fatalf("node %d: materialized partition turned phantom", nd)
 		}
-		if got, wantBlocks := len(p.batches), (rows+blockRows-1)/blockRows; got != wantBlocks {
+		batches := p.Batches(blockRows)
+		if got, wantBlocks := len(batches), (rows+blockRows-1)/blockRows; got != wantBlocks {
 			t.Fatalf("node %d: %d blocks, want %d", nd, got, wantBlocks)
 		}
 		at := 0
-		for bi, b := range p.batches {
+		for bi, b := range batches {
 			if wantRows := min(blockRows, rows-at); b.Rows != wantRows || b.Width != p.Def.Width {
 				t.Fatalf("node %d block %d: %d rows of width %d, want %d of %d", nd, bi, b.Rows, b.Width, wantRows, p.Def.Width)
 			}
@@ -289,6 +293,13 @@ func TestPartitionTableRejectsBadArguments(t *testing.T) {
 	}
 	if parts, err := PartitionTable(tiny, maxNodes, 64); err != nil || len(parts) != maxNodes {
 		t.Errorf("%d nodes: %d partitions, err %v", maxNodes, len(parts), err)
+	}
+	// A row ID is stored in 32 bits: a larger table must be refused before
+	// anything is allocated, naming the limit.
+	huge := tiny
+	huge.RowsOverride = maxRows + 1
+	if _, err := PartitionTable(huge, 2, 64); err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxRows)) {
+		t.Errorf("%d rows: err %v, want one naming the limit %d", huge.RowsOverride, err, int64(maxRows))
 	}
 }
 

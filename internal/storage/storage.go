@@ -18,20 +18,22 @@
 // Partitioning is the paper's placement scheme: hash segmentation on a
 // chosen column (Vertica's hash segmentation).
 //
-// A materialized table is loaded by one two-pass parallel scatter
-// (load.go). Each table has one schema — its stored columns' generators
-// and the generator of its segmentation column — and the loader walks
-// the table in fixed-size row chunks: pass one routes every row and
-// counts rows per (chunk, node); prefix sums over the chunks, in chunk
-// order, turn the counts into write offsets; pass two generates each
-// chunk's columns once, then stores each row's values at their final
-// position in columns allocated once at their exact size. The offsets
-// depend on the chunk order alone, so the layout — which rows a node
-// holds, in what order, cut into which blocks — is that of a serial
-// row-by-row load and does not depend on how many workers ran it;
-// simulated time, energy and event counts therefore cannot move with
-// GOMAXPROCS. The blocks handed to operators
-// are read-only views of those columns.
+// A materialized table is loaded by one two-pass parallel scatter of
+// row IDs (load.go); its columns are generated on read. Each table has
+// one schema — its stored columns' generators and the generator of its
+// segmentation column — and the loader walks the table in fixed-size
+// row chunks: pass one routes every row and counts rows per (chunk,
+// node); prefix sums over the chunks, in chunk order, turn the counts
+// into write offsets; pass two stores each row's 4-byte ID at its final
+// position in a list allocated once at its exact size, and generates
+// nothing. The offsets depend on the chunk order alone, so the layout —
+// which rows a node holds, in what order, cut into which blocks — is
+// that of a serial row-by-row load and does not depend on how many
+// workers ran it; simulated time, energy and event counts therefore
+// cannot move with GOMAXPROCS. A partition's Cursor generates each
+// block's columns from its row IDs as the block is pulled; a scan
+// decides its predicate from the IDs (Select) and generates the key of
+// the surviving rows alone.
 package storage
 
 import (
@@ -48,8 +50,8 @@ type Batch struct {
 	// from Rows x Width, not from the columns Cols carries.
 	Width int
 	// Cols holds materialized column vectors, nil for phantom batches.
-	// All columns have length Rows: a stored block's are its table's
-	// stored columns (load.go), a scan's output a prefix of them.
+	// All columns have length Rows: a generated block's are its table's
+	// stored columns (tableSchema), a scan's output the key alone.
 	Cols []Int64Column
 }
 
@@ -127,36 +129,40 @@ type Partition struct {
 	Def  TableDef
 	Node int
 	Rows int64
-	// batches holds materialized blocks (nil when phantom).
-	batches []Batch
+	// ids holds a materialized partition's row IDs in row-index order
+	// (nil when phantom), cols its stored columns' generators.
+	ids       []uint32
+	cols      []tpch.Column
+	blockRows int // the block size PartitionTable cut the partition into
 }
 
-// Batches returns the partition's blocks. For phantom partitions it
-// synthesizes empty-data batches of blockRows each on the fly.
+// Batches returns the partition's blocks: Cursor's, in a slice.
 func (p *Partition) Batches(blockRows int) []Batch {
-	if p.batches != nil {
-		return p.batches
-	}
-	n := int(p.Rows)
-	out := make([]Batch, 0, n/blockRows+1)
-	for n > 0 {
-		r := blockRows
-		if n < r {
-			r = n
-		}
-		out = append(out, Batch{Rows: r, Width: p.Def.Width})
-		n -= r
+	c := p.Cursor(blockRows)
+	out := make([]Batch, 0, c.left/c.rows+1)
+	for b, ok := c.Next(); ok; b, ok = c.Next() {
+		out = append(out, b)
 	}
 	return out
 }
 
+// Select returns the join keys of the rows at offsets [off, off+rows)
+// of a materialized partition whose selection column — a generic
+// table's key — is below thr. It decides the predicate from the row IDs
+// and generates the key of survivors alone; keep is scratch for the
+// surviving IDs, returned for reuse.
+func (p *Partition) Select(off, rows int, thr int64, keep []uint32) (Int64Column, []uint32) {
+	keep = p.cols[min(ColSel, len(p.cols)-1)].Select(p.ids[off:off+rows], thr, keep[:0])
+	keys := make(Int64Column, len(keep))
+	p.cols[ColKey].Gen(keep, keys)
+	return keys, keep
+}
+
 // PartitionTable hash-segments a table across n nodes,
 // returning one Partition per node, each cut into blocks of blockRows rows.
-// The loader in load.go generates every row once, routes it by the same
-// Hash64 the exchange operator uses and writes it straight to its final
-// position, so a partition's rows are in row-index order and its blocks
-// are views of one allocation per stored column. Blocks are read-only:
-// cursors and delta stores hand them out without copying. Phantom
+// The loader in load.go routes every row once by the same Hash64 the
+// exchange operator uses and writes its ID straight to its final
+// position, so a partition's rows are in row-index order. Phantom
 // partitions hold only row counts.
 func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 	if n <= 0 {
@@ -165,20 +171,22 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 	if blockRows <= 0 {
 		return nil, fmt.Errorf("storage: blockRows must be positive, got %d", blockRows)
 	}
-	sch := tableSchema(def)
+	total := def.TotalRows()
+	if def.Materialize && n > maxNodes {
+		return nil, fmt.Errorf("storage: a materialized table spans at most %d nodes, got %d", maxNodes, n)
+	}
+	if def.Materialize && total > maxRows {
+		return nil, fmt.Errorf("storage: a materialized table holds at most %d rows, got %d", int64(maxRows), total)
+	}
 	parts := make([]*Partition, n)
 	for i := range parts {
-		parts[i] = &Partition{Def: def, Node: i}
+		parts[i] = &Partition{Def: def, Node: i, blockRows: blockRows}
 	}
-	total := def.TotalRows()
 
 	if def.Materialize {
-		if n > maxNodes {
-			return nil, fmt.Errorf("storage: a materialized table spans at most %d nodes, got %d", maxNodes, n)
-		}
-		for nd, cols := range load(sch, total, n) {
-			parts[nd].Rows = int64(len(cols[ColKey]))
-			parts[nd].batches = blocks(def, cols, blockRows)
+		sch := tableSchema(def)
+		for nd, ids := range load(sch, total, n) {
+			parts[nd].Rows, parts[nd].ids, parts[nd].cols = int64(len(ids)), ids, sch.cols
 		}
 		return parts, nil
 	}

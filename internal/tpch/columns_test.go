@@ -1,7 +1,10 @@
 package tpch
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -158,4 +161,74 @@ func TestModulusMatchesRemainder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkSelect asserts that Select keeps exactly the ids whose value, as
+// Fill generates it, is below thr, and that Gen generates those values.
+func checkSelect(t *testing.T, c Column, thr int64, ids []uint32) {
+	t.Helper()
+	var want []uint32
+	vals := make([]int64, len(ids))
+	for j, id := range ids {
+		c.Fill(int64(id), []uint64{splitmix64(uint64(id))}, vals[j:j+1])
+		if vals[j] < thr {
+			want = append(want, id)
+		}
+	}
+	if got := c.Select(ids, thr, nil); !slices.Equal(got, want) {
+		t.Fatalf("column %+v thr %d: Select kept %d of %d ids, Fill < thr keeps %d", c, thr, len(got), len(ids), len(want))
+	}
+	gen := make([]int64, len(ids))
+	if c.Gen(ids, gen); !slices.Equal(gen, vals) {
+		t.Fatalf("column %+v: Gen differs from Fill", c)
+	}
+}
+
+// Select must agree with Fill followed by "< thr" on both sides of every
+// edge of the domain — no row, one value, half, all but one, all — for
+// domains with an overflowing (1) or exact (powers of two) reciprocal,
+// the TPC-H ones and O_CUSTKEY's at three scale factors, and for the
+// sequential columns a generic table selects on.
+func TestColumnSelectMatchesFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	ids := []uint32{0, 1, 2, 3, 4, math.MaxUint32 - 1, math.MaxUint32}
+	for len(ids) < 4096 {
+		ids = append(ids, rng.Uint32())
+	}
+	domains := []uint64{1, 2, 3, 2557, 1 << 20, SelDomain}
+	for _, sf := range []ScaleFactor{0.01, 2, 1000} {
+		domains = append(domains, uint64(sf.Customers()))
+	}
+	for _, n := range domains {
+		for _, base := range []int64{0, 1} {
+			c := drawColumn(0x5E11, n, base)
+			t0 := base + int64(n)
+			for _, thr := range []int64{math.MinInt64, base - 1, base, base + 1, base + int64(n)/2, t0 - 1, t0, t0 + 1, math.MaxInt64} {
+				checkSelect(t, c, thr, ids)
+			}
+		}
+	}
+	for _, c := range []Column{LineitemColumns().OrderKey, RowIndexColumn()} {
+		for _, thr := range []int64{math.MinInt64, 0, 1, 2, 1 << 20, 1 << 31, math.MaxInt64} {
+			checkSelect(t, c, thr, ids)
+		}
+	}
+}
+
+// FuzzColumnSelect checks Select against Fill for a random drawn column
+// — stream, domain, base — threshold and row IDs.
+func FuzzColumnSelect(f *testing.F) {
+	f.Add(uint64(0x5E11), uint64(SelDomain), int64(0), int64(50_000), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint64(0xA11CE), uint64(300_000), int64(1), int64(150_001), []byte("row ids of a partition"))
+	f.Add(uint64(0x5417), uint64(2557), int64(0), int64(2556), []byte{0, 0, 0, 0})
+	f.Add(uint64(0), uint64(1), int64(-3), int64(-3), []byte{})
+	f.Fuzz(func(t *testing.T, stream, n uint64, base, thr int64, raw []byte) {
+		// Every value (x % n) + base must fit an int64, as a real column's does.
+		n, base = n%(1<<62), int64(int32(base))
+		ids := make([]uint32, len(raw)/4)
+		for j := range ids {
+			ids[j] = binary.LittleEndian.Uint32(raw[4*j:])
+		}
+		checkSelect(t, drawColumn(stream, n, base), thr, ids)
+	})
 }

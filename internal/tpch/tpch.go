@@ -241,8 +241,10 @@ func GenSupplier(sf ScaleFactor, i int64) SupplierRow {
 // rows uses these instead. MixRows mixes each row index once, and every
 // drawn Column of the table reuses that mix, so k columns cost one mix per
 // row plus one per drawn column, and a column nobody asks for costs
-// nothing. The values equal the matching Gen* fields exactly (the Gen*
-// functions are the oracle the tests compare against).
+// nothing. Column.Gen and Column.Select read rows by ID instead, for a
+// store that keeps row IDs rather than values. The values equal the
+// matching Gen* fields exactly (the Gen* functions are the oracle the
+// tests compare against).
 
 // streamKey is the per-field half of uniform: the stream constant times
 // the multiplier uniform applies, wrapping as uniform's does.
@@ -338,6 +340,55 @@ func (c Column) Fill(lo int64, mix []uint64, out []int64) {
 			out[j] = int64(c.n.Mod(splitmix64(c.stream^h))) + c.base
 		}
 	}
+}
+
+// Gen writes the column's value for row ids[j] into out[j]: Fill for
+// rows that need not be consecutive.
+func (c Column) Gen(ids []uint32, out []int64) {
+	out = out[:len(ids)]
+	switch c.kind {
+	case colSeq:
+		for j, id := range ids {
+			out[j] = int64(id)/c.per + c.base
+		}
+	case colDraw:
+		for j, id := range ids {
+			out[j] = int64(c.n.Mod(splitmix64(c.stream^splitmix64(uint64(id))))) + c.base
+		}
+	}
+}
+
+// Select appends to dst the ids whose value is below thr, and forms no
+// drawn value. With t = thr - base, no row qualifies for t <= 0 and every
+// row does for t >= n. For 0 < t < n, x % n = floor(f * n / 2^128) for
+// Mod's 128-bit fraction f of x, so x % n < t exactly when
+// f <= floor((t * 2^128 - 1) / n): two of Mod's four multiplies.
+func (c Column) Select(ids []uint32, thr int64, dst []uint32) []uint32 {
+	if c.kind == colSeq {
+		for _, id := range ids {
+			if int64(id)/c.per+c.base < thr {
+				dst = append(dst, id)
+			}
+		}
+		return dst
+	}
+	if thr <= c.base {
+		return dst
+	}
+	t, n := uint64(thr)-uint64(c.base), c.n.n // thr > base: no wrap
+	if t >= n {
+		return append(dst, ids...)
+	}
+	qh, r := bits.Div64(t-1, ^uint64(0), n)
+	ql, _ := bits.Div64(r, ^uint64(0), n)
+	for _, id := range ids {
+		x := splitmix64(c.stream ^ splitmix64(uint64(id)))
+		fh, fl := bits.Mul64(c.n.lo, x)
+		if fh += c.n.hi * x; fh < qh || fh == qh && fl <= ql {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // RowIndexColumn is the key of a generic single-column table: the row

@@ -232,8 +232,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "join cache: %d requests, %d hits, %d engine runs\n",
 			cs.Requests(), cs.Hits, cs.Misses)
 		k := sim.TotalStats()
-		fmt.Fprintf(os.Stderr, "kernel: %d events = %d coroutine resumes + %d own-resume continues + %d callbacks; heap high-water %d\n",
-			k.Events, k.Resumes, k.Continues, k.Callbacks, k.HeapHigh)
+		fmt.Fprintf(os.Stderr, "kernel: %d events = %d coroutine resumes + %d own-resume continues + %d callbacks; heap high-water %d; event hash %016x\n",
+			k.Events, k.Resumes, k.Continues, k.Callbacks, k.HeapHigh, k.Hash)
 	}
 	if *benchOut {
 		var ms1 runtime.MemStats

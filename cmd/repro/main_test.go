@@ -142,3 +142,36 @@ func TestBenchJSONContract(t *testing.T) {
 	}
 	check("-bench-force")
 }
+
+// TestKernelLineIsOrderFree: the `kernel:` line of -times — the event
+// count and the event hash after it — is the same whether the
+// experiments run serially or on several workers and shards, since the
+// hash of a run is the sum of its engines' hashes.
+func TestKernelLineIsOrderFree(t *testing.T) {
+	bin := buildRepro(t)
+	var lines []string
+	for _, par := range []string{"1", "2"} {
+		cmd := exec.Command(bin, "-exp", "fig3,fig5", "-times", "-j", par, "-shards", par)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("repro -j %s: %v\n%s", par, err, stderr.String())
+		}
+		var kernel string
+		for _, line := range strings.Split(stderr.String(), "\n") {
+			if strings.HasPrefix(line, "kernel: ") {
+				kernel = line
+			}
+		}
+		var hash uint64
+		if i := strings.LastIndex(kernel, "; event hash "); i < 0 {
+			t.Fatalf("repro -j %s: no event hash on the kernel line %q", par, kernel)
+		} else if _, err := fmt.Sscanf(kernel[i:], "; event hash %x", &hash); err != nil || hash == 0 {
+			t.Fatalf("repro -j %s: event hash of %q unreadable (%v) or zero", par, kernel, err)
+		}
+		lines = append(lines, kernel)
+	}
+	if lines[0] != lines[1] {
+		t.Fatalf("kernel line moved with the worker count:\n-j 1: %s\n-j 2: %s", lines[0], lines[1])
+	}
+}

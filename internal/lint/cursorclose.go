@@ -8,9 +8,10 @@ import (
 	"repro/internal/lint/analysis"
 )
 
-// Cursorclose tracks values with the storage.Cursor shape (a Next
-// returning (_, bool) plus a niladic Close) obtained from a call — a
-// scan, MergedCursor, or any cursor constructor. An open cursor pins
+// Cursorclose tracks values with a cursor shape — storage.Cursor's (a
+// Next returning (_, bool) plus a niladic Close) or the task form of a
+// scan (a Pull taking a *sim.Task plus a niladic Close) — obtained from a
+// call: a scan, MergedCursor, or any cursor constructor. An open cursor pins
 // simulated resources: a cold scan's disk pump keeps booking I/O until
 // the cursor is closed or drained, so a leaked cursor silently inflates
 // energy and wall-clock figures. Within the defining function the
@@ -43,8 +44,8 @@ func runCursorclose(pass *analysis.Pass) error {
 	return nil
 }
 
-// isCursorType reports whether t has the cursor shape: a method set (of
-// t or *t) containing Close() and Next() (_, bool).
+// isCursorType reports whether t has a cursor shape: a method set (of t
+// or *t) containing Close() and either Next() (_, bool) or Pull(*sim.Task).
 func isCursorType(t types.Type) bool {
 	if t == nil {
 		return false
@@ -71,7 +72,18 @@ func isCursorType(t types.Type) bool {
 		b, ok := s.Results().At(1).Type().Underlying().(*types.Basic)
 		return ok && b.Kind() == types.Bool
 	})
-	return closeOK && nextOK
+	pullOK := hasMethod("Pull", func(s *types.Signature) bool {
+		if s.Params().Len() != 1 {
+			return false
+		}
+		p, ok := s.Params().At(0).Type().(*types.Pointer)
+		if !ok {
+			return false
+		}
+		named, ok := p.Elem().(*types.Named)
+		return ok && named.Obj().Name() == "Task" && named.Obj().Pkg() != nil && named.Obj().Pkg().Name() == "sim"
+	})
+	return closeOK && (nextOK || pullOK)
 }
 
 // cursorResults reports which result positions of call yield a

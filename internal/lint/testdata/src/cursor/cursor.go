@@ -1,6 +1,9 @@
-// Package cursor is the cursorclose fixture: a self-contained cursor
-// shape (Next + Close) with leaking and non-leaking callers.
+// Package cursor is the cursorclose fixture: the cursor shapes (Next +
+// Close, and the task form Pull(*sim.Task) + Close) with leaking and
+// non-leaking callers.
 package cursor
+
+import "sim"
 
 type Batch struct{ Rows int }
 
@@ -116,3 +119,44 @@ func Bare() {
 	c := Open() // want `cursor "c" is never closed` @-1 `requires a justification`
 	_, _ = c.Next()
 }
+
+// scan has the task form: a Pull taking *sim.Task, plus Close.
+type scan struct{}
+
+func (s *scan) Pull(t *sim.Task) (Batch, bool) { return Batch{}, true }
+func (s *scan) Close()                         {}
+
+func OpenScan() *scan { return &scan{} }
+
+// TaskLeak pulls a task-form cursor and never closes it.
+func TaskLeak(t *sim.Task) {
+	c := OpenScan() // want `cursor "c" is never closed or handed off`
+	_, _ = c.Pull(t)
+}
+
+// TaskClosed closes the task-form cursor: no diagnostic.
+func TaskClosed(t *sim.Task) {
+	c := OpenScan()
+	for {
+		if _, done := c.Pull(t); done {
+			break
+		}
+	}
+	c.Close()
+}
+
+// counter pulls from an int, not a task: not a cursor.
+type counter struct{}
+
+func (c *counter) Pull(n int) (Batch, bool) { return Batch{}, true }
+func (c *counter) Close()                   {}
+
+// NotACursor never closes a counter: no diagnostic.
+func NotACursor() {
+	c := &counter{}
+	_, _ = c.Pull(1)
+	n := newCounter()
+	_, _ = n.Pull(2)
+}
+
+func newCounter() *counter { return &counter{} }

@@ -15,6 +15,10 @@ type Engine struct{}
 // Go mimics process spawning.
 func (e *Engine) Go(name string, f func()) {}
 
+// Task mimics a stackless process, which the cursorclose fixture's
+// task-form cursors are pulled by.
+type Task struct{}
+
 func Clock() int64 {
 	return time.Now().UnixNano() // want `wall-clock source time\.Now`
 }

@@ -29,19 +29,16 @@ func TestScanCursorCloseStopsDiskPump(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(c, Config{BatchRows: batchRows, WarmCache: false})
-	c.Eng.Go("limit", func(p *sim.Proc) {
-		sc := e.scan(p, c.Nodes[0], parts[0], 1.0)
-		for i := 0; i < 3; i++ {
-			if _, ok := sc.Next(); !ok {
-				t.Error("scan exhausted early")
-			}
-		}
-		sc.Close()
-		if _, ok := sc.Next(); ok {
-			t.Error("closed scan yielded a batch")
-		}
+	pulled := 0
+	// Run must drain: a leaked pump blocked on a full queue would not end
+	// the run with pending events.
+	pullScan(t, c, func() *scanCursor { return e.scan(c.Nodes[0], parts[0], 1.0) }, func(storage.Batch) bool {
+		pulled++
+		return pulled < 3
 	})
-	c.Run() // must drain: a leaked pump blocked on a full queue would not end the run with pending events
+	if pulled != 3 {
+		t.Errorf("scan yielded %d batches before it was closed, want 3", pulled)
+	}
 	read := c.Nodes[0].Disk.UnitsProcessed()
 	// 3 delivered + prefetch depth (4) + one in-flight block of grace.
 	if limit := float64(batchRows*20) * 9; read > limit {
@@ -65,18 +62,21 @@ func TestScanCursorCloseWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(c, Config{BatchRows: 1000, WarmCache: true})
-	c.Eng.Go("limit", func(p *sim.Proc) {
-		sc := e.scan(p, c.Nodes[0], parts[0], 1.0)
-		if _, ok := sc.Next(); !ok {
-			t.Error("first batch missing")
-		}
-		sc.Close()
-		sc.Close() // idempotent
-		if _, ok := sc.Next(); ok {
-			t.Error("closed warm scan yielded a batch")
-		}
+	pulled := 0
+	sc := pullScan(t, c, func() *scanCursor { return e.scan(c.Nodes[0], parts[0], 1.0) }, func(storage.Batch) bool {
+		pulled++
+		return false
 	})
-	c.Run()
+	if pulled != 1 {
+		t.Errorf("scan yielded %d batches before it was closed, want 1", pulled)
+	}
+	sc.Close() // idempotent
+	if _, done := sc.Pull(nil); !done {
+		t.Error("closed warm scan yielded a batch")
+	}
+	if n := e.OpenCursors(); n != 0 {
+		t.Errorf("%d cursors open after a double Close", n)
+	}
 }
 
 // TestReserveFailsAdmissionBeforeBuild: with CheckMemory on, a build

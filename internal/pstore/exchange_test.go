@@ -6,7 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/delta"
 	"repro/internal/hw"
+	"repro/internal/sim"
+	"repro/internal/storage"
 )
 
 // exchangeCase is one cell of the exchange matrix: every routing policy
@@ -159,6 +162,75 @@ func TestExchangeAbortAtSeededTimes(t *testing.T) {
 					t.Errorf("abort at t=%v: %d cursors open, %d queries in flight", at, e.OpenCursors(), e.InFlight())
 				}
 				c.Stop()
+			}
+		})
+	}
+}
+
+// TestJoinSpawnsNoProcess: a join is tasks end to end — scans, disk pumps,
+// ship, consumers, finalizer — so running one resumes no process. Every
+// cell of the exchange matrix (warm and cold, phantom and materialised,
+// all three methods) and one join whose probe scans delta stores' merged
+// views (their inserts loaded by a process beforehand) run without a
+// coroutine switch, leave no cursor open, and, where rows are
+// materialised, equal the reference join.
+func TestJoinSpawnsNoProcess(t *testing.T) {
+	build, probe := smallDefs(false)
+	build.SF, probe.SF = 1, 1
+	merged := exchangeCase{name: "dual-shuffle/all/phantom/warm/merged", cfg: Config{BatchRows: 20_000, WarmCache: true},
+		spec: JoinSpec{Build: build, Probe: probe, BuildSel: 0.10, ProbeSel: 0.25, Method: DualShuffle}}
+	for _, cs := range append(exchangeMatrix(), merged) {
+		t.Run(cs.name, func(t *testing.T) {
+			c, err := cluster.New(cluster.Mixed(2, hw.BeefyL5630(), 2, hw.LaptopB()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			e := New(c, cs.cfg)
+			if cs.name == merged.name {
+				parts, err := storage.PartitionTable(probe, len(c.Nodes), cs.cfg.BatchRows)
+				if err != nil {
+					t.Fatal(err)
+				}
+				set := delta.NewSet()
+				for nd, part := range parts {
+					st, err := delta.NewStore(part, nd, c.Nodes[nd].CPU, delta.Config{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					set.Attach(probe.Table, nd, st)
+					c.Eng.Go("load", func(p *sim.Proc) {
+						if err := st.Apply(p, delta.Write{Op: delta.OpInsert, Rows: 10_000}); err != nil {
+							t.Error(err)
+						}
+					})
+				}
+				c.Run()
+				e.AttachDeltas(set)
+			}
+			before := c.Eng.Stats()
+			h, err := e.LaunchJoin("q", cs.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Run()
+			if s := c.Eng.Stats(); s.Resumes+s.Continues != before.Resumes+before.Continues || s.Events == before.Events {
+				t.Fatalf("kernel did %+v, %+v before the join: the join ran a process", s, before)
+			}
+			if base := phantomWant["dual-shuffle/all/phantom/warm"].rows; cs.name == merged.name && h.Result.OutputRows <= base {
+				t.Fatalf("merged view gave %d rows, no more than the base tables' %d: the inserts were not read", h.Result.OutputRows, base)
+			}
+			if !h.Done.Fired() || h.Err != nil || h.Result.OutputRows == 0 {
+				t.Fatalf("join did not complete cleanly: fired=%v err=%v rows=%d", h.Done.Fired(), h.Err, h.Result.OutputRows)
+			}
+			if n := e.OpenCursors(); n != 0 {
+				t.Fatalf("%d cursors left open", n)
+			}
+			if spec := cs.spec; spec.Build.Materialize {
+				rows, sum := ReferenceJoin(spec.Build, spec.Probe, spec.BuildSel, spec.ProbeSel)
+				if h.Result.OutputRows != rows || h.Result.Checksum != sum {
+					t.Fatalf("got (%d, %d), reference (%d, %d)", h.Result.OutputRows, h.Result.Checksum, rows, sum)
+				}
 			}
 		})
 	}

@@ -103,20 +103,20 @@ type (
 
 // exchange describes one input of a hash join — the scan → select →
 // exchange → hash chain P-store pushes both inputs through — as a value.
-// Everything the build and the probe side share (process and tasks, the
-// bounded queue between scan and ship, the grouped mailbox drain, the
-// abort drain, the EOS protocol) lives in Handle.exchange; what the two
-// sides differ in is the fields below.
+// Everything the build and the probe side share (the tasks, the bounded
+// queue between scan and ship, the grouped mailbox drain, the abort
+// drain, the EOS protocol) lives in Handle.exchange; what the two sides
+// differ in is the fields below.
 type exchange struct {
-	side      string             // "build" or "probe": process, task and queue names
+	side      string             // "build" or "probe": task and queue names
 	owners    []int              // hash-table owners, the consuming nodes
 	mailboxes []*cluster.Mailbox // by node ID: one input per owner
 	done      *sim.WaitGroup     // one Done per owner, at its mailbox's EOS
 
-	// open returns node nd's source cursor; called from the scan process,
-	// which owns the cursor, so it may block (the probe side waits for the
-	// build barrier here).
-	open func(p *sim.Proc, nd *cluster.Node) storage.Cursor
+	// open returns node nd's scan, or nil when it cannot open yet: then t,
+	// the scan task that will own the cursor, is stepped when it can, and
+	// calls open again (the probe side waits for the build barrier here).
+	open func(t *sim.Task, nd *cluster.Node) *scanCursor
 	// route returns node nd's routing policy: it hands every share of a
 	// filtered batch to send, in destination order.
 	route func(nd int) routeFunc
@@ -128,22 +128,22 @@ type exchange struct {
 }
 
 // exchange spawns one side of the join: a consumer task per owner, then
-// per node a scan process and the ship task it feeds through a bounded
+// per node a scan task and the ship task it feeds through a bounded
 // queue — P-store's multi-threaded operators, so the scan's CPU work
 // overlaps the exchange's wire time (§4.2: "maximizing utilization
-// through multi-threaded concurrency"). Only the scan blocks inside a
-// cursor and needs a stack; ship and consumer are pumps (see sim.Task).
+// through multi-threaded concurrency"). All three are tasks (see
+// sim.Task): a join runs no coroutine.
 //
 // Spawn order is (time, seq) order and therefore part of the simulated
 // result: consumers before scanners, and within a scanner the ship task
 // before the cursor is opened, so a cold scan's disk pump starts after it.
 //
-// Abort is read once per role. An aborted scan stops pulling and closes
-// its cursor (which stops a cold scan's disk pump); the ship task
-// keeps emptying the queue, so the scan is never parked on it, but drops
-// the batches; the consumer keeps receiving but folds nothing. All three
-// still run the exchange protocol down to EOS, which is what lets Done
-// fire and guarantees nothing is left blocked.
+// Abort is read once per role. An aborted scan stops pulling between
+// batches and closes its cursor (which stops a cold scan's disk pump);
+// the ship task keeps emptying the queue, so the scan is never parked on
+// it, but drops the batches; the consumer keeps receiving but folds
+// nothing. All three still run the exchange protocol down to EOS, which
+// is what lets Done fire and guarantees nothing is left blocked.
 func (h *Handle) exchange(x exchange) {
 	e := h.exec
 	name := h.ID + "." + x.side // "<query>.build" / "<query>.probe"
@@ -178,22 +178,41 @@ func (h *Handle) exchange(x exchange) {
 	}
 	for nd, node := range e.C.Nodes {
 		nd, node := nd, node
-		e.C.Eng.Go(fmt.Sprintf("%sscan.%d", name, nd), func(p *sim.Proc) {
-			q := sim.NewQueue[storage.Batch](fmt.Sprintf("%sq.%d", name, nd), e.cfg.MailboxCap)
-			h.ship(x, nd, q)
-			src := x.open(p, node)
-			// Close on every exit. On normal exhaustion the cursor has
-			// already released itself and Close books nothing, so timings
-			// are unchanged.
-			defer src.Close()
-			for !h.aborted {
-				out, ok := src.Next()
-				if !ok {
+		var (
+			q       *sim.Queue[storage.Batch]
+			src     *scanCursor
+			out     storage.Batch // the last batch pulled, put into q before the next pull
+			pulling bool          // src's last Pull is not finished
+		)
+		e.C.Eng.GoTask(fmt.Sprintf("%sscan.%d", name, nd), func(t *sim.Task) {
+			if q == nil {
+				q = sim.NewQueue[storage.Batch](fmt.Sprintf("%sq.%d", name, nd), e.cfg.MailboxCap)
+				h.ship(x, nd, q)
+			}
+			if src == nil {
+				if src = x.open(t, node); src == nil {
+					return
+				}
+			}
+			for {
+				if out.Rows > 0 && !q.TryPut(out) {
+					q.WaitPut(t)
+					return
+				}
+				if !pulling && h.aborted {
 					break
 				}
-				q.Put(p, out)
+				var done bool
+				if out, done = src.Pull(t); done {
+					break
+				}
+				if pulling = out.Rows == 0; pulling {
+					return
+				}
 			}
+			// The queue first, then the cursor: on exhaustion Close books nothing.
 			q.Close()
+			src.Close()
 		})
 	}
 }
@@ -243,7 +262,7 @@ func (h *Handle) ship(x exchange, nd int, q *sim.Queue[storage.Batch]) {
 	})
 }
 
-// LaunchJoin spawns all processes for one join query on the engine's
+// LaunchJoin spawns all tasks for one join query on the engine's
 // cluster. The returned handle's Done event fires (in virtual time) when
 // the query completes; multiple concurrent joins may be launched before
 // running the simulation.
@@ -335,8 +354,8 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 
 	h.exchange(exchange{
 		side: "build", owners: owners, mailboxes: buildMB, done: &h.buildWG,
-		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
-			return e.scan(p, nd, buildParts[nd.ID], spec.BuildSel)
+		open: func(_ *sim.Task, nd *cluster.Node) *scanCursor {
+			return e.scan(nd, buildParts[nd.ID], spec.BuildSel)
 		},
 		route: func(nd int) routeFunc {
 			switch spec.Method {
@@ -363,13 +382,14 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	matchRate := spec.BuildSel
 	h.exchange(exchange{
 		side: "probe", owners: owners, mailboxes: probeMB, done: &h.probeWG,
-		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
-			// Global build barrier.
-			h.buildWG.Wait(p)
-			if nd.ID == owners[0] && h.buildEndAt == 0 {
-				h.buildEndAt = p.Now()
+		open: func(t *sim.Task, nd *cluster.Node) *scanCursor {
+			if !h.buildWG.WaitTask(t) { // global build barrier
+				return nil
 			}
-			return e.scan(p, nd, probeParts[nd.ID], spec.ProbeSel)
+			if nd.ID == owners[0] && h.buildEndAt == 0 {
+				h.buildEndAt = e.C.Eng.Now()
+			}
+			return e.scan(nd, probeParts[nd.ID], spec.ProbeSel)
 		},
 		route: func(nd int) routeFunc {
 			switch {
@@ -402,9 +422,10 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 		},
 	})
 
-	e.C.Eng.Go(id+".finalize", func(p *sim.Proc) {
-		h.probeWG.Wait(p)
-		h.finalize(p.Now())
+	e.C.Eng.GoTask(id+".finalize", func(t *sim.Task) {
+		if h.probeWG.WaitTask(t) {
+			h.finalize(e.C.Eng.Now())
+		}
 	})
 	return h, nil
 }

@@ -12,11 +12,12 @@ import (
 	"repro/internal/storage"
 )
 
-// refExchange is Handle.exchange as it was while the consumers and the
-// ship forwarders were processes — a blocking grouped receive, the
-// blocking Cluster.Send called from inside route — kept as the reference
-// the task forms are checked against. The scan process is the same code
-// as in Handle.exchange.
+// refExchange is Handle.exchange as it was while the consumers, the ship
+// forwarders and the scans were processes — a blocking grouped receive,
+// the blocking Cluster.Send called from inside route, the blocking
+// scanCursor.Next of procScan — kept as the reference the task forms are
+// checked against. It opens each scan without a task, so x.open must not
+// wait.
 func (h *Handle) refExchange(x exchange) {
 	e := h.exec
 	name := h.ID + "." + x.side
@@ -67,7 +68,7 @@ func (h *Handle) refExchange(x exchange) {
 					e.C.Send(sp, cluster.Message{From: nd, To: dst, EOS: true, Dest: x.mailboxes[dst]})
 				}
 			})
-			src := x.open(p, node)
+			src := procScan{x.open(nil, node), p}
 			defer src.Close()
 			for !h.aborted {
 				out, ok := src.Next()
@@ -81,15 +82,44 @@ func (h *Handle) refExchange(x exchange) {
 	}
 }
 
-// mixCursor is a seeded source: a fixed number of batches of random size
-// (some empty), each costing its node's CPU the batch's bytes, as a scan
-// does. The batch width names the node, so a fold can log where a batch
-// came from.
+// procScan is scanCursor.Next as it was while the scan was a process: it
+// blocks p on the prefetch queue and on the CPU, and runs on to a
+// non-empty filtered batch or to exhaustion.
+type procScan struct {
+	*scanCursor
+	p *sim.Proc
+}
+
+func (c procScan) Next() (storage.Batch, bool) {
+	for !c.closed {
+		b, ok := c.read()
+		if !ok {
+			c.release()
+			break
+		}
+		c.node.CPU.Process(c.p, b.Bytes())
+		out := c.filter(b)
+		if out.Rows > 0 {
+			return out, true
+		}
+	}
+	return storage.Batch{}, false
+}
+
+func (c procScan) read() (storage.Batch, bool) {
+	if c.warm {
+		return c.cur.Next()
+	}
+	return c.prefetch.Get(c.p)
+}
+
+// mixCursor is a seeded block source for a scan: a fixed number of
+// phantom blocks of random size, some empty. The block width names the
+// node, so a fold can log where a batch came from.
 type mixCursor struct {
-	p    *sim.Proc
-	node *cluster.Node
-	rng  *rand.Rand
-	left int
+	width int
+	rng   *rand.Rand
+	left  int
 }
 
 func (c *mixCursor) Next() (storage.Batch, bool) {
@@ -97,15 +127,20 @@ func (c *mixCursor) Next() (storage.Batch, bool) {
 		return storage.Batch{}, false
 	}
 	c.left--
-	b := storage.Batch{Rows: c.rng.Intn(40_000), Width: 10 + c.node.ID}
+	b := storage.Batch{Rows: c.rng.Intn(40_000), Width: c.width}
 	if c.rng.Intn(8) == 0 {
 		b.Rows = 0
 	}
-	c.node.CPU.Process(c.p, b.Bytes())
 	return b, true
 }
 
 func (c *mixCursor) Close() { c.left = 0 }
+
+// mixScan opens node nd's scan over a mixCursor of seed's blocks.
+func (e *Exec) mixScan(nd *cluster.Node, seed int64, sel float64) *scanCursor {
+	r := rand.New(rand.NewSource(seed))
+	return e.scanBlocks(nd, &mixCursor{width: 10 + nd.ID, rng: r, left: 10 + r.Intn(30)}, nil, sel)
+}
 
 type folded struct {
 	at              sim.Time
@@ -114,13 +149,25 @@ type folded struct {
 	doneAt, abortAt sim.Time // on the last entry of a run only
 }
 
+// mixRun is what runMix observed: every fold, the run's end, the kernel's
+// counters, every port's, CPU's and disk's busy seconds, and whether the
+// abort found a scan task with a block charged and not yet filtered
+// (procScan keeps no such state: false in the reference).
+type mixRun struct {
+	log     []folded
+	end     sim.Time
+	st      sim.Stats
+	busy    []float64
+	midPull bool
+}
+
 // runMix runs two concurrent exchanges of seeded traffic — 2–6 nodes, a
-// random owner set each, inbox and mailbox capacities of 1–8, a random
-// fan-out per batch that includes the sender's own node — through
-// Handle.exchange (tasks) or refExchange (processes), aborting the query
-// at abortAt when that is not negative. It returns every fold, the run's
-// end, the kernel's counters and every port's and CPU's busy seconds.
-func runMix(t *testing.T, seed int64, abortAt sim.Time, ref bool) (log []folded, end sim.Time, st sim.Stats, busy []float64) {
+// random owner set each, inbox and mailbox capacities of 1–8, scans of a
+// random selectivity over random blocks, warm or cold, a random fan-out
+// per batch that includes the sender's own node — through Handle.exchange
+// (tasks) or refExchange (processes), aborting the query at abortAt when
+// that is not negative.
+func runMix(t *testing.T, seed int64, warm bool, abortAt sim.Time, ref bool) (run mixRun) {
 	rng := rand.New(rand.NewSource(seed))
 	nb := 1 + rng.Intn(3)
 	ccfg := cluster.Mixed(nb, hw.BeefyL5630(), 1+rng.Intn(4-nb+1), hw.LaptopB())
@@ -131,10 +178,11 @@ func runMix(t *testing.T, seed int64, abortAt sim.Time, ref bool) (log []folded,
 	}
 	defer c.Stop()
 	n := len(c.Nodes)
-	h := &Handle{ID: "q", exec: New(c, Config{MailboxCap: 1 + rng.Intn(8), JoinWork: 0.5 + rng.Float64()})}
+	h := &Handle{ID: "q", exec: New(c, Config{MailboxCap: 1 + rng.Intn(8), JoinWork: 0.5 + rng.Float64(), WarmCache: warm})}
 	var wgs [2]sim.WaitGroup
+	var scans []*scanCursor
 	for i, side := range []string{"build", "probe"} {
-		side, sideSeed := side, rng.Int63()
+		side, sideSeed, sel := side, rng.Int63(), 0.01+0.99*rng.Float64()
 		var owners []int
 		for len(owners) == 0 {
 			for nd := 0; nd < n; nd++ {
@@ -150,9 +198,10 @@ func runMix(t *testing.T, seed int64, abortAt sim.Time, ref bool) (log []folded,
 		wgs[i].Add(len(owners))
 		x := exchange{
 			side: side, owners: owners, mailboxes: mbs, done: &wgs[i],
-			open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
-				r := rand.New(rand.NewSource(sideSeed + int64(nd.ID)))
-				return &mixCursor{p: p, node: nd, rng: r, left: 10 + r.Intn(30)}
+			open: func(_ *sim.Task, nd *cluster.Node) *scanCursor {
+				sc := h.exec.mixScan(nd, sideSeed+int64(nd.ID), sel)
+				scans = append(scans, sc)
+				return sc
 			},
 			route: func(nd int) routeFunc {
 				r := rand.New(rand.NewSource(sideSeed ^ int64(nd+1)<<20))
@@ -168,7 +217,7 @@ func runMix(t *testing.T, seed int64, abortAt sim.Time, ref bool) (log []folded,
 			},
 			eos: func(int) []int { return owners },
 			fold: func(owner int, b storage.Batch) {
-				log = append(log, folded{at: c.Eng.Now(), side: side, from: b.Width - 10, to: owner, rows: b.Rows})
+				run.log = append(run.log, folded{at: c.Eng.Now(), side: side, from: b.Width - 10, to: owner, rows: b.Rows})
 			},
 		}
 		if ref {
@@ -184,49 +233,71 @@ func runMix(t *testing.T, seed int64, abortAt sim.Time, ref bool) (log []folded,
 		doneAt = p.Now()
 	})
 	if abortAt >= 0 {
-		c.Eng.At(abortAt, func() { h.aborted = true })
+		c.Eng.At(abortAt, func() {
+			h.aborted = true
+			for _, sc := range scans {
+				run.midPull = run.midPull || sc.charged
+			}
+		})
 	}
 	c.Run()
 	if doneAt < 0 {
-		t.Fatalf("seed %d abort %v ref=%v: the exchanges never drained to EOS", seed, abortAt, ref)
+		t.Fatalf("seed %d warm %v abort %v ref=%v: the exchanges never drained to EOS", seed, warm, abortAt, ref)
 	}
-	log = append(log, folded{doneAt: doneAt, abortAt: abortAt})
+	if open := h.exec.OpenCursors(); open != 0 {
+		t.Fatalf("seed %d warm %v abort %v ref=%v: %d cursors left open", seed, warm, abortAt, ref, open)
+	}
+	run.log = append(run.log, folded{doneAt: doneAt, abortAt: abortAt})
 	for _, nd := range c.Nodes {
-		busy = append(busy, nd.Egress.BusySeconds(), nd.Ingress.BusySeconds(), nd.CPU.BusySeconds())
+		run.busy = append(run.busy, nd.Egress.BusySeconds(), nd.Ingress.BusySeconds(), nd.CPU.BusySeconds(), nd.Disk.BusySeconds())
 	}
-	return log, c.Eng.Now(), c.Eng.Stats(), busy
+	run.end, run.st = c.Eng.Now(), c.Eng.Stats()
+	return run
 }
 
-// TestExchangeTasksMatchProcessForms: the ship and consumer tasks do to the
-// simulation exactly what the ship and consumer processes did — the same
-// folds (time, from, to, rows) in the same order, the same number of
-// events, the same busy seconds on every port and CPU, the same drain time
-// — on seeded traffic, both undisturbed and aborted at a random time, which
-// is read once per batch before routing and after the consumer's CPU
-// charge in both forms.
+// TestExchangeTasksMatchProcessForms: the scan, ship and consumer tasks do
+// to the simulation exactly what the scan, ship and consumer processes did
+// — the same folds (time, from, to, rows) in the same order, the same
+// events in the same (time, seq) order, the same busy seconds on every
+// port, CPU and disk, the same drain time — on seeded traffic over warm
+// and cold scans, both undisturbed and aborted at random times. Abort is
+// read once per batch before routing, after the consumer's CPU charge and
+// between the scan's batches in both forms; the aborts that land while a
+// scan's block is charged and not yet filtered check that a started pull
+// runs on to its batch.
 func TestExchangeTasksMatchProcessForms(t *testing.T) {
+	midPulls := 0
 	for seed := int64(1); seed <= 25; seed++ {
-		_, end, _, _ := runMix(t, seed, -1, true)
-		rng := rand.New(rand.NewSource(seed))
-		for _, abortAt := range []sim.Time{-1, end * rng.Float64(), end * rng.Float64()} {
-			refLog, refEnd, ref, refBusy := runMix(t, seed, abortAt, true)
-			log, end, st, busy := runMix(t, seed, abortAt, false)
-			if len(refLog) < 2 && abortAt < 0 {
-				t.Fatalf("seed %d: the reference folded nothing", seed)
-			}
-			for i := range refLog {
-				if i >= len(log) || log[i] != refLog[i] {
-					t.Fatalf("seed %d abort %v: fold %d of %d: tasks %+v, processes %+v", seed, abortAt, i, len(refLog), log[i:min(i+1, len(log))], refLog[i])
+		for _, warm := range []bool{true, false} {
+			rng := rand.New(rand.NewSource(seed))
+			full := runMix(t, seed, warm, -1, true).end
+			for _, abortAt := range []sim.Time{-1, full * rng.Float64(), full * rng.Float64(), full * rng.Float64()} {
+				ref := runMix(t, seed, warm, abortAt, true)
+				got := runMix(t, seed, warm, abortAt, false)
+				if len(ref.log) < 2 && abortAt < 0 {
+					t.Fatalf("seed %d warm %v: the reference folded nothing", seed, warm)
+				}
+				for i := range ref.log {
+					if i >= len(got.log) || got.log[i] != ref.log[i] {
+						t.Fatalf("seed %d warm %v abort %v: fold %d of %d: tasks %+v, processes %+v", seed, warm, abortAt, i, len(ref.log), got.log[i:min(i+1, len(got.log))], ref.log[i])
+					}
+				}
+				st, rst := got.st, ref.st
+				if len(got.log) != len(ref.log) || got.end != ref.end || st.Events != rst.Events || st.Hash != rst.Hash || !reflect.DeepEqual(got.busy, ref.busy) {
+					t.Fatalf("seed %d warm %v abort %v: tasks %d folds to t=%v %+v busy %v\nprocesses %d folds to t=%v %+v busy %v",
+						seed, warm, abortAt, len(got.log), got.end, st, got.busy, len(ref.log), ref.end, rst, ref.busy)
+				}
+				if moved := st.Callbacks - rst.Callbacks; moved == 0 || moved != rst.Resumes+rst.Continues-st.Resumes-st.Continues {
+					t.Fatalf("seed %d warm %v abort %v: tasks %+v, processes %+v: callbacks must rise by what resumes and continues fall", seed, warm, abortAt, st, rst)
+				}
+				if got.midPull {
+					midPulls++
 				}
 			}
-			if len(log) != len(refLog) || end != refEnd || st.Events != ref.Events || !reflect.DeepEqual(busy, refBusy) {
-				t.Fatalf("seed %d abort %v: tasks %d folds to t=%v %+v busy %v\nprocesses %d folds to t=%v %+v busy %v",
-					seed, abortAt, len(log), end, st, busy, len(refLog), refEnd, ref, refBusy)
-			}
-			if moved := st.Callbacks - ref.Callbacks; moved == 0 || moved != ref.Resumes+ref.Continues-st.Resumes-st.Continues {
-				t.Fatalf("seed %d abort %v: tasks %+v, processes %+v: callbacks must rise by what resumes and continues fall", seed, abortAt, st, ref)
-			}
 		}
+	}
+	if midPulls < 10 {
+		t.Fatalf("only %d aborts landed while a scan's block was charged", midPulls)
 	}
 }
 
@@ -242,8 +313,8 @@ func TestFoldPanicNamesTheConsumerTask(t *testing.T) {
 	h.exchange(exchange{
 		side: "build", owners: []int{1}, done: &wg,
 		mailboxes: []*cluster.Mailbox{1: cluster.NewMailbox("q.build.1", 2, 4)},
-		open: func(p *sim.Proc, nd *cluster.Node) storage.Cursor {
-			return &mixCursor{p: p, node: nd, rng: rand.New(rand.NewSource(1)), left: 2}
+		open: func(_ *sim.Task, nd *cluster.Node) *scanCursor {
+			return h.exec.mixScan(nd, 1, 1)
 		},
 		route: func(int) routeFunc { return func(b storage.Batch, send sendFunc) { send(1, b) } },
 		eos:   func(int) []int { return []int{1} },

@@ -26,8 +26,8 @@
 // go through the same scan → select → exchange → hash chain, so join.go
 // describes a side as an exchange value and Handle.exchange spawns it:
 // a consumer task per hash-table owner (grouped mailbox drain, CPU charged
-// per group, fold), then per node a scan process and the ship task it
-// feeds through a bounded queue. The five per-side values are the source
+// per group, fold), then per node a scan task and the ship task it feeds
+// through a bounded queue. The five per-side values are the source
 // cursor (open: the scan, behind the build barrier on the probe side),
 // the routing policy (route), the end-of-stream fan-out (eos), what a
 // received batch does to the owner's hash table (fold) and the barrier

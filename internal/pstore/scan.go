@@ -10,14 +10,14 @@ import (
 )
 
 // scanCursor is the selection-pushdown scan: the leaf of every operator
-// pipeline. Each Next pulls one block, charges the scan's resources,
+// pipeline. Each Pull takes blocks, charges the scan's resources,
 // evaluates the predicate inside the block read, and yields only the
 // qualifying rows — downstream operators never see raw blocks and no
 // intermediate batch slice exists anywhere on the path. Resource
 // charging per block:
 //
 //   - cold cache: a disk prefetch task books the disk server at I
-//     MB/s for raw bytes, feeding a bounded queue; Next books the CPU at
+//     MB/s for raw bytes, feeding a bounded queue; Pull books the CPU at
 //     C MB/s for the same raw bytes. The pipeline overlaps the two, so
 //     the effective scan rate is min(I, C) — the paper's disk-bound
 //     regime;
@@ -34,7 +34,6 @@ import (
 // filtered on them. Phantom batches shrink analytically with
 // deterministic remainder accounting so total qualified rows are exact.
 type scanCursor struct {
-	p    *sim.Proc
 	node *cluster.Node
 	exec *Exec
 	sel  float64
@@ -46,6 +45,8 @@ type scanCursor struct {
 	off  int                // part: rows of the blocks already read
 	keep []uint32           // part: surviving row-ID scratch, reused across blocks
 
+	raw      storage.Batch // the block whose CPU charge is running
+	charged  bool          // raw is charged: the next Pull filters it
 	warm     bool
 	cur      storage.Cursor            // warm path: direct block reads
 	prefetch *sim.Queue[storage.Batch] // cold path: disk-pump output
@@ -54,35 +55,35 @@ type scanCursor struct {
 	released bool // openCursors already decremented
 }
 
-var _ storage.Cursor = (*scanCursor)(nil)
-
 // keyCols is the scan projection: the join key alone, all that the
 // hash-table build and the probe read.
 const keyCols = storage.ColKey + 1
 
-// scan opens the scan-filter cursor over a node-local partition. The
-// calling process owns the cursor: Next blocks it on the simulated
-// resources. Cold scans additionally spawn the disk-pump task here, so
-// construction must happen at the operator's start position.
+// scan opens the scan-filter cursor over a node-local partition. Cold
+// scans spawn the disk-pump task here, so construction must happen at the
+// operator's start position.
 //
 // When the engine has a delta store attached for (table, node), the
 // block source is the store's merged view — base blocks with the
 // unmerged overlay applied — instead of the raw partition.
-func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, sel float64) *scanCursor {
+func (e *Exec) scan(node *cluster.Node, part *storage.Partition, sel float64) *scanCursor {
+	if st := e.deltaFor(part.Def.Table, node.ID); st != nil {
+		return e.scanBlocks(node, st.MergedCursor(e.cfg.BatchRows), nil, sel)
+	}
+	bc := part.Costs(e.cfg.BatchRows)
+	if !part.Def.Materialize {
+		part = nil
+	}
+	return e.scanBlocks(node, &bc, part, sel)
+}
+
+// scanBlocks opens the scan over the blocks src yields; part, when not
+// nil, is the materialized partition they are the cost-only blocks of.
+func (e *Exec) scanBlocks(node *cluster.Node, src storage.Cursor, part *storage.Partition, sel float64) *scanCursor {
 	c := &scanCursor{
-		p: p, node: node, exec: e, sel: sel,
+		node: node, exec: e, sel: sel, part: part,
 		thr:  tpch.SelThreshold(sel),
 		warm: e.cfg.WarmCache,
-	}
-	var src storage.Cursor
-	if st := e.deltaFor(part.Def.Table, node.ID); st != nil {
-		src = st.MergedCursor(e.cfg.BatchRows)
-	} else {
-		bc := part.Costs(e.cfg.BatchRows)
-		src = &bc
-		if part.Def.Materialize {
-			c.part = part
-		}
 	}
 	e.openCursors++
 	if c.warm {
@@ -92,7 +93,7 @@ func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, se
 	c.prefetch = sim.NewQueue[storage.Batch](fmt.Sprintf("n%d.prefetch", node.ID), 4)
 	var b storage.Batch
 	var read bool // b is off the disk, not yet in the prefetch queue
-	p.Engine().GoTask(fmt.Sprintf("n%d.diskpump", node.ID), func(t *sim.Task) {
+	e.C.Eng.GoTask(fmt.Sprintf("n%d.diskpump", node.ID), func(t *sim.Task) {
 		for !c.stop {
 			if !read {
 				if b, read = src.Next(); !read {
@@ -113,11 +114,26 @@ func (e *Exec) scan(p *sim.Proc, node *cluster.Node, part *storage.Partition, se
 	return c
 }
 
-// Next yields the next non-empty filtered batch; ok=false when the
-// partition is exhausted.
-func (c *scanCursor) Next() (storage.Batch, bool) {
+// Pull, run by the task t that owns the cursor, returns the next non-empty
+// filtered batch, or done once the partition is exhausted. An empty batch,
+// not done, means the pull waits on the CPU or the disk: t is stepped when
+// it can go on, and the next Pull continues it to a batch or exhaustion.
+func (c *scanCursor) Pull(t *sim.Task) (b storage.Batch, done bool) {
 	for !c.closed {
-		b, ok := c.read()
+		if c.charged {
+			b, c.raw, c.charged = c.filter(c.raw), storage.Batch{}, false
+			if b.Rows > 0 {
+				return b, false
+			}
+			continue
+		}
+		var ok bool
+		if c.warm {
+			b, ok = c.cur.Next()
+		} else if b, ok = c.prefetch.TryGet(); !ok && !c.prefetch.Closed() {
+			c.prefetch.WaitGet(t)
+			return storage.Batch{}, false
+		}
 		if !ok {
 			// Exhausted: the scan released its resources on its own
 			// (the block source / disk pump has shut down), so it no
@@ -126,13 +142,11 @@ func (c *scanCursor) Next() (storage.Batch, bool) {
 			break
 		}
 		// CPU cost of scan+select+project: raw bytes through the pipeline.
-		c.node.CPU.Process(c.p, b.Bytes())
-		out := c.filter(b)
-		if out.Rows > 0 {
-			return out, true
-		}
+		c.raw, c.charged = b, true
+		c.node.CPU.ProcessAsync(b.Bytes(), t.Step)
+		return storage.Batch{}, false
 	}
-	return storage.Batch{}, false
+	return storage.Batch{}, true
 }
 
 // Close terminates the scan early. Warm scans close the block source;
@@ -167,15 +181,6 @@ func (c *scanCursor) release() {
 	}
 	c.released = true
 	c.exec.openCursors--
-}
-
-// read pulls the next raw block: straight from the partition cursor when
-// warm, from the disk prefetch queue when cold.
-func (c *scanCursor) read() (storage.Batch, bool) {
-	if c.warm {
-		return c.cur.Next()
-	}
-	return c.prefetch.Get(c.p)
 }
 
 // filter applies the pushed-down selection and projection to one raw

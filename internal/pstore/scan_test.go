@@ -11,8 +11,38 @@ import (
 	"repro/internal/tpch"
 )
 
-// Property: the streamed scan (scanCursor pulled inside a simulation
-// process, warm and cold paths) yields exactly the row counts and key
+// pullScan drives a scan from a task, as Handle.exchange does: the task's
+// first step opens the cursor, and every batch a Pull yields goes to got
+// until got returns false or the scan is exhausted. Then the task closes
+// the cursor and pulls once more, which must find it exhausted. pullScan
+// runs the simulation and returns the cursor.
+func pullScan(t *testing.T, c *cluster.Cluster, open func() *scanCursor, got func(storage.Batch) bool) *scanCursor {
+	t.Helper()
+	var sc *scanCursor
+	c.Eng.GoTask("scan", func(tk *sim.Task) {
+		if sc == nil {
+			sc = open()
+		}
+		for {
+			b, done := sc.Pull(tk)
+			if !done && b.Rows == 0 {
+				return // stepped again when the pull can go on
+			}
+			if done || !got(b) {
+				break
+			}
+		}
+		sc.Close()
+		if b, done := sc.Pull(tk); !done {
+			t.Errorf("a closed scan pulled %+v", b)
+		}
+	})
+	c.Run()
+	return sc
+}
+
+// Property: the streamed scan (scanCursor pulled by a simulation task,
+// warm and cold paths) yields exactly the row counts and key
 // checksums of a materialized reference scan over the same partition's
 // block list, across selectivities and for both phantom and
 // materialized representations.
@@ -39,25 +69,18 @@ func TestScanCursorMatchesMaterializedScan(t *testing.T) {
 
 				var gotRows int64
 				var gotSum uint64
-				c.Eng.Go("scan", func(p *sim.Proc) {
-					sc := e.scan(p, c.Nodes[0], part, sel)
-					for {
-						b, ok := sc.Next()
-						if !ok {
-							break
-						}
-						if b.Rows == 0 {
-							t.Error("scan cursor yielded an empty batch")
-						}
-						gotRows += int64(b.Rows)
-						if !b.Phantom() {
-							for _, k := range b.Cols[storage.ColKey] {
-								gotSum += uint64(k)
-							}
+				pullScan(t, c, func() *scanCursor { return e.scan(c.Nodes[0], part, sel) }, func(b storage.Batch) bool {
+					if b.Rows == 0 {
+						t.Error("scan cursor yielded an empty batch")
+					}
+					gotRows += int64(b.Rows)
+					if !b.Phantom() {
+						for _, k := range b.Cols[storage.ColKey] {
+							gotSum += uint64(k)
 						}
 					}
+					return true
 				})
-				c.Run()
 
 				// Materialized reference: the same predicate over the
 				// partition's block list, with the same deterministic
@@ -127,13 +150,10 @@ func TestScanProjectsTheKey(t *testing.T) {
 		c := newCluster(t, 1)
 		e := New(c, Config{BatchRows: batchRows, WarmCache: true})
 		var got []storage.Batch
-		c.Eng.Go("scan", func(p *sim.Proc) {
-			sc := e.scan(p, c.Nodes[0], parts[0], sel)
-			for b, ok := sc.Next(); ok; b, ok = sc.Next() {
-				got = append(got, b)
-			}
+		pullScan(t, c, func() *scanCursor { return e.scan(c.Nodes[0], parts[0], sel) }, func(b storage.Batch) bool {
+			got = append(got, b)
+			return true
 		})
-		c.Run()
 		if len(got) != len(want) {
 			t.Fatalf("%s: %d batches, want %d", def.Table, len(got), len(want))
 		}
@@ -179,13 +199,10 @@ func TestScanRowIDsMatchColumnScan(t *testing.T) {
 			c := newCluster(t, 1)
 			e := New(c, Config{BatchRows: batchRows})
 			var got []storage.Batch
-			c.Eng.Go("scan", func(p *sim.Proc) {
-				sc := e.scan(p, c.Nodes[0], part, sel)
-				for b, ok := sc.Next(); ok; b, ok = sc.Next() {
-					got = append(got, b)
-				}
+			pullScan(t, c, func() *scanCursor { return e.scan(c.Nodes[0], part, sel) }, func(b storage.Batch) bool {
+				got = append(got, b)
+				return true
 			})
-			c.Run()
 			if len(got) != len(want) {
 				t.Fatalf("%s sel %v: %d batches, column scan %d", def.Table, sel, len(got), len(want))
 			}

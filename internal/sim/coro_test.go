@@ -120,7 +120,7 @@ func TestStatsCountEveryEventOnce(t *testing.T) {
 	if served != 7 || e.Now() != 30 || srv.BusySeconds() != 5 {
 		t.Fatalf("task served %d, clock %v, server busy %v s; want 7, 30, 5", served, e.Now(), srv.BusySeconds())
 	}
-	want := Stats{Events: 19, Resumes: 8, Continues: 3, Callbacks: 8, HeapHigh: 5}
+	want := Stats{Events: 19, Resumes: 8, Continues: 3, Callbacks: 8, HeapHigh: 5, Hash: 7135333715569972480}
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
@@ -138,8 +138,49 @@ func TestStatsCountEveryEventOnce(t *testing.T) {
 		after.Continues-before.Continues != 3 || after.Callbacks-before.Callbacks != 9 {
 		t.Fatalf("process-wide totals moved %+v -> %+v, want +20 events (+1 from Step), +8 resumes, +3 continues, +9 callbacks", before, after)
 	}
+	if after.Hash-before.Hash != e.Stats().Hash {
+		t.Fatalf("process-wide hash moved by %#x, the engine's is %#x", after.Hash-before.Hash, e.Stats().Hash)
+	}
 	if TotalEvents() != after.Events || after.HeapHigh < want.HeapHigh {
 		t.Fatalf("TotalEvents() = %d, TotalStats() = %+v", TotalEvents(), after)
+	}
+}
+
+// TestEventHashFoldsTimeAndOrder: Stats.Hash folds each executed event's
+// (time, seq) in execution order, so it tells apart runs of equal event
+// counts whose events differ in time or order, and the process-wide total
+// is the sum of the engines' hashes whatever order they ran in.
+func TestEventHashFoldsTimeAndOrder(t *testing.T) {
+	run := func(times ...Time) uint64 {
+		e := New()
+		for _, at := range times {
+			e.At(at, func() {})
+		}
+		e.Run()
+		return e.Stats().Hash
+	}
+	fold := func(h uint64, at Time, seq uint64) uint64 {
+		return (h ^ math.Float64bits(at) ^ seq) * 0x9e3779b97f4a7c15
+	}
+	if got, want := run(1, 2), fold(fold(0, 1, 1), 2, 2); got != want {
+		t.Fatalf("hash %#x, want %#x", got, want)
+	}
+	if run(1, 2) != run(1, 2) {
+		t.Fatal("equal runs hash differently")
+	}
+	base := run(1, 2, 2)
+	for _, other := range [][]Time{{2, 1, 2}, {1, 2, math.Nextafter(2, 3)}, {1, 2}} {
+		if run(other...) == base {
+			t.Fatalf("events at %v hash like events at [1 2 2]", other)
+		}
+	}
+	before := TotalStats().Hash
+	a, b := run(3, 1), run(0.5)
+	mid := TotalStats().Hash
+	run(0.5)
+	run(3, 1)
+	if after := TotalStats().Hash; mid-before != a+b || after-mid != a+b {
+		t.Fatalf("process-wide hash moved by %#x, then by %#x in the other order; want %#x", mid-before, after-mid, a+b)
 	}
 }
 

@@ -30,9 +30,9 @@
 // resume is the very next event takes it without switching out and back
 // (see Proc.block). Needs Go 1.23 for iter (proc.go's build constraint).
 //
-// Processes are for programs, tasks for pumps: a body that blocks inside
-// its callees (a scan, in Cursor.Next) needs a stack and is a Proc; a loop
-// "take from a queue, book a server, put to a queue" is a Task: no switch.
+// Processes are for programs, tasks for operators: a body that blocks inside
+// its callees (a driver, delta.Store.Apply) needs a stack and is a Proc; a
+// pump, or a scan pulled block by block, is a Task: no switch.
 package sim
 
 import (
@@ -170,6 +170,7 @@ type Stats struct {
 	Continues uint64 // own-resume events a blocking process consumed without leaving its coroutine
 	Callbacks uint64 // plain callback events
 	HeapHigh  int    // high-water mark of the event heap (the now-ring is not counted)
+	Hash      uint64 // every executed event's (time, seq), folded in execution order
 }
 
 // total accumulates the Stats of every engine in the process. Engines
@@ -181,7 +182,8 @@ var total struct {
 }
 
 // TotalStats returns the counters of all completed Run/RunUntil/Step
-// calls in this process, summed over engines (HeapHigh is the maximum).
+// calls in this process, summed over engines (HeapHigh is the maximum;
+// Hash is summed mod 2^64: the engines' order does not matter).
 func TotalStats() Stats {
 	total.Lock()
 	defer total.Unlock()
@@ -245,6 +247,7 @@ func (e *Engine) finish() {
 	total.Continues += s.Continues - f.Continues
 	total.Callbacks += s.Callbacks - f.Callbacks
 	total.HeapHigh = max(total.HeapHigh, s.HeapHigh)
+	total.Hash += s.Hash - f.Hash
 	total.Unlock()
 	e.flushed = s
 	if t := e.task; t != nil {
@@ -321,6 +324,7 @@ func (e *Engine) take(inHeap bool) event {
 	}
 	e.now = ev.at
 	e.stats.Events++
+	e.stats.Hash = (e.stats.Hash ^ math.Float64bits(ev.at) ^ ev.seq) * 0x9e3779b97f4a7c15
 	return ev
 }
 

@@ -75,9 +75,9 @@ func (e *Engine) Go(name string, body func(p *Proc)) *Proc {
 
 // Task is a stackless process: a named step function the root runs as a
 // plain callback event. A step does what it can without blocking, arranges
-// its next step — Queue.WaitGet or WaitPut, or Step handed to
-// Server.ProcessAsync or Engine.At — and returns; each costs the one (time,
-// seq) event the blocking form costs a Proc. A task is reachable only from
+// its next step — Queue.WaitGet or WaitPut, WaitGroup.WaitTask, or Step
+// handed to Server.ProcessAsync or Engine.At — and returns; each costs the
+// one (time, seq) event the blocking form costs a Proc. A task is reachable only from
 // the event queue or wait-list that holds it: Shutdown unwinds nothing.
 type Task struct {
 	name string
@@ -235,6 +235,14 @@ func (wg *WaitGroup) Wait(p *Proc) {
 		return
 	}
 	p.parkOn(&wg.waiters)
+}
+
+// WaitTask is Wait for a task: true at zero, else t is stepped once at zero.
+func (wg *WaitGroup) WaitTask(t *Task) bool {
+	if wg.count > 0 {
+		wg.waiters = append(wg.waiters, t.wake)
+	}
+	return wg.count == 0
 }
 
 // Event is a one-shot broadcast signal: processes wait until Fire is

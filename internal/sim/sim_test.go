@@ -274,25 +274,43 @@ func TestUnobservedServerBooksWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestWaitGroupBarrier: the barrier releases its waiter when the last
+// worker is done, and the task form (WaitTask) costs the events Wait
+// costs, at the same (time, seq).
 func TestWaitGroupBarrier(t *testing.T) {
-	e := New()
-	var wg WaitGroup
-	wg.Add(3)
-	var doneAt Time
-	for i := 1; i <= 3; i++ {
-		d := float64(i)
-		e.Go("worker", func(p *Proc) {
-			p.Hold(d)
-			wg.Done()
-		})
+	var stats [2]Stats
+	for i, asTask := range []bool{false, true} {
+		e := New()
+		var wg WaitGroup
+		wg.Add(3)
+		var doneAt Time
+		for i := 1; i <= 3; i++ {
+			d := float64(i)
+			e.Go("worker", func(p *Proc) {
+				p.Hold(d)
+				wg.Done()
+			})
+		}
+		if asTask {
+			e.GoTask("waiter", func(t *Task) {
+				if wg.WaitTask(t) {
+					doneAt = e.Now()
+				}
+			})
+		} else {
+			e.Go("waiter", func(p *Proc) {
+				wg.Wait(p)
+				doneAt = p.Now()
+			})
+		}
+		e.Run()
+		if doneAt != 3 {
+			t.Fatalf("task %v: barrier released at %v, want 3", asTask, doneAt)
+		}
+		stats[i] = e.Stats()
 	}
-	e.Go("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	e.Run()
-	if doneAt != 3 {
-		t.Fatalf("barrier released at %v, want 3", doneAt)
+	if p, k := stats[0], stats[1]; p.Events != k.Events || p.Hash != k.Hash || k.Callbacks != p.Callbacks+2 {
+		t.Fatalf("process waiter %+v, task waiter %+v: want the same events, two of them callbacks", p, k)
 	}
 }
 

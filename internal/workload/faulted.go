@@ -116,8 +116,8 @@ func RunFaulted(c *cluster.Cluster, cfg pstore.Config, spec FaultedSpec) (Faulte
 	})
 
 	c.Run()
-	// Counted before Stop: shutting the engine down closes whatever the
-	// halt left open, which would hide a leak across retries.
+	// Every query has drained by the halt, so a cursor still open here
+	// leaked across retries.
 	leaked := pl.e.OpenCursors()
 	c.Stop()
 	if got := len(res.QuerySeconds) + res.Failed; got != hspec.Queries {

@@ -26,13 +26,14 @@ import (
 //     maximum CPU bandwidth").
 //
 // Filtering: over a materialized partition the scan reads blocks that
-// carry only their sizes, tracks its offset into the partition's row IDs
+// carry only their sizes, keeps its position in the partition's bitmap
 // as the blocks arrive in order, decides "selcol < threshold" from the
-// IDs and generates only the join key of the surviving rows, the one
-// column every consumer reads (what is charged is Rows x Width either
-// way). Blocks of a delta store's merged view carry columns and are
-// filtered on them. Phantom batches shrink analytically with
-// deterministic remainder accounting so total qualified rows are exact.
+// row IDs as it walks the bitmap and generates only the join key of the
+// surviving rows, the one column every consumer reads (what is charged
+// is Rows x Width either way). Blocks of a delta store's merged view
+// carry columns and are filtered on them. Phantom batches shrink
+// analytically with deterministic remainder accounting so total
+// qualified rows are exact.
 type scanCursor struct {
 	node *cluster.Node
 	exec *Exec
@@ -41,8 +42,8 @@ type scanCursor struct {
 
 	acc  float64            // phantom fractional-row accumulator
 	idx  []int              // merged-view row-index scratch, reused across blocks
-	part *storage.Partition // materialized partition read by row ID; nil otherwise
-	off  int                // part: rows of the blocks already read
+	part *storage.Partition // materialized partition read from its bitmap; nil otherwise
+	at   int64              // part: the bitmap bit after the blocks already read
 	keep []uint32           // part: surviving row-ID scratch, reused across blocks
 
 	raw      storage.Batch // the block whose CPU charge is running
@@ -188,8 +189,7 @@ func (c *scanCursor) release() {
 func (c *scanCursor) filter(b storage.Batch) storage.Batch {
 	if c.part != nil {
 		var keys storage.Int64Column
-		keys, c.keep = c.part.Select(c.off, b.Rows, c.thr, c.keep)
-		c.off += b.Rows
+		keys, c.at, c.keep = c.part.Select(c.at, b.Rows, c.thr, c.keep)
 		return storage.Batch{Rows: len(keys), Width: b.Width, Cols: []storage.Int64Column{keys}}
 	}
 	if b.Phantom() {

@@ -168,11 +168,12 @@ func TestScanProjectsTheKey(t *testing.T) {
 	}
 }
 
-// The scan of a materialized partition decides its predicate from the
-// row IDs and generates only the surviving keys; it must yield exactly
-// the batches — rows, keys and order — that filtering the partition's
-// generated blocks on their columns yields, at every selectivity from
-// none to all, with a block size that does not divide the partition.
+// The scan of a materialized partition decides its predicate as it walks
+// the partition's bitmap and generates only the surviving keys; it must
+// yield exactly the batches — rows, keys and order — that filtering the
+// partition's generated blocks on their columns yields, at every
+// selectivity from none to all, with a block size that does not divide
+// the partition, over a dense bitmap (one node) and sparse ones (three).
 func TestScanRowIDsMatchColumnScan(t *testing.T) {
 	const batchRows = 1024
 	for _, def := range []storage.TableDef{
@@ -180,40 +181,43 @@ func TestScanRowIDsMatchColumnScan(t *testing.T) {
 			Placement: storage.HashSegmented, SegmentColumn: "L_SHIPDATE", Materialize: true},
 		{Table: tpch.Part, Width: 8, RowsOverride: 5003, Placement: storage.HashSegmented, Materialize: true},
 	} {
-		parts, err := storage.PartitionTable(def, 1, batchRows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		part := parts[0]
-		if part.Rows%batchRows == 0 {
-			t.Fatalf("%s: %d rows divide into blocks of %d", def.Table, part.Rows, batchRows)
-		}
-		for _, sel := range []float64{0, 1e-6, 0.05, 0.5, 1} {
-			col := &scanCursor{sel: sel, thr: tpch.SelThreshold(sel)}
-			var want []storage.Batch
-			for _, b := range part.Batches(batchRows) {
-				if out := col.filter(b); out.Rows > 0 {
-					want = append(want, out)
+		for _, n := range []int{1, 3} {
+			parts, err := storage.PartitionTable(def, n, batchRows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, part := range parts {
+				if part.Rows%batchRows == 0 {
+					t.Fatalf("%s: %d rows divide into blocks of %d", def.Table, part.Rows, batchRows)
 				}
-			}
-			c := newCluster(t, 1)
-			e := New(c, Config{BatchRows: batchRows})
-			var got []storage.Batch
-			pullScan(t, c, func() *scanCursor { return e.scan(c.Nodes[0], part, sel) }, func(b storage.Batch) bool {
-				got = append(got, b)
-				return true
-			})
-			if len(got) != len(want) {
-				t.Fatalf("%s sel %v: %d batches, column scan %d", def.Table, sel, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Rows != want[i].Rows || got[i].Width != want[i].Width ||
-					len(got[i].Cols) != keyCols || !slices.Equal(got[i].Cols[storage.ColKey], want[i].Cols[storage.ColKey]) {
-					t.Fatalf("%s sel %v: batch %d is %+v, column scan %+v", def.Table, sel, i, got[i], want[i])
+				for _, sel := range []float64{0, 1e-6, 0.05, 0.5, 1} {
+					col := &scanCursor{sel: sel, thr: tpch.SelThreshold(sel)}
+					var want []storage.Batch
+					for _, b := range part.Batches(batchRows) {
+						if out := col.filter(b); out.Rows > 0 {
+							want = append(want, out)
+						}
+					}
+					c := newCluster(t, 1)
+					e := New(c, Config{BatchRows: batchRows})
+					var got []storage.Batch
+					pullScan(t, c, func() *scanCursor { return e.scan(c.Nodes[0], part, sel) }, func(b storage.Batch) bool {
+						got = append(got, b)
+						return true
+					})
+					if len(got) != len(want) {
+						t.Fatalf("%s n %d node %d sel %v: %d batches, column scan %d", def.Table, n, part.Node, sel, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].Rows != want[i].Rows || got[i].Width != want[i].Width ||
+							len(got[i].Cols) != keyCols || !slices.Equal(got[i].Cols[storage.ColKey], want[i].Cols[storage.ColKey]) {
+							t.Fatalf("%s n %d node %d sel %v: batch %d is %+v, column scan %+v", def.Table, n, part.Node, sel, i, got[i], want[i])
+						}
+					}
+					if sel == 1 && len(got) != int(part.Rows+batchRows-1)/batchRows {
+						t.Fatalf("%s: every row qualifies, but %d of the blocks came through", def.Table, len(got))
+					}
 				}
-			}
-			if sel == 1 && len(got) != int(part.Rows+batchRows-1)/batchRows {
-				t.Fatalf("%s: every row qualifies, but %d of the blocks came through", def.Table, len(got))
 			}
 		}
 	}

@@ -132,3 +132,131 @@ func TestLengthsTrackPushPop(t *testing.T) {
 		t.Fatalf("lengths after drain: %d %d %d", q.Len(), q.TenantLen("t"), q.TenantLen("u"))
 	}
 }
+
+// refQueue is the scheduling rules written out as plainly as possible,
+// the oracle FuzzFairQueue compares Queue with: per-tenant FIFOs in two
+// strict bands; in a band, tenants take turns in the order they last
+// became non-empty, a turn serving up to the tenant's weight (at least
+// one) items and ending early, its credit lost, when the tenant runs
+// out; EvictLow takes a tenant's newest low-band item.
+type refQueue struct {
+	weight func(string) int
+	fifo   [2]map[string][]int
+	order  [2][]string // tenants with items, in activation order
+	turn   [2]int      // index in order of the tenant whose turn it is
+	left   [2]int      // items left in that turn; 0: not yet started
+}
+
+func (r *refQueue) push(tenant string, band, v int) {
+	if len(r.fifo[band][tenant]) == 0 {
+		r.order[band] = append(r.order[band], tenant)
+	}
+	r.fifo[band][tenant] = append(r.fifo[band][tenant], v)
+}
+
+// leave drops order[band][i], whose FIFO is empty, keeping the turn with
+// the tenant it was on, or passing it to the next one if it was i's.
+func (r *refQueue) leave(band, i int) {
+	r.order[band] = append(r.order[band][:i:i], r.order[band][i+1:]...)
+	switch {
+	case i < r.turn[band]:
+		r.turn[band]--
+	case i == r.turn[band]:
+		r.left[band] = 0
+	}
+	if r.turn[band] >= len(r.order[band]) {
+		r.turn[band] = 0
+	}
+}
+
+func (r *refQueue) pop() (int, bool) {
+	for band := range r.order {
+		if len(r.order[band]) == 0 {
+			continue
+		}
+		tenant := r.order[band][r.turn[band]]
+		if r.left[band] == 0 {
+			r.left[band] = max(r.weight(tenant), 1)
+		}
+		v := r.fifo[band][tenant][0]
+		r.fifo[band][tenant] = r.fifo[band][tenant][1:]
+		if r.left[band]--; len(r.fifo[band][tenant]) == 0 {
+			r.leave(band, r.turn[band])
+		} else if r.left[band] == 0 {
+			r.turn[band] = (r.turn[band] + 1) % len(r.order[band])
+		}
+		return v, true
+	}
+	return 0, false
+}
+
+func (r *refQueue) evictLow(tenant string) (int, bool) {
+	q := r.fifo[Low][tenant]
+	if len(q) == 0 {
+		return 0, false
+	}
+	v := q[len(q)-1]
+	if r.fifo[Low][tenant] = q[:len(q)-1]; len(q) == 1 {
+		for i, name := range r.order[Low] {
+			if name == tenant {
+				r.leave(Low, i)
+				break
+			}
+		}
+	}
+	return v, true
+}
+
+// FuzzFairQueue runs a random script of Push, Pop and EvictLow over four
+// tenants, both bands and random weights (some below one) against
+// refQueue: every Pop and EvictLow must return the reference's item, and
+// Len, TenantLen and LowLen its counts, after every operation.
+func FuzzFairQueue(f *testing.F) {
+	f.Add(uint16(0x2131), []byte{0x00, 0x04, 0x08, 0x01, 0x01, 0x11, 0x12, 0x01})
+	f.Add(uint16(0xF0F0), []byte("push pop evict push push pop pop evict"))
+	f.Add(uint16(0), []byte{0x10, 0x14, 0x18, 0x1C, 0x16, 0x01, 0x11, 0x01, 0x01, 0x01})
+	// Found by fuzzing: an eviction that empties a tenant ahead of the
+	// turn in the low ring, and a tenant that drains mid-turn and comes
+	// back with its lost credit.
+	f.Add(uint16(43), []byte("00\xff1\xdc1071.1"))
+	f.Add(uint16(61740), []byte(",,,(11(1C1,,11C11"))
+	tenants := []string{"a", "b", "c", "d"}
+	f.Fuzz(func(t *testing.T, weights uint16, script []byte) {
+		weight := func(tenant string) int { // -1 to 2: weights below one count as one
+			return int(weights>>(4*(tenant[0]-'a'))&3) - 1
+		}
+		q := New[int](weight)
+		ref := &refQueue{weight: weight, fifo: [2]map[string][]int{{}, {}}}
+		for step, op := range script {
+			tenant, band := tenants[op>>2&3], int(op>>4&1)
+			switch op & 3 {
+			case 0, 3: // push: half of all operations
+				q.Push(tenant, band, step)
+				ref.push(tenant, band, step)
+			case 1:
+				got, ok := q.Pop()
+				want, wantOK := ref.pop()
+				if got != want || ok != wantOK {
+					t.Fatalf("step %d: Pop = %d, %v; reference %d, %v", step, got, ok, want, wantOK)
+				}
+			case 2:
+				got, ok := q.EvictLow(tenant)
+				want, wantOK := ref.evictLow(tenant)
+				if got != want || ok != wantOK {
+					t.Fatalf("step %d: EvictLow(%s) = %d, %v; reference %d, %v", step, tenant, got, ok, want, wantOK)
+				}
+			}
+			total := 0
+			for _, name := range tenants {
+				high, low := len(ref.fifo[High][name]), len(ref.fifo[Low][name])
+				if q.TenantLen(name) != high+low || q.LowLen(name) != low {
+					t.Fatalf("step %d: tenant %s holds %d items, %d low; reference %d, %d", step, name, q.TenantLen(name), q.LowLen(name), high+low, low)
+				}
+				total += high + low
+			}
+			if q.Len() != total {
+				t.Fatalf("step %d: Len %d, reference %d", step, q.Len(), total)
+			}
+		}
+	})
+}

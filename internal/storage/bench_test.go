@@ -18,7 +18,7 @@ func benchParts(b *testing.B) (TableDef, []*Partition) {
 }
 
 // BenchmarkPartitionTable is the materialising loader: route every row
-// of the table and store its row ID on its node.
+// of the table and set its bit in its node's bitmap.
 func BenchmarkPartitionTable(b *testing.B) {
 	b.ReportAllocs()
 	var def TableDef
@@ -30,8 +30,9 @@ func BenchmarkPartitionTable(b *testing.B) {
 
 // BenchmarkCursorDrain pulls every block of every partition through its
 // cursor: the leaf of each operator pipeline. A materialised cursor
-// generates each block's columns from its row IDs as it is pulled
-// (benchmark's storage.cursor_rows_per_s).
+// extracts each block's row IDs from its partition's bitmap and
+// generates the block's columns from them as it is pulled (benchmark's
+// storage.cursor_rows_per_s).
 func BenchmarkCursorDrain(b *testing.B) {
 	def, parts := benchParts(b)
 	b.ReportAllocs()

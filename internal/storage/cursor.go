@@ -1,6 +1,10 @@
 package storage
 
-import "repro/internal/tpch"
+import (
+	"math"
+
+	"repro/internal/tpch"
+)
 
 // Cursor is the streaming interface batches flow through between
 // operators: a pull-based lazy sequence of blocks. Operators compose as
@@ -28,9 +32,12 @@ type Cursor interface {
 // cursor every operator pipeline bottoms out in. It never materializes
 // the block slice: a phantom block is synthesized from the remaining row
 // count, and a materialized block's columns are generated from its row
-// IDs as it is pulled.
+// IDs as it is pulled: Next walks the partition's bitmap from where the
+// last block ended and extracts the block's IDs into scratch it reuses.
 type BatchCursor struct {
-	ids   []uint32      // row IDs not yet read; nil for phantom blocks
+	set   []uint64      // the partition's bitmap; nil for phantom blocks
+	at    int64         // set: the bit after the last row read
+	ids   []uint32      // set: the block's row IDs, reused across blocks
 	cols  []tpch.Column // generators of the stored columns
 	left  int           // rows remaining
 	rows  int           // rows per block
@@ -43,18 +50,18 @@ var _ Cursor = (*BatchCursor)(nil)
 // rows each for a phantom partition, of the size PartitionTable was
 // given for a materialized one.
 func (p *Partition) Cursor(blockRows int) BatchCursor {
-	if p.ids != nil {
+	if p.set != nil {
 		blockRows = p.blockRows
 	}
-	return BatchCursor{ids: p.ids, cols: p.cols, left: int(p.Rows), rows: blockRows, width: p.Def.Width}
+	return BatchCursor{set: p.set, cols: p.cols, left: int(p.Rows), rows: blockRows, width: p.Def.Width}
 }
 
 // Costs returns a cursor over the blocks Cursor yields that carries
 // their sizes and no data: what a scan that decides its predicate from
-// the row IDs (Select) charges simulated time on.
+// the partition's bitmap (Select) charges simulated time on.
 func (p *Partition) Costs(blockRows int) BatchCursor {
 	c := p.Cursor(blockRows)
-	c.ids = nil
+	c.set = nil
 	return c
 }
 
@@ -66,19 +73,19 @@ func (c *BatchCursor) Next() (b Batch, ok bool) {
 	}
 	b = Batch{Rows: min(c.rows, c.left), Width: c.width}
 	c.left -= b.Rows
-	if c.ids != nil {
+	if c.set != nil {
+		c.at, c.ids = c.cols[ColKey].Select(c.set[c.at>>6:], c.at, b.Rows, math.MaxInt64, c.ids[:0]) // no bound: every row
 		b.Cols = make([]Int64Column, len(c.cols))
 		for k, col := range c.cols {
 			b.Cols[k] = make(Int64Column, b.Rows)
-			col.Gen(c.ids[:b.Rows], b.Cols[k])
+			col.Gen(c.ids, b.Cols[k])
 		}
-		c.ids = c.ids[b.Rows:]
 	}
 	return b, true
 }
 
 // Close drops the remaining blocks; subsequent Next returns ok=false.
 func (c *BatchCursor) Close() {
-	c.ids = nil
+	c.set = nil
 	c.left = 0
 }

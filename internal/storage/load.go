@@ -1,7 +1,7 @@
 package storage
 
 import (
-	"sync"
+	"math/bits"
 
 	"repro/internal/par"
 	"repro/internal/tpch"
@@ -72,125 +72,87 @@ func tableSchema(def TableDef) schema {
 const (
 	// chunkRows is the loader's unit of parallel work. It fixes how rows
 	// are grouped, never where they land, so it is a constant rather
-	// than a function of the worker count: 64 Ki rows keep a worker's
-	// scratch (mix + segment keys, 1 MiB) near its L2 cache while a
-	// table of a million rows still splits into enough chunks to
-	// balance.
+	// than a function of the worker count: a table of a million rows
+	// still splits into enough chunks to balance. It is a multiple of
+	// 64, so a chunk owns whole words of every node's bitmap.
 	chunkRows = 1 << 16
-	// maxNodes bounds the node count of a materialized table: a row's
-	// destination is stored in a uint16.
-	maxNodes = 1 << 16
+	// maxNodes bounds the node count of a materialized table: a row
+	// costs each node one bit, so at this bound a row costs 4 bytes, as
+	// much as its row ID.
+	maxNodes = 32
 	// maxRows bounds the row count of a materialized table: a row ID is
 	// stored in a uint32.
 	maxRows = 1 << 32
 )
 
+const _ uint = -(chunkRows % 64) // compiles only for whole words
+
 // chunk is the row range [lo, hi) of one unit of loader work.
 type chunk struct{ lo, hi int64 }
 
-// load routes every row of a table once and returns the row IDs each of
-// n destination nodes holds: row i goes to node Hash64(segment key) % n,
-// and a node's IDs are in row-index order. It generates no stored
-// column; a partition's columns are generated from its IDs on read.
+// load routes every row of a table once, row i to node
+// Hash64(segment key) % n, and returns each node's rows as a bitmap
+// over the table's rows — bit i%64 of sets[nd][i/64] is set when row i
+// is on node nd — and its row count. It generates no stored column; a
+// partition's columns are generated from its row IDs on read.
 //
-// It is a two-pass counting sort over fixed-size row chunks, each pass
-// fanned out over GOMAXPROCS workers. Pass one generates every row's
-// segment key, computes its destination and counts rows per (chunk,
-// node). Exclusive prefix sums of those counts, taken in chunk order,
-// give each chunk the offset at which its rows start in each node's
-// IDs, and the totals size those lists exactly. Pass two reads each
-// row's destination once and stores its ID at its final offset. Chunks
-// write disjoint ranges, so the workers share nothing, and because the
-// offsets depend only on the chunk order the result is the one a serial
-// row-by-row append would build, whatever the worker count.
-func load(sch schema, total int64, n int) [][]uint32 {
+// It is one pass over fixed-size row chunks fanned out over GOMAXPROCS
+// workers. A worker generates the segment keys of each 64-row group of
+// its chunk, routes the group into one word per node and stores each
+// node's word once; the word's popcount counts the node's rows. Chunks
+// write disjoint words, so the workers share nothing, and the result is
+// a function of the rows alone, whatever the worker count.
+func load(sch schema, total int64, n int) (sets [][]uint64, rows []int64) {
+	sets, rows = make([][]uint64, n), make([]int64, n)
+	for nd := range sets {
+		sets[nd] = make([]uint64, (total+63)/64)
+	}
 	chunks := make([]chunk, 0, (total+chunkRows-1)/chunkRows)
 	for lo := int64(0); lo < total; lo += chunkRows {
 		chunks = append(chunks, chunk{lo, min(lo+chunkRows, total)})
 	}
-
-	// Pass one. A single destination needs no routing.
-	var dest []uint16
-	var offsets [][]int // offsets[c][nd]: where chunk c's rows start on node nd
-	size := make([]int, n)
-	if n == 1 {
-		size[0] = int(total)
-	} else {
-		// A row goes to node Hash64(key) % n, the modulus taken by
-		// multiplication; a drawn segment column of at most chunkRows values
-		// (L_SHIPDATE has 2557) is routed by a value -> node table instead.
-		m := tpch.NewModulus(uint64(n))
-		var node []uint16
-		if bound, ok := sch.segment.Bound(); ok && bound <= chunkRows {
-			node = make([]uint16, bound)
-			for v := range node {
-				node[v] = uint16(m.Mod(tpch.Hash64(uint64(v))))
-			}
+	// A row goes to node Hash64(key) % n, the modulus taken by
+	// multiplication; a drawn segment column of at most chunkRows values
+	// (L_SHIPDATE has 2557) is routed by a value -> node table instead.
+	m := tpch.NewModulus(uint64(n))
+	route := func(k int64) uint8 { return uint8(m.Mod(tpch.Hash64(uint64(k)))) }
+	var node []uint8
+	if bound, ok := sch.segment.Bound(); ok && bound <= chunkRows {
+		node = make([]uint8, bound)
+		for v := range node {
+			node[v] = route(int64(v))
 		}
-		dest = make([]uint16, total)
-		offsets, _ = par.Map(0, chunks, func(_ int, c chunk) ([]int, error) {
-			s := scratchPool.Get().(*scratch)
-			defer scratchPool.Put(s)
-			keys := s.keys[:c.hi-c.lo]
-			var mix []uint64
+	}
+	perChunk, _ := par.Map(0, chunks, func(_ int, c chunk) (counts [maxNodes]int64, _ error) {
+		var mix [64]uint64
+		var seg [64]int64
+		for lo := c.lo; lo < c.hi; lo += 64 {
+			keys := seg[:min(64, c.hi-lo)]
 			if !sch.segment.Sequential() {
-				mix = s.mix[:len(keys)]
-				tpch.MixRows(c.lo, mix)
+				tpch.MixRows(lo, mix[:len(keys)])
 			}
-			sch.segment.Fill(c.lo, mix, keys)
-			counts, d := make([]int, n), dest[c.lo:c.hi]
+			sch.segment.Fill(lo, mix[:], keys)
+			var group [maxNodes]uint64 // the group's word of each node
 			if node != nil {
 				for j, k := range keys {
-					d[j] = node[k]
-					counts[d[j]]++
+					group[node[k]] |= 1 << j
 				}
 			} else {
 				for j, k := range keys {
-					d[j] = uint16(m.Mod(tpch.Hash64(uint64(k))))
-					counts[d[j]]++
+					group[route(k)] |= 1 << j
 				}
 			}
-			return counts, nil
-		})
-		for _, counts := range offsets {
-			for nd, rows := range counts {
-				counts[nd], size[nd] = size[nd], size[nd]+rows
+			for nd, set := range sets {
+				set[lo/64] = group[nd]
+				counts[nd] += int64(bits.OnesCount64(group[nd]))
 			}
+		}
+		return counts, nil
+	})
+	for _, counts := range perChunk {
+		for nd := range rows {
+			rows[nd] += counts[nd]
 		}
 	}
-
-	// Each node's IDs are allocated once, at their exact size; the
-	// allocations (and the zeroing they pay) run in parallel too.
-	out, _ := par.Map(0, size, func(_ int, rows int) ([]uint32, error) {
-		return make([]uint32, rows), nil
-	})
-
-	// Pass two.
-	par.Map(0, chunks, func(ci int, c chunk) (struct{}, error) {
-		if n == 1 {
-			for i := c.lo; i < c.hi; i++ {
-				out[0][i] = uint32(i)
-			}
-			return struct{}{}, nil
-		}
-		next := offsets[ci] // this chunk's last use of its offsets
-		for j, nd := range dest[c.lo:c.hi] {
-			out[nd][next[nd]] = uint32(c.lo) + uint32(j)
-			next[nd]++
-		}
-		return struct{}{}, nil
-	})
-	return out
+	return sets, rows
 }
-
-// scratch is a worker's buffers for one chunk of pass one: the row mixes
-// and the segment keys. Pooled: allocating (faulting in, zeroing) fresh
-// megabytes per chunk made BenchmarkPartitionTable about 15 % slower.
-type scratch struct {
-	mix  []uint64
-	keys []int64
-}
-
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{mix: make([]uint64, chunkRows), keys: make([]int64, chunkRows)}
-}}

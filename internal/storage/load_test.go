@@ -74,7 +74,7 @@ func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRo
 		if p.Node != nd || p.Rows != int64(rows) {
 			t.Fatalf("partition %d: node %d with %d rows, want %d rows", nd, p.Node, p.Rows, rows)
 		}
-		if p.ids == nil {
+		if p.set == nil {
 			t.Fatalf("node %d: materialized partition turned phantom", nd)
 		}
 		batches := p.Batches(blockRows)
@@ -139,15 +139,17 @@ func oracleDefs() map[string]TableDef {
 // one block for the whole table. Blocks are cut from a node's finished
 // columns, so the two small block sizes, which cost the check an
 // allocation per cell, run at one node count and one worker count. The
-// edge row counts — one and two rows, which leave most nodes empty, and a
-// table that ends one row before, exactly on or one row past a chunk
-// boundary — run at one block size and worker count.
+// edge row counts run at one worker count and two block sizes, one of
+// 100 rows, so that blocks end mid-word even on one node: none, one and
+// two rows, which leave most nodes empty; a table that ends one row
+// before, exactly on or one row past a bitmap word, and one that does
+// so at a chunk boundary. They run at node counts up to maxNodes, 32.
 func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type run struct{ blockRows, procs int }
 	runs := []run{{4096, 1}, {4096, 2}, {4096, 3}, {4096, 4}, {1000, 4}, {oracleRows + 1, 4}}
 	smallBlocks := []run{{1, 4}, {7, 4}}
-	edgeRows := []int64{1, 2, chunkRows - 1, chunkRows, chunkRows + 1}
+	edgeRows := []int64{0, 1, 2, 63, 64, 65, chunkRows - 1, chunkRows, chunkRows + 1}
 	check := func(name string, def TableDef, n int, r run, want [][][]int64) {
 		runtime.GOMAXPROCS(r.procs)
 		parts, err := PartitionTable(def, n, r.blockRows)
@@ -172,9 +174,14 @@ func TestLoaderMatchesRowAtATimeOracle(t *testing.T) {
 		for _, rows := range edgeRows {
 			edge := def
 			edge.RowsOverride = rows
-			for _, n := range []int{1, 3, 7, 16} {
-				r := run{4096, 4}
-				check(fmt.Sprintf("%s/%v/rows%d/n%d/block%d/procs%d", name, def.Placement, rows, n, r.blockRows, r.procs), edge, n, r, oraclePartition(edge, n))
+			if rows == 0 {
+				edge.SF = 0 // RowsOverride 0 means the scale factor's rows: none
+			}
+			for _, n := range []int{1, 3, 7, 16, 31, maxNodes} {
+				want := oraclePartition(edge, n)
+				for _, r := range []run{{4096, 4}, {100, 4}} {
+					check(fmt.Sprintf("%s/%v/rows%d/n%d/block%d/procs%d", name, def.Placement, rows, n, r.blockRows, r.procs), edge, n, r, want)
+				}
 			}
 		}
 	}
@@ -286,10 +293,14 @@ func TestPartitionTableRejectsBadArguments(t *testing.T) {
 			}
 		}
 	}
-	// A destination is stored in 16 bits: more nodes must be refused, not
-	// wrapped onto the wrong node.
-	if _, err := PartitionTable(tiny, maxNodes+1, 64); err == nil {
-		t.Errorf("no error for %d nodes", maxNodes+1)
+	// A row costs a bit per node: more nodes than maxNodes must be
+	// refused, naming the limit, not loaded at more bytes per row than a
+	// row ID.
+	if _, err := PartitionTable(tiny, maxNodes+1, 64); err == nil || !strings.Contains(err.Error(), strconv.Itoa(maxNodes)) {
+		t.Errorf("%d nodes: err %v, want one naming the limit %d", maxNodes+1, err, maxNodes)
+	}
+	if _, err := PartitionTable(phantom, maxNodes+1, 64); err != nil {
+		t.Errorf("phantom table over %d nodes: %v", maxNodes+1, err)
 	}
 	if parts, err := PartitionTable(tiny, maxNodes, 64); err != nil || len(parts) != maxNodes {
 		t.Errorf("%d nodes: %d partitions, err %v", maxNodes, len(parts), err)
@@ -304,8 +315,8 @@ func TestPartitionTableRejectsBadArguments(t *testing.T) {
 }
 
 // FuzzPartitionTable loads a random table — schema, segmentation column,
-// scale factor, row count up to three chunks, node count and block size
-// — and compares it with the row-at-a-time oracle.
+// scale factor, row count up to three chunks, node count up to maxNodes
+// and block size — and compares it with the row-at-a-time oracle.
 func FuzzPartitionTable(f *testing.F) {
 	f.Add(uint8(0), uint8(1), false, uint32(oracleRows), uint8(4), uint16(4096))
 	f.Add(uint8(1), uint8(0), true, uint32(chunkRows), uint8(3), uint16(100))
@@ -323,11 +334,32 @@ func FuzzPartitionTable(f *testing.F) {
 		if bigSF && def.RowsOverride > 0 {
 			def.SF = 0.5
 		}
-		nodes, blk := int(n%16)+1, int(blockRows)%8192+1
+		nodes, blk := int(n%maxNodes)+1, int(blockRows)%8192+1
 		parts, err := PartitionTable(def, nodes, blk)
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkPartitions(t, parts, oraclePartition(def, nodes), blk)
 	})
+}
+
+// The loader keeps a bit per row per node and nothing else per row:
+// LINEITEM at SF 0.2 is 1.2 M rows, whose bitmaps on 4 nodes take
+// 600 KB. A per-row destination array or list of row IDs would add
+// megabytes.
+func TestPartitionTableAllocatesUnderOneMB(t *testing.T) {
+	def := liDef(0.2, true)
+	def.SegmentColumn = "L_SHIPDATE"
+	const calls = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := PartitionTable(def, 4, 4096); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > 1_000_000 {
+		t.Fatalf("PartitionTable of %d rows on 4 nodes allocates %d bytes per call, want at most 1 MB", def.TotalRows(), per)
+	}
 }

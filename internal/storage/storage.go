@@ -18,21 +18,17 @@
 // Partitioning is the paper's placement scheme: hash segmentation on a
 // chosen column (Vertica's hash segmentation).
 //
-// A materialized table is loaded by one two-pass parallel scatter of
-// row IDs (load.go); its columns are generated on read. Each table has
-// one schema — its stored columns' generators and the generator of its
-// segmentation column — and the loader walks the table in fixed-size
-// row chunks: pass one routes every row and counts rows per (chunk,
-// node); prefix sums over the chunks, in chunk order, turn the counts
-// into write offsets; pass two stores each row's 4-byte ID at its final
-// position in a list allocated once at its exact size, and generates
-// nothing. The offsets depend on the chunk order alone, so the layout —
-// which rows a node holds, in what order, cut into which blocks — is
-// that of a serial row-by-row load and does not depend on how many
-// workers ran it; simulated time, energy and event counts therefore
-// cannot move with GOMAXPROCS. A partition's Cursor generates each
+// A materialized table is loaded by one parallel pass that routes
+// every row and generates nothing (load.go): each table has one schema
+// — its stored columns' generators and the generator of its
+// segmentation column — and a partition is a bitmap over the table's
+// rows, one bit per row per node, set where the row lives. Which rows a
+// node holds, in row order, and so the blocks they are cut into, are
+// those of a serial row-by-row load whatever the worker count;
+// simulated time, energy and event counts therefore cannot move with
+// GOMAXPROCS. A partition's Cursor walks the bitmap and generates each
 // block's columns from its row IDs as the block is pulled; a scan
-// decides its predicate from the IDs (Select) and generates the key of
+// decides its predicate as it walks (Select) and generates the key of
 // the surviving rows alone.
 package storage
 
@@ -129,9 +125,10 @@ type Partition struct {
 	Def  TableDef
 	Node int
 	Rows int64
-	// ids holds a materialized partition's row IDs in row-index order
-	// (nil when phantom), cols its stored columns' generators.
-	ids       []uint32
+	// set is a materialized partition's rows (nil when phantom): a
+	// bitmap over the table's rows, bit i%64 of set[i/64] set when row
+	// i lives on this node. cols holds its stored columns' generators.
+	set       []uint64
 	cols      []tpch.Column
 	blockRows int // the block size PartitionTable cut the partition into
 }
@@ -146,16 +143,17 @@ func (p *Partition) Batches(blockRows int) []Batch {
 	return out
 }
 
-// Select returns the join keys of the rows at offsets [off, off+rows)
-// of a materialized partition whose selection column — a generic
-// table's key — is below thr. It decides the predicate from the row IDs
-// and generates the key of survivors alone; keep is scratch for the
-// surviving IDs, returned for reuse.
-func (p *Partition) Select(off, rows int, thr int64, keep []uint32) (Int64Column, []uint32) {
-	keep = p.cols[min(ColSel, len(p.cols)-1)].Select(p.ids[off:off+rows], thr, keep[:0])
+// Select reads a materialized partition's next rows rows, from bit at
+// of its bitmap on, and returns the join keys of those whose selection
+// column — a generic table's key — is below thr, and the bit after the
+// last row read. It decides the predicate as it walks the bitmap and
+// generates the key of survivors alone; keep is scratch for their row
+// IDs, returned for reuse.
+func (p *Partition) Select(at int64, rows int, thr int64, keep []uint32) (Int64Column, int64, []uint32) {
+	end, keep := p.cols[min(ColSel, len(p.cols)-1)].Select(p.set[at>>6:], at, rows, thr, keep[:0])
 	keys := make(Int64Column, len(keep))
 	p.cols[ColKey].Gen(keep, keys)
-	return keys, keep
+	return keys, end, keep
 }
 
 // PartitionTable hash-segments a table across n nodes,
@@ -185,8 +183,9 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 
 	if def.Materialize {
 		sch := tableSchema(def)
-		for nd, ids := range load(sch, total, n) {
-			parts[nd].Rows, parts[nd].ids, parts[nd].cols = int64(len(ids)), ids, sch.cols
+		sets, rows := load(sch, total, n)
+		for nd, p := range parts {
+			p.Rows, p.set, p.cols = rows[nd], sets[nd], sch.cols
 		}
 		return parts, nil
 	}

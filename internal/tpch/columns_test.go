@@ -163,20 +163,38 @@ func TestModulusMatchesRemainder(t *testing.T) {
 	}
 }
 
-// checkSelect asserts that Select keeps exactly the ids whose value, as
-// Fill generates it, is below thr, and that Gen generates those values.
-func checkSelect(t *testing.T, c Column, thr int64, ids []uint32) {
+// window is the rows of a bitmap in [lo, hi): set starts at lo's word,
+// and bit i%64 of set[i/64-lo/64] stands for row i.
+type window struct {
+	set    []uint64
+	lo, hi int64
+}
+
+// checkSelect asserts that Select, walking the window's rows, keeps
+// exactly those whose value, as Fill generates it, is below thr and
+// returns the row after the window's last, and that Gen generates the
+// values of the window's rows.
+func checkSelect(t *testing.T, c Column, thr int64, win window) {
 	t.Helper()
-	var want []uint32
-	vals := make([]int64, len(ids))
-	for j, id := range ids {
-		c.Fill(int64(id), []uint64{splitmix64(uint64(id))}, vals[j:j+1])
-		if vals[j] < thr {
-			want = append(want, id)
+	var ids, want []uint32
+	var vals []int64
+	for i := win.lo; i < win.hi; i++ {
+		if win.set[i>>6-win.lo>>6]>>(i&63)&1 == 0 {
+			continue
+		}
+		v := make([]int64, 1)
+		c.Fill(i, []uint64{splitmix64(uint64(i))}, v)
+		ids, vals = append(ids, uint32(i)), append(vals, v[0])
+		if v[0] < thr {
+			want = append(want, uint32(i))
 		}
 	}
-	if got := c.Select(ids, thr, nil); !slices.Equal(got, want) {
-		t.Fatalf("column %+v thr %d: Select kept %d of %d ids, Fill < thr keeps %d", c, thr, len(got), len(ids), len(want))
+	if len(ids) > 0 {
+		end, got := c.Select(win.set, win.lo, len(ids), thr, nil)
+		if !slices.Equal(got, want) || end != int64(ids[len(ids)-1])+1 {
+			t.Fatalf("column %+v thr %d, the %d rows of [%d, %d): Select kept %d rows and stopped at %d; Fill < thr keeps %d, the last row is %d",
+				c, thr, len(ids), win.lo, win.hi, len(got), end, len(want), ids[len(ids)-1])
+		}
 	}
 	gen := make([]int64, len(ids))
 	if c.Gen(ids, gen); !slices.Equal(gen, vals) {
@@ -184,17 +202,47 @@ func checkSelect(t *testing.T, c Column, thr int64, ids []uint32) {
 	}
 }
 
+// selectWindows returns bitmaps of eight words over the bottom of the
+// row range, where rows 0 to 4 are set, over its top word, where rows
+// 2^32-2 and 2^32-1 are set, across the rows where a sequential
+// column's thresholds below cut, and at random word-aligned rows; then
+// the same bitmaps cut to start and end mid-word, and to rows within
+// one word.
+func selectWindows(rng *rand.Rand) []window {
+	var out []window
+	add := func(row uint64) {
+		set := make([]uint64, 8)
+		for k := range set { // sparse, half, dense, full and empty words
+			a, b := rng.Uint64(), rng.Uint64()
+			set[k] = [...]uint64{a & b, a, a | b, ^uint64(0), 0, a & b, a, a | b}[k]
+		}
+		out = append(out, window{set, int64(row), int64(row) + 512})
+	}
+	add(0)
+	out[0].set[0] |= 0x1F
+	add(1<<32 - 512)
+	out[1].set[7] |= 3 << 62
+	for _, cut := range []uint64{1 << 20, 4 << 20, 1 << 31} {
+		add(cut - 256)
+	}
+	for len(out) < 24 {
+		add(uint64(rng.Int63n(1<<32-512)) &^ 63)
+	}
+	for _, w := range out[:len(out):len(out)] {
+		lo, hi := w.lo+rng.Int63n(64), w.hi-rng.Int63n(64)
+		out = append(out, window{w.set, lo, hi}, window{w.set[lo>>6-w.lo>>6:], lo, min(lo+rng.Int63n(64-lo&63), hi)})
+	}
+	return out
+}
+
 // Select must agree with Fill followed by "< thr" on both sides of every
 // edge of the domain — no row, one value, half, all but one, all — for
 // domains with an overflowing (1) or exact (powers of two) reciprocal,
 // the TPC-H ones and O_CUSTKEY's at three scale factors, and for the
-// sequential columns a generic table selects on.
+// sequential columns a generic table selects on, over bitmaps anywhere
+// in the rows a table may hold, whole words or cut mid-word.
 func TestColumnSelectMatchesFill(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	ids := []uint32{0, 1, 2, 3, 4, math.MaxUint32 - 1, math.MaxUint32}
-	for len(ids) < 4096 {
-		ids = append(ids, rng.Uint32())
-	}
+	wins := selectWindows(rand.New(rand.NewSource(40)))
 	domains := []uint64{1, 2, 3, 2557, 1 << 20, SelDomain}
 	for _, sf := range []ScaleFactor{0.01, 2, 1000} {
 		domains = append(domains, uint64(sf.Customers()))
@@ -204,31 +252,38 @@ func TestColumnSelectMatchesFill(t *testing.T) {
 			c := drawColumn(0x5E11, n, base)
 			t0 := base + int64(n)
 			for _, thr := range []int64{math.MinInt64, base - 1, base, base + 1, base + int64(n)/2, t0 - 1, t0, t0 + 1, math.MaxInt64} {
-				checkSelect(t, c, thr, ids)
+				for _, win := range wins {
+					checkSelect(t, c, thr, win)
+				}
 			}
 		}
 	}
 	for _, c := range []Column{LineitemColumns().OrderKey, RowIndexColumn()} {
 		for _, thr := range []int64{math.MinInt64, 0, 1, 2, 1 << 20, 1 << 31, math.MaxInt64} {
-			checkSelect(t, c, thr, ids)
+			for _, win := range wins {
+				checkSelect(t, c, thr, win)
+			}
 		}
 	}
 }
 
 // FuzzColumnSelect checks Select against Fill for a random drawn column
-// — stream, domain, base — threshold and row IDs.
+// — stream, domain, base — threshold and bitmap: its words, the row of
+// its first word, and the bits cut off its first and last words.
 func FuzzColumnSelect(f *testing.F) {
-	f.Add(uint64(0x5E11), uint64(SelDomain), int64(0), int64(50_000), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff, 0xff})
-	f.Add(uint64(0xA11CE), uint64(300_000), int64(1), int64(150_001), []byte("row ids of a partition"))
-	f.Add(uint64(0x5417), uint64(2557), int64(0), int64(2556), []byte{0, 0, 0, 0})
-	f.Add(uint64(0), uint64(1), int64(-3), int64(-3), []byte{})
-	f.Fuzz(func(t *testing.T, stream, n uint64, base, thr int64, raw []byte) {
+	f.Add(uint64(0x5E11), uint64(SelDomain), int64(0), int64(50_000), uint32(0), uint8(0), uint8(0), []byte{1, 2, 3, 4, 5, 6, 7, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add(uint64(0xA11CE), uint64(300_000), int64(1), int64(150_001), uint32(1<<32-64), uint8(3), uint8(1), []byte("bits of a partition"))
+	f.Add(uint64(0x5417), uint64(2557), int64(0), int64(2556), uint32(1<<20+7), uint8(63), uint8(63), []byte{0xff, 0, 0, 0, 0, 0, 0, 0x80})
+	f.Add(uint64(0), uint64(1), int64(-3), int64(-3), uint32(5), uint8(9), uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, stream, n uint64, base, thr int64, row uint32, skip, cut uint8, raw []byte) {
 		// Every value (x % n) + base must fit an int64, as a real column's does.
 		n, base = n%(1<<62), int64(int32(base))
-		ids := make([]uint32, len(raw)/4)
-		for j := range ids {
-			ids[j] = binary.LittleEndian.Uint32(raw[4*j:])
+		set := make([]uint64, len(raw)/8)
+		for k := range set {
+			set[k] = binary.LittleEndian.Uint64(raw[8*k:])
 		}
-		checkSelect(t, drawColumn(stream, n, base), thr, ids)
+		lo := min(int64(row)&^63, 1<<32-64*int64(len(set))) // the bitmap ends by row 2^32
+		win := window{set, lo + int64(skip%64), lo + 64*int64(len(set)) - int64(cut%64)}
+		checkSelect(t, drawColumn(stream, n, base), thr, win)
 	})
 }

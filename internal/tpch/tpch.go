@@ -241,10 +241,10 @@ func GenSupplier(sf ScaleFactor, i int64) SupplierRow {
 // rows uses these instead. MixRows mixes each row index once, and every
 // drawn Column of the table reuses that mix, so k columns cost one mix per
 // row plus one per drawn column, and a column nobody asks for costs
-// nothing. Column.Gen and Column.Select read rows by ID instead, for a
-// store that keeps row IDs rather than values. The values equal the
-// matching Gen* fields exactly (the Gen* functions are the oracle the
-// tests compare against).
+// nothing. Column.Gen reads rows by ID and Column.Select walks a bitmap
+// of rows instead, for a store that keeps rows rather than values. The
+// values equal the matching Gen* fields exactly (the Gen* functions are
+// the oracle the tests compare against).
 
 // streamKey is the per-field half of uniform: the stream constant times
 // the multiplier uniform applies, wrapping as uniform's does.
@@ -358,37 +358,61 @@ func (c Column) Gen(ids []uint32, out []int64) {
 	}
 }
 
-// Select appends to dst the ids whose value is below thr, and forms no
-// drawn value. With t = thr - base, no row qualifies for t <= 0 and every
-// row does for t >= n. For 0 < t < n, x % n = floor(f * n / 2^128) for
-// Mod's 128-bit fraction f of x, so x % n < t exactly when
-// f <= floor((t * 2^128 - 1) / n): two of Mod's four multiplies.
-func (c Column) Select(ids []uint32, thr int64, dst []uint32) []uint32 {
-	if c.kind == colSeq {
-		for _, id := range ids {
-			if int64(id)/c.per+c.base < thr {
-				dst = append(dst, id)
+// Select walks the bitmap set from row at on, over its next rows rows
+// (set bits), appends to dst, in row order, those whose value is below
+// thr, and returns the row after the last row walked. set starts at
+// at's word: bit i%64 of set[i/64-at/64] stands for row i, and at least
+// rows bits are set from at on. Select forms no drawn value. A
+// sequential column's value grows with the row, so its rows qualify up
+// to a bound. For a drawn column, with t = thr - base, no row qualifies
+// for t <= 0 and every row does for t >= n. For 0 < t < n,
+// x % n = floor(f * n / 2^128) for Mod's 128-bit fraction f of x, so
+// x % n < t exactly when f <= floor((t * 2^128 - 1) / n): two of Mod's
+// four multiplies.
+func (c Column) Select(set []uint64, at int64, rows int, thr int64, dst []uint32) (int64, []uint32) {
+	var below, qh, ql uint64 // rows below row `below` qualify, unless drawn
+	drawn := false
+	if thr > c.base {
+		t := uint64(thr) - uint64(c.base) // thr > base: no wrap
+		switch {
+		case c.kind == colSeq: // a row ID is below 2^32
+			below = min(t, 1<<32) * uint64(c.per)
+		case t >= c.n.n:
+			below = 1 << 32
+		default:
+			drawn = true
+			qh, ql = bits.Div64(t-1, ^uint64(0), c.n.n)
+			ql, _ = bits.Div64(ql, ^uint64(0), c.n.n)
+		}
+	}
+	for w, word := at>>6, set[0]&^(1<<(at&63)-1); ; w, word = w+1, set[w+1-at>>6] {
+		last := bits.OnesCount64(word) >= rows // the walk ends in this word
+		if last {
+			rest := word
+			for ; rows > 0; rows-- {
+				rest &= rest - 1
+			}
+			word &^= rest
+		} else {
+			rows -= bits.OnesCount64(word)
+		}
+		end := w<<6 + 64 - int64(bits.LeadingZeros64(word))
+		for ; word != 0; word &= word - 1 {
+			id := uint64(w<<6) | uint64(bits.TrailingZeros64(word))
+			if drawn {
+				x := splitmix64(c.stream ^ splitmix64(id))
+				fh, fl := bits.Mul64(c.n.lo, x)
+				if fh += c.n.hi * x; fh < qh || fh == qh && fl <= ql {
+					dst = append(dst, uint32(id))
+				}
+			} else if id < below {
+				dst = append(dst, uint32(id))
 			}
 		}
-		return dst
-	}
-	if thr <= c.base {
-		return dst
-	}
-	t, n := uint64(thr)-uint64(c.base), c.n.n // thr > base: no wrap
-	if t >= n {
-		return append(dst, ids...)
-	}
-	qh, r := bits.Div64(t-1, ^uint64(0), n)
-	ql, _ := bits.Div64(r, ^uint64(0), n)
-	for _, id := range ids {
-		x := splitmix64(c.stream ^ splitmix64(uint64(id)))
-		fh, fl := bits.Mul64(c.n.lo, x)
-		if fh += c.n.hi * x; fh < qh || fh == qh && fl <= ql {
-			dst = append(dst, id)
+		if last {
+			return end, dst
 		}
 	}
-	return dst
 }
 
 // RowIndexColumn is the key of a generic single-column table: the row

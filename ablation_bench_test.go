@@ -1,7 +1,7 @@
 package repro
 
 // Ablation benchmarks for the simulator's load-bearing design choices
-// (warm-cache regime, batch granularity, DVFS, switch congestion, the
+// (warm-cache regime, batch granularity, switch congestion, the
 // JoinWork constant). Each reports the quantity the ablation is about as
 // a custom metric, so `go test -bench=Ablation` doubles as a sensitivity
 // report.
@@ -13,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dbms"
 	"repro/internal/hw"
-	"repro/internal/model"
 	"repro/internal/par"
 	"repro/internal/pstore"
 	"repro/internal/workload"
@@ -73,29 +72,6 @@ func BenchmarkAblationBatchSize(b *testing.B) {
 	if dev > 0.05 {
 		b.Fatalf("batch size changes virtual time by %.1f%%; fidelity bug", dev*100)
 	}
-}
-
-// BenchmarkAblationDVFS reports the EDP effect of downclocking to 60%
-// for a network-bound vs a CPU-bound join (model-level).
-func BenchmarkAblationDVFS(b *testing.B) {
-	var netEDP, cpuEDP float64
-	for i := 0; i < b.N; i++ {
-		base := model.FromSpecs(8, hw.ClusterV(), 0, hw.WimpyModelNode())
-		base.Bld, base.Prb = 700_000, 2_800_000
-		base.WarmCache = true
-
-		net := base
-		net.Sbld, net.Sprb = 0.10, 0.10
-		pts := model.FrequencySweep(net, 0.5, []float64{1, 0.6})
-		netEDP = pts[1].NormEng / pts[1].NormPerf
-
-		cpu := base
-		cpu.Sbld, cpu.Sprb = 0.01, 0.01
-		pts = model.FrequencySweep(cpu, 0.5, []float64{1, 0.6})
-		cpuEDP = pts[1].NormEng / pts[1].NormPerf
-	}
-	b.ReportMetric(netEDP, "netbound-EDP@0.6f")
-	b.ReportMetric(cpuEDP, "cpubound-EDP@0.6f")
 }
 
 // BenchmarkAblationCongestion shows why the dbms simulator needs switch

@@ -5,10 +5,9 @@
 // The module rebuilds the paper's two artifacts — the P-store parallel
 // query execution kernel and the analytical performance/energy model of
 // parallel hash joins — on top of a deterministic discrete-event cluster
-// simulator, regenerates every table and figure of the evaluation, and
-// implements DVFS, one item of the paper's stated future work. An HTAP
-// extension (internal/delta, experiments htap1/htap2) re-measures the
-// energy trade-offs with a transactional write path — per-node delta
+// simulator, and regenerates every table and figure of the evaluation.
+// An HTAP extension (internal/delta, experiments htap1/htap2) re-measures
+// the energy trade-offs with a transactional write path — per-node delta
 // stores, merged-view scans, background merges — contending with the
 // analytics for the same simulated hardware; see README "The HTAP write
 // path".

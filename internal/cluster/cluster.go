@@ -131,7 +131,6 @@ type Node struct {
 	down     bool
 	downFrom sim.Time
 	downs    [][2]sim.Time
-	crashes  int
 }
 
 // IsWimpy reports whether the node is a low-power node.
@@ -139,9 +138,6 @@ func (n *Node) IsWimpy() bool { return n.Spec.Class == hw.Wimpy }
 
 // Down reports whether the node is currently crashed.
 func (n *Node) Down() bool { return n.down }
-
-// Crashes counts the Fail transitions the node has taken so far.
-func (n *Node) Crashes() int { return n.crashes }
 
 // Fail crashes the node at the current virtual time: all four rate
 // servers stall until the given restart time (queued work resumes
@@ -161,7 +157,6 @@ func (n *Node) Fail(restartAt sim.Time) {
 	}
 	n.down = true
 	n.downFrom = n.eng.Now()
-	n.crashes++
 }
 
 // Restart marks the node up again at the current virtual time, closing

@@ -216,7 +216,7 @@ func TestMetersAccumulate(t *testing.T) {
 	c.Eng.Go("load", func(p *sim.Proc) {
 		c.Nodes[0].CPU.Process(p, c.Nodes[0].Spec.CPUBandwidth*1e6*5) // 5 s busy
 	})
-	c.Eng.RunUntil(5)
+	c.Eng.Run()
 	c.Stop()
 	j0 := c.Nodes[0].Meter.Joules()
 	j1 := c.Nodes[1].Meter.Joules()
@@ -262,25 +262,30 @@ func TestNodeFailRestartDowntime(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := c.Nodes[0]
+	// stalledTo books no work on s and checks that the booking completes
+	// at the restart time: work booked during an outage waits for it.
+	// completed counts the bookings whose check ran.
+	completed := 0
+	stalledTo := func(s *sim.Server, want sim.Time) {
+		s.ProcessAsync(0, func() {
+			completed++
+			if got := c.Eng.Now(); got != want {
+				t.Errorf("server %s not stalled to restart: a booking completed at %v, want %v", s.Name(), got, want)
+			}
+		})
+	}
 	c.Eng.At(2, func() {
 		n.Fail(5)
-		if !n.Down() || n.Crashes() != 1 {
-			t.Errorf("after Fail: down=%v crashes=%d", n.Down(), n.Crashes())
+		if !n.Down() {
+			t.Error("not down after Fail")
 		}
 		for _, s := range []*sim.Server{n.CPU, n.Disk, n.Egress, n.Ingress} {
-			if s.FreeAt() != 5 {
-				t.Errorf("server %s not stalled to restart: FreeAt=%v", s.Name(), s.FreeAt())
-			}
+			stalledTo(s, 5)
 		}
-		// Failing again during the outage extends the stall but is not
-		// a second crash.
+		// Failing again during the outage extends the stall but keeps
+		// the outage's start (DownBetween at t=4 below).
 		n.Fail(6)
-		if n.Crashes() != 1 {
-			t.Errorf("re-Fail counted a second crash")
-		}
-		if n.CPU.FreeAt() != 6 {
-			t.Errorf("re-Fail did not extend the stall: %v", n.CPU.FreeAt())
-		}
+		stalledTo(n.CPU, 6)
 	})
 	c.Eng.At(4, func() {
 		if got := n.DownBetween(0, 4); got != 2 {
@@ -295,6 +300,9 @@ func TestNodeFailRestartDowntime(t *testing.T) {
 		n.Restart() // idempotent
 	})
 	c.Run()
+	if completed != 5 {
+		t.Fatalf("%d of the 5 stalled bookings completed", completed)
+	}
 	if got := n.DownBetween(0, 10); got != 4 {
 		t.Fatalf("DownBetween = %v, want 4", got)
 	}

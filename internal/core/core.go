@@ -45,10 +45,7 @@ func (s Scalability) String() string {
 
 // Candidate is one evaluated cluster design.
 type Candidate struct {
-	NB, NW int
-	// Freq is the CPU frequency fraction (1.0 = nominal; the DVFS
-	// dimension of the design space).
-	Freq    float64
+	NB, NW  int
 	Seconds float64
 	Joules  float64
 	// NormPerf/NormEnergy are relative to the all-Beefy full-size design.
@@ -58,17 +55,12 @@ type Candidate struct {
 	Heterogeneous bool
 }
 
-// Label renders the paper's design naming: "8B,0W", "2B,6W", with a
-// "@0.6f" suffix for downclocked designs.
+// Label renders the paper's design naming: "8B", "2B,6W".
 func (c Candidate) Label() string {
-	base := fmt.Sprintf("%dB", c.NB)
 	if c.NW > 0 {
-		base = fmt.Sprintf("%dB,%dW", c.NB, c.NW)
+		return fmt.Sprintf("%dB,%dW", c.NB, c.NW)
 	}
-	if c.Freq != 0 && c.Freq != 1 {
-		base += fmt.Sprintf("@%.1ff", c.Freq)
-	}
-	return base
+	return fmt.Sprintf("%dB", c.NB)
 }
 
 // Point converts the candidate for metrics rendering.
@@ -99,18 +91,9 @@ type Advice struct {
 type Designer struct {
 	Base     model.Params
 	MaxNodes int
-	// MinNodes bounds the smallest homogeneous cluster considered
-	// (default 1).
-	MinNodes int
-	// Frequencies adds DVFS design points: every size and mix is also
-	// evaluated at these CPU frequency fractions (nominal 1.0 is always
-	// included). StaticShare (default 0.5) splits node power into a
-	// frequency-independent part and a cubic dynamic part.
-	Frequencies []float64
-	StaticShare float64
 }
 
-// Explore evaluates all homogeneous sizes in [MinNodes, MaxNodes] and all
+// Explore evaluates all homogeneous sizes in [1, MaxNodes] and all
 // Beefy/Wimpy mixes of MaxNodes total nodes, normalized against the
 // all-Beefy MaxNodes design. Bad workload parameters are an input error;
 // "infeasible" means only that the reference design's hash table does
@@ -124,55 +107,32 @@ func (d Designer) Explore() ([]Candidate, error) {
 	if err := base.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	min := d.MinNodes
-	if min <= 0 {
-		min = 1
-	}
-	static := d.StaticShare
-	if static == 0 {
-		static = 0.5
-	}
-	evalOne := func(nb, nw int, freq float64) (Candidate, error) {
+	evalOne := func(nb, nw int) (Candidate, error) {
 		p := d.Base
 		p.NB, p.NW = nb, nw
-		if freq != 1 {
-			p = p.WithFrequency(freq, static)
-		}
 		res, err := p.HashJoin()
 		if err != nil {
 			return Candidate{}, err
 		}
-		return Candidate{NB: nb, NW: nw, Freq: freq,
+		return Candidate{NB: nb, NW: nw,
 			Seconds: res.Seconds(), Joules: res.Joules(),
 			Heterogeneous: res.Heterogeneous}, nil
 	}
-	ref, err := evalOne(d.MaxNodes, 0, 1)
+	ref, err := evalOne(d.MaxNodes, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: reference design infeasible: %w", err)
 	}
-	freqs := append([]float64{1}, d.Frequencies...)
 	var out []Candidate
-	seen := map[[3]int]bool{}
 	add := func(nb, nw int) {
-		for _, fr := range freqs {
-			if fr <= 0 || fr > 1 {
-				continue
-			}
-			k := [3]int{nb, nw, int(fr * 1000)}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			c, err := evalOne(nb, nw, fr)
-			if err != nil {
-				continue // infeasible mixes (hash table does not fit) are skipped
-			}
-			c.NormPerf = ref.Seconds / c.Seconds
-			c.NormEnergy = c.Joules / ref.Joules
-			out = append(out, c)
+		c, err := evalOne(nb, nw)
+		if err != nil {
+			return // infeasible mixes (hash table does not fit) are skipped
 		}
+		c.NormPerf = ref.Seconds / c.Seconds
+		c.NormEnergy = c.Joules / ref.Joules
+		out = append(out, c)
 	}
-	for n := d.MaxNodes; n >= min; n-- {
+	for n := d.MaxNodes; n >= 1; n-- {
 		add(n, 0)
 	}
 	for nb := d.MaxNodes - 1; nb >= 0; nb-- {
@@ -219,7 +179,7 @@ func (d Designer) Recommend(perfTarget float64) (Advice, error) {
 	if class == Scalable {
 		// Figure 12(a): the largest cluster is also (near-)most efficient.
 		for _, c := range cands {
-			if c.NB == d.MaxNodes && c.NW == 0 && c.Freq == 1 {
+			if c.NB == d.MaxNodes && c.NW == 0 {
 				adv.Best = c
 				adv.BestHomogeneous = c
 			}

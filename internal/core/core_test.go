@@ -39,6 +39,37 @@ func TestExploreCoversSizesAndMixes(t *testing.T) {
 	}
 }
 
+// TestExploreEvaluatesEachDesignOnce: Explore returns every homogeneous
+// size in [1, MaxNodes] and every Beefy/Wimpy mix of MaxNodes nodes
+// exactly once when all of them fit.
+func TestExploreEvaluatesEachDesignOnce(t *testing.T) {
+	const max = 8
+	d := Designer{Base: fig12Params(0.01, 0.02), MaxNodes: max}
+	cands, err := d.Explore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]int{}
+	for _, c := range cands {
+		seen[c.Label()]++
+	}
+	var want []string
+	for n := 1; n <= max; n++ {
+		want = append(want, Candidate{NB: n}.Label())
+	}
+	for nb := 0; nb < max; nb++ {
+		want = append(want, Candidate{NB: nb, NW: max - nb}.Label())
+	}
+	for _, l := range want {
+		if seen[l] != 1 {
+			t.Errorf("design %s explored %d times, want once", l, seen[l])
+		}
+	}
+	if len(cands) != len(want) {
+		t.Errorf("explored %d designs, want %d: %v", len(cands), len(want), seen)
+	}
+}
+
 func TestExploreNormalizesAgainstFullBeefy(t *testing.T) {
 	d := Designer{Base: fig12Params(0.10, 0.02), MaxNodes: 8}
 	cands, _ := d.Explore()
@@ -208,36 +239,5 @@ func TestCandidatesSortedByEnergyAmongTargetMeeting(t *testing.T) {
 	}
 	if adv.Principle == "" {
 		t.Fatal("no principle text")
-	}
-}
-
-func TestDesignerDVFSDimension(t *testing.T) {
-	// With the DVFS dimension enabled on a network-bound workload, a
-	// downclocked design should dominate: same performance (the wire is
-	// the limit), lower energy.
-	base := fig12Params(0.10, 0.10)
-	base.WarmCache = true
-	d := Designer{Base: base, MaxNodes: 8, Frequencies: []float64{0.6}}
-	adv, err := d.Recommend(0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adv.Best.Freq != 0.6 {
-		t.Fatalf("best design %s at freq %v; a downclocked design should win a network-bound workload",
-			adv.Best.Label(), adv.Best.Freq)
-	}
-	if adv.Best.NormPerf < 0.6 {
-		t.Fatalf("recommended design misses target: %v", adv.Best.NormPerf)
-	}
-}
-
-func TestDesignerFrequencyLabels(t *testing.T) {
-	c := Candidate{NB: 4, NW: 2, Freq: 0.6}
-	if c.Label() != "4B,2W@0.6f" {
-		t.Fatalf("label = %s", c.Label())
-	}
-	c = Candidate{NB: 8, Freq: 1}
-	if c.Label() != "8B" {
-		t.Fatalf("label = %s", c.Label())
 	}
 }

@@ -79,17 +79,6 @@ const (
 	OpDelete
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpInsert:
-		return "insert"
-	case OpUpsert:
-		return "upsert"
-	default:
-		return "delete"
-	}
-}
-
 // Write is one transactional batch applied to a store. Phantom stores
 // use only Op and Rows (exact count accounting); materialized stores
 // additionally require the addressed Keys (len(Keys) == Rows).
@@ -255,27 +244,6 @@ func (s *Store) liveTailRows() int64 {
 		return s.tailRows
 	}
 	return int64(len(s.tailKeys)) - s.tailDead
-}
-
-// shadowedRows returns the base rows currently hidden by the overlay.
-func (s *Store) shadowedRows() int64 {
-	if s.baseBatches == nil {
-		return s.shadowed
-	}
-	// Tombstones are keyed, not counted: with unique keys (the generic
-	// generator's regime) each tombstone hides at most one base row, so
-	// the tombstone count bounds the shadowed rows. Good enough for an
-	// estimate; the cursor filters exactly.
-	t := int64(s.tomb.Len())
-	return min64(t, s.baseRows)
-}
-
-// VisibleRows returns the merged view's row count: base minus shadowed
-// plus the live tail. For phantom stores this is exact; for
-// materialized stores it is an estimate (the cursor's actual yield is
-// exact).
-func (s *Store) VisibleRows() int64 {
-	return s.baseRows - s.shadowedRows() + s.liveTailRows()
 }
 
 // TailBytes returns the memory the unmerged tail pins on the owning

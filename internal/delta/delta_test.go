@@ -361,3 +361,24 @@ func TestSetAccounting(t *testing.T) {
 		t.Fatal("nil Set not inert")
 	}
 }
+
+// shadowedRows returns the base rows currently hidden by the overlay.
+func (s *Store) shadowedRows() int64 {
+	if s.baseBatches == nil {
+		return s.shadowed
+	}
+	// Tombstones are keyed, not counted: with unique keys (the generic
+	// generator's regime) each tombstone hides at most one base row, so
+	// the tombstone count bounds the shadowed rows. Good enough for an
+	// estimate; the cursor filters exactly.
+	t := int64(s.tomb.Len())
+	return min64(t, s.baseRows)
+}
+
+// VisibleRows returns the merged view's row count: base minus shadowed
+// plus the live tail. For phantom stores this is exact; for
+// materialized stores it is an estimate (the cursor's actual yield is
+// exact).
+func (s *Store) VisibleRows() int64 {
+	return s.baseRows - s.shadowedRows() + s.liveTailRows()
+}

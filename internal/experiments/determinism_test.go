@@ -14,7 +14,7 @@ func TestExperimentsDeterministic(t *testing.T) {
 	fast := []string{"table1", "fig1a", "fig1b", "fig2a", "fig2b", "hadoopdb",
 		"table2", "table3", "fig10a", "fig10b", "fig11", "fig12"}
 	for _, id := range fast {
-		e, err := ByID(id)
+		e, err := byID(id)
 		if err != nil {
 			t.Fatal(err)
 		}

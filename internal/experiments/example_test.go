@@ -10,12 +10,15 @@ import (
 	"repro/internal/report"
 )
 
-// Run Figure 5 at SF 20 through a memoizing join cache, read its typed
-// table cells, and render the same Result as text and Markdown.
-func ExampleByID() {
-	e, err := experiments.ByID("fig5")
-	if err != nil {
-		log.Fatal(err)
+// Look Figure 5 up in the registry, run it at SF 20 through a memoizing
+// join cache, read its typed table cells, and render the same Result as
+// text and Markdown.
+func ExampleRegistry() {
+	var e experiments.Experiment
+	for _, x := range experiments.Registry() {
+		if x.ID == "fig5" {
+			e = x
+		}
 	}
 	cache := pstore.NewCache(nil)
 	res, err := e.Run(experiments.Options{SF: 20, Joins: cache})

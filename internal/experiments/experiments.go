@@ -27,11 +27,7 @@
 // output; see TestShardedMatchesSerial).
 package experiments
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Experiment couples an ID with its generator.
 type Experiment struct {
@@ -72,25 +68,11 @@ func Registry() []Experiment {
 
 // IDs returns every experiment ID, sorted.
 func IDs() []string {
-	return idsOf(Registry())
-}
-
-func idsOf(reg []Experiment) []string {
+	reg := Registry()
 	ids := make([]string, len(reg))
 	for i, e := range reg {
 		ids[i] = e.ID
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// ByID returns the experiment with the given ID.
-func ByID(id string) (Experiment, error) {
-	reg := Registry()
-	for _, e := range reg {
-		if e.ID == id {
-			return e, nil
-		}
-	}
-	return Experiment{}, fmt.Errorf("experiments: unknown id %q (have %s)", id, strings.Join(idsOf(reg), ", "))
 }

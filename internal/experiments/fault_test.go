@@ -16,7 +16,7 @@ func TestFaultShardedMatchesSerial(t *testing.T) {
 		t.Skip("engine-backed experiment sweep")
 	}
 	for _, id := range []string{"fault1", "fault2"} {
-		e, err := ByID(id)
+		e, err := byID(id)
 		if err != nil {
 			t.Fatal(err)
 		}

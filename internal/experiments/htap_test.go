@@ -14,7 +14,7 @@ func htapTestOpts() Options {
 // shard workers reassembles the identical Result.
 func TestHTAPShardedMatchesSerial(t *testing.T) {
 	for _, id := range []string{"htap1", "htap2"} {
-		e, err := ByID(id)
+		e, err := byID(id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ func TestShardedMatchesSerial(t *testing.T) {
 		return Options{SF: 2, Concurrency: []int{1, 2}, Shards: shards}
 	}
 	for _, id := range []string{"fig3", "fig4", "fig5", "fig6"} {
-		e, err := ByID(id)
+		e, err := byID(id)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,8 +142,8 @@ func TestInjectorCrashLifecycle(t *testing.T) {
 	if got := n.DownBetween(0, 100); got != 2 {
 		t.Fatalf("downtime = %v, want 2", got)
 	}
-	if n.Crashes() != 1 || inj.Fired() != (Counts{Crashes: 1}) {
-		t.Fatalf("counts: node=%d injector=%+v", n.Crashes(), inj.Fired())
+	if inj.Fired() != (Counts{Crashes: 1}) {
+		t.Fatalf("counts: injector=%+v", inj.Fired())
 	}
 }
 
@@ -190,7 +190,7 @@ func TestInjectorStopDisarms(t *testing.T) {
 	if inj.Fired() != (Counts{}) {
 		t.Fatalf("episodes fired after Stop: %+v", inj.Fired())
 	}
-	if c.Nodes[0].Crashes() != 0 || c.Nodes[0].DownBetween(0, 100) != 0 {
+	if c.Nodes[0].DownBetween(0, 100) != 0 {
 		t.Fatal("node perturbed after Stop")
 	}
 }

@@ -17,8 +17,9 @@
 // detection and the unmatched expectation turns the test red.
 //
 // Fixture packages import sibling fixtures by their path under
-// testdata/src; all other imports resolve through compiled export data
-// from `go list -export`, so fixtures may use the standard library.
+// testdata/src; all other imports resolve through the standard
+// library's compiled export data (the gc importer's own `go list -export`
+// lookup), so fixtures may use the standard library and nothing else.
 package analysistest
 
 import (
@@ -26,7 +27,6 @@ import (
 	"go/importer"
 	"go/token"
 	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -142,31 +142,23 @@ func checkExpectations(t *testing.T, a *analysis.Analyzer, lp *load.Package, dia
 }
 
 // fixtureImporter resolves fixture-sibling packages from testdata/src
-// and everything else through compiled export data. One instance serves
-// one Run call so type identity is consistent across packages.
+// and the standard library through compiled export data. One instance
+// serves one Run call so type identity is consistent across packages.
 type fixtureImporter struct {
-	src     string
-	fset    *token.FileSet
-	loaded  map[string]*load.Package
-	exports map[string]string
-	gc      types.Importer
+	src    string
+	fset   *token.FileSet
+	loaded map[string]*load.Package
+	gc     types.Importer
 }
 
 func newFixtureImporter(src string) *fixtureImporter {
-	im := &fixtureImporter{
-		src:     src,
-		fset:    token.NewFileSet(),
-		loaded:  map[string]*load.Package{},
-		exports: map[string]string{},
+	fset := token.NewFileSet()
+	return &fixtureImporter{
+		src:    src,
+		fset:   fset,
+		loaded: map[string]*load.Package{},
+		gc:     importer.ForCompiler(fset, "gc", nil),
 	}
-	im.gc = importer.ForCompiler(im.fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := im.exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
-	return im
 }
 
 // Import implements types.Importer for the fixture packages'
@@ -181,11 +173,6 @@ func (im *fixtureImporter) Import(path string) (*types.Package, error) {
 			return nil, err
 		}
 		return lp.Types, nil
-	}
-	if _, ok := im.exports[path]; !ok {
-		if err := im.resolveExports(path); err != nil {
-			return nil, err
-		}
 	}
 	return im.gc.Import(path)
 }
@@ -217,17 +204,4 @@ func (im *fixtureImporter) loadFixture(path string) (*load.Package, error) {
 	}
 	im.loaded[path] = lp
 	return lp, nil
-}
-
-// resolveExports fills the export-data map for path and its transitive
-// dependencies via one `go list` invocation.
-func (im *fixtureImporter) resolveExports(path string) error {
-	pkgs, err := load.ListExports(".", path)
-	if err != nil {
-		return err
-	}
-	for p, f := range pkgs {
-		im.exports[p] = f
-	}
-	return nil
 }

@@ -77,22 +77,6 @@ func golist(dir string, patterns []string) ([]listPkg, error) {
 	return pkgs, nil
 }
 
-// ListExports maps the packages matched by patterns, plus all their
-// transitive dependencies, to their compiled export-data files.
-func ListExports(dir string, patterns ...string) (map[string]string, error) {
-	pkgs, err := golist(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := map[string]string{}
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
-}
-
 // Packages loads and typechecks every package matched by patterns,
 // resolving imports through compiled export data. dir is the directory
 // `go list` runs in (the module root, typically ".").

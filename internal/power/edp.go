@@ -22,9 +22,6 @@ type Point struct {
 	NormEnerg float64 // Joules / reference.Joules
 }
 
-// EDP returns the raw energy-delay product in joule-seconds.
-func (p Point) EDP() float64 { return p.Joules * p.Seconds }
-
 // NormEDP returns the normalized EDP: NormEnerg / NormPerf.
 // Values < 1 mean the design lies below the constant-EDP reference line
 // (proportionally more energy saved than performance lost) — the paper's
@@ -61,8 +58,3 @@ func Normalize(points []Point, ref Point) []Point {
 	}
 	return out
 }
-
-// EDPLine returns, for a normalized performance value x, the normalized
-// energy on the constant-EDP reference line (which is simply x). Kept as
-// a named function so plots and tests state their intent.
-func EDPLine(normPerf float64) float64 { return normPerf }

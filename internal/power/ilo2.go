@@ -63,6 +63,3 @@ func (m *ILO2Meter) AverageOfWindows(n int) float64 {
 
 // Stop finalizes the underlying meter.
 func (m *ILO2Meter) Stop() { m.Sync(); m.inner.Stop() }
-
-// Joules exposes the continuous integral (for cross-checks).
-func (m *ILO2Meter) Joules() float64 { return m.inner.Joules() }

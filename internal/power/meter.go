@@ -28,8 +28,6 @@ type Meter struct {
 
 	joules   float64
 	seconds  float64
-	utilSum  float64
-	samples  int
 	lastTick sim.Time
 	stopped  bool
 	// When tracing, trace records every window's (utilization, watts)
@@ -106,8 +104,6 @@ func (m *Meter) window(upto sim.Time, width float64) {
 	w := m.model.Watts(util)
 	m.joules += float64(w * width) // rounded product: never fused into the sum
 	m.seconds += width
-	m.utilSum += util
-	m.samples++
 	m.lastTick = upto
 	if m.tracing {
 		m.trace = append(m.trace, Sample{Util: util, Watts: w})
@@ -143,19 +139,3 @@ func (m *Meter) Joules() float64 { return m.joules }
 
 // Seconds returns the metered duration.
 func (m *Meter) Seconds() float64 { return m.seconds }
-
-// AvgWatts returns average power over the metered duration.
-func (m *Meter) AvgWatts() float64 {
-	if m.seconds == 0 {
-		return 0
-	}
-	return m.joules / m.seconds
-}
-
-// AvgUtil returns the average sampled utilization (including the G floor).
-func (m *Meter) AvgUtil() float64 {
-	if m.samples == 0 {
-		return 0
-	}
-	return m.utilSum / float64(m.samples)
-}

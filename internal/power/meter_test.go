@@ -54,6 +54,7 @@ func TestMeterPrunesAsTimePasses(t *testing.T) {
 	eng := sim.New()
 	cpu := sim.NewServer(eng, "cpu", 1)
 	m := NewMeter(eng, cpu, Linear{Idle: 0, Peak: 100}, 0)
+	m.tracing = true
 	eng.Go("a", func(p *sim.Proc) {
 		for i := 0; i < 100; i++ {
 			cpu.Process(p, 0.5)
@@ -68,10 +69,31 @@ func TestMeterPrunesAsTimePasses(t *testing.T) {
 	if len(m.segs) != 0 {
 		t.Fatalf("%d intervals remain after Stop", len(m.segs))
 	}
-	if got := m.AvgUtil() * float64(100); math.Abs(got-50) > 1e-6 {
+	if got := avgUtil(t, m) * float64(100); math.Abs(got-50) > 1e-6 {
 		t.Fatalf("windowed busy sum = %v, want 50", got)
 	}
 }
+
+// avgUtil is the mean utilization of a tracing meter's windows. A meter
+// that recorded no window fails the test: there is no mean to compare.
+func avgUtil(t *testing.T, m *Meter) float64 {
+	t.Helper()
+	if len(m.trace) == 0 {
+		t.Fatal("the meter recorded no window")
+	}
+	sum := 0.0
+	for _, s := range m.trace {
+		sum += s.Util
+	}
+	return sum / float64(len(m.trace))
+}
+
+// Constant draws fixed watts regardless of load.
+type Constant struct{ W float64 }
+
+func (m Constant) Watts(float64) float64 { return m.W }
+
+func (m Constant) String() string { return fmt.Sprintf("%.4g W", m.W) }
 
 func assertUtils(t *testing.T, m *Meter, want []float64) {
 	t.Helper()
@@ -93,6 +115,7 @@ func TestMeterRetentionIsBounded(t *testing.T) {
 	eng := sim.New()
 	cpu := sim.NewServer(eng, "cpu", 1)
 	m := NewMeter(eng, cpu, Linear{Idle: 0, Peak: 100}, 0)
+	m.tracing = true
 	most := 0
 	eng.Go("a", func(p *sim.Proc) {
 		for p.Now() < 10_000 {
@@ -112,7 +135,7 @@ func TestMeterRetentionIsBounded(t *testing.T) {
 	if most > 8 {
 		t.Fatalf("meter grew its interval list to %d over the run", most)
 	}
-	if got, want := m.AvgUtil(), 1.0/3; math.Abs(got-want) > 1e-3 {
+	if got, want := avgUtil(t, m), 1.0/3; math.Abs(got-want) > 1e-3 {
 		t.Fatalf("avg util = %v, want %v", got, want)
 	}
 }
@@ -145,12 +168,11 @@ type lazyMeter struct {
 	model Model
 	g     float64
 
-	segs                     []interval
-	joules, seconds, utilSum float64
-	samples                  int
-	lastTick                 sim.Time
-	stopped                  bool
-	trace                    []Sample
+	segs            []interval
+	joules, seconds float64
+	lastTick        sim.Time
+	stopped         bool
+	trace           []Sample
 }
 
 func newLazyMeter(eng *sim.Engine, cpu *sim.Server, model Model, g float64) *lazyMeter {
@@ -210,8 +232,6 @@ func (m *lazyMeter) window(upto sim.Time, width float64) {
 	w := m.model.Watts(util)
 	m.joules += float64(w * width)
 	m.seconds += width
-	m.utilSum += util
-	m.samples++
 	m.lastTick = upto
 	m.trace = append(m.trace, Sample{Util: util, Watts: w})
 }
@@ -317,7 +337,6 @@ func TestMeterMatchesLazyReference(t *testing.T) {
 		sameBits(t, where+" joules", m.Joules(), ref.joules)
 		sameBits(t, where+" seconds", m.Seconds(), ref.seconds)
 		sameBits(t, where+" seconds against the stop time", m.Seconds(), eng.Now())
-		sameBits(t, where+" avg util", m.AvgUtil(), ref.utilSum/float64(ref.samples))
 		if len(m.trace) != len(ref.trace) {
 			t.Fatalf("%s: %d samples, reference %d", where, len(m.trace), len(ref.trace))
 		}

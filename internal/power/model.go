@@ -100,12 +100,3 @@ func (m Linear) Watts(u float64) float64 {
 }
 
 func (m Linear) String() string { return fmt.Sprintf("%.4g+(%.4g-%.4g)*u", m.Idle, m.Peak, m.Idle) }
-
-// Constant draws fixed watts regardless of load (switches, idle-only
-// accounting).
-type Constant struct{ W float64 }
-
-// Watts implements Model.
-func (m Constant) Watts(float64) float64 { return m.W }
-
-func (m Constant) String() string { return fmt.Sprintf("%.4g W", m.W) }

@@ -12,6 +12,16 @@ import (
 	"repro/internal/tpch"
 )
 
+// diskReads sums the bytes booked on every node's disk from now on.
+func diskReads(c *cluster.Cluster) *float64 {
+	read := new(float64)
+	for _, nd := range c.Nodes {
+		disk := nd.Disk
+		disk.Observe(func(start, end sim.Time) { *read += (end - start) * disk.Rate() })
+	}
+	return read
+}
+
 // TestScanCursorCloseStopsDiskPump: closing a cold scan after a few
 // blocks shuts the disk-pump pipeline down — the simulation drains
 // without the pump reading the partition to the end, so a LIMIT-style
@@ -29,6 +39,7 @@ func TestScanCursorCloseStopsDiskPump(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := New(c, Config{BatchRows: batchRows, WarmCache: false})
+	read := diskReads(c)
 	pulled := 0
 	// Run must drain: a leaked pump blocked on a full queue would not end
 	// the run with pending events.
@@ -39,12 +50,11 @@ func TestScanCursorCloseStopsDiskPump(t *testing.T) {
 	if pulled != 3 {
 		t.Errorf("scan yielded %d batches before it was closed, want 3", pulled)
 	}
-	read := c.Nodes[0].Disk.UnitsProcessed()
 	// 3 delivered + prefetch depth (4) + one in-flight block of grace.
-	if limit := float64(batchRows*20) * 9; read > limit {
-		t.Fatalf("disk pump kept reading after Close: %.0f bytes read, want <= %.0f", read, limit)
+	if limit := float64(batchRows*20) * 9; *read > limit {
+		t.Fatalf("disk pump kept reading after Close: %.0f bytes read, want <= %.0f", *read, limit)
 	}
-	if read == 0 {
+	if *read == 0 {
 		t.Fatal("no disk reads at all — scan never ran")
 	}
 }

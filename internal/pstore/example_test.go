@@ -35,7 +35,7 @@ func ExampleRunJoin() {
 }
 
 // The energy-aware planner picks Q3's plan on 2 Beefy + 2 Wimpy nodes as
-// the ORDERS selectivity grows, and explains its last choice.
+// the ORDERS selectivity grows.
 func ExamplePlanJoin() {
 	req := pstore.PlanRequest{
 		Build: storage.TableDef{Table: tpch.Orders, SF: 100, Width: tpch.Q3ProjectedWidth,
@@ -45,14 +45,14 @@ func ExamplePlanJoin() {
 		BuildKeyColumn: "O_ORDERKEY", ProbeKeyColumn: "L_ORDERKEY",
 		ProbeSel: 0.50,
 	}
-	var plan pstore.Plan
 	for _, sel := range []float64{0.001, 0.05, 0.50} {
 		c, err := cluster.New(cluster.Mixed(2, hw.BeefyL5630(), 2, hw.LaptopB()))
 		if err != nil {
 			log.Fatal(err)
 		}
 		req.BuildSel = sel
-		if plan, err = pstore.PlanJoin(c, req); err != nil {
+		plan, err := pstore.PlanJoin(c, req)
+		if err != nil {
 			log.Fatal(err)
 		}
 		res, joules, err := pstore.RunJoin(c, pstore.Config{WarmCache: true, BatchRows: 200_000}, plan.Spec)
@@ -61,11 +61,8 @@ func ExamplePlanJoin() {
 		}
 		fmt.Printf("ORDERS %4.1f%%: %-12s %5.1f s %4.1f kJ\n", sel*100, plan.Spec.Method, res.Seconds, joules/1000)
 	}
-	fmt.Println(plan.Explain())
 	// Output:
 	// ORDERS  0.1%: broadcast      4.7 s  2.3 kJ
 	// ORDERS  5.0%: broadcast      5.2 s  2.5 kJ
 	// ORDERS 50.0%: dual-shuffle  14.8 s  6.6 kJ
-	// dual shuffle: 5625 MB over the wire
-	// H holds: 375 MB/node fits the Wimpy budget (3500 MB): homogeneous execution
 }

@@ -158,8 +158,8 @@ func TestExchangeAbortAtSeededTimes(t *testing.T) {
 					t.Errorf("abort at t=%v: Done never fired", at)
 				case !errors.Is(h.Err, reason):
 					t.Errorf("abort at t=%v: Err = %v, want the abort reason", at, h.Err)
-				case e.OpenCursors() != 0 || e.InFlight() != 0:
-					t.Errorf("abort at t=%v: %d cursors open, %d queries in flight", at, e.OpenCursors(), e.InFlight())
+				case e.OpenCursors() != 0 || len(e.inflight) != 0:
+					t.Errorf("abort at t=%v: %d cursors open, %d queries in flight", at, e.OpenCursors(), len(e.inflight))
 				}
 				c.Stop()
 			}

@@ -19,7 +19,6 @@ package pstore
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -63,15 +62,10 @@ func (r PlanRequest) headroom() float64 {
 // Plan is the planner's decision, ready to execute.
 type Plan struct {
 	Spec JoinSpec
-	// Reasoning records each decision for explainability.
-	Reasoning []string
 	// WireBytes estimates the bytes the chosen plan moves over the
 	// network (the quantity the decision minimizes).
 	WireBytes float64
 }
-
-// Explain renders the reasoning.
-func (p Plan) Explain() string { return strings.Join(p.Reasoning, "\n") }
 
 // PlanJoin chooses the physical plan for the request on the given
 // cluster.
@@ -81,7 +75,6 @@ func PlanJoin(c *cluster.Cluster, req PlanRequest) (Plan, error) {
 	}
 	n := len(c.Nodes)
 	nf := float64(n)
-	var reasons []string
 
 	spec := JoinSpec{
 		Build: req.Build, Probe: req.Probe,
@@ -97,10 +90,7 @@ func PlanJoin(c *cluster.Cluster, req PlanRequest) (Plan, error) {
 		req.Probe.SegmentColumn == req.ProbeKeyColumn
 	if compatible {
 		spec.Method = Prepartitioned
-		reasons = append(reasons,
-			fmt.Sprintf("both inputs segmented on the join key (%s/%s): prepartitioned, no exchange",
-				req.BuildKeyColumn, req.ProbeKeyColumn))
-		return Plan{Spec: spec, Reasoning: reasons, WireBytes: 0}, nil
+		return Plan{Spec: spec}, nil
 	}
 
 	// 2. Broadcast vs dual shuffle. Broadcast ships (N-1) copies of the
@@ -124,20 +114,10 @@ func PlanJoin(c *cluster.Cluster, req PlanRequest) (Plan, error) {
 	budget := minMemMB * 1e6 * req.headroom()
 	if bcastWins && qualBuild <= budget {
 		spec.Method = Broadcast
-		reasons = append(reasons,
-			fmt.Sprintf("broadcast wire %.0f MB < shuffle wire %.0f MB and %.0f MB fits every node: broadcast",
-				bcastWire/1e6, shuffleWire/1e6, qualBuild/1e6))
-		return Plan{Spec: spec, Reasoning: reasons, WireBytes: bcastWire}, nil
+		return Plan{Spec: spec, WireBytes: bcastWire}, nil
 	}
-	if bcastWins {
-		reasons = append(reasons,
-			fmt.Sprintf("broadcast would be cheaper on the wire (%.0f vs %.0f MB) but the %.0f MB table does not fit the %.0f MB budget",
-				bcastWire/1e6, shuffleWire/1e6, qualBuild/1e6, budget/1e6))
-	}
-
+	// Otherwise dual shuffle: broadcast loses on the wire or does not fit.
 	spec.Method = DualShuffle
-	reasons = append(reasons,
-		fmt.Sprintf("dual shuffle: %.0f MB over the wire", shuffleWire/1e6))
 
 	// 3. Homogeneous vs heterogeneous: the H predicate with working-set
 	// headroom. If the Wimpy nodes cannot hold their hash-table share,
@@ -163,15 +143,9 @@ func PlanJoin(c *cluster.Cluster, req PlanRequest) (Plan, error) {
 				return Plan{}, fmt.Errorf("pstore: even the %d Beefy nodes cannot hold the hash table (%.0f MB each)",
 					len(beefy), perBeefy/1e6)
 			}
+			// H fails: heterogeneous execution on the Beefy nodes.
 			spec.BuildNodes = beefy
-			reasons = append(reasons,
-				fmt.Sprintf("H fails: %.0f MB/node share exceeds the Wimpy budget (%.0f MB): heterogeneous execution on %d Beefy nodes",
-					perNodeShare/1e6, wimpyBudget/1e6, len(beefy)))
-		} else {
-			reasons = append(reasons,
-				fmt.Sprintf("H holds: %.0f MB/node fits the Wimpy budget (%.0f MB): homogeneous execution",
-					perNodeShare/1e6, wimpyBudget/1e6))
 		}
 	}
-	return Plan{Spec: spec, Reasoning: reasons, WireBytes: shuffleWire}, nil
+	return Plan{Spec: spec, WireBytes: shuffleWire}, nil
 }

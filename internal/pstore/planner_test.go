@@ -1,7 +1,6 @@
 package pstore
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -44,7 +43,7 @@ func TestPlannerPicksBroadcastForTinyBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plan.Spec.Method != Broadcast {
-		t.Fatalf("plan = %s, want broadcast\n%s", plan.Spec.Method, plan.Explain())
+		t.Fatalf("plan = %s, want broadcast", plan.Spec.Method)
 	}
 }
 
@@ -55,7 +54,7 @@ func TestPlannerPicksShuffleForLargeBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plan.Spec.Method != DualShuffle {
-		t.Fatalf("plan = %s, want dual shuffle\n%s", plan.Spec.Method, plan.Explain())
+		t.Fatalf("plan = %s, want dual shuffle", plan.Spec.Method)
 	}
 	if len(plan.Spec.BuildNodes) != 0 {
 		t.Fatalf("homogeneous cluster got build-node subset: %v", plan.Spec.BuildNodes)
@@ -78,10 +77,15 @@ func TestPlannerBroadcastRejectedWhenTableTooBig(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plan.Spec.Method != DualShuffle {
-		t.Fatalf("oversized broadcast accepted:\n%s", plan.Explain())
+		t.Fatalf("oversized broadcast accepted: plan = %s", plan.Spec.Method)
 	}
-	if !strings.Contains(plan.Explain(), "does not fit") {
-		t.Fatalf("missing memory reasoning:\n%s", plan.Explain())
+	// Memory alone decided it: nodes that hold the table broadcast it.
+	big, err := cluster.New(cluster.Homogeneous(4, hw.BeefyL5630()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan, err = PlanJoin(big, req); err != nil || plan.Spec.Method != Broadcast {
+		t.Fatalf("on 4 Beefy nodes: plan = %s, %v; want broadcast", plan.Spec.Method, err)
 	}
 }
 
@@ -100,7 +104,7 @@ func TestPlannerHeterogeneousWhenHFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(plan.Spec.BuildNodes) != 2 {
-		t.Fatalf("expected heterogeneous plan, got %v\n%s", plan.Spec.BuildNodes, plan.Explain())
+		t.Fatalf("expected heterogeneous plan, got %v", plan.Spec.BuildNodes)
 	}
 	for _, b := range plan.Spec.BuildNodes {
 		if c.Nodes[b].IsWimpy() {

@@ -31,9 +31,6 @@ func (h *Handle) Abort(reason error) {
 	}
 }
 
-// Aborted reports whether the query was cancelled.
-func (h *Handle) Aborted() bool { return h.aborted }
-
 // AbortInFlight aborts every launched-but-unfinished query on the
 // engine, in launch order, and returns how many were newly aborted. The
 // fault injector's crash hooks call this: every join scans every node,
@@ -53,9 +50,6 @@ func (e *Exec) AbortInFlight(reason error) int {
 // launched queries have drained, aborted or not. Leak accounting for
 // tests and the fault plane's invariant checks.
 func (e *Exec) OpenCursors() int { return e.openCursors }
-
-// InFlight returns the number of launched-but-unfinished queries.
-func (e *Exec) InFlight() int { return len(e.inflight) }
 
 // RetryPolicy bounds query-level failure recovery.
 type RetryPolicy struct {

@@ -40,6 +40,7 @@ func TestAbortDrainsWithoutLeaks(t *testing.T) {
 		}
 		h.Abort(reason)
 	})
+	read := diskReads(c)
 	c.Run()
 	if !h.Done.Fired() {
 		t.Fatal("Done never fired after abort")
@@ -47,24 +48,20 @@ func TestAbortDrainsWithoutLeaks(t *testing.T) {
 	if !errors.Is(h.Err, reason) {
 		t.Fatalf("Err = %v, want the abort reason", h.Err)
 	}
-	if !h.Aborted() {
+	if !h.aborted {
 		t.Fatal("handle not marked aborted")
 	}
 	if n := e.OpenCursors(); n != 0 {
 		t.Fatalf("%d cursors leaked after abort", n)
 	}
-	if n := e.InFlight(); n != 0 {
+	if n := len(e.inflight); n != 0 {
 		t.Fatalf("%d handles still in flight", n)
 	}
 	// Prompt stop: the probe side (the bulk of the bytes) must not have
 	// been scanned to the end.
-	var read float64
-	for _, nd := range c.Nodes {
-		read += nd.Disk.UnitsProcessed()
-	}
 	total := phantomSpec().Probe.TotalRows()
-	if full := float64(total) * float64(tpch.Q3ProjectedWidth); read > full/2 {
-		t.Fatalf("abort did not stop scans promptly: %.0f of %.0f bytes read", read, full)
+	if full := float64(total) * float64(tpch.Q3ProjectedWidth); *read > full/2 {
+		t.Fatalf("abort did not stop scans promptly: %.0f of %.0f bytes read", *read, full)
 	}
 }
 

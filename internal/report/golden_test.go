@@ -1,6 +1,7 @@
 package report
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -93,10 +94,10 @@ func TestGoldenOutputsCached(t *testing.T) {
 	}
 	cache := pstore.NewCache(nil)
 	opts := experiments.Options{Joins: cache}
-	for _, id := range []string{"fig3", "fig4", "fig5"} {
-		e, err := experiments.ByID(id)
-		if err != nil {
-			t.Fatal(err)
+	for _, e := range experiments.Registry() {
+		id := e.ID
+		if id != "fig3" && id != "fig4" && id != "fig5" {
+			continue
 		}
 		res, err := e.Run(opts)
 		if err != nil {
@@ -115,7 +116,7 @@ func TestGoldenOutputsCached(t *testing.T) {
 
 func checkJSONStructured(t *testing.T, res experiments.Result) {
 	t.Helper()
-	b, err := JSON(res)
+	b, err := json.Marshal(toJSONResult(res))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,9 +49,6 @@ func (h *Histogram) Observe(s float64) {
 	h.counts[histBucket(s)]++
 }
 
-// Count is the number of observations.
-func (h *Histogram) Count() int64 { return h.n }
-
 // Quantile returns the latency at quantile q in [0,1] — the upper bound
 // of the first bucket whose cumulative count reaches q of the
 // observations (so the true value is at most one bucket width, ~21%,

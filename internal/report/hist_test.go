@@ -10,8 +10,8 @@ func TestHistogramQuantileEmpty(t *testing.T) {
 	if got := h.Quantile(0.99); got != 0 {
 		t.Fatalf("empty histogram p99 = %v, want 0", got)
 	}
-	if h.Count() != 0 {
-		t.Fatalf("empty histogram count = %d", h.Count())
+	if h.n != 0 {
+		t.Fatalf("empty histogram count = %d", h.n)
 	}
 }
 
@@ -27,8 +27,8 @@ func TestHistogramQuantileBracketsTruth(t *testing.T) {
 		obs = append(obs, v)
 		h.Observe(v)
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d, want 1000", h.Count())
+	if h.n != 1000 {
+		t.Fatalf("count = %d, want 1000", h.n)
 	}
 	width := math.Pow(10, 1.0/histPerDecade)
 	for _, q := range []float64{0.5, 0.95, 0.99, 1.0} {
@@ -48,8 +48,8 @@ func TestHistogramExtremes(t *testing.T) {
 	h.Observe(-1)
 	h.Observe(math.NaN())
 	h.Observe(1e12)
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if h.n != 4 {
+		t.Fatalf("count = %d, want 4", h.n)
 	}
 	if got := h.Quantile(0.5); got != histFloor {
 		t.Fatalf("median of boundary observations = %v, want floor %v", got, histFloor)

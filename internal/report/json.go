@@ -1,10 +1,6 @@
 package report
 
-import (
-	"encoding/json"
-
-	"repro/internal/experiments"
-)
+import "repro/internal/experiments"
 
 // jsonResult is the stable JSON shape of one experiment: structured
 // series points, typed table cells and comparison pairs — no
@@ -67,10 +63,4 @@ func toJSONResult(r experiments.Result) jsonResult {
 		out.Pairs = append(out.Pairs, jsonPair{Metric: p.Metric, Paper: p.Paper, Measured: p.Measured, RelErr: p.RelErr()})
 	}
 	return out
-}
-
-// JSON marshals one result as indented JSON: structured series points,
-// typed table rows, comparison pairs with relative errors.
-func JSON(r experiments.Result) ([]byte, error) {
-	return json.MarshalIndent(toJSONResult(r), "", "  ")
 }

@@ -13,8 +13,8 @@
 //  2. Within a band, tenants take turns in activation order (the order
 //     their queues last became non-empty), each serving up to its DRR
 //     quantum (its configured weight) per round before yielding. With
-//     unit-cost items this is weighted round-robin; the deficit
-//     machinery keeps leftover credit when a queue empties mid-round.
+//     unit-cost items this is weighted round-robin. A tenant whose
+//     queue empties mid-round forfeits its leftover credit.
 //
 // The caller provides synchronization (internal/service holds its own
 // mutex) and decides admission; fairq only orders what was admitted.
@@ -120,12 +120,10 @@ func (q *Queue[T]) popBand(bandIdx int) (T, bool) {
 	if t.deficit[bandIdx] <= 0 {
 		// New round for this tenant: refill its credit. The queue is
 		// non-empty (it is in the ring), so one refill always serves at
-		// least one item — no spin.
-		w := q.quantum(name)
-		if w < 1 {
-			w = 1
-		}
-		t.deficit[bandIdx] += w
+		// least one item — no spin — and a weight below 1 serves exactly
+		// one. A weight of at least 1 spends its credit to exactly 0, so
+		// the refill replaces nothing.
+		t.deficit[bandIdx] = q.quantum(name)
 	}
 	t.deficit[bandIdx]--
 	v := t.items[bandIdx][0]

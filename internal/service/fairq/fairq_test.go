@@ -52,6 +52,35 @@ func TestDRRWeights(t *testing.T) {
 	eq(t, drain(q), "a0", "a1", "b0", "a2", "a3", "b1", "b2", "b3")
 }
 
+// TestSubUnitWeightServesOnePerTurn: a weight of 0 or -1 serves exactly
+// one item per turn, like a weight of 1, for as long as its queue stays
+// non-empty, and its deficit never falls below 0 between turns.
+func TestSubUnitWeightServesOnePerTurn(t *testing.T) {
+	for _, w := range []int{0, -1} {
+		weights := map[string]int{"a": w, "b": 1}
+		q := New[string](func(tenant string) int { return weights[tenant] })
+		const n = 50
+		var want []string
+		for i := 0; i < n; i++ {
+			q.Push("a", High, fmt.Sprintf("a%d", i))
+			q.Push("b", High, fmt.Sprintf("b%d", i))
+			want = append(want, fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i))
+		}
+		var got []string
+		for i := 0; i < 2*n; i++ {
+			v, ok := q.Pop()
+			if !ok {
+				t.Fatalf("weight %d: queue empty after %d pops", w, i)
+			}
+			got = append(got, v)
+			if d := q.tenants["a"].deficit[High]; d < w-1 || d > 0 {
+				t.Fatalf("weight %d: deficit %d after pop %d, want it in [%d, 0]", w, d, i, w-1)
+			}
+		}
+		eq(t, got, want...)
+	}
+}
+
 // TestBandsAreStrict: every high-band item drains before any low-band
 // item, regardless of tenant or arrival order.
 func TestBandsAreStrict(t *testing.T) {

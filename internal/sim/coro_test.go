@@ -124,8 +124,8 @@ func TestStatsCountEveryEventOnce(t *testing.T) {
 	if got := e.Stats(); got != want {
 		t.Fatalf("Stats = %+v, want %+v", got, want)
 	}
-	if e.Events() != want.Events {
-		t.Fatalf("Events() = %d, want %d", e.Events(), want.Events)
+	if e.stats.Events != want.Events {
+		t.Fatalf("Events() = %d, want %d", e.stats.Events, want.Events)
 	}
 
 	e.Schedule(1, func() {})
@@ -260,8 +260,8 @@ func TestStepIsOneEvent(t *testing.T) {
 		if !e.Step() {
 			t.Fatalf("Step %d found no event", i+1)
 		}
-		if got := strings.Join(*log, ""); got != want || e.Events() != uint64(i+1) {
-			t.Fatalf("after Step %d: log %q, %d events; want %q, %d", i+1, got, e.Events(), want, i+1)
+		if got := strings.Join(*log, ""); got != want || e.stats.Events != uint64(i+1) {
+			t.Fatalf("after Step %d: log %q, %d events; want %q, %d", i+1, got, e.stats.Events, want, i+1)
 		}
 	}
 	if s := e.Stats(); s.Continues != 0 || s.Resumes != 3 {
@@ -288,8 +288,8 @@ func TestStepIsOneEvent(t *testing.T) {
 		e.Step()
 		t.Fatal("Step swallowed the panic")
 	}()
-	if e.Step() || len(e.live) != 0 || e.Events() != 5 {
-		t.Fatalf("after the panic: %d live, %d events; want an empty engine at 5 events", len(e.live), e.Events())
+	if e.Step() || len(e.live) != 0 || e.stats.Events != 5 {
+		t.Fatalf("after the panic: %d live, %d events; want an empty engine at 5 events", len(e.live), e.stats.Events)
 	}
 
 	// A Run after stepping re-arms the fast path.

@@ -230,9 +230,6 @@ func New() *Engine {
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() Time { return e.now }
 
-// Events returns the number of events processed so far.
-func (e *Engine) Events() uint64 { return e.stats.Events }
-
 // Stats returns the engine's counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 

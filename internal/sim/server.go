@@ -24,7 +24,6 @@ type Server struct {
 	observe func(start, end Time)
 
 	busyTotal float64 // cumulative busy seconds ever booked
-	unitsDone float64 // cumulative units processed
 }
 
 // NewServer creates a rate server. Rate must be positive.
@@ -54,7 +53,6 @@ func (s *Server) book(size float64) Time {
 	end := start + dur
 	s.free = end
 	s.busyTotal += dur
-	s.unitsDone += size
 	if dur > 0 && s.observe != nil {
 		s.observe(start, end)
 	}
@@ -124,12 +122,6 @@ func (s *Server) StallUntil(t Time) {
 	}
 }
 
-// FreeAt returns the time at which currently queued work finishes.
-func (s *Server) FreeAt() Time { return s.free }
-
 // BusySeconds returns total busy time ever booked (including future
 // bookings not yet elapsed).
 func (s *Server) BusySeconds() float64 { return s.busyTotal }
-
-// UnitsProcessed returns total units ever booked.
-func (s *Server) UnitsProcessed() float64 { return s.unitsDone }

@@ -51,7 +51,7 @@ func TestShutdownReleasesParkedProcesses(t *testing.T) {
 	})
 	e.Run()
 
-	stepped, total := e.Events(), TotalEvents()
+	stepped, total := e.stats.Events, TotalEvents()
 	e.Shutdown()
 	if len(closed) != 2 {
 		t.Fatalf("deferred calls ran for %v, want getter and holder", closed)
@@ -59,15 +59,15 @@ func TestShutdownReleasesParkedProcesses(t *testing.T) {
 	if after {
 		t.Fatal("a released process ran past its blocking call")
 	}
-	if e.Events() != stepped || TotalEvents() != total {
+	if e.stats.Events != stepped || TotalEvents() != total {
 		t.Fatalf("Shutdown stepped events: %d -> %d (process-wide %d -> %d)",
-			stepped, e.Events(), total, TotalEvents())
+			stepped, e.stats.Events, total, TotalEvents())
 	}
 	waitGoroutines(t, base)
 
 	e.Shutdown() // idempotent
 	e.Run()      // nothing left: the queued resume and start events were dropped
-	if after || e.Events() != stepped {
+	if after || e.stats.Events != stepped {
 		t.Fatal("events ran after Shutdown")
 	}
 	defer func() {

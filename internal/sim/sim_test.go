@@ -265,7 +265,7 @@ func TestUnobservedServerBooksWithoutAllocating(t *testing.T) {
 	s := NewServer(e, "disk", 1)
 	allocs := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 10_000; i++ {
-			s.StallUntil(s.FreeAt() + 1) // a gap: each booking is its own interval
+			s.StallUntil(s.free + 1) // a gap: each booking is its own interval
 			s.ProcessAsync(1, nil)
 		}
 	})
@@ -399,7 +399,7 @@ func TestDeterminismProperty(t *testing.T) {
 			}
 		})
 		e.Run()
-		return e.Now(), e.Events()
+		return e.Now(), e.stats.Events
 	}
 	t1, n1 := run()
 	t2, n2 := run()
@@ -490,7 +490,7 @@ func TestServerStallUntil(t *testing.T) {
 	}
 	// A stall earlier than the queue's end is a no-op.
 	s.StallUntil(2)
-	if s.FreeAt() != 5 {
-		t.Fatalf("backdated stall moved FreeAt to %v", s.FreeAt())
+	if s.free != 5 {
+		t.Fatalf("backdated stall moved the free time to %v", s.free)
 	}
 }

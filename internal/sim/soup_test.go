@@ -128,11 +128,11 @@ func TestSoupOrderMatchesParentKernel(t *testing.T) {
 	e.Schedule(50e-3, func() { log("cb", "halt"); e.Halt() })
 
 	e.Run()
-	log("root", fmt.Sprintf("halted events=%d", e.Events()))
+	log("root", fmt.Sprintf("halted events=%d", e.stats.Events))
 	e.RunUntil(0.4)
-	log("root", fmt.Sprintf("until events=%d", e.Events()))
+	log("root", fmt.Sprintf("until events=%d", e.stats.Events))
 	e.RunUntil(3)
-	log("root", fmt.Sprintf("drained events=%d", e.Events()))
+	log("root", fmt.Sprintf("drained events=%d", e.stats.Events))
 	e.Shutdown()
 	log("root", "down")
 

@@ -36,27 +36,9 @@ func NewInt64Table(hint int) *Int64Table {
 	}
 }
 
-// Reserve grows the table so at least n entries fit under the 3/4
-// load-factor bound without further rehashing — the presize path
-// NewInt64Table takes at construction, available after the fact for
-// callers that learn a cardinality late.
-func (t *Int64Table) Reserve(n int) {
-	for len(t.keys)*3/4 < n {
-		t.grow()
-	}
-}
-
-// Bytes returns the table's current allocation: two int64 arrays of the
-// backing capacity. This is what Reserve actually pins, as opposed to
-// the logical payload (entries x row width) — the planner's memory check
-// admits against this number so an over-reserved table is rejected
-// before any row arrives.
-func (t *Int64Table) Bytes() float64 { return float64(len(t.keys)) * 16 }
-
-// Int64TableReservedBytes returns the bytes NewInt64Table(hint) (or
-// Reserve(hint) on a fresh table) would pin, without allocating:
-// the power-of-two capacity that keeps hint entries under the 3/4
-// load-factor bound, times 16 bytes per slot.
+// Int64TableReservedBytes returns the bytes NewInt64Table(hint) would
+// pin, without allocating: the power-of-two capacity that keeps hint
+// entries under the 3/4 load-factor bound, times 16 bytes per slot.
 func Int64TableReservedBytes(hint int) float64 {
 	capacity := 16
 	for capacity*3/4 < hint {

@@ -5,12 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzInt64Table drives Add/Get/Reserve/Len from the fuzz bytes against
+// FuzzInt64Table drives Add/Get/Len from the fuzz bytes against
 // map[int64]int64. The first byte is the construction hint; then each op
 // is an opcode byte and its operands: small keys (one signed byte, so
-// zero, negatives and repeats are common) or full 8-byte keys, deltas of
-// either sign including zero (which still inserts the key), and Reserve
-// up to 64 Ki entries (a 2 MB table at most).
+// zero, negatives and repeats are common) or full 8-byte keys, and deltas
+// of either sign including zero (which still inserts the key).
 func FuzzInt64Table(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 1, 0, 0, 2, 2, 0}) // key 0: the side slot
@@ -46,7 +45,7 @@ func FuzzInt64Table(f *testing.F) {
 			if !ok {
 				break
 			}
-			switch op[0] % 4 {
+			switch op[0] % 3 {
 			case 0: // Add(small key, small delta)
 				b, ok := take(2)
 				if !ok {
@@ -67,16 +66,6 @@ func FuzzInt64Table(f *testing.F) {
 				key := int64(int8(b[0]))
 				if got, want := tbl.Get(key), ref[key]; got != want {
 					t.Fatalf("Get(%d) = %d, want %d", key, got, want)
-				}
-			case 3: // Reserve
-				b, ok := take(2)
-				if !ok {
-					break
-				}
-				n := int(binary.LittleEndian.Uint16(b))
-				tbl.Reserve(n)
-				if free := int(tbl.Bytes()/16) * 3 / 4; free < n {
-					t.Fatalf("Reserve(%d) left room for %d entries", n, free)
 				}
 			}
 			if tbl.Len() != len(ref) {

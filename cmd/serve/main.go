@@ -11,16 +11,11 @@
 //	serve -http :8080              serve HTTP instead (POST /, GET /metrics)
 //	serve -workers 8 -queue 64     pool size and per-tenant queue quota
 //	serve -tenants 'dash=128:2,batch=16'   per-tenant quota:weight overrides
-//	serve -window 30               batch launches on 30 s window boundaries
 //	serve -timeout 5 -retries 2    default deadline and retry budget
 //	serve -nodes 8 -warm=false     per-request simulated cluster and engine config
-//	serve -load                    synthetic load harness (1M requests, 4 tenants)
-//	serve -load -load-trace t.jsonl -load-speedup 10   replay a recorded trace 10x
-//	serve -load -load-dump t.jsonl                     write the synthetic trace and exit
 //
-// The load harness prints a per-tenant latency and shed report; it is a
-// functional check, not a benchmark. Serving performance is measured by
-// the benchmark/ module's serve_miss, serve_hit and serve_flood workloads.
+// Serving performance is measured by the benchmark/ module's serve_miss,
+// serve_hit and serve_flood workloads.
 //
 // Request format (one JSON object per line, strict — unknown fields are
 // errors naming the field):
@@ -53,7 +48,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,9 +55,7 @@ import (
 	"time"
 
 	"repro/internal/pstore"
-	"repro/internal/replay"
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/service"
 )
 
@@ -72,29 +64,16 @@ func main() {
 		workers   = flag.Int("workers", 4, "max in-flight requests (worker pool size)")
 		queue     = flag.Int("queue", 64, "per-tenant admission queue quota (0 = no waiting room); a tenant past its quota is shed, other tenants are unaffected")
 		tenants   = flag.String("tenants", "", "per-tenant overrides, 'name=depth[:weight],...' — depth is the queue quota, weight the fair-queueing share (both default to the service-wide values)")
-		window    = flag.Float64("window", 0, "batched release window in seconds (0 = launch immediately)")
 		nodes     = flag.Int("nodes", 4, "nodes in the per-request simulated cluster")
 		warm      = flag.Bool("warm", true, "working set cached (scan at CPU rate)")
 		batchRows = flag.Int("batch-rows", 200_000, "engine exchange batch size in rows")
 		timeout   = flag.Float64("timeout", 0, "default per-request deadline in seconds (0 = none), overridden per request by deadline_s")
 		retries   = flag.Int("retries", 0, "retry budget per failed join request; retries are shed before fresh work")
 		httpAddr  = flag.String("http", "", "serve HTTP on this address instead of reading stdin")
-
-		load         = flag.Bool("load", false, "run the load harness instead of serving: replay a trace (or a synthetic one) against this process's service and report per-tenant latency")
-		loadRequests = flag.Int("load-requests", 1_000_000, "synthetic trace length for -load")
-		loadTenants  = flag.String("load-tenants", "4", "synthetic tenants for -load: a count (first is the hot one) or comma-separated names")
-		loadHot      = flag.Float64("load-hot", 0.8, "share of synthetic requests sent by the hot (first) tenant")
-		loadSeed     = flag.Int64("load-seed", 1, "seed for the synthetic trace (same seed, same trace)")
-		loadTrace    = flag.String("load-trace", "", "replay this JSONL trace instead of generating one")
-		loadSpeedup  = flag.Float64("load-speedup", 0, "replay speed: 1 = real time, 10 = 10x, <= 0 = flood (as fast as the service answers)")
-		loadInflight = flag.Int("load-inflight", 256, "concurrent submissions the harness keeps in flight")
-		loadDump     = flag.String("load-dump", "", "write the synthetic trace to this file and exit (for committing fixed traces)")
 	)
 	flag.Parse()
 
 	switch {
-	case *window < 0 || math.IsNaN(*window) || math.IsInf(*window, 0):
-		fatalf("serve: -window must be a non-negative, finite number, got %v", *window)
 	case *timeout < 0 || math.IsNaN(*timeout) || math.IsInf(*timeout, 0):
 		fatalf("serve: -timeout must be a positive, finite number of seconds (0 = none), got %v", *timeout)
 	case *retries < 0:
@@ -107,36 +86,10 @@ func main() {
 		fatalf("serve: -nodes must be at least 1, got %d", *nodes)
 	case *batchRows < 1:
 		fatalf("serve: -batch-rows must be at least 1, got %d", *batchRows)
-	case *loadInflight < 1:
-		fatalf("serve: -load-inflight must be at least 1, got %d", *loadInflight)
-	case *loadRequests < 1:
-		fatalf("serve: -load-requests must be at least 1, got %d", *loadRequests)
-	case *loadHot < 0 || *loadHot > 1 || math.IsNaN(*loadHot):
-		fatalf("serve: -load-hot must be in [0,1], got %v", *loadHot)
 	}
 	tenantCfg, err := parseTenants(*tenants)
 	if err != nil {
 		fatalf("serve: %v", err)
-	}
-
-	if *loadDump != "" {
-		names, err := loadTenantNames(*loadTenants)
-		if err != nil {
-			fatalf("serve: %v", err)
-		}
-		events := replay.Synthetic(*loadRequests, names, *loadHot, *loadSeed)
-		f, err := os.Create(*loadDump)
-		if err != nil {
-			fatalf("serve: %v", err)
-		}
-		if err := replay.WriteTrace(f, events); err != nil {
-			fatalf("serve: %v", err)
-		}
-		if err := f.Close(); err != nil {
-			fatalf("serve: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "serve: wrote %d events to %s\n", len(events), *loadDump)
-		return
 	}
 
 	cfg := service.Config{
@@ -152,28 +105,14 @@ func main() {
 			RetryBudget:  *retries,
 		},
 	}
-	if *window > 0 {
-		cfg.Execution.Policy = sched.Batched{Window: *window}
-	}
 	s, err := service.New(cfg)
 	if err != nil {
 		fatalf("%v", err)
 	}
 
-	switch {
-	case *load || *loadTrace != "":
-		err = runLoad(s, loadOpts{
-			requests: *loadRequests, tenants: *loadTenants, hot: *loadHot,
-			seed: *loadSeed, trace: *loadTrace, speedup: *loadSpeedup,
-			inflight: *loadInflight,
-		})
-		if err != nil {
-			s.Close()
-			fatalf("serve: %v", err)
-		}
-	case *httpAddr != "":
+	if *httpAddr != "" {
 		serveHTTP(s, *httpAddr)
-	default:
+	} else {
 		serveStdin(s)
 	}
 
@@ -224,109 +163,6 @@ func parseTenants(s string) (map[string]service.Tenant, error) {
 		out[name] = t
 	}
 	return out, nil
-}
-
-// loadTenantNames resolves -load-tenants: a count ("4" -> hot, t1..t3)
-// or explicit comma-separated names (first is hot).
-func loadTenantNames(s string) ([]string, error) {
-	s = strings.TrimSpace(s)
-	if n, err := strconv.Atoi(s); err == nil {
-		if n < 1 {
-			return nil, fmt.Errorf("-load-tenants count must be at least 1, got %d", n)
-		}
-		names := []string{"hot"}
-		for i := 1; i < n; i++ {
-			names = append(names, fmt.Sprintf("t%d", i))
-		}
-		return names, nil
-	}
-	var names []string
-	for _, name := range strings.Split(s, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			return nil, fmt.Errorf("-load-tenants has an empty name in %q", s)
-		}
-		names = append(names, name)
-	}
-	if len(names) == 0 {
-		return nil, fmt.Errorf("-load-tenants is empty")
-	}
-	return names, nil
-}
-
-type loadOpts struct {
-	requests int
-	tenants  string
-	hot      float64
-	seed     int64
-	trace    string
-	speedup  float64
-	inflight int
-}
-
-// runLoad replays a trace (recorded or synthetic) against the service
-// and prints a per-tenant latency/shed summary. The trace feeder is
-// internal/replay (deterministic, paced by the injected process clock);
-// the harness fans submissions out over opts.inflight dispatchers so
-// admission control, not the harness, is the bottleneck.
-func runLoad(s *service.Server, opts loadOpts) error {
-	var events []replay.Event
-	if opts.trace != "" {
-		f, err := os.Open(opts.trace)
-		if err != nil {
-			return err
-		}
-		events, err = replay.Load(f)
-		f.Close()
-		if err != nil {
-			return err
-		}
-	} else {
-		names, err := loadTenantNames(opts.tenants)
-		if err != nil {
-			return err
-		}
-		events = replay.Synthetic(opts.requests, names, opts.hot, opts.seed)
-	}
-
-	reqs := make(chan service.Request, opts.inflight)
-	var wg sync.WaitGroup
-	for i := 0; i < opts.inflight; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range reqs {
-				s.Do(r)
-			}
-		}()
-	}
-
-	start := time.Now()
-	clock := replay.Clock{
-		Now:   func() float64 { return time.Since(start).Seconds() },
-		Sleep: func(sec float64) { time.Sleep(time.Duration(sec * float64(time.Second))) },
-	}
-	n := replay.Run(events, clock, opts.speedup, func(r service.Request) { reqs <- r })
-	close(reqs)
-	wg.Wait()
-	wall := time.Since(start).Seconds()
-
-	m := s.Metrics()
-	fmt.Printf("load: requests=%d wall_s=%.3f rate_per_s=%.0f ok=%d shed=%d deadline=%d errors=%d cache_hits=%d cache_misses=%d p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f\n",
-		n, wall, float64(n)/wall, m.OK, m.Shed, m.Deadline, m.Errors,
-		m.CacheHits, m.CacheMisses, m.P50*1000, m.P95*1000, m.P99*1000)
-	names := make([]string, 0, len(m.Tenants))
-	for name := range m.Tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		tm := m.Tenants[name]
-		fmt.Printf("tenant %s: received=%d ok=%d shed=%d deadline=%d errors=%d p50_ms=%.3f p95_ms=%.3f p99_ms=%.3f queue_p50_ms=%.3f queue_p99_ms=%.3f\n",
-			name, tm.Received, tm.OK, tm.Shed, tm.Deadline, tm.Errors,
-			tm.P50*1000, tm.P95*1000, tm.P99*1000, tm.QueueP50*1000, tm.QueueP99*1000)
-	}
-	return nil
 }
 
 // serveStdin answers one JSON request per input line until EOF.

@@ -255,23 +255,6 @@ func TestParseTenants(t *testing.T) {
 	}
 }
 
-// TestLoadTenantNames: count and list forms.
-func TestLoadTenantNames(t *testing.T) {
-	got, err := loadTenantNames("3")
-	if err != nil || len(got) != 3 || got[0] != "hot" || got[2] != "t2" {
-		t.Fatalf("loadTenantNames(3) = %v, %v", got, err)
-	}
-	got, err = loadTenantNames("alpha, beta")
-	if err != nil || len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Fatalf("loadTenantNames(list) = %v, %v", got, err)
-	}
-	for _, bad := range []string{"0", "-2", "a,,b"} {
-		if _, err := loadTenantNames(bad); err == nil {
-			t.Fatalf("loadTenantNames(%q) accepted", bad)
-		}
-	}
-}
-
 // buildServe builds the command into a temporary directory.
 func buildServe(t *testing.T) string {
 	t.Helper()
@@ -284,16 +267,14 @@ func buildServe(t *testing.T) string {
 
 // TestFlagValidation execs the built binary: every bad flag value is
 // rejected with exit 2 and a message naming the flag, before any request
-// is served. -compat is gone, so it is an undefined flag.
+// is served. -compat and the -load harness are gone, so they are
+// undefined flags, and -h lists only the serving flags.
 func TestFlagValidation(t *testing.T) {
 	bin := buildServe(t)
-	dir := t.TempDir()
 	for _, tc := range []struct {
 		args []string
 		want string // substring of the combined output
 	}{
-		{[]string{"-window", "-1"}, "serve: -window must be a non-negative, finite number, got -1"},
-		{[]string{"-window", "Inf"}, "serve: -window must be a non-negative, finite number, got +Inf"},
 		{[]string{"-timeout", "NaN"}, "serve: -timeout must be a positive, finite number of seconds (0 = none), got NaN"},
 		{[]string{"-retries", "-1"}, "serve: -retries must not be negative, got -1"},
 		{[]string{"-workers", "0"}, "serve: -workers must be at least 1, got 0"},
@@ -301,25 +282,34 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-nodes", "0"}, "serve: -nodes must be at least 1, got 0"},
 		{[]string{"-batch-rows", "0"}, "serve: -batch-rows must be at least 1, got 0"},
 		{[]string{"-batch-rows", "-5"}, "serve: -batch-rows must be at least 1, got -5"},
-		{[]string{"-load-inflight", "0"}, "serve: -load-inflight must be at least 1, got 0"},
-		{[]string{"-load-requests", "0"}, "serve: -load-requests must be at least 1, got 0"},
-		{[]string{"-load-hot", "1.5"}, "serve: -load-hot must be in [0,1], got 1.5"},
-		{[]string{"-load-hot", "NaN"}, "serve: -load-hot must be in [0,1], got NaN"},
 		{[]string{"-tenants", "dash"}, `serve: -tenants entry "dash": want name=depth or name=depth:weight`},
-		{[]string{"-load-dump", filepath.Join(dir, "t.jsonl"), "-load-tenants", "0"}, "serve: -load-tenants count must be at least 1, got 0"},
-		{[]string{"-load-dump", dir, "-load-requests", "1"}, "is a directory"},
-		{[]string{"-load-trace", filepath.Join(dir, "missing.jsonl")}, "no such file"},
 		{[]string{"-compat=false"}, "flag provided but not defined: -compat"},
+		{[]string{"-load"}, "flag provided but not defined: -load"},
 	} {
-		out, err := exec.Command(bin, tc.args...).CombinedOutput()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 2 {
-			t.Errorf("serve %v: err = %v, want exit 2\n%s", tc.args, err, out)
-			continue
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			out, err := exec.Command(bin, tc.args...).CombinedOutput()
+			ee, ok := err.(*exec.ExitError)
+			if !ok || ee.ExitCode() != 2 {
+				t.Fatalf("serve %v: err = %v, want exit 2\n%s", tc.args, err, out)
+			}
+			if !strings.Contains(string(out), tc.want) {
+				t.Fatalf("serve %v: output lacks %q:\n%s", tc.args, tc.want, out)
+			}
+		})
+	}
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("serve -h: %v\n%s", err, out)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags = append(flags, strings.Fields(line)[0])
 		}
-		if !strings.Contains(string(out), tc.want) {
-			t.Errorf("serve %v: output lacks %q:\n%s", tc.args, tc.want, out)
-		}
+	}
+	want := "-batch-rows -http -nodes -queue -retries -tenants -timeout -warm -workers"
+	if got := strings.Join(flags, " "); got != want {
+		t.Errorf("serve -h lists %s, want %s", got, want)
 	}
 }
 

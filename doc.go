@@ -22,8 +22,8 @@
 // The workload-stream service mode (internal/service, cmd/serve) runs
 // the same engine as a long-running service: JSON join/design requests
 // on stdin or HTTP, a bounded worker pool with admission control
-// (shed-on-overload), sched release policies for launch timing, and the
-// shared join cache answering repeated identical requests from memory.
+// (shed-on-overload), and the shared join cache answering repeated
+// identical requests from memory.
 // Per-request and aggregate reports are typed JSON
 // (report.ServiceResponse, report.ServiceMetrics).
 //

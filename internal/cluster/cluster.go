@@ -323,17 +323,6 @@ func (c *Cluster) Beefy() []int {
 	return out
 }
 
-// Wimpy returns the IDs of Wimpy-class nodes, in order.
-func (c *Cluster) Wimpy() []int {
-	var out []int
-	for _, n := range c.Nodes {
-		if n.IsWimpy() {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // Stop ends the simulation: it finalizes all node meters at the current
 // virtual time, then shuts the engine down so no process — a driver, a
 // scan, whatever a halted or deadlocked run left parked — outlives it and

@@ -241,8 +241,10 @@ func TestBeefyWimpyPartition(t *testing.T) {
 	if b := c.Beefy(); len(b) != 2 || b[0] != 0 || b[1] != 1 {
 		t.Fatalf("Beefy() = %v", b)
 	}
-	if w := c.Wimpy(); len(w) != 2 || w[0] != 2 || w[1] != 3 {
-		t.Fatalf("Wimpy() = %v", w)
+	for _, n := range c.Nodes {
+		if n.IsWimpy() != (n.ID >= 2) {
+			t.Fatalf("node %d IsWimpy() = %v", n.ID, n.IsWimpy())
+		}
 	}
 }
 

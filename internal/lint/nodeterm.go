@@ -18,7 +18,6 @@ var simulatedPkgs = map[string]bool{
 	"sim":         true,
 	"pstore":      true,
 	"delta":       true,
-	"sched":       true,
 	"workload":    true,
 	"experiments": true,
 	"fault":       true,
@@ -60,7 +59,7 @@ var Nodeterm = &analysis.Analyzer{
 	Name:      "nodeterm",
 	Directive: "deterministic",
 	Doc: "forbid wall-clock, global-rand, env and goroutine-racy constructs in simulated code\n\n" +
-		"Packages " + "sim, pstore, delta, sched, workload, experiments, fault, replay and fairq" + " run\n" +
+		"Packages " + "sim, pstore, delta, workload, experiments, fault, replay and fairq" + " run\n" +
 		"inside (or deterministically feed) the discrete-event simulation; any runtime- or\n" +
 		"host-dependent input there breaks byte-identical reproduction across -shards,\n" +
 		"cache hits and trace replays.",

@@ -19,6 +19,7 @@ package pstore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/storage"
@@ -45,26 +46,17 @@ type PlanRequest struct {
 	// JoinKeyColumns name the equi-join key on each side; the plan is
 	// partition-compatible when both tables are segmented on them.
 	BuildKeyColumn, ProbeKeyColumn string
-	// WorkingSetHeadroom is the fraction of node memory the planner
-	// reserves for cached working set and runtime state before placing
-	// hash tables (default 0.5 — the Wimpy nodes of §5.2 could cache
-	// their 3 GB ORDERS partition but not also hold a large table).
-	WorkingSetHeadroom float64
 }
 
-func (r PlanRequest) headroom() float64 {
-	if r.WorkingSetHeadroom <= 0 || r.WorkingSetHeadroom >= 1 {
-		return 0.5
-	}
-	return r.WorkingSetHeadroom
-}
+// workingSetHeadroom is the fraction of node memory the planner
+// reserves for cached working set and runtime state before placing hash
+// tables: the Wimpy nodes of §5.2 could cache their 3 GB ORDERS
+// partition but not also hold a large table.
+const workingSetHeadroom = 0.5
 
 // Plan is the planner's decision, ready to execute.
 type Plan struct {
 	Spec JoinSpec
-	// WireBytes estimates the bytes the chosen plan moves over the
-	// network (the quantity the decision minimizes).
-	WireBytes float64
 }
 
 // PlanJoin chooses the physical plan for the request on the given
@@ -103,49 +95,44 @@ func PlanJoin(c *cluster.Cluster, req PlanRequest) (Plan, error) {
 	shuffleWire := (qualBuild + qualProbe) * (nf - 1) / nf
 	bcastWins := bcastWire < shuffleWire && nf*qualBuild < qualProbe
 
+	// budget is the hash-table bytes every node of a class can hold:
+	// the smallest one's memory less the working-set headroom, +Inf when
+	// the cluster has no node of the class.
+	budget := func(wimpy bool) float64 {
+		mb := math.Inf(1)
+		for _, nd := range c.Nodes {
+			if nd.IsWimpy() == wimpy {
+				mb = min(mb, nd.Spec.MemoryMB)
+			}
+		}
+		return mb * 1e6 * (1 - workingSetHeadroom)
+	}
+
 	// Broadcast also requires the FULL qualified build table in every
 	// node's memory budget.
-	minMemMB := c.Nodes[0].Spec.MemoryMB
-	for _, nd := range c.Nodes {
-		if nd.Spec.MemoryMB < minMemMB {
-			minMemMB = nd.Spec.MemoryMB
-		}
-	}
-	budget := minMemMB * 1e6 * req.headroom()
-	if bcastWins && qualBuild <= budget {
+	if bcastWins && qualBuild <= min(budget(false), budget(true)) {
 		spec.Method = Broadcast
-		return Plan{Spec: spec, WireBytes: bcastWire}, nil
+		return Plan{Spec: spec}, nil
 	}
 	// Otherwise dual shuffle: broadcast loses on the wire or does not fit.
 	spec.Method = DualShuffle
 
 	// 3. Homogeneous vs heterogeneous: the H predicate with working-set
 	// headroom. If the Wimpy nodes cannot hold their hash-table share,
-	// only the Beefy nodes build (§5.2.2).
-	wimpy := c.Wimpy()
-	if len(wimpy) > 0 {
-		perNodeShare := qualBuild / nf
-		minWimpyMB := c.Nodes[wimpy[0]].Spec.MemoryMB
-		for _, id := range wimpy {
-			if c.Nodes[id].Spec.MemoryMB < minWimpyMB {
-				minWimpyMB = c.Nodes[id].Spec.MemoryMB
-			}
+	// only the Beefy nodes build (§5.2.2). A cluster with no Wimpy node
+	// has an infinite Wimpy budget, so every node builds.
+	if perNodeShare := qualBuild / nf; perNodeShare > budget(true) {
+		beefy := c.Beefy()
+		if len(beefy) == 0 {
+			return Plan{}, fmt.Errorf("pstore: hash table share (%.0f MB) exceeds every node's budget", perNodeShare/1e6)
 		}
-		wimpyBudget := minWimpyMB * 1e6 * req.headroom()
-		if perNodeShare > wimpyBudget {
-			beefy := c.Beefy()
-			if len(beefy) == 0 {
-				return Plan{}, fmt.Errorf("pstore: hash table share (%.0f MB) exceeds every node's budget", perNodeShare/1e6)
-			}
-			perBeefy := qualBuild / float64(len(beefy))
-			beefyBudget := c.Nodes[beefy[0]].Spec.MemoryMB * 1e6 * req.headroom()
-			if perBeefy > beefyBudget {
-				return Plan{}, fmt.Errorf("pstore: even the %d Beefy nodes cannot hold the hash table (%.0f MB each)",
-					len(beefy), perBeefy/1e6)
-			}
-			// H fails: heterogeneous execution on the Beefy nodes.
-			spec.BuildNodes = beefy
+		perBeefy := qualBuild / float64(len(beefy))
+		if perBeefy > budget(false) {
+			return Plan{}, fmt.Errorf("pstore: even the %d Beefy nodes cannot hold the hash table (%.0f MB each)",
+				len(beefy), perBeefy/1e6)
 		}
+		// H fails: heterogeneous execution on the Beefy nodes.
+		spec.BuildNodes = beefy
 	}
-	return Plan{Spec: spec, WireBytes: shuffleWire}, nil
+	return Plan{Spec: spec}, nil
 }

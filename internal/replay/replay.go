@@ -1,12 +1,13 @@
 // Package replay drives the service plane from a recorded or synthetic
 // request trace: one JSONL event per request, with an arrival offset,
-// tenant, priority, and the service envelope to submit. It is the load
-// half of cmd/serve's -load harness and the replay half of -load-trace.
+// tenant, priority, and the service envelope to submit. The benchmark's
+// serve_flood workload and the two-tenant isolation test feed
+// service.Server.Do through it.
 //
 // The package is deterministic by construction and covered by
 // repro-vet's nodeterm analyzer: it never reads the wall clock, never
 // sleeps on its own, and spawns no goroutines. Pacing goes through an
-// injected Clock (cmd/serve wires the real one; tests wire a fake), and
+// injected Clock (a caller wires the real one; tests wire a fake), and
 // Run submits events sequentially in trace order — the caller decides
 // how much submission concurrency to put behind the submit callback.
 // Synthetic traces come from a seeded generator: the same seed always
@@ -112,9 +113,9 @@ func WriteTrace(w io.Writer, events []Event) error {
 }
 
 // Clock injects time into Run: Now is seconds since replay start, Sleep
-// blocks for (about) the given seconds. cmd/serve wires the process
-// clock; tests wire a fake. The zero Clock is only valid for flood runs
-// (speedup <= 0), which never consult it.
+// blocks for (about) the given seconds. A real-time replay wires the
+// process clock; tests wire a fake. The zero Clock is only valid for
+// flood runs (speedup <= 0), which never consult it.
 type Clock struct {
 	Now   func() float64
 	Sleep func(seconds float64)

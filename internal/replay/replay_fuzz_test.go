@@ -20,7 +20,7 @@ var lineErr = regexp.MustCompile(`^replay: line [1-9][0-9]*: `)
 // name. Seeded with the head of the committed two-tenant trace plus one
 // input per rejection branch.
 func FuzzLoad(f *testing.F) {
-	trace, err := os.Open("../../cmd/serve/testdata/trace_two_tenant.jsonl")
+	trace, err := os.Open("testdata/trace_two_tenant.jsonl")
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 // offending field or gives the reason. Seeded with the requests of the
 // committed two-tenant trace plus one input per decode path.
 func FuzzDecode(f *testing.F) {
-	trace, err := os.Open("../../cmd/serve/testdata/trace_two_tenant.jsonl")
+	trace, err := os.Open("../replay/testdata/trace_two_tenant.jsonl")
 	if err != nil {
 		f.Fatal(err)
 	}

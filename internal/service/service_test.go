@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pstore"
 	"repro/internal/report"
-	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -38,6 +38,15 @@ func waitState(s *Server, inflight, queued int) {
 			return
 		}
 		runtime.Gosched()
+	}
+}
+
+// TestServerCountersOffMutexLine: the fields written under mu begin at
+// least a 64-byte cache line after mu's word (see Server.mu).
+func TestServerCountersOffMutexLine(t *testing.T) {
+	var s Server
+	if d := unsafe.Offsetof(s.inflight) - unsafe.Offsetof(s.mu); d < 64 {
+		t.Fatalf("inflight is %d bytes after mu, want at least 64", d)
 	}
 }
 
@@ -480,48 +489,6 @@ func TestServiceHighPriorityDisplacesQueuedLow(t *testing.T) {
 	m := s.Metrics()
 	if tm := m.Tenants["t"]; tm.Shed != 1 || tm.OK != 3 || tm.Received != 4 {
 		t.Fatalf("tenant counters: %+v", tm)
-	}
-}
-
-// TestServiceBatchedReleasePolicy: under Batched(window) the service
-// holds admitted requests until the next window boundary.
-func TestServiceBatchedReleasePolicy(t *testing.T) {
-	cache := pstore.NewCache(nil)
-	// Warm the cache so the measured delay is queueing, not simulation.
-	warm, err := New(Config{
-		Admission: Admission{QueueDepth: 1},
-		Execution: Execution{Workers: 1, Runner: cache, Engine: engineCfg()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm.Do(Request{Join: &workload.JoinRequest{SF: 5}})
-	warm.Close()
-
-	const window = 0.25
-	s, err := New(Config{
-		Admission: Admission{QueueDepth: 4},
-		Execution: Execution{
-			Workers: 1,
-			Policy:  sched.Batched{Window: window},
-			Runner:  cache, Engine: engineCfg(),
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	r := s.Do(Request{Join: &workload.JoinRequest{SF: 5}})
-	if !r.OK() {
-		t.Fatalf("response: %+v", r)
-	}
-	// Arrival falls inside the first window, so launch waits for the
-	// boundary; allow generous slack below the window for scheduling.
-	if r.QueueSeconds < window/2 {
-		t.Fatalf("batched launch after %.3f s, want ~%.2f s boundary wait", r.QueueSeconds, window)
-	}
-	if r.QueueSeconds > 10*window {
-		t.Fatalf("batched launch absurdly late: %.3f s", r.QueueSeconds)
 	}
 }
 

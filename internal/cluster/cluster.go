@@ -55,7 +55,6 @@ func (m Message) Bytes() float64 {
 // Mailbox is an operator input queue fed by the fabric. Receivers Get
 // batches until every expected sender has delivered EOS.
 type Mailbox struct {
-	name    string
 	q       *sim.Queue[Message]
 	senders int
 }
@@ -63,7 +62,7 @@ type Mailbox struct {
 // NewMailbox creates a mailbox expecting EOS from the given number of
 // senders. Capacity bounds buffered batches (backpressure).
 func NewMailbox(name string, senders, capacity int) *Mailbox {
-	return &Mailbox{name: name, q: sim.NewQueue[Message](name, capacity), senders: senders}
+	return &Mailbox{q: sim.NewQueue[Message](name, capacity), senders: senders}
 }
 
 // Recv returns the next batch, or ok=false when all senders have closed.
@@ -199,10 +198,6 @@ func (n *Node) DownBetween(a, b sim.Time) float64 {
 type Cluster struct {
 	Eng   *sim.Engine
 	Nodes []*Node
-
-	// InboxCapacity bounds per-node in-flight staged batches
-	// (default 8; set before Build).
-	inboxCap int
 }
 
 // Config controls cluster construction.
@@ -224,7 +219,7 @@ func New(cfg Config) (*Cluster, error) {
 		cap = 8
 	}
 	eng := sim.New()
-	c := &Cluster{Eng: eng, inboxCap: cap}
+	c := &Cluster{Eng: eng}
 	for i, spec := range cfg.Specs {
 		if err := spec.Validate(); err != nil {
 			return nil, err

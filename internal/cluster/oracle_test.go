@@ -34,7 +34,7 @@ func refIngressPump(n *Node) {
 // newRefCluster is New with refIngressPump as every node's pump.
 func newRefCluster(cfg Config) *Cluster {
 	eng := sim.New()
-	c := &Cluster{Eng: eng, inboxCap: cfg.InboxCapacity}
+	c := &Cluster{Eng: eng}
 	for i, spec := range cfg.Specs {
 		n := &Node{ID: i, Spec: spec, eng: eng}
 		n.CPU = sim.NewServer(eng, fmt.Sprintf("n%d.cpu", i), spec.CPUBandwidth*1e6)
@@ -42,7 +42,7 @@ func newRefCluster(cfg Config) *Cluster {
 		n.Egress = sim.NewServer(eng, fmt.Sprintf("n%d.tx", i), spec.NetMBps*1e6)
 		n.Ingress = sim.NewServer(eng, fmt.Sprintf("n%d.rx", i), spec.NetMBps*1e6)
 		n.Meter = power.NewMeter(eng, n.CPU, spec.Power, spec.UtilFloor)
-		n.inbox = sim.NewQueue[Message](fmt.Sprintf("n%d.inbox", i), c.inboxCap)
+		n.inbox = sim.NewQueue[Message](fmt.Sprintf("n%d.inbox", i), cfg.InboxCapacity)
 		c.Nodes = append(c.Nodes, n)
 		refIngressPump(n)
 	}

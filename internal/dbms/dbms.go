@@ -50,7 +50,6 @@ const (
 
 // Stage is one phase of a black-box query plan.
 type Stage struct {
-	Name string
 	Kind StageKind
 	// BytesMB is the stage's total data volume across the cluster
 	// (CPU bytes for Local, wire bytes for Repartition/Broadcast).
@@ -89,7 +88,6 @@ func (s Stage) Duration(n int, spec hw.Spec) (secs, cpuBusy float64) {
 
 // Query is a black-box query profile.
 type Query struct {
-	Name   string
 	Stages []Stage
 }
 
@@ -160,11 +158,10 @@ const Q12Congestion = 0.664
 // repartitioning — ideal speedup, flat energy (Figure 2(a)).
 func VerticaQ1() Query {
 	return Query{
-		Name: "Vertica TPC-H Q1 (SF1000)",
 		Stages: []Stage{
 			// LINEITEM ~6e9 rows; column-store scans the Q1 columns
 			// (~40 B/row) plus aggregation work.
-			{Name: "local scan+agg", Kind: Local, BytesMB: 6e9 * 40 / 1e6 * 2},
+			{Kind: Local, BytesMB: 6e9 * 40 / 1e6 * 2},
 		},
 	}
 }
@@ -179,10 +176,9 @@ func VerticaQ12() Query {
 	// = W/(8*C) with the cluster-V C = 5037 MB/s => W = 28.4e6 MB.
 	const localMB = 28.4e6
 	return Query{
-		Name: "Vertica TPC-H Q12 (SF1000)",
 		Stages: []Stage{
-			{Name: "local scan+join", Kind: Local, BytesMB: localMB},
-			{Name: "repartition ORDERS", Kind: Repartition, BytesMB: shuffleMB, Congestion: Q12Congestion},
+			{Kind: Local, BytesMB: localMB},
+			{Kind: Repartition, BytesMB: shuffleMB, Congestion: Q12Congestion},
 		},
 	}
 }
@@ -196,10 +192,9 @@ func VerticaQ21() Query {
 	const shuffleMB = 20_000
 	const localMB = 60.1e6
 	return Query{
-		Name: "Vertica TPC-H Q21 (SF1000)",
 		Stages: []Stage{
-			{Name: "local multi-join", Kind: Local, BytesMB: localMB},
-			{Name: "repartition ORDERS", Kind: Repartition, BytesMB: shuffleMB, Congestion: Q12Congestion},
+			{Kind: Local, BytesMB: localMB},
+			{Kind: Repartition, BytesMB: shuffleMB, Congestion: Q12Congestion},
 		},
 	}
 }
@@ -211,10 +206,7 @@ func VerticaQ21() Query {
 // cluster is not always the most energy-efficient".
 func HadoopDBQ1() Query {
 	q := VerticaQ1()
-	q.Name = "HadoopDB TPC-H Q1 (SF1000)"
-	q.Stages = append(q.Stages, Stage{
-		Name: "Hadoop job coordination", Kind: Fixed, Seconds: 45,
-	})
+	q.Stages = append(q.Stages, Stage{Kind: Fixed, Seconds: 45})
 	return q
 }
 

@@ -168,7 +168,7 @@ func TestRunRejectsZeroNodes(t *testing.T) {
 func TestEnergyEqualsMeterIntegral(t *testing.T) {
 	// One local stage of exactly 2 s at util 1.0 on 4 nodes:
 	// energy = 4 * 2 * f(1.0).
-	st := Query{Name: "unit", Stages: []Stage{{Kind: Local, BytesMB: 4 * 2 * 5037}}}
+	st := Query{Stages: []Stage{{Kind: Local, BytesMB: 4 * 2 * 5037}}}
 	r, err := Run(st, 4, hw.ClusterV())
 	if err != nil {
 		t.Fatal(err)

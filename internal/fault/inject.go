@@ -20,7 +20,6 @@ type Counts struct {
 // become no-ops, so a plan whose horizon outlives the workload does not
 // drag the simulation (and its idle-energy bill) out to the horizon.
 type Injector struct {
-	c       *cluster.Cluster
 	stopped bool
 	fired   Counts
 	onCrash []func(node int)
@@ -29,7 +28,7 @@ type Injector struct {
 // Inject schedules the plan's episodes on the cluster. Must be called
 // before the cluster runs (all event times are in the future of t=0).
 func Inject(c *cluster.Cluster, p *Plan) *Injector {
-	inj := &Injector{c: c}
+	inj := &Injector{}
 	if p.Empty() {
 		return inj
 	}

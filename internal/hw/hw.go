@@ -68,8 +68,9 @@ type Spec struct {
 	IdleWatts float64
 
 	// SleepWatts and WakeSeconds are unread. They stay because
-	// fault.Fingerprint hashes every field: removing one reseeds every
-	// fault plan.
+	// fault.Fingerprint hashes every field through %+v: removing one
+	// reseeds every fault plan. Their entries in internal/lint's unread
+	// table (fields_test.go) say so.
 	SleepWatts, WakeSeconds float64
 
 	// Cores/Threads as reported in Tables 1-2 (informational).

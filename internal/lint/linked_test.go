@@ -7,10 +7,17 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lint/load"
 )
+
+// program is the non-test code of ./internal/... and ./cmd/..., loaded
+// once: the function and field guards take their declarations from it.
+var program = sync.OnceValues(func() ([]*load.Package, error) {
+	return load.Packages("../..", "./internal/...", "./cmd/...")
+})
 
 // notLinked names the declared functions that no shipped binary links,
 // each with the reason it stays. A key is a function or method as
@@ -62,13 +69,16 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 		t.Fatal("the binaries link no internal function: the guard checked nothing")
 	}
 
-	pkgs, err := load.Packages("../..", "./internal/...")
+	pkgs, err := program()
 	if err != nil {
-		t.Fatalf("loading internal packages: %v", err)
+		t.Fatalf("loading internal and cmd packages: %v", err)
 	}
 	used := map[string]bool{}
 	for _, pkg := range pkgs {
-		rel := strings.TrimPrefix(pkg.Path, "repro/internal/")
+		rel, ok := strings.CutPrefix(pkg.Path, "repro/internal/")
+		if !ok {
+			continue
+		}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)

@@ -94,7 +94,7 @@ func TestEveryProgramIsTested(t *testing.T) {
 	for _, pkg := range pkgs {
 		rel := strings.TrimPrefix(strings.TrimPrefix(pkg.Path, "repro"), "/")
 		inCmd := strings.HasPrefix(rel, "cmd/")
-		if pkg.Name == "main" && !inCmd {
+		if pkg.Types.Name() == "main" && !inCmd {
 			t.Errorf("%s: package main outside cmd/", rel)
 		}
 		if !inCmd {

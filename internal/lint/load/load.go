@@ -26,7 +26,6 @@ import (
 // Package is one typechecked target package.
 type Package struct {
 	Path  string // import path
-	Name  string // package name
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -36,7 +35,6 @@ type Package struct {
 // listPkg is the subset of `go list -json` output the loader consumes.
 type listPkg struct {
 	ImportPath string
-	Name       string
 	Dir        string
 	Export     string
 	GoFiles    []string
@@ -49,7 +47,7 @@ type listPkg struct {
 func golist(dir string, patterns []string) ([]listPkg, error) {
 	args := append([]string{
 		"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,DepOnly,Error",
 		"--",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -155,7 +153,6 @@ func Check(fset *token.FileSet, path string, filenames []string, imp types.Impor
 	}
 	return &Package{
 		Path:  path,
-		Name:  tpkg.Name(),
 		Fset:  fset,
 		Files: files,
 		Types: tpkg,

@@ -161,9 +161,6 @@ type Result struct {
 	Ebld, Eprb float64 // phase energies (J)
 	// Heterogeneous reports which execution mode the model chose.
 	Heterogeneous bool
-	// UtilB/UtilW are the modelled CPU utilizations per phase (for
-	// inspection and validation).
-	UtilBbld, UtilWbld, UtilBprb, UtilWprb float64
 }
 
 // Seconds returns total response time.
@@ -191,7 +188,7 @@ func clamp01(u float64) float64 {
 //	    (N*L/(N-1))/S    otherwise
 //	T = D*S / (N*R)
 //	E = T * (NB*fB(GB+U/CB) + NW*fW(GW+U/CW))
-func (p Params) phaseHomogeneous(d, s float64) (t, e, utilB, utilW float64) {
+func (p Params) phaseHomogeneous(d, s float64) (t, e float64) {
 	n := float64(p.N())
 	scanB := p.scanRate(p.CB)
 	scanW := scanB
@@ -225,14 +222,11 @@ func (p Params) phaseHomogeneous(d, s float64) (t, e, utilB, utilW float64) {
 		u = r / s
 	}
 	t = d * s / (n * r)
-	utilB = clamp01(p.GB + u/p.CB)
-	watts := float64(p.NB) * p.FB(utilB)
+	watts := float64(p.NB) * p.FB(clamp01(p.GB+u/p.CB))
 	if p.NW > 0 {
-		utilW = clamp01(p.GW + u/p.CW)
-		watts += float64(p.NW) * p.FW(utilW)
+		watts += float64(p.NW) * p.FW(clamp01(p.GW+u/p.CW))
 	}
-	e = t * watts
-	return t, e, utilB, utilW
+	return t, t * watts
 }
 
 // PhaseNetworkBound reports whether a homogeneous phase with selectivity
@@ -307,7 +301,7 @@ func (p Params) wimpyAloneRate(s float64) float64 {
 //	stage 2: only the Wimpy nodes are still sending; the ingestion cap
 //	         is re-shared among them (FCFS ports redistribute bandwidth
 //	         to the remaining senders).
-func (p Params) phaseHeterogeneous(d, s float64) (t, e, utilB, utilW float64) {
+func (p Params) phaseHeterogeneous(d, s float64) (t, e float64) {
 	nb, nw := float64(p.NB), float64(p.NW)
 	qNode := d * s / (nb + nw) // qualified MB per node's partition
 
@@ -318,12 +312,10 @@ func (p Params) phaseHeterogeneous(d, s float64) (t, e, utilB, utilW float64) {
 
 	if p.NW == 0 || tW <= tB+1e-12 {
 		// Single stage: Wimpies finish with (or before) the Beefies.
-		t = tB
 		x := nb*rB1 + nw*rW1
-		utilB = clamp01(p.GB + (rB1/s+jw*x/nb)/p.CB)
-		utilW = clamp01(p.GW + (rW1/s)/p.CW)
-		e = t * (nb*p.FB(utilB) + nw*p.FW(utilW))
-		return t, e, utilB, utilW
+		uB := clamp01(p.GB + (rB1/s+jw*x/nb)/p.CB)
+		uW := clamp01(p.GW + (rW1/s)/p.CW)
+		return tB, tB * (nb*p.FB(uB) + nw*p.FW(uW))
 	}
 
 	// Stage 1: everyone sends until the Beefy partitions are drained.
@@ -343,12 +335,7 @@ func (p Params) phaseHeterogeneous(d, s float64) (t, e, utilB, utilW float64) {
 	uW2 := clamp01(p.GW + (rW2/s)/p.CW)
 	e2 := t2 * (nb*p.FB(uB2) + nw*p.FW(uW2))
 
-	t = t1 + t2
-	e = e1 + e2
-	// Report time-weighted utilizations.
-	utilB = (t1*uB1 + t2*uB2) / t
-	utilW = (t1*uW1 + t2*uW2) / t
-	return t, e, utilB, utilW
+	return t1 + t2, e1 + e2
 }
 
 // HashJoin evaluates the full model for a dual-shuffle hash join,
@@ -364,8 +351,8 @@ func (p Params) HashJoin() (Result, error) {
 	}
 	var r Result
 	if p.NW == 0 || (p.CanBuildOnWimpy() && !p.ForceHeterogeneous) {
-		r.Tbld, r.Ebld, r.UtilBbld, r.UtilWbld = p.phaseHomogeneous(p.Bld, p.Sbld)
-		r.Tprb, r.Eprb, r.UtilBprb, r.UtilWprb = p.phaseHomogeneous(p.Prb, p.Sprb)
+		r.Tbld, r.Ebld = p.phaseHomogeneous(p.Bld, p.Sbld)
+		r.Tprb, r.Eprb = p.phaseHomogeneous(p.Prb, p.Sprb)
 		return r, nil
 	}
 	if !p.CanBuildOnBeefy() {
@@ -373,43 +360,32 @@ func (p Params) HashJoin() (Result, error) {
 			p.NB, p.NW, p.Bld*p.Sbld)
 	}
 	r.Heterogeneous = true
-	r.Tbld, r.Ebld, r.UtilBbld, r.UtilWbld = p.phaseHeterogeneous(p.Bld, p.Sbld)
-	r.Tprb, r.Eprb, r.UtilBprb, r.UtilWprb = p.phaseHeterogeneous(p.Prb, p.Sprb)
+	r.Tbld, r.Ebld = p.phaseHeterogeneous(p.Bld, p.Sbld)
+	r.Tprb, r.Eprb = p.phaseHeterogeneous(p.Prb, p.Sprb)
 	return r, nil
 }
 
 // DesignPoint is one cluster mix evaluated by a sweep.
 type DesignPoint struct {
-	NB, NW   int
-	Res      Result
-	Err      error
-	NormPerf float64
-	NormEng  float64
+	NB, NW int
+	Res    Result
+	Err    error
 }
 
 // Label renders the paper's "xB,yW" naming.
 func (d DesignPoint) Label() string { return fmt.Sprintf("%dB,%dW", d.NB, d.NW) }
 
 // SweepMix evaluates every Beefy/Wimpy mix of an n-node cluster, from
-// (n)B,0W down to the smallest feasible Beefy count, normalizing against
-// the all-Beefy design — the Figure 1(b)/10/11 methodology. Infeasible
-// mixes (hash table does not fit) carry a non-nil Err and zero norms.
+// (n)B,0W down to (0)B,nW — the Figure 1(b)/10/11 methodology; the
+// figures normalize against the first, all-Beefy, point. Infeasible
+// mixes (hash table does not fit) carry a non-nil Err.
 func SweepMix(base Params, n int) []DesignPoint {
 	var out []DesignPoint
-	var ref Result
 	for nb := n; nb >= 0; nb-- {
 		p := base
 		p.NB, p.NW = nb, n-nb
 		res, err := p.HashJoin()
-		dp := DesignPoint{NB: nb, NW: n - nb, Res: res, Err: err}
-		if nb == n {
-			ref = res
-		}
-		if err == nil && res.Seconds() > 0 && ref.Joules() > 0 {
-			dp.NormPerf = ref.Seconds() / res.Seconds()
-			dp.NormEng = res.Joules() / ref.Joules()
-		}
-		out = append(out, dp)
+		out = append(out, DesignPoint{NB: nb, NW: n - nb, Res: res, Err: err})
 	}
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hw"
+	"repro/internal/power"
 )
 
 // section54Params returns the Figure 1(b)/10/11 parameter set: cluster-V
@@ -17,6 +18,17 @@ func section54Params() Params {
 	p.Bld = 700_000   // 700 GB in MB
 	p.Prb = 2_800_000 // 2.8 TB in MB
 	return p
+}
+
+// normalized maps a mix sweep to its points normalised to the all-Beefy
+// design through power.Normalize, as the figures print them, index for
+// index: an infeasible mix reads (0, 0).
+func normalized(pts []DesignPoint) []power.Point {
+	pp := make([]power.Point, len(pts))
+	for i, dp := range pts {
+		pp[i] = power.Point{Label: dp.Label(), Seconds: dp.Res.Seconds(), Joules: dp.Res.Joules()}
+	}
+	return power.Normalize(pp, pp[0])
 }
 
 func TestValidate(t *testing.T) {
@@ -118,10 +130,10 @@ func TestHomogeneousDiskBoundPhase(t *testing.T) {
 	if math.Abs(r.Tbld-want)/want > 1e-9 {
 		t.Fatalf("Tbld = %v, want %v", r.Tbld, want)
 	}
-	// U = I = 1200: utilB = 0.25 + 1200/5037.
+	// U = I = 1200: utilB = 0.25 + 1200/5037, on all 8 Beefy nodes.
 	wantU := 0.25 + 1200.0/5037
-	if math.Abs(r.UtilBbld-wantU) > 1e-9 {
-		t.Fatalf("UtilBbld = %v, want %v", r.UtilBbld, wantU)
+	if wantE := r.Tbld * 8 * hw.ClusterV().Power.Watts(wantU); math.Abs(r.Ebld-wantE)/wantE > 1e-9 {
+		t.Fatalf("Ebld = %v, want T*8*fB(%v) = %v", r.Ebld, wantU, wantE)
 	}
 	if r.Heterogeneous {
 		t.Fatal("O 1% should be homogeneous")
@@ -144,8 +156,8 @@ func TestHomogeneousNetworkBoundPhase(t *testing.T) {
 	}
 	// U = R/S = 1142.9: utilB = 0.25 + 1142.9/5037 = 0.4769.
 	wantU := 0.25 + wantR/0.10/5037
-	if math.Abs(r.UtilBbld-wantU) > 1e-9 {
-		t.Fatalf("UtilBbld = %v, want %v", r.UtilBbld, wantU)
+	if wantE := r.Tbld * 8 * hw.ClusterV().Power.Watts(wantU); math.Abs(r.Ebld-wantE)/wantE > 1e-9 {
+		t.Fatalf("Ebld = %v, want T*8*fB(%v) = %v", r.Ebld, wantU, wantE)
 	}
 }
 
@@ -156,10 +168,15 @@ func TestEnergyIsTimeTimesPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Both phases are disk-bound (I*S = 12 and 60 < L = 100), so
+	// U = I = 1200 in each: utilB = 0.25 + 1200/5037 on 8 Beefy nodes.
 	fB := hw.ClusterV().Power.Watts
-	wantE := r.Tbld*8*fB(r.UtilBbld) + r.Tprb*8*fB(r.UtilBprb)
-	if math.Abs(r.Joules()-wantE)/wantE > 1e-9 {
-		t.Fatalf("Joules = %v, want %v", r.Joules(), wantE)
+	wantU := 0.25 + 1200.0/5037
+	if wantE := r.Tbld * 8 * fB(wantU); math.Abs(r.Ebld-wantE)/wantE > 1e-9 {
+		t.Fatalf("Ebld = %v, want %v", r.Ebld, wantE)
+	}
+	if wantE := r.Tprb * 8 * fB(wantU); math.Abs(r.Eprb-wantE)/wantE > 1e-9 {
+		t.Fatalf("Eprb = %v, want %v", r.Eprb, wantE)
 	}
 }
 
@@ -167,8 +184,8 @@ func TestHeteroReducesToHomogeneousAtNW0(t *testing.T) {
 	p := section54Params()
 	p.Sbld, p.Sprb = 0.10, 0.10
 	p.JoinWork = 0 // defaulted to 1 either way; isolate network math
-	homT, homE, _, _ := p.phaseHomogeneous(p.Prb, p.Sprb)
-	hetT, _, _, _ := p.phaseHeterogeneous(p.Prb, p.Sprb)
+	homT, homE := p.phaseHomogeneous(p.Prb, p.Sprb)
+	hetT, _ := p.phaseHeterogeneous(p.Prb, p.Sprb)
 	if math.Abs(homT-hetT)/homT > 1e-9 {
 		t.Fatalf("NW=0: hetero T=%v vs homog T=%v", hetT, homT)
 	}
@@ -212,28 +229,29 @@ func TestFig10aHomogeneousSweepShape(t *testing.T) {
 	if len(pts) != 9 {
 		t.Fatalf("sweep has %d points", len(pts))
 	}
-	for _, dp := range pts {
+	norm := normalized(pts)
+	for i, dp := range pts {
 		if dp.Err != nil {
 			t.Fatalf("%s infeasible: %v", dp.Label(), dp.Err)
 		}
 		if dp.Res.Heterogeneous {
 			t.Fatalf("%s should be homogeneous", dp.Label())
 		}
-		if math.Abs(dp.NormPerf-1.0) > 0.02 {
-			t.Fatalf("%s performance %.3f, want ~1.0 (I/O masks Wimpy CPU)", dp.Label(), dp.NormPerf)
+		if math.Abs(norm[i].NormPerf-1.0) > 0.02 {
+			t.Fatalf("%s performance %.3f, want ~1.0 (I/O masks Wimpy CPU)", dp.Label(), norm[i].NormPerf)
 		}
 	}
-	allW := pts[len(pts)-1]
-	if allW.NB != 0 {
+	allW := norm[len(norm)-1]
+	if pts[len(pts)-1].NB != 0 {
 		t.Fatal("last sweep point should be 0B,8W")
 	}
-	if allW.NormEng > 0.2 {
-		t.Fatalf("0B,8W energy = %.3f, want < 0.2 (~90%% drop)", allW.NormEng)
+	if allW.NormEnerg > 0.2 {
+		t.Fatalf("0B,8W energy = %.3f, want < 0.2 (~90%% drop)", allW.NormEnerg)
 	}
 	// Energy decreases monotonically as Wimpies replace Beefies.
-	for i := 1; i < len(pts); i++ {
-		if pts[i].NormEng >= pts[i-1].NormEng {
-			t.Fatalf("energy not decreasing at %s", pts[i].Label())
+	for i := 1; i < len(norm); i++ {
+		if norm[i].NormEnerg >= norm[i-1].NormEnerg {
+			t.Fatalf("energy not decreasing at %s", norm[i].Label)
 		}
 	}
 }
@@ -254,16 +272,17 @@ func TestFig10bHeterogeneousSweepShape(t *testing.T) {
 			t.Fatalf("%s should be infeasible", dp.Label())
 		}
 	}
-	last := pts[6] // 2B,6W
-	if last.NB != 2 {
-		t.Fatalf("index 6 is %s, want 2B,6W", last.Label())
+	norm := normalized(pts)
+	last := norm[6] // 2B,6W
+	if pts[6].NB != 2 {
+		t.Fatalf("index 6 is %s, want 2B,6W", last.Label)
 	}
 	if last.NormPerf > 0.35 {
 		t.Fatalf("2B,6W perf %.3f, want severe degradation (~0.25)", last.NormPerf)
 	}
-	for _, dp := range pts[:7] {
-		if dp.NormEng < 0.9 || dp.NormEng > 1.25 {
-			t.Fatalf("%s energy %.3f outside [0.9,1.25]: no significant savings expected", dp.Label(), dp.NormEng)
+	for _, pt := range norm[:7] {
+		if pt.NormEnerg < 0.9 || pt.NormEnerg > 1.25 {
+			t.Fatalf("%s energy %.3f outside [0.9,1.25]: no significant savings expected", pt.Label, pt.NormEnerg)
 		}
 	}
 }
@@ -271,19 +290,20 @@ func TestFig10bHeterogeneousSweepShape(t *testing.T) {
 func TestFig1bShape(t *testing.T) {
 	// O 10%, L 1%: heterogeneous execution, but the probe (dominant)
 	// phase is scan-bound, so mixes retain performance while saving
-	// energy: points fall BELOW the EDP line (NormEng < NormPerf).
+	// energy: points fall BELOW the EDP line (NormEnerg < NormPerf).
 	p := section54Params()
 	p.Sbld, p.Sprb = 0.10, 0.01
 	pts := SweepMix(p, 8)
+	norm := normalized(pts)
 	found := false
-	for _, dp := range pts {
+	for i, dp := range pts {
 		if dp.Err != nil || dp.NB == 8 {
 			continue
 		}
 		if !dp.Res.Heterogeneous {
 			t.Fatalf("%s should be heterogeneous at O 10%%", dp.Label())
 		}
-		if dp.NormEng < dp.NormPerf-0.01 {
+		if norm[i].NormEnerg < norm[i].NormPerf-0.01 {
 			found = true
 		}
 	}
@@ -319,10 +339,11 @@ func TestFig11LowSelectivityDipsBelowEDP(t *testing.T) {
 	p := section54Params()
 	p.Sbld, p.Sprb = 0.10, 0.02
 	pts := SweepMix(p, 8)
+	norm := normalized(pts)
 	best := 1.0
-	for _, dp := range pts {
-		if dp.Err == nil && dp.NormPerf > 0 {
-			if r := dp.NormEng / dp.NormPerf; r < best {
+	for i, dp := range pts {
+		if dp.Err == nil && norm[i].NormPerf > 0 {
+			if r := norm[i].NormEDP(); r < best {
 				best = r
 			}
 		}

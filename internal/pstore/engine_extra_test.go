@@ -57,25 +57,6 @@ func TestEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestBuildProbePhaseSplit: the per-phase timings must tile the total.
-func TestBuildProbePhaseSplit(t *testing.T) {
-	c := newCluster(t, 4)
-	build, probe := smallDefs(false)
-	build.SF, probe.SF = 5, 5
-	res, _, err := RunJoin(c, Config{WarmCache: true, BatchRows: 100_000}, JoinSpec{
-		Build: build, Probe: probe, BuildSel: 0.10, ProbeSel: 0.10, Method: DualShuffle,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.BuildSeconds <= 0 || res.ProbeSeconds <= 0 {
-		t.Fatalf("phase split missing: build=%v probe=%v", res.BuildSeconds, res.ProbeSeconds)
-	}
-	if diff := res.Seconds - (res.BuildSeconds + res.ProbeSeconds); diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("phases don't tile total: %v + %v != %v", res.BuildSeconds, res.ProbeSeconds, res.Seconds)
-	}
-}
-
 // TestHashTableSizeAccounting: MaxHashTableBytes must reflect the
 // qualified build rows' share per owner.
 func TestHashTableSizeAccounting(t *testing.T) {

@@ -26,12 +26,11 @@ func ExampleRunJoin() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%d nodes: %.1f s (build %.1f s, probe %.1f s), %.1f kJ, %d rows\n",
-			n, res.Seconds, res.BuildSeconds, res.ProbeSeconds, joules/1000, res.OutputRows)
+		fmt.Printf("%d nodes: %.1f s, %.1f kJ, %d rows\n", n, res.Seconds, joules/1000, res.OutputRows)
 	}
 	// Output:
-	// 8 nodes: 0.8 s (build 0.2 s, probe 0.7 s), 2.4 kJ, 1500000 rows
-	// 4 nodes: 1.4 s (build 0.3 s, probe 1.1 s), 2.1 kJ, 1500000 rows
+	// 8 nodes: 0.8 s, 2.4 kJ, 1500000 rows
+	// 4 nodes: 1.4 s, 2.1 kJ, 1500000 rows
 }
 
 // The energy-aware planner picks Q3's plan on 2 Beefy + 2 Wimpy nodes as

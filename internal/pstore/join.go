@@ -65,8 +65,7 @@ func (h *hashTable) probeBatch(b storage.Batch, matchRate float64, fracAcc *floa
 
 // Handle tracks one in-flight join query.
 type Handle struct {
-	ID   string
-	Spec JoinSpec
+	ID string
 
 	Done *sim.Event
 
@@ -74,8 +73,7 @@ type Handle struct {
 	Result JoinResult
 	Err    error
 
-	startAt    sim.Time
-	buildEndAt sim.Time
+	startAt sim.Time
 
 	// aborted flags cooperative cancellation (see Abort in retry.go):
 	// operators observe it at batch boundaries, stop doing work, and run
@@ -303,7 +301,7 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	}
 
 	h := &Handle{
-		ID: id, Spec: spec, Done: &sim.Event{}, exec: e,
+		ID: id, Done: &sim.Event{}, exec: e,
 		startAt: e.C.Eng.Now(),
 		tables:  make([]*hashTable, n),
 		frac:    make([]float64, n),
@@ -386,9 +384,6 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 			if !h.buildWG.WaitTask(t) { // global build barrier
 				return nil
 			}
-			if nd.ID == owners[0] && h.buildEndAt == 0 {
-				h.buildEndAt = e.C.Eng.Now()
-			}
 			return e.scan(nd, probeParts[nd.ID], spec.ProbeSel)
 		},
 		route: func(nd int) routeFunc {
@@ -447,8 +442,6 @@ func (h *Handle) finalize(end sim.Time) {
 	}
 	r := &h.Result
 	r.Seconds = end - h.startAt
-	r.BuildSeconds = h.buildEndAt - h.startAt
-	r.ProbeSeconds = end - h.buildEndAt
 	r.OutputRows = h.outRows
 	r.Checksum = h.checksum
 	for b, ht := range h.tables {

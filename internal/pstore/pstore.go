@@ -171,8 +171,6 @@ func (s JoinSpec) Validate(c *cluster.Cluster) error {
 type JoinResult struct {
 	// Seconds is the query response time (virtual).
 	Seconds float64
-	// BuildSeconds and ProbeSeconds split the response time by phase.
-	BuildSeconds, ProbeSeconds float64
 	// OutputRows is the join result cardinality.
 	OutputRows int64
 	// Checksum is a content checksum of the join output (materialized

@@ -186,7 +186,7 @@ func TestScanRowIDsMatchColumnScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, part := range parts {
+			for nd, part := range parts {
 				if part.Rows%batchRows == 0 {
 					t.Fatalf("%s: %d rows divide into blocks of %d", def.Table, part.Rows, batchRows)
 				}
@@ -206,12 +206,12 @@ func TestScanRowIDsMatchColumnScan(t *testing.T) {
 						return true
 					})
 					if len(got) != len(want) {
-						t.Fatalf("%s n %d node %d sel %v: %d batches, column scan %d", def.Table, n, part.Node, sel, len(got), len(want))
+						t.Fatalf("%s n %d node %d sel %v: %d batches, column scan %d", def.Table, n, nd, sel, len(got), len(want))
 					}
 					for i := range got {
 						if got[i].Rows != want[i].Rows || got[i].Width != want[i].Width ||
 							len(got[i].Cols) != keyCols || !slices.Equal(got[i].Cols[storage.ColKey], want[i].Cols[storage.ColKey]) {
-							t.Fatalf("%s n %d node %d sel %v: batch %d is %+v, column scan %+v", def.Table, n, part.Node, sel, i, got[i], want[i])
+							t.Fatalf("%s n %d node %d sel %v: batch %d is %+v, column scan %+v", def.Table, n, nd, sel, i, got[i], want[i])
 						}
 					}
 					if sel == 1 && len(got) != int(part.Rows+batchRows-1)/batchRows {

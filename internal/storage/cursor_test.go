@@ -81,7 +81,7 @@ func TestCursorMatchesBatches(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, blockRows := range []int{1, 7, 512, 1 << 20} {
-				for _, p := range parts {
+				for nd, p := range parts {
 					var wantRows, gotRows int64
 					var wantSum, gotSum uint64
 					for _, b := range p.Batches(blockRows) {
@@ -97,7 +97,7 @@ func TestCursorMatchesBatches(t *testing.T) {
 					}
 					if gotRows != wantRows || gotSum != wantSum {
 						t.Fatalf("%v node %d blockRows=%d: cursor (rows=%d sum=%d) != batches (rows=%d sum=%d)",
-							def.Table, p.Node, blockRows, gotRows, gotSum, wantRows, wantSum)
+							def.Table, nd, blockRows, gotRows, gotSum, wantRows, wantSum)
 					}
 				}
 			}

@@ -71,8 +71,8 @@ func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRo
 		if want[nd] != nil {
 			rows = len(want[nd][0])
 		}
-		if p.Node != nd || p.Rows != int64(rows) {
-			t.Fatalf("partition %d: node %d with %d rows, want %d rows", nd, p.Node, p.Rows, rows)
+		if p.Rows != int64(rows) {
+			t.Fatalf("partition %d: %d rows, want %d rows", nd, p.Rows, rows)
 		}
 		if p.set == nil {
 			t.Fatalf("node %d: materialized partition turned phantom", nd)
@@ -217,14 +217,14 @@ func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range parts {
+			for nd, p := range parts {
 				for _, b := range p.Batches(512) {
 					for _, v := range b.Cols[ColKey] {
 						if tc.segment != nil {
 							v = tc.segment(v)
 						}
-						if d := int(tpch.Hash64(uint64(v)) % uint64(n)); d != p.Node {
-							t.Fatalf("%s n %d: value %d on node %d hashes to node %d", tc.def, n, v, p.Node, d)
+						if d := int(tpch.Hash64(uint64(v)) % uint64(n)); d != nd {
+							t.Fatalf("%s n %d: value %d on node %d hashes to node %d", tc.def, n, v, nd, d)
 						}
 					}
 				}
@@ -246,17 +246,17 @@ func TestZeroRowPartitionStaysMaterialized(t *testing.T) {
 		}
 		checkPartitions(t, parts, oraclePartition(def, 8), 4096)
 		empty := 0
-		for _, p := range parts {
+		for nd, p := range parts {
 			if p.Rows > 0 {
 				continue
 			}
 			empty++
 			if b := p.Batches(4096); b == nil || len(b) != 0 {
-				t.Fatalf("node %d: empty partition has blocks %v", p.Node, b)
+				t.Fatalf("node %d: empty partition has blocks %v", nd, b)
 			}
 			cur := p.Cursor(4096)
 			if b, ok := cur.Next(); ok {
-				t.Fatalf("node %d: empty partition's cursor yielded %+v", p.Node, b)
+				t.Fatalf("node %d: empty partition's cursor yielded %+v", nd, b)
 			}
 			cur.Close()
 		}

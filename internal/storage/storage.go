@@ -123,7 +123,6 @@ func (d TableDef) TotalBytes() float64 { return float64(d.TotalRows()) * float64
 // Partition is the slice of a table resident on one node.
 type Partition struct {
 	Def  TableDef
-	Node int
 	Rows int64
 	// set is a materialized partition's rows (nil when phantom): a
 	// bitmap over the table's rows, bit i%64 of set[i/64] set when row
@@ -178,7 +177,7 @@ func PartitionTable(def TableDef, n int, blockRows int) ([]*Partition, error) {
 	}
 	parts := make([]*Partition, n)
 	for i := range parts {
-		parts[i] = &Partition{Def: def, Node: i, blockRows: blockRows}
+		parts[i] = &Partition{Def: def, blockRows: blockRows}
 	}
 
 	if def.Materialize {

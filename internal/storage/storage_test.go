@@ -42,9 +42,9 @@ func TestPartitionBalanced(t *testing.T) {
 	def := liDef(0.01, true)
 	parts, _ := PartitionTable(def, 8, 1024)
 	want := float64(def.TotalRows()) / 8
-	for _, p := range parts {
+	for nd, p := range parts {
 		if math.Abs(float64(p.Rows)-want)/want > 0.1 {
-			t.Fatalf("node %d holds %d rows, want ~%.0f", p.Node, p.Rows, want)
+			t.Fatalf("node %d holds %d rows, want ~%.0f", nd, p.Rows, want)
 		}
 	}
 }
@@ -82,12 +82,12 @@ func TestSegmentationRoutesByKeyHash(t *testing.T) {
 	def := ordDef(0.01, true)
 	n := 4
 	parts, _ := PartitionTable(def, n, 512)
-	for _, p := range parts {
+	for nd, p := range parts {
 		for _, b := range p.Batches(512) {
 			for _, key := range b.Cols[ColKey] {
 				cust := tpch.GenOrder(def.SF, key-1).CustKey
-				if int(tpch.Hash64(uint64(cust))%uint64(n)) != p.Node {
-					t.Fatalf("row with custkey %d on wrong node %d", cust, p.Node)
+				if int(tpch.Hash64(uint64(cust))%uint64(n)) != nd {
+					t.Fatalf("row with custkey %d on wrong node %d", cust, nd)
 				}
 			}
 		}

@@ -152,86 +152,69 @@ func RowsFit(t Table, sf ScaleFactor) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Row generators. Each returns the columns the paper's queries touch.
+// Row generators: the reference generators for the stored and segment
+// columns that the column generators below produce and storage loads.
 
 // OrderRow is a generated ORDERS tuple (projected columns).
 type OrderRow struct {
-	OrderKey     int64
-	CustKey      int64
-	OrderDate    int64 // days since epoch-like origin
-	ShipPriority int64
-	SelCol       int64 // uniform [0, SelDomain): drives O_* predicates
+	OrderKey int64
+	CustKey  int64
+	SelCol   int64 // uniform [0, SelDomain): drives O_* predicates
 }
 
 // GenOrder deterministically generates ORDERS row i (0-based).
 func GenOrder(sf ScaleFactor, i int64) OrderRow {
 	nCust := sf.Customers()
 	return OrderRow{
-		OrderKey:     i + 1,
-		CustKey:      int64(uniform(0xA11CE, uint64(i), uint64(nCust))) + 1,
-		OrderDate:    int64(uniform(0xDA7E, uint64(i), 2557)), // ~7 years of days
-		ShipPriority: int64(uniform(0x5A1B, uint64(i), 5)),
-		SelCol:       int64(uniform(0x5E10, uint64(i), SelDomain)),
+		OrderKey: i + 1,
+		CustKey:  int64(uniform(0xA11CE, uint64(i), uint64(nCust))) + 1,
+		SelCol:   int64(uniform(0x5E10, uint64(i), SelDomain)),
 	}
 }
 
 // LineitemRow is a generated LINEITEM tuple (projected columns).
 type LineitemRow struct {
-	OrderKey      int64
-	SuppKey       int64 // FK to SUPPLIER, uniform
-	ExtendedPrice int64 // cents
-	Discount      int64 // basis points
-	ShipDate      int64
-	Quantity      int64
-	SelCol        int64 // uniform [0, SelDomain): drives L_* predicates
+	OrderKey int64
+	ShipDate int64
+	SelCol   int64 // uniform [0, SelDomain): drives L_* predicates
 }
 
 // GenLineitem deterministically generates LINEITEM row i (0-based).
 // Lineitems are grouped 4 per order: rows [4k, 4k+3] belong to order k+1,
 // preserving the FK structure and clustering of dbgen output.
 func GenLineitem(sf ScaleFactor, i int64) LineitemRow {
-	order := i/4 + 1
-	nSupp := sf.Suppliers()
 	return LineitemRow{
-		OrderKey:      order,
-		SuppKey:       int64(uniform(0x50BB, uint64(i), uint64(nSupp))) + 1,
-		ExtendedPrice: int64(uniform(0xFA1CE, uint64(i), 10_000_00)) + 100,
-		Discount:      int64(uniform(0xD15C, uint64(i), 1001)),
-		ShipDate:      int64(uniform(0x5417, uint64(i), 2557)),
-		Quantity:      int64(uniform(0x9771, uint64(i), 50)) + 1,
-		SelCol:        int64(uniform(0x5E11, uint64(i), SelDomain)),
+		OrderKey: i/4 + 1,
+		ShipDate: int64(uniform(0x5417, uint64(i), 2557)),
+		SelCol:   int64(uniform(0x5E11, uint64(i), SelDomain)),
 	}
 }
 
 // CustomerRow is a generated CUSTOMER tuple.
 type CustomerRow struct {
-	CustKey   int64
-	NationKey int64
-	SelCol    int64
+	CustKey int64
+	SelCol  int64
 }
 
 // GenCustomer deterministically generates CUSTOMER row i (0-based).
 func GenCustomer(sf ScaleFactor, i int64) CustomerRow {
 	return CustomerRow{
-		CustKey:   i + 1,
-		NationKey: int64(uniform(0x0A70, uint64(i), 25)),
-		SelCol:    int64(uniform(0x5E12, uint64(i), SelDomain)),
+		CustKey: i + 1,
+		SelCol:  int64(uniform(0x5E12, uint64(i), SelDomain)),
 	}
 }
 
 // SupplierRow is a generated SUPPLIER tuple.
 type SupplierRow struct {
-	SuppKey   int64
-	NationKey int64
-	SelCol    int64
+	SuppKey int64
+	SelCol  int64
 }
 
 // GenSupplier deterministically generates SUPPLIER row i (0-based).
 func GenSupplier(sf ScaleFactor, i int64) SupplierRow {
 	return SupplierRow{
-		SuppKey:   i + 1,
-		NationKey: int64(uniform(0x50FF, uint64(i), 25)),
-		SelCol:    int64(uniform(0x5E13, uint64(i), SelDomain)),
+		SuppKey: i + 1,
+		SelCol:  int64(uniform(0x5E13, uint64(i), SelDomain)),
 	}
 }
 

@@ -174,11 +174,11 @@ func TestCustomerSupplierGeneration(t *testing.T) {
 	sf := ScaleFactor(0.1)
 	for i := int64(0); i < 1000; i++ {
 		c := GenCustomer(sf, i)
-		if c.CustKey != i+1 || c.NationKey < 0 || c.NationKey >= 25 {
+		if c.CustKey != i+1 || c.SelCol < 0 || c.SelCol >= SelDomain {
 			t.Fatalf("customer %d malformed: %+v", i, c)
 		}
 		s := GenSupplier(sf, i)
-		if s.SuppKey != i+1 || s.NationKey < 0 || s.NationKey >= 25 {
+		if s.SuppKey != i+1 || s.SelCol < 0 || s.SelCol >= SelDomain {
 			t.Fatalf("supplier %d malformed: %+v", i, s)
 		}
 	}
@@ -224,12 +224,11 @@ func TestValueRanges(t *testing.T) {
 	sf := ScaleFactor(0.01)
 	for i := int64(0); i < 2000; i++ {
 		li := GenLineitem(sf, i)
-		if li.ExtendedPrice < 100 || li.Discount < 0 || li.Discount > 1000 ||
-			li.ShipDate < 0 || li.ShipDate >= 2557 || li.Quantity < 1 || li.Quantity > 50 {
+		if li.OrderKey != i/4+1 || li.ShipDate < 0 || li.ShipDate >= 2557 || li.SelCol < 0 || li.SelCol >= SelDomain {
 			t.Fatalf("lineitem %d out of range: %+v", i, li)
 		}
 		o := GenOrder(sf, i)
-		if o.OrderDate < 0 || o.OrderDate >= 2557 || o.ShipPriority < 0 || o.ShipPriority > 4 {
+		if o.OrderKey != i+1 || o.SelCol < 0 || o.SelCol >= SelDomain {
 			t.Fatalf("order %d out of range: %+v", i, o)
 		}
 	}

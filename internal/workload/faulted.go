@@ -40,10 +40,6 @@ type FaultedResult struct {
 	Faults fault.Counts
 	// DownSeconds sums node downtime overlapping the run, across nodes.
 	DownSeconds float64
-	// Txns and TxnRows count applied update batches and rows; Merges
-	// counts completed delta-merge cycles.
-	Txns, TxnRows int64
-	Merges        int
 	// Joules is the cluster's total energy to the makespan — retries,
 	// downtime idle power and straggler slowdowns all included.
 	Joules float64
@@ -132,6 +128,5 @@ func RunFaulted(c *cluster.Cluster, cfg pstore.Config, spec FaultedSpec) (Faulte
 	for _, nd := range c.Nodes {
 		res.DownSeconds += nd.DownBetween(0, sim.Time(res.Makespan))
 	}
-	res.Txns, res.TxnRows, res.Merges = pl.stats()
 	return res, nil
 }

@@ -31,7 +31,7 @@
 // `cmd/repro -sf 1000` (and complete at SF 10000 on one machine): the
 // internal/sim kernel runs simulated processes as runtime coroutines
 // (iter.Pull, hence Go 1.23: one coroswitch pair per process resume and
-// none when a process's own resume is next; a 4-ary event heap, an
+// none when a process's own resume is next; a bottom-up binary event heap, an
 // at-now FIFO fast path, zero steady-state allocations), the join data
 // path is a lazy cursor pipeline end-to-end (storage.Cursor:
 // selection-pushdown scans, per-destination routing and hash-table

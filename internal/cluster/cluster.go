@@ -91,11 +91,8 @@ func (mb *Mailbox) Recv(p *sim.Proc) (storage.Batch, bool) {
 // and throttle receive rates. Given buf[:0] of its last result, a steady-state
 // consumer allocates nothing. A mailbox that yields nothing is Closed, or Wait.
 func (mb *Mailbox) TryRecvManyInto(buf []storage.Batch, max int) []storage.Batch {
-	for len(buf) < max {
-		msg, ok := mb.q.TryGet()
-		if !ok {
-			break
-		}
+	var msg Message
+	for len(buf) < max && mb.q.TryGet(&msg) {
 		if !msg.EOS {
 			buf = append(buf, msg.Batch)
 		} else if mb.senders--; mb.senders <= 0 {
@@ -250,7 +247,7 @@ func (c *Cluster) startIngressPump(n *Node) {
 	n.eng.GoTask(fmt.Sprintf("n%d.rxpump", n.ID), func(t *sim.Task) {
 		for {
 			if !held {
-				if msg, held = n.inbox.TryGet(); !held {
+				if held = n.inbox.TryGet(&msg); !held {
 					n.inbox.WaitGet(t)
 					return
 				}
@@ -285,11 +282,14 @@ func (c *Cluster) Send(p *sim.Proc, msg Message) {
 	c.Nodes[msg.To].inbox.Put(p, msg)
 }
 
-// TrySend is Send for a task: it reports whether msg has been handed over.
-// If not, t is stepped again — when the egress port has carried msg (*paid
-// keeps that across steps; it starts false) or when the destination has
-// room — and must then call TrySend again with the same msg and paid.
-func (c *Cluster) TrySend(t *sim.Task, msg Message, paid *bool) bool {
+// TrySend is Send for a task: it reports whether *msg has been handed
+// over. If not, t is stepped again — when the egress port has carried it
+// (*paid keeps that across steps; it starts false) or when the destination
+// has room — and must then call TrySend again with the same msg and paid.
+// msg points at the sender's own copy (a ship task's &out[sent]), which
+// is read in place and copied once, into the destination's ring; the
+// sender may reuse it once TrySend has reported true.
+func (c *Cluster) TrySend(t *sim.Task, msg *Message, paid *bool) bool {
 	q := msg.Dest.q
 	if msg.From != msg.To {
 		q = c.Nodes[msg.To].inbox
@@ -299,7 +299,7 @@ func (c *Cluster) TrySend(t *sim.Task, msg Message, paid *bool) bool {
 			return false
 		}
 	}
-	if !q.TryPut(msg) {
+	if !q.TryPut(*msg) {
 		q.WaitPut(t)
 		return false
 	}

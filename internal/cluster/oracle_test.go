@@ -168,7 +168,7 @@ func (tr traffic) run(t *testing.T, asTasks bool) outcome {
 			var paid bool
 			c.Eng.GoTask(fmt.Sprintf("send%d", s), func(t *sim.Task) {
 				for ; sent < len(msgs); sent++ {
-					if !c.TrySend(t, msgs[sent], &paid) {
+					if !c.TrySend(t, &msgs[sent], &paid) {
 						return
 					}
 				}

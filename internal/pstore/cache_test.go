@@ -517,3 +517,40 @@ func TestSF100ShuffleJoinPinned(t *testing.T) {
 		t.Errorf("join took %v s and %v J, want %v s and %v J", res.Seconds, joules, seconds, joule)
 	}
 }
+
+// TestSF100HeterogeneousJoinsPinned pins the two hop shapes the shuffle
+// pin above does not reach, on 2 Beefy + 2 Wimpy nodes with a Beefy-only
+// build (BuildNodes {0, 1}): a Broadcast join, whose Wimpy non-owners
+// ship their probe batches round-robin to the owners, and a dual shuffle,
+// where all four nodes send into the two Beefy ingress ports. The
+// constants were recorded on commit 672c1fb; as above, a change that
+// adds, drops or reorders an event on these paths fails here.
+func TestSF100HeterogeneousJoinsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		method         JoinMethod
+		seconds, joule float64
+		events, hash   uint64
+	}{
+		{Broadcast, 3.848811032982934, 1856.2036566484105, 20459, 0x398931703e65fed6},
+		{DualShuffle, 4.166934783421167, 2000.1300364229621, 31525, 0xbf84d40af910ae6},
+	} {
+		t.Run(tc.method.String(), func(t *testing.T) {
+			c, err := cluster.New(cluster.Mixed(2, hw.BeefyL5630(), 2, hw.LaptopB()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec := cacheTestSpec(100, 0.05, 0.05, tc.method)
+			spec.BuildNodes = []int{0, 1}
+			res, joules, err := RunJoin(c, Config{WarmCache: true, BatchRows: 200_000}, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := c.Eng.Stats(); s.Events != tc.events || s.Hash != tc.hash || s.Callbacks != s.Events {
+				t.Errorf("kernel did %+v, want %d events of hash %#x, every one a callback", s, tc.events, tc.hash)
+			}
+			if res.Seconds != tc.seconds || joules != tc.joule {
+				t.Errorf("join took %v s and %v J, want %v s and %v J", res.Seconds, joules, tc.seconds, tc.joule)
+			}
+		})
+	}
+}

@@ -232,7 +232,7 @@ func (h *Handle) ship(x exchange, nd int, q *sim.Queue[storage.Batch]) {
 	e.C.Eng.GoTask(fmt.Sprintf("%s.%sship.%d", h.ID, x.side, nd), func(t *sim.Task) {
 		for {
 			for ; sent < len(out); sent++ {
-				if !e.C.TrySend(t, out[sent], &paid) {
+				if !e.C.TrySend(t, &out[sent], &paid) {
 					return
 				}
 				out[sent] = cluster.Message{} // the batch is the receiver's now
@@ -241,9 +241,9 @@ func (h *Handle) ship(x exchange, nd int, q *sim.Queue[storage.Batch]) {
 				return
 			}
 			out, sent = out[:0], 0
-			b, ok := q.TryGet()
+			var b storage.Batch
 			switch {
-			case ok:
+			case q.TryGet(&b):
 				if !h.aborted {
 					route(b, collect)
 				}

@@ -131,7 +131,7 @@ func (c *scanCursor) Pull(t *sim.Task) (b storage.Batch, done bool) {
 		var ok bool
 		if c.warm {
 			b, ok = c.cur.Next()
-		} else if b, ok = c.prefetch.TryGet(); !ok && !c.prefetch.Closed() {
+		} else if ok = c.prefetch.TryGet(&b); !ok && !c.prefetch.Closed() {
 			c.prefetch.WaitGet(t)
 			return storage.Batch{}, false
 		}
@@ -167,10 +167,8 @@ func (c *scanCursor) Close() {
 		return
 	}
 	c.stop = true
-	for {
-		if _, ok := c.prefetch.TryGet(); !ok {
-			break
-		}
+	var b storage.Batch
+	for c.prefetch.TryGet(&b) {
 	}
 }
 

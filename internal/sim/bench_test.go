@@ -96,7 +96,8 @@ func BenchmarkQueueTaskConsumer(b *testing.B) {
 		})
 		e.GoTask("consumer", func(t *Task) {
 			for {
-				if _, ok := q.TryGet(); !ok {
+				var v int
+				if !q.TryGet(&v) {
 					if !q.Closed() {
 						q.WaitGet(t)
 					}

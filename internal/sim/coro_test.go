@@ -107,7 +107,7 @@ func TestStatsCountEveryEventOnce(t *testing.T) {
 	// that put and close.
 	tq, srv, served := NewQueue[int]("tq", 1), NewServer(e, "srv", 1), 0
 	e.GoTask("task", func(t *Task) {
-		if v, ok := tq.TryGet(); ok {
+		if v := 0; tq.TryGet(&v) {
 			served += v
 			srv.ProcessAsync(5, t.Step)
 		} else if !tq.Closed() {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestEventHeapPopsInOrder is the property test for the 4-ary event
-// heap: under random interleaved push/pop — including heavy timestamp
+// TestEventHeapPopsInOrder is the property test for the bottom-up binary
+// event heap: under random interleaved push/pop — including heavy timestamp
 // ties, where only seq breaks the order — every pop must return exactly
 // the (at, seq)-minimum of the heap's current contents, verified against
 // a brute-force reference model.

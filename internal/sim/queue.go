@@ -1,9 +1,11 @@
 package sim
 
-// Queue is a bounded FIFO connecting simulated processes. Put blocks the
-// calling process while the queue is full; Get blocks while it is empty.
-// Capacity 0 means unbounded. A Queue may be closed to signal end of
-// stream to consumers.
+// Queue is a bounded FIFO connecting simulated processes and tasks. Put
+// blocks the calling process while the queue is full; Get blocks while it
+// is empty. A task uses the non-blocking forms instead: TryPut, and
+// TryGet, which moves the oldest item into the caller's variable, and
+// parks with WaitPut or WaitGet when they refuse. Capacity 0 means
+// unbounded. A Queue may be closed to signal end of stream to consumers.
 //
 // Queues are the backpressure mechanism of the cluster simulation: an
 // overloaded downstream operator (or a saturated NIC ingress port) fills
@@ -52,16 +54,16 @@ func (q *Queue[T]) push(v T) {
 	q.n++
 }
 
-// shift removes and returns the oldest item. Caller checks q.n > 0.
-func (q *Queue[T]) shift() T {
-	v := q.buf[q.head]
+// take moves the oldest item into *v and frees its slot. Caller checks
+// q.n > 0.
+func (q *Queue[T]) take(v *T) {
+	*v = q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero // release for GC
 	if q.head++; q.head == len(q.buf) {
 		q.head = 0
 	}
 	q.n--
-	return v
 }
 
 // Closed reports whether Close has been called.
@@ -116,17 +118,20 @@ func (q *Queue[T]) TryPut(v T) bool {
 	return true
 }
 
-// TryGet removes and returns the oldest item without blocking; ok=false
-// when the queue is empty (buffered items remain retrievable after
-// Close).
-func (q *Queue[T]) TryGet() (v T, ok bool) {
+// TryGet moves the oldest item into *v without blocking and reports
+// whether there was one; *v is left alone when the queue is empty
+// (buffered items remain retrievable after Close). The item is copied
+// memory to memory, ring slot to the caller's variable: a wide item (a
+// cluster.Message is nine words) never crosses in registers for the
+// caller to spill and reload, and a caller that keeps the item across
+// steps takes it straight into the variable that keeps it.
+func (q *Queue[T]) TryGet(v *T) bool {
 	if q.n == 0 {
-		var zero T
-		return zero, false
+		return false
 	}
-	v = q.shift()
+	q.take(v)
 	q.wakePutters()
-	return v, true
+	return true
 }
 
 // Get removes and returns the oldest item. It blocks while the queue is
@@ -139,7 +144,7 @@ func (q *Queue[T]) Get(p *Proc) (v T, ok bool) {
 		}
 		p.parkOn(&q.getters)
 	}
-	v = q.shift()
+	q.take(&v)
 	q.wakePutters()
 	return v, true
 }

@@ -4,12 +4,12 @@ import "testing"
 
 func TestTryGetNonBlocking(t *testing.T) {
 	q := NewQueue[int]("q", 0)
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue returned ok")
+	v := -1
+	if q.TryGet(&v) || v != -1 {
+		t.Fatalf("TryGet on empty queue returned ok or wrote %v", v)
 	}
 	q.TryPut(7)
-	v, ok := q.TryGet()
-	if !ok || v != 7 {
+	if ok := q.TryGet(&v); !ok || v != 7 {
 		t.Fatalf("TryGet = %v,%v", v, ok)
 	}
 }
@@ -19,13 +19,14 @@ func TestTryGetDrainsAfterClose(t *testing.T) {
 	q.TryPut(1)
 	q.TryPut(2)
 	q.Close()
-	if v, ok := q.TryGet(); !ok || v != 1 {
+	var v int
+	if ok := q.TryGet(&v); !ok || v != 1 {
 		t.Fatal("buffered item lost after close")
 	}
-	if v, ok := q.TryGet(); !ok || v != 2 {
+	if ok := q.TryGet(&v); !ok || v != 2 {
 		t.Fatal("second buffered item lost")
 	}
-	if _, ok := q.TryGet(); ok {
+	if q.TryGet(&v) {
 		t.Fatal("drained closed queue returned item")
 	}
 }
@@ -56,8 +57,8 @@ func TestTryGetWakesBlockedPutter(t *testing.T) {
 	})
 	e.Go("getter", func(p *Proc) {
 		p.Hold(1)
-		if v, ok := q.TryGet(); !ok || v != 1 {
-			t.Errorf("TryGet = %v,%v", v, ok)
+		if v := 0; !q.TryGet(&v) || v != 1 {
+			t.Errorf("TryGet = %v, want 1", v)
 		}
 	})
 	e.Run()

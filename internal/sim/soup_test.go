@@ -61,7 +61,8 @@ func TestSoupOrderMatchesParentKernel(t *testing.T) {
 					v, ok := q.Get(p)
 					log(name, fmt.Sprintf("get %s %d %v", q.name, v, ok))
 				case 7:
-					v, ok := q.TryGet()
+					var v int
+					ok := q.TryGet(&v)
 					log(name, fmt.Sprintf("tryget %s %d %v", q.name, v, ok))
 				case 8:
 					s := servers[rng.Intn(len(servers))]
@@ -102,7 +103,7 @@ func TestSoupOrderMatchesParentKernel(t *testing.T) {
 	Periodic(e, "pump", 5e-3, func(p *Proc) bool {
 		ticks++
 		for _, q := range queues {
-			if v, ok := q.TryGet(); ok {
+			if v := 0; q.TryGet(&v) {
 				log("pump", fmt.Sprintf("drain %s %d", q.name, v))
 			} else if q.TryPut(-ticks) {
 				log("pump", "feed "+q.name)

@@ -40,7 +40,7 @@ func pumpTrace(seed int64, asTask bool) (log []string, st Stats, busy float64) {
 		e.GoTask("pump", func(t *Task) {
 			for {
 				if !held {
-					if v, held = in.TryGet(); !held {
+					if held = in.TryGet(&v); !held {
 						if in.Closed() {
 							out.Close()
 						} else {

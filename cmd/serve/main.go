@@ -11,7 +11,7 @@
 //	serve -http :8080              serve HTTP instead (POST /, GET /metrics)
 //	serve -workers 8 -queue 64     pool size and per-tenant queue quota
 //	serve -tenants 'dash=128:2,batch=16'   per-tenant quota:weight overrides
-//	serve -timeout 5 -retries 2    default deadline and retry budget
+//	serve -timeout 5               default per-request deadline in seconds
 //	serve -nodes 8 -warm=false     per-request simulated cluster and engine config
 //
 // Serving performance is measured by the benchmark/ module's serve_miss,
@@ -68,7 +68,6 @@ func main() {
 		warm      = flag.Bool("warm", true, "working set cached (scan at CPU rate)")
 		batchRows = flag.Int("batch-rows", 200_000, "engine exchange batch size in rows")
 		timeout   = flag.Float64("timeout", 0, "default per-request deadline in seconds (0 = none), overridden per request by deadline_s")
-		retries   = flag.Int("retries", 0, "retry budget per failed join request; retries are shed before fresh work")
 		httpAddr  = flag.String("http", "", "serve HTTP on this address instead of reading stdin")
 	)
 	flag.Parse()
@@ -76,8 +75,6 @@ func main() {
 	switch {
 	case *timeout < 0 || math.IsNaN(*timeout) || math.IsInf(*timeout, 0):
 		fatalf("serve: -timeout must be a positive, finite number of seconds (0 = none), got %v", *timeout)
-	case *retries < 0:
-		fatalf("serve: -retries must not be negative, got %d", *retries)
 	case *workers < 1:
 		fatalf("serve: -workers must be at least 1, got %d", *workers)
 	case *queue < 0:
@@ -102,7 +99,6 @@ func main() {
 			Workers:      *workers,
 			ClusterNodes: *nodes,
 			Engine:       pstore.Config{WarmCache: *warm, BatchRows: *batchRows},
-			RetryBudget:  *retries,
 		},
 	}
 	s, err := service.New(cfg)

@@ -39,7 +39,6 @@ func defaultConfig() service.Config {
 		Execution: service.Execution{
 			Workers: 2,
 			Engine:  pstore.Config{WarmCache: true, BatchRows: 200_000},
-			Runner:  pstore.NewCache(nil),
 		},
 	}
 }
@@ -92,6 +91,12 @@ func TestHTTPStatusMapping(t *testing.T) {
 			body:     `{"id":"bad","join":{"sf":-3}}`,
 			wantCode: http.StatusBadRequest,
 			wantSub:  `"status":"error"`,
+		},
+		{
+			name:     "join with no rows: 400",
+			body:     `{"id":"tiny","join":{"sf":1e-9}}`,
+			wantCode: http.StatusBadRequest,
+			wantSub:  `no rows`,
 		},
 		{
 			name:     "bad priority: 400",
@@ -267,8 +272,8 @@ func buildServe(t *testing.T) string {
 
 // TestFlagValidation execs the built binary: every bad flag value is
 // rejected with exit 2 and a message naming the flag, before any request
-// is served. -compat and the -load harness are gone, so they are
-// undefined flags, and -h lists only the serving flags.
+// is served. -compat, the -load harness and the -retries budget are gone,
+// so they are undefined flags, and -h lists only the serving flags.
 func TestFlagValidation(t *testing.T) {
 	bin := buildServe(t)
 	for _, tc := range []struct {
@@ -276,7 +281,7 @@ func TestFlagValidation(t *testing.T) {
 		want string // substring of the combined output
 	}{
 		{[]string{"-timeout", "NaN"}, "serve: -timeout must be a positive, finite number of seconds (0 = none), got NaN"},
-		{[]string{"-retries", "-1"}, "serve: -retries must not be negative, got -1"},
+		{[]string{"-retries", "2"}, "flag provided but not defined: -retries"},
 		{[]string{"-workers", "0"}, "serve: -workers must be at least 1, got 0"},
 		{[]string{"-queue", "-1"}, "serve: -queue must not be negative, got -1"},
 		{[]string{"-nodes", "0"}, "serve: -nodes must be at least 1, got 0"},
@@ -307,7 +312,7 @@ func TestFlagValidation(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	want := "-batch-rows -http -nodes -queue -retries -tenants -timeout -warm -workers"
+	want := "-batch-rows -http -nodes -queue -tenants -timeout -warm -workers"
 	if got := strings.Join(flags, " "); got != want {
 		t.Errorf("serve -h lists %s, want %s", got, want)
 	}

@@ -23,7 +23,9 @@
 // the same engine as a long-running service: JSON join/design requests
 // on stdin or HTTP, a bounded worker pool with admission control
 // (shed-on-overload), and the shared join cache answering repeated
-// identical requests from memory.
+// identical requests from memory. Every join takes one path (the
+// service's memo, then the cache, then the engine) and runs once: the
+// engine is deterministic, so there is nothing to retry.
 // Per-request and aggregate reports are typed JSON
 // (report.ServiceResponse, report.ServiceMetrics).
 //

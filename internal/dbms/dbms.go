@@ -15,8 +15,6 @@
 //     paper: "an increase in network traffic on the cluster switches
 //     causes interference and further delays in communication", §4.1).
 //     CPU idles at the engine floor plus the shuffle feed rate.
-//   - BroadcastStage: every node receives ~the whole table; time is
-//     nearly independent of n (the algorithmic bottleneck, §4.1).
 //   - FixedStage: cluster-size-independent coordination overhead with
 //     idle CPUs — the "Hadoop bottleneck" of Section 3.2.
 //
@@ -42,8 +40,6 @@ const (
 	Local StageKind = iota
 	// Repartition is an all-to-all shuffle.
 	Repartition
-	// BroadcastK is an inner-table broadcast.
-	BroadcastK
 	// Fixed is cluster-size-independent coordination overhead.
 	Fixed
 )
@@ -52,7 +48,7 @@ const (
 type Stage struct {
 	Kind StageKind
 	// BytesMB is the stage's total data volume across the cluster
-	// (CPU bytes for Local, wire bytes for Repartition/Broadcast).
+	// (CPU bytes for Local, wire bytes for Repartition).
 	BytesMB float64
 	// Seconds is the duration of a Fixed stage.
 	Seconds float64
@@ -75,12 +71,6 @@ func (s Stage) Duration(n int, spec hw.Spec) (secs, cpuBusy float64) {
 		// CPU feeds the shuffle at the effective wire rate.
 		perNodeRate := s.BytesMB * (nn - 1) / (nn * nn) / secs
 		return secs, math.Min(1, perNodeRate/spec.CPUBandwidth)
-	case BroadcastK:
-		// Every node must receive (n-1)/n of the table through its
-		// ingress port: time ~ BytesMB*(n-1)/n / L — nearly flat in n.
-		secs = s.BytesMB * (nn - 1) / nn / spec.NetMBps
-		perNodeRate := s.BytesMB * (nn - 1) / nn / secs
-		return secs, math.Min(1, perNodeRate/spec.CPUBandwidth)
 	default: // Fixed
 		return s.Seconds, 0
 	}
@@ -101,14 +91,14 @@ type Result struct {
 }
 
 // NetworkFraction returns the share of total time spent in
-// Repartition/Broadcast stages.
+// Repartition stages.
 func (r Result) NetworkFraction(q Query) float64 {
 	if r.Seconds == 0 {
 		return 0
 	}
 	var net float64
 	for i, st := range q.Stages {
-		if st.Kind == Repartition || st.Kind == BroadcastK {
+		if st.Kind == Repartition {
 			net += r.StageSeconds[i]
 		}
 	}

@@ -125,20 +125,6 @@ func TestHadoopDBBestPerformerNotMostEfficient(t *testing.T) {
 	}
 }
 
-func TestBroadcastStageFlatInN(t *testing.T) {
-	st := Stage{Kind: BroadcastK, BytesMB: 10000}
-	t8, _ := st.Duration(8, hw.ClusterV())
-	t16, _ := st.Duration(16, hw.ClusterV())
-	// (15/16)/(7/8) = 1.071: broadcast barely speeds up with more nodes —
-	// it gets slightly SLOWER.
-	if t16 <= t8 {
-		t.Fatalf("broadcast t16=%v <= t8=%v; should grow slightly", t16, t8)
-	}
-	if t16/t8 > 1.1 {
-		t.Fatalf("broadcast t16/t8 = %.3f, want ~1.07", t16/t8)
-	}
-}
-
 func TestLocalStageLinear(t *testing.T) {
 	st := Stage{Kind: Local, BytesMB: 80592} // 2 s at 8 nodes on cluster-V
 	t8, busy := st.Duration(8, hw.ClusterV())

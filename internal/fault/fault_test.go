@@ -170,31 +170,6 @@ func TestInjectorStragglerRestoresRates(t *testing.T) {
 	}
 }
 
-// TestInjectorStopDisarms: Stop before an episode's start time means it
-// never fires and never perturbs the cluster.
-func TestInjectorStopDisarms(t *testing.T) {
-	c := testCluster(t, 1)
-	plan := &Plan{
-		Crashes:    []Crash{{Node: 0, At: 5, Downtime: 1}},
-		Stragglers: []Straggler{{Node: 0, At: 6, Duration: 1, Factor: 4}},
-	}
-	inj := Inject(c, plan)
-	c.Eng.At(1, func() { inj.Stop() })
-	healthy := c.Nodes[0].CPU.Rate()
-	c.Eng.At(6.5, func() {
-		if got := c.Nodes[0].CPU.Rate(); got != healthy {
-			t.Errorf("CPU rate %v inside a disarmed straggler episode, want %v", got, healthy)
-		}
-	})
-	c.Run()
-	if inj.Fired() != (Counts{}) {
-		t.Fatalf("episodes fired after Stop: %+v", inj.Fired())
-	}
-	if c.Nodes[0].DownBetween(0, 100) != 0 {
-		t.Fatal("node perturbed after Stop")
-	}
-}
-
 // TestFingerprintCoversNodesAndSpecs: the fingerprint is a function of
 // node count and hardware, and it is stable: it seeds every fault plan,
 // so it is pinned for two clusters.

@@ -5,8 +5,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Counts tallies episodes that actually fired (Stop suppresses episodes
-// scheduled past the workload's makespan).
+// Counts tallies episodes that actually fired: an episode scheduled after
+// the run halted never does.
 type Counts struct {
 	Crashes    int
 	Stragglers int
@@ -16,11 +16,11 @@ type Counts struct {
 // events on the cluster's engine, all scheduled up front from root
 // context (before the engine runs).
 //
-// Call Stop when the workload completes: remaining scheduled events
-// become no-ops, so a plan whose horizon outlives the workload does not
-// drag the simulation (and its idle-energy bill) out to the horizon.
+// The driver halts the engine when the workload completes, so the
+// episodes still queued never run: a plan whose horizon outlives the
+// workload does not drag the simulation (and its idle-energy bill) out to
+// the horizon.
 type Injector struct {
-	stopped bool
 	fired   Counts
 	onCrash []func(node int)
 }
@@ -37,35 +37,25 @@ func Inject(c *cluster.Cluster, p *Plan) *Injector {
 		cr := cr
 		n := c.Nodes[cr.Node]
 		eng.At(cr.At, func() {
-			if inj.stopped {
-				return
-			}
 			inj.fired.Crashes++
 			n.Fail(eng.Now() + sim.Time(cr.Downtime))
 			for _, hook := range inj.onCrash {
 				hook(cr.Node)
 			}
 		})
-		eng.At(cr.At+sim.Time(cr.Downtime), func() {
-			// Restart even after Stop so an open downtime interval is
-			// closed and DownBetween stays consistent.
-			n.Restart()
-		})
+		eng.At(cr.At+sim.Time(cr.Downtime), n.Restart)
 	}
 	for _, st := range p.Stragglers {
 		st := st
 		n := c.Nodes[st.Node]
 		servers := []*sim.Server{n.CPU, n.Disk, n.Egress, n.Ingress}
 		eng.At(st.At, func() {
-			if inj.stopped {
-				return
-			}
 			inj.fired.Stragglers++
 			// Save the healthy rates and restore them exactly — a
 			// divide-then-multiply round trip is not float-exact for
 			// every factor. The restore is scheduled from inside the
-			// degrade event: if the episode never starts (Stop), the
-			// rates were never touched and no restore is needed.
+			// degrade event: if the episode never starts, the rates
+			// were never touched and no restore is needed.
 			orig := make([]float64, len(servers))
 			for i, s := range servers {
 				orig[i] = s.Rate()
@@ -86,10 +76,6 @@ func Inject(c *cluster.Cluster, p *Plan) *Injector {
 // this to abort in-flight queries so the retry path can re-run them.
 // Hooks run in registration order.
 func (inj *Injector) OnCrash(fn func(node int)) { inj.onCrash = append(inj.onCrash, fn) }
-
-// Stop disarms episodes that have not fired yet. Pending restart events
-// still close any open downtime interval.
-func (inj *Injector) Stop() { inj.stopped = true }
 
 // Fired returns the episode counts that actually executed.
 func (inj *Injector) Fired() Counts { return inj.fired }

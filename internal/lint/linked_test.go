@@ -25,8 +25,6 @@ var program = sync.OnceValues(func() ([]*load.Package, error) {
 // ("lint/analysistest").
 var notLinked = map[string]string{
 	"lint/analysistest":      "the analyzers' test harness: only the lint tests import it",
-	"sim.Engine.RunUntil":    "the engine's test-only stepping mode (Engine.limit, the limit argument of run/step, the limit check in Proc.block): the kernel-order pin TestSoupOrderMatchesParentKernel and the sim Shutdown and scheduling tests run to a time",
-	"sim.Engine.Step":        "the same test-only stepping mode, one event at a time: the sim coroutine, panic and task tests",
 	"sim.Engine.Stats":       "the per-engine kernel counters that the pinned and task-vs-process tests compare (pstore TestSF100ShuffleJoinPinned, TestExchangeTasksMatchProcessForms; cluster TestTaskPumpAndTrySendMatchProcessForms)",
 	"sim.Server.BusySeconds": "per-server busy time: the task-vs-process oracles compare it, and the planned per-component time/energy breakdown and the check Σbusy ≤ elapsed read it",
 	"sim.WaitGroup.Wait":     "the process-form exchange oracle parks on it (pstore refExchange, TestExchangeTasksMatchProcessForms; sim TestSoupOrderMatchesParentKernel)",

@@ -27,11 +27,9 @@ type ServiceResponse struct {
 	// than a failed run. It is not serialized; cmd/serve uses it to map
 	// HTTP errors to 400 (caller's fault) vs 500 (run failed).
 	Invalid bool `json:"-"`
-	// Retries counts the failed join runs this response retried before
-	// succeeding (or giving up); zero when the first attempt answered.
-	Retries int `json:"retries,omitempty"`
-	// Cache is "hit" or "miss" for join requests answered through a
-	// memoizing runner; empty otherwise.
+	// Cache is "hit" for a join answered from the service's memory and
+	// "miss" for one its engine ran; empty for a design, and for an
+	// error, shed or deadline response.
 	Cache string `json:"cache,omitempty"`
 	// Seconds/Joules are the simulated response time and cluster energy
 	// of a join run, or the model-predicted values of a design.
@@ -84,13 +82,8 @@ type ServiceMetrics struct {
 	Shed     int64 `json:"shed"`
 	Errors   int64 `json:"errors"`
 	// Deadline counts requests that expired in the queue (answered with
-	// status "deadline", never launched). Retries counts failed join
-	// runs that were retried; RetriesShed counts retries refused by the
-	// graceful-degradation gate (fresh work waiting, or the request's
-	// deadline passed) while budget remained.
-	Deadline    int64 `json:"deadline"`
-	Retries     int64 `json:"retries"`
-	RetriesShed int64 `json:"retries_shed"`
+	// status "deadline", never launched).
+	Deadline int64 `json:"deadline"`
 	// CacheHits/CacheMisses count join requests answered from the shared
 	// runner's memory vs fresh engine simulations.
 	CacheHits   int64 `json:"cache_hits"`

@@ -11,14 +11,14 @@
 // Priorities are two-level and strict: queued high-priority work is
 // served before any low-priority work, and under pressure the service
 // sheds low before high — a high request arriving at a full tenant queue
-// displaces that tenant's newest queued low request. Retries of failed
-// runs rank below all fresh work (a retry runs only while no fresh
-// request waits anywhere), and requests still queued at their deadline
-// (per-request deadline_s, or the service-wide Admission.Timeout) are
-// answered with status "deadline" without launching.
+// displaces that tenant's newest queued low request. Requests still
+// queued at their deadline (per-request deadline_s, or the service-wide
+// Admission.Timeout) are answered with status "deadline" without
+// launching. A join runs once: the engine is deterministic, so a run that
+// failed would fail the same way again, and its error is the answer.
 //
-// Join requests are answered through a shared pstore.JoinRunner — with a
-// pstore.Cache (the default), identical requests are served from memory,
+// Join requests are answered through a pstore.Cache over the engine (or
+// over Execution.Runner), so identical requests are served from memory,
 // bit-identical to a fresh engine run, and the Server adds a per-request
 // memo on top so steady-state cache hits skip cluster construction and
 // fingerprinting entirely. Responses are typed report.ServiceResponse
@@ -50,7 +50,7 @@ const DefaultTenant = "default"
 
 // Config controls a Server, split by concern: Admission decides what
 // gets in (quotas, fairness weights, deadlines), Execution decides how
-// admitted work runs (pool size, engine, cache, retries).
+// admitted work runs (pool size, cluster, engine).
 type Config struct {
 	Admission Admission
 	Execution Execution
@@ -73,8 +73,8 @@ type Admission struct {
 	// Timeout is the default per-request deadline in wall seconds from
 	// arrival, used when a request carries no deadline_s of its own. A
 	// request still queued at its deadline is answered with status
-	// "deadline" without launching, and a failed join is never retried
-	// past it. Zero means no deadline (cmd/serve -timeout).
+	// "deadline" without launching. Zero means no deadline (cmd/serve
+	// -timeout).
 	Timeout float64
 }
 
@@ -91,9 +91,10 @@ type Tenant struct {
 type Execution struct {
 	// Workers is the maximum number of in-flight requests (default 4).
 	Workers int
-	// Runner executes join requests. A *pstore.Cache (the default) makes
-	// the service answer repeated identical requests from memory and
-	// tags responses hit/miss.
+	// Runner runs the joins the service has not answered before (nil
+	// means the engine). It is the seam where tests put a fake; the
+	// service always memoizes in front of it, so a fake sees each
+	// distinct request once.
 	Runner pstore.JoinRunner
 	// Cluster builds the per-request simulated cluster (default:
 	// ClusterNodes homogeneous cluster-V nodes). Identical clusters
@@ -104,11 +105,6 @@ type Execution struct {
 	ClusterNodes int
 	// Engine is the P-store configuration for join runs.
 	Engine pstore.Config
-	// RetryBudget is how many times one failed join run may be retried.
-	// Retries degrade gracefully — shed before fresh work: a retry runs
-	// only while no fresh request is waiting in any queue and the
-	// request's deadline (if any) has not passed. Zero disables retry.
-	RetryBudget int
 }
 
 type job struct {
@@ -135,10 +131,8 @@ type memoVal struct {
 // Server is a running workload-stream service. Create with New, submit
 // with Do (safe for concurrent use), finish with Close.
 type Server struct {
-	cfg    Config
-	runner pstore.JoinRunner
-	// cache is runner when it is a *pstore.Cache, else nil: it tags
-	// join responses hit/miss and turns the memos on.
+	cfg Config
+	// cache memoizes Execution.Runner and tags join responses hit/miss.
 	cache *pstore.Cache
 	mk    func() (*cluster.Cluster, error)
 	wg    sync.WaitGroup
@@ -146,13 +140,28 @@ type Server struct {
 	start time.Time
 	now   func() time.Time
 
+	// memo short-circuits repeated identical requests without touching
+	// the shared cache's fingerprint path (no cluster build, no key
+	// rendering): within one Server the engine config and cluster
+	// factory are fixed, so the request value alone is a complete key.
+	// Join memo hits count (and tag) as cache hits in the service's own
+	// metrics; design memoization is silent — design responses never
+	// carried a cache tag. mu guards the contents of the three maps;
+	// the map fields themselves are set once, in New, and sit above mu
+	// so that mu keeps its 64-byte-aligned offset (see mu).
+	memo       map[workload.JoinRequest]memoVal
+	memoDesign map[DesignRequest]report.ServiceResponse
+	tenants    map[string]*tenantStats
+
 	// mu guards q and every field below it. Every Do and every worker
 	// takes it, and a goroutine waiting for it spins reading its word,
 	// so the fields the holder writes start a cache line after it. With
 	// inflight and the first counters on mu's line, serve_flood's p50
 	// was 0.065 ms against 0.032 ms (medians of four runs each, 2 vCPUs).
 	// The pad fills mu, cond and q out to 64 bytes
-	// (TestServerCountersOffMutexLine).
+	// (TestServerCountersOffMutexLine). mu sits at offset 192, a multiple
+	// of 64; at offset 168 serve_flood's p50 read 0.039 ms against
+	// 0.030 ms at 192 (medians of 8 interleaved pairs, 2 vCPUs).
 	mu       sync.Mutex
 	cond     *sync.Cond
 	q        *fairq.Queue[*job]
@@ -160,32 +169,18 @@ type Server struct {
 	inflight int
 	closed   bool
 
-	received    int64
-	ok          int64
-	shed        int64
-	errs        int64
-	deadline    int64
-	retries     int64
-	retriesShed int64
-	okJoins     int64
-	hits        int64
-	misses      int64
-	respSum     float64
-	respMax     float64
-	joules      float64
-	wallHist    report.Histogram
-	tenants     map[string]*tenantStats
-
-	// memo short-circuits repeated identical requests without touching
-	// the shared cache's fingerprint path (no cluster build, no key
-	// rendering): within one Server the engine config and cluster
-	// factory are fixed, so the request value alone is a complete key.
-	// Join memo hits count (and tag) as cache hits in the service's own
-	// metrics; design memoization is silent — design responses never
-	// carried a cache tag. memo is nil when the runner is not a
-	// memoizing cache, so an injected runner sees every request.
-	memo       map[workload.JoinRequest]memoVal
-	memoDesign map[DesignRequest]report.ServiceResponse
+	received int64
+	ok       int64
+	shed     int64
+	errs     int64
+	deadline int64
+	okJoins  int64
+	hits     int64
+	misses   int64
+	respSum  float64
+	respMax  float64
+	joules   float64
+	wallHist report.Histogram
 }
 
 // New starts a Server and its worker pool.
@@ -216,26 +211,17 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Admission.Timeout < 0 || math.IsNaN(cfg.Admission.Timeout) || math.IsInf(cfg.Admission.Timeout, 0) {
 		return nil, fmt.Errorf("service: Timeout must be a positive, finite number of seconds (0 = none), got %v", cfg.Admission.Timeout)
 	}
-	if cfg.Execution.RetryBudget < 0 {
-		return nil, fmt.Errorf("service: RetryBudget must not be negative, got %d", cfg.Execution.RetryBudget)
-	}
 	s := &Server{
-		cfg:     cfg,
-		runner:  cfg.Execution.Runner,
-		mk:      cfg.Execution.Cluster,
-		tenants: make(map[string]*tenantStats),
-		now:     time.Now,
+		cfg:        cfg,
+		cache:      pstore.NewCache(cfg.Execution.Runner),
+		mk:         cfg.Execution.Cluster,
+		tenants:    make(map[string]*tenantStats),
+		now:        time.Now,
+		memo:       make(map[workload.JoinRequest]memoVal),
+		memoDesign: make(map[DesignRequest]report.ServiceResponse),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.q = fairq.New[*job](s.weight)
-	if s.runner == nil {
-		s.runner = pstore.NewCache(nil)
-	}
-	s.cache, _ = s.runner.(*pstore.Cache)
-	if s.cache != nil {
-		s.memo = make(map[workload.JoinRequest]memoVal)
-		s.memoDesign = make(map[DesignRequest]report.ServiceResponse)
-	}
 	if s.mk == nil {
 		nodes := cfg.Execution.ClusterNodes
 		s.mk = func() (*cluster.Cluster, error) {
@@ -405,8 +391,7 @@ func (s *Server) serve(j *job) {
 	s.answer(j, resp)
 }
 
-// handle executes one admitted request; the job's arrival anchors its
-// deadline for the retry gate.
+// handle executes one admitted request.
 func (s *Server) handle(j *job) report.ServiceResponse {
 	req := j.req
 	resp := report.ServiceResponse{ID: req.ID, Kind: req.ResolvedKind(), Tenant: req.Tenant}
@@ -423,67 +408,44 @@ func (s *Server) handle(j *job) report.ServiceResponse {
 		if err != nil {
 			return fail(err, true)
 		}
-		if s.memo != nil {
-			s.mu.Lock()
-			v, ok := s.memo[jr]
-			s.mu.Unlock()
-			if ok {
-				resp.Status = "ok"
-				resp.Cache = "hit"
-				resp.Seconds = v.seconds
-				resp.Joules = v.joules
-				return resp
-			}
-		}
-		// Only the engine run retries: a spec that failed to parse or a
-		// cluster that failed to build will fail identically every time.
-		for attempt := 0; ; attempt++ {
-			resp.Retries = attempt
-			c, err := s.mk()
-			if err != nil {
-				return fail(err, false)
-			}
-			var res pstore.JoinResult
-			var joules float64
-			if s.cache != nil {
-				var hit bool
-				res, joules, hit, err = s.cache.RunJoinHit(c, s.cfg.Execution.Engine, spec)
-				if err == nil {
-					resp.Cache = "miss"
-					if hit {
-						resp.Cache = "hit"
-					}
-				}
-			} else {
-				res, joules, err = s.runner.RunJoin(c, s.cfg.Execution.Engine, spec)
-			}
-			if err != nil {
-				if s.allowRetry(attempt, j) {
-					continue
-				}
-				return fail(err, false)
-			}
+		s.mu.Lock()
+		v, ok := s.memo[jr]
+		s.mu.Unlock()
+		if ok {
 			resp.Status = "ok"
-			resp.Seconds = res.Seconds
-			resp.Joules = joules
-			if s.memo != nil {
-				s.mu.Lock()
-				s.memo[jr] = memoVal{seconds: res.Seconds, joules: joules}
-				s.mu.Unlock()
-			}
+			resp.Cache = "hit"
+			resp.Seconds = v.seconds
+			resp.Joules = v.joules
 			return resp
 		}
+		c, err := s.mk()
+		if err != nil {
+			return fail(err, false)
+		}
+		res, joules, hit, err := s.cache.RunJoinHit(c, s.cfg.Execution.Engine, spec)
+		if err != nil {
+			return fail(err, false)
+		}
+		resp.Status = "ok"
+		resp.Cache = "miss"
+		if hit {
+			resp.Cache = "hit"
+		}
+		resp.Seconds = res.Seconds
+		resp.Joules = joules
+		s.mu.Lock()
+		s.memo[jr] = memoVal{seconds: res.Seconds, joules: joules}
+		s.mu.Unlock()
+		return resp
 	case "design":
 		d := req.design()
-		if s.memoDesign != nil {
-			s.mu.Lock()
-			m, ok := s.memoDesign[d]
-			s.mu.Unlock()
-			if ok {
-				m.ID = req.ID
-				m.Tenant = req.Tenant
-				return m
-			}
+		s.mu.Lock()
+		m, ok := s.memoDesign[d]
+		s.mu.Unlock()
+		if ok {
+			m.ID = req.ID
+			m.Tenant = req.Tenant
+			return m
 		}
 		adv, err := s.design(d)
 		if err != nil {
@@ -493,11 +455,9 @@ func (s *Server) handle(j *job) report.ServiceResponse {
 		resp.Design = adv.Best.Label()
 		resp.Seconds = adv.Best.Seconds
 		resp.Joules = adv.Best.Joules
-		if s.memoDesign != nil {
-			s.mu.Lock()
-			s.memoDesign[d] = resp
-			s.mu.Unlock()
-		}
+		s.mu.Lock()
+		s.memoDesign[d] = resp
+		s.mu.Unlock()
 		return resp
 	default:
 		return fail(fmt.Errorf("service: unknown request kind %q (want join or design)", req.Kind), true)
@@ -547,26 +507,6 @@ func (s *Server) design(d DesignRequest) (core.Advice, error) {
 	base.WarmCache = s.cfg.Execution.Engine.WarmCache
 	des := core.Designer{Base: base, MaxNodes: nodes}
 	return des.Recommend(target)
-}
-
-// allowRetry is the graceful-degradation gate: a failed join run (its
-// used-so-far retry count given) may try again only while budget
-// remains, the request's deadline has not passed, and no fresh request
-// is waiting in any tenant's queue — under load the service sheds
-// retries before it sheds fresh work.
-func (s *Server) allowRetry(used int, j *job) bool {
-	if used >= s.cfg.Execution.RetryBudget {
-		return false
-	}
-	expired := j.deadline > 0 && s.now().Sub(j.arrival).Seconds() > j.deadline
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if expired || s.q.Len() > 0 {
-		s.retriesShed++
-		return false
-	}
-	s.retries++
-	return true
 }
 
 // answer folds a worker's finished job into the aggregates and frees its
@@ -638,8 +578,6 @@ func (s *Server) Metrics() report.ServiceMetrics {
 		Shed:        s.shed,
 		Errors:      s.errs,
 		Deadline:    s.deadline,
-		Retries:     s.retries,
-		RetriesShed: s.retriesShed,
 		CacheHits:   s.hits,
 		CacheMisses: s.misses,
 		WallSeconds: s.now().Sub(s.start).Seconds(),

@@ -108,12 +108,12 @@ func TestServiceByteIdenticalToRunJoin(t *testing.T) {
 // TestServiceAnswersRepeatsFromCache checks the shared-memory path:
 // identical streamed requests are answered from memory (the service memo
 // over the pstore.Cache) with bit-identical results and tagged as hits,
-// and the engine runs once.
+// and the runner behind the cache runs once.
 func TestServiceAnswersRepeatsFromCache(t *testing.T) {
-	cache := pstore.NewCache(nil)
+	sr := &scriptRunner{}
 	s, err := New(Config{
 		Admission: Admission{QueueDepth: 16},
-		Execution: Execution{Workers: 2, Runner: cache, Engine: engineCfg()},
+		Execution: Execution{Workers: 2, Runner: sr, Engine: engineCfg()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,8 +134,8 @@ func TestServiceAnswersRepeatsFromCache(t *testing.T) {
 			t.Fatalf("repeat %d result drifted: %+v vs %+v", i, r, first)
 		}
 	}
-	if st := cache.Stats(); st.Misses != 1 {
-		t.Fatalf("cache stats = %+v, want 1 engine run", st)
+	if len(sr.order) != 1 {
+		t.Fatalf("runner ran %d joins, want 1", len(sr.order))
 	}
 	m := s.Metrics()
 	if m.CacheHits != 5 || m.CacheMisses != 1 {
@@ -294,9 +294,11 @@ func TestServiceMultiTenantBurst(t *testing.T) {
 	}
 }
 
-// scriptRunner parks every join on gate and records the order specs
-// reach the engine — with one worker and distinct selectivities per
-// tenant, the recorded order is the service's exact DRR drain order.
+// scriptRunner parks every join on gate (when non-nil) and records the
+// order specs reach it — with one worker and distinct selectivities per
+// tenant, the recorded order is the service's exact DRR drain order. The
+// service memoizes in front of it, so a test that needs every request to
+// reach it sends distinct specs.
 type scriptRunner struct {
 	mu    sync.Mutex
 	gate  chan struct{}
@@ -327,7 +329,8 @@ const (
 // queued requests and a quiet tenant with two. The drain order must
 // alternate per DRR — the quiet tenant is served after at most one hot
 // request, never behind the whole flood — and the quiet tenant sheds
-// nothing.
+// nothing. Each request's probe selectivity is distinct, so every one
+// reaches the runner.
 func TestServiceFairQueueingNeverStarvesQuietTenant(t *testing.T) {
 	sr := &scriptRunner{gate: make(chan struct{})}
 	s, err := New(Config{
@@ -343,7 +346,7 @@ func TestServiceFairQueueingNeverStarvesQuietTenant(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r := s.Do(Request{Tenant: tenant, Join: &workload.JoinRequest{SF: 5, BuildSel: sel, ProbeSel: 0.05}})
+			r := s.Do(Request{Tenant: tenant, Join: &workload.JoinRequest{SF: 5, BuildSel: sel, ProbeSel: 0.05 + 0.01*float64(queuedAfter)}})
 			if !r.OK() {
 				t.Errorf("tenant %s request not answered: %+v", tenant, r)
 			}
@@ -534,7 +537,7 @@ func TestServiceDesignRequests(t *testing.T) {
 // TestServiceErrorResponses: invalid requests are answered at once
 // (status "error", flagged request-invalid), counted, and never crash a
 // worker. A join past the largest servable SF is one: it would otherwise
-// hold a worker for hours.
+// hold a worker for hours. So is one too small to give ORDERS a row.
 func TestServiceErrorResponses(t *testing.T) {
 	s, err := New(Config{
 		Admission: Admission{QueueDepth: 4},
@@ -547,6 +550,7 @@ func TestServiceErrorResponses(t *testing.T) {
 		{ID: "m", Join: &workload.JoinRequest{Method: "sort-merge"}},
 		{ID: "sf", Join: &workload.JoinRequest{SF: -3}},
 		{ID: "huge", Join: &workload.JoinRequest{SF: 1e9}},
+		{ID: "tiny", Join: &workload.JoinRequest{SF: 1e-9}},
 		{ID: "k", Kind: "compactions"},
 		{ID: "t", Design: &DesignRequest{Target: 2}},
 		{ID: "v", V: 2, Join: &workload.JoinRequest{SF: 5}},
@@ -586,7 +590,6 @@ func TestServiceConfigValidation(t *testing.T) {
 		{Admission: Admission{Timeout: -1}},
 		{Admission: Admission{Timeout: math.NaN()}},
 		{Admission: Admission{Timeout: math.Inf(1)}},
-		{Execution: Execution{RetryBudget: -1}},
 		{Admission: Admission{Tenants: map[string]Tenant{"x": {QueueDepth: -1}}}},
 		{Admission: Admission{Tenants: map[string]Tenant{"x": {Weight: -1}}}},
 	}
@@ -597,140 +600,14 @@ func TestServiceConfigValidation(t *testing.T) {
 	}
 }
 
-// flakyRunner fails the first failures join runs (counted across the
-// service), then delegates to the engine. gate, when non-nil, blocks
-// every run until closed — it lets tests park one request in flight
-// while they queue others behind it.
-type flakyRunner struct {
-	mu       sync.Mutex
-	failures int
-	runs     int
-	gate     chan struct{}
-}
-
-func (f *flakyRunner) RunJoin(c *cluster.Cluster, cfg pstore.Config, spec pstore.JoinSpec) (pstore.JoinResult, float64, error) {
-	if f.gate != nil {
-		<-f.gate
-	}
-	f.mu.Lock()
-	f.runs++
-	fail := f.runs <= f.failures
-	f.mu.Unlock()
-	if fail {
-		return pstore.JoinResult{}, 0, errors.New("flaky: injected failure")
-	}
-	return pstore.Engine{}.RunJoin(c, cfg, spec)
-}
-
-func (f *flakyRunner) RunConcurrent(c *cluster.Cluster, cfg pstore.Config, spec pstore.JoinSpec, k int) (float64, []float64, float64, error) {
-	return pstore.Engine{}.RunConcurrent(c, cfg, spec, k)
-}
-
-// TestServiceRetryRecoversFlakyRuns: a join whose first two runs fail is
-// answered on the third attempt when the budget covers it, and the
-// response and metrics both account for the spent retries.
-func TestServiceRetryRecoversFlakyRuns(t *testing.T) {
-	s, err := New(Config{
-		Admission: Admission{QueueDepth: 2},
-		Execution: Execution{Workers: 1, RetryBudget: 4,
-			Runner: &flakyRunner{failures: 2}, Engine: engineCfg()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	r := s.Do(Request{ID: "flaky", Join: &workload.JoinRequest{SF: 5}})
-	if !r.OK() || r.Retries != 2 {
-		t.Fatalf("flaky request not recovered: %+v", r)
-	}
-	if r.Seconds <= 0 || r.Joules <= 0 {
-		t.Fatalf("recovered response carries no result: %+v", r)
-	}
-	m := s.Metrics()
-	if m.Retries != 2 || m.RetriesShed != 0 || m.OK != 1 || m.Errors != 0 {
-		t.Fatalf("metrics = %+v, want 2 retries, 0 shed", m)
-	}
-}
-
-// TestServiceRetryBudgetExhausts: with a budget smaller than the failure
-// streak the request errors out after spending the whole budget, and the
-// failure is a run failure, not a request error.
-func TestServiceRetryBudgetExhausts(t *testing.T) {
-	s, err := New(Config{
-		Admission: Admission{QueueDepth: 2},
-		Execution: Execution{Workers: 1, RetryBudget: 2,
-			Runner: &flakyRunner{failures: 10}, Engine: engineCfg()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	r := s.Do(Request{ID: "doomed", Join: &workload.JoinRequest{SF: 5}})
-	if r.Status != "error" || r.Retries != 2 {
-		t.Fatalf("exhausted request = %+v, want error after 2 retries", r)
-	}
-	if r.Invalid {
-		t.Fatalf("run failure flagged request-invalid: %+v", r)
-	}
-	if m := s.Metrics(); m.Retries != 2 || m.Errors != 1 {
-		t.Fatalf("metrics = %+v", m)
-	}
-}
-
-// TestServiceRetriesShedBeforeFreshWork is the graceful-degradation
-// contract: a failed run with budget remaining is NOT retried while a
-// fresh request waits in any queue — the retry is shed (counted) and
-// the fresh request gets the worker.
-func TestServiceRetriesShedBeforeFreshWork(t *testing.T) {
-	fr := &flakyRunner{failures: 1, gate: make(chan struct{})}
-	s, err := New(Config{
-		Admission: Admission{QueueDepth: 2},
-		Execution: Execution{Workers: 1, RetryBudget: 4, Runner: fr, Engine: engineCfg()},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var wg sync.WaitGroup
-	var first, second report.ServiceResponse
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		first = s.Do(Request{ID: "fails", Join: &workload.JoinRequest{SF: 5}})
-	}()
-	// Wait until the first request is in flight (parked on the gate),
-	// then queue a fresh one behind it.
-	waitState(s, 1, 0)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		second = s.Do(Request{ID: "fresh", Join: &workload.JoinRequest{SF: 5}})
-	}()
-	waitState(s, 1, 1)
-	close(fr.gate) // release both runs
-	wg.Wait()
-
-	if first.Status != "error" || first.Retries != 0 {
-		t.Fatalf("failed request should have shed its retry: %+v", first)
-	}
-	if !second.OK() {
-		t.Fatalf("fresh request starved: %+v", second)
-	}
-	m := s.Metrics()
-	if m.Retries != 0 || m.RetriesShed != 1 {
-		t.Fatalf("metrics = %+v, want 0 retries / 1 shed", m)
-	}
-}
-
 // TestServiceDeadlineExpiresQueuedRequests: a request that outwaits the
 // per-request deadline_s in the queue is answered with status "deadline"
-// without launching, and never consumes a retry.
+// without launching.
 func TestServiceDeadlineExpiresQueuedRequests(t *testing.T) {
-	fr := &flakyRunner{gate: make(chan struct{})}
+	sr := &scriptRunner{gate: make(chan struct{})}
 	s, err := New(Config{
 		Admission: Admission{QueueDepth: 2},
-		Execution: Execution{Workers: 1, Runner: fr, Engine: engineCfg()},
+		Execution: Execution{Workers: 1, Runner: sr, Engine: engineCfg()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -753,7 +630,7 @@ func TestServiceDeadlineExpiresQueuedRequests(t *testing.T) {
 	}()
 	waitState(s, 1, 1)
 	time.Sleep(100 * time.Millisecond) // blow the 50 ms deadline while queued
-	close(fr.gate)
+	close(sr.gate)
 	wg.Wait()
 
 	if !first.OK() {

@@ -82,8 +82,8 @@ func TestInvalidTimesAndWorkPanic(t *testing.T) {
 }
 
 // TestStatsCountEveryEventOnce pins the counters on a run small enough
-// to count by hand, and the flush to the process-wide totals from both
-// Run and Step.
+// to count by hand, and the flush to the process-wide totals from a first
+// and a second Run.
 func TestStatsCountEveryEventOnce(t *testing.T) {
 	before := TotalStats()
 	e := New()
@@ -129,14 +129,12 @@ func TestStatsCountEveryEventOnce(t *testing.T) {
 	}
 
 	e.Schedule(1, func() {})
-	if !e.Step() {
-		t.Fatal("Step found no event")
-	}
+	e.Run()
 	e.Shutdown()
 	after := TotalStats()
 	if after.Events-before.Events != 20 || after.Resumes-before.Resumes != 8 ||
 		after.Continues-before.Continues != 3 || after.Callbacks-before.Callbacks != 9 {
-		t.Fatalf("process-wide totals moved %+v -> %+v, want +20 events (+1 from Step), +8 resumes, +3 continues, +9 callbacks", before, after)
+		t.Fatalf("process-wide totals moved %+v -> %+v, want +20 events (+1 from the second Run), +8 resumes, +3 continues, +9 callbacks", before, after)
 	}
 	if after.Hash-before.Hash != e.Stats().Hash {
 		t.Fatalf("process-wide hash moved by %#x, the engine's is %#x", after.Hash-before.Hash, e.Stats().Hash)
@@ -231,73 +229,6 @@ func TestGoexitInBodyEndsRunCaller(t *testing.T) {
 		t.Fatalf("ran %v, want %v", ran, want)
 	}
 	waitGoroutines(t, base)
-}
-
-// TestStepIsOneEvent steps over a process that blocks, continues and
-// finishes, and one that panics. One Step is one event even where Run
-// would let the process consume its own resume: the fast path is off.
-func TestStepIsOneEvent(t *testing.T) {
-	build := func() (*Engine, *[]string) {
-		e := New()
-		var log []string
-		e.Go("solo", func(p *Proc) {
-			log = append(log, "a")
-			p.Hold(1) // alone: Run continues through both holds
-			log = append(log, "b")
-			p.Hold(0)
-			log = append(log, "c")
-		})
-		return e, &log
-	}
-	e, log := build()
-	e.Run()
-	if s := e.Stats(); s.Continues != 2 || s.Resumes != 1 || strings.Join(*log, "") != "abc" {
-		t.Fatalf("Run: %+v, log %v; want the start resumed and both holds continued", s, *log)
-	}
-
-	e, log = build()
-	for i, want := range []string{"a", "ab", "abc"} {
-		if !e.Step() {
-			t.Fatalf("Step %d found no event", i+1)
-		}
-		if got := strings.Join(*log, ""); got != want || e.stats.Events != uint64(i+1) {
-			t.Fatalf("after Step %d: log %q, %d events; want %q, %d", i+1, got, e.stats.Events, want, i+1)
-		}
-	}
-	if s := e.Stats(); s.Continues != 0 || s.Resumes != 3 {
-		t.Fatalf("stepped: %+v, want 3 resumes and no continue", s)
-	}
-	if len(e.live) != 0 {
-		t.Fatalf("%d processes live after the body returned", len(e.live))
-	}
-
-	e.Go("bad", func(p *Proc) {
-		p.Hold(1)
-		panic("stepped into it")
-	})
-	if !e.Step() { // start: runs to the Hold
-		t.Fatal("Step found no start event")
-	}
-	func() {
-		defer func() {
-			pp, ok := recover().(*ProcPanic)
-			if !ok || pp.Proc != "bad" || pp.Value != "stepped into it" {
-				t.Fatalf("recovered %v, want *ProcPanic{bad, stepped into it}", pp)
-			}
-		}()
-		e.Step()
-		t.Fatal("Step swallowed the panic")
-	}()
-	if e.Step() || len(e.live) != 0 || e.stats.Events != 5 {
-		t.Fatalf("after the panic: %d live, %d events; want an empty engine at 5 events", len(e.live), e.stats.Events)
-	}
-
-	// A Run after stepping re-arms the fast path.
-	e.Go("again", func(p *Proc) { p.Hold(1) })
-	e.Run()
-	if s := e.Stats(); s.Continues != 1 {
-		t.Fatalf("Run after Step: %+v, want one continue", s)
-	}
 }
 
 // pingPong runs a producer/consumer pair to completion on e and returns

@@ -20,9 +20,9 @@
 //   - WaitGroup: barrier synchronization between processes
 //
 // Control transfer is a runtime coroutine switch (iter.Pull). The root —
-// the goroutine that called Run, RunUntil or Step — executes the event
-// loop: a callback event runs there, a resume event switches into the
-// process's coroutine and comes back when the process blocks or returns.
+// the goroutine that called Run — executes the event loop: a callback
+// event runs there, a resume event switches into the process's coroutine
+// and comes back when the process blocks or returns.
 // There is no channel, no go statement and no scheduler goroutine in this
 // package, so the host scheduler has nothing to order: every resume is an
 // ordinary (time, seq) event and the only thing that picks the next one
@@ -192,16 +192,16 @@ type Stats struct {
 }
 
 // total accumulates the Stats of every engine in the process. Engines
-// flush their plain counters once per Run/RunUntil/Step, so the hot loop
-// never touches the lock.
+// flush their plain counters once per Run, so the hot loop never touches
+// the lock.
 var total struct {
 	sync.Mutex
 	Stats
 }
 
-// TotalStats returns the counters of all completed Run/RunUntil/Step
-// calls in this process, summed over engines (HeapHigh is the maximum;
-// Hash is summed mod 2^64: the engines' order does not matter).
+// TotalStats returns the counters of all completed Run calls in this
+// process, summed over engines (HeapHigh is the maximum; Hash is summed
+// mod 2^64: the engines' order does not matter).
 func TotalStats() Stats {
 	total.Lock()
 	defer total.Unlock()
@@ -209,9 +209,8 @@ func TotalStats() Stats {
 }
 
 // TotalEvents returns the cumulative number of events executed across
-// all completed Engine.Run/RunUntil/Step calls in this process. cmd/repro
-// reports it for a run (-times, -bench-json), and the repo
-// benchmark's probes (benchmark/, sim.events and pstore.join_sf100_events)
+// all completed Engine.Run calls in this process. cmd/repro reports it
+// for a run (-times, -bench-json), and the repo benchmark's probes (benchmark/, sim.events and pstore.join_sf100_events)
 // divide it by wall time to report simulator throughput in events/sec.
 func TotalEvents() uint64 { return TotalStats().Events }
 
@@ -228,10 +227,6 @@ type Engine struct {
 	stats   Stats
 	flushed Stats // what total has already been given
 
-	// limit bounds the timestamps Run/RunUntil may execute. It also arms
-	// the own-resume fast path in Proc.block: Step sets it below every
-	// timestamp, so a stepped process never consumes an event itself.
-	limit Time
 	// pendingPanic carries a process body's panic out of its coroutine to
 	// the root caller, which re-throws it.
 	pendingPanic *ProcPanic
@@ -251,9 +246,9 @@ func (e *Engine) Now() Time { return e.now }
 // Stats returns the engine's counters so far.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// finish ends a Run, RunUntil or Step: it publishes what the engine did
-// since the last one to the process-wide counters, and re-throws a panic
-// that is unwinding out of a task step as *ProcPanic.
+// finish ends a Run: it publishes what the engine did since the last one
+// to the process-wide counters, and re-throws a panic that is unwinding
+// out of a task step as *ProcPanic.
 func (e *Engine) finish() {
 	s, f := e.stats, e.flushed
 	total.Lock()
@@ -343,14 +338,14 @@ func (e *Engine) take(inHeap bool) event {
 	return ev
 }
 
-// step executes the next event, if one is due by limit, on the calling
+// step executes the next event, if there is one, on the calling
 // goroutine — the root: a callback runs here, a resume switches into the
 // process's coroutine and returns when the process blocks or finishes. A
 // callback panic unwinds from here as it is; a process body panic was
 // caught in its coroutine and is re-thrown here as *ProcPanic.
-func (e *Engine) step(limit Time) bool {
+func (e *Engine) step() bool {
 	next, inHeap := e.peek()
-	if next == nil || next.at > limit {
+	if next == nil {
 		return false
 	}
 	ev := e.take(inHeap)
@@ -373,42 +368,19 @@ func (e *Engine) rethrow() {
 	}
 }
 
-// run executes events with timestamps <= limit until none is left or
-// Halt is called.
-func (e *Engine) run(limit Time) {
-	defer e.finish()
-	e.halted = false
-	e.limit = limit
-	for !e.halted && e.step(limit) {
-	}
-}
-
 // Run executes events until the queue is empty or Halt is called. A
 // process body panic (or a callback panic) aborts the run and re-panics
-// here, on the caller's side.
-func (e *Engine) Run() { e.run(math.Inf(1)) }
-
-// RunUntil executes events with timestamps <= t, then sets the clock to
-// exactly t. Events scheduled after t remain queued.
-func (e *Engine) RunUntil(t Time) {
-	e.run(t)
-	if !e.halted && e.now < t {
-		e.now = t
+// here, on the caller's side. To run to a point in virtual time, schedule
+// a callback that calls Halt there.
+func (e *Engine) Run() {
+	defer e.finish()
+	e.halted = false
+	for !e.halted && e.step() {
 	}
 }
 
-// Step executes the single next event — including, for a resume event,
-// the full slice of process execution until that process blocks again.
-// It returns false when the event queue is empty. A process body panic
-// surfaces here (see ProcPanic), after the process has been unwound.
-func (e *Engine) Step() bool {
-	defer e.finish()
-	e.limit = math.Inf(-1) // the process stepped into must yield, not continue
-	return e.step(math.Inf(1))
-}
-
-// Halt stops Run/RunUntil after the current event completes. Events
-// still queued stay queued; a later Run resumes them.
+// Halt stops Run after the current event completes. Events still queued
+// stay queued; a later Run resumes them.
 func (e *Engine) Halt() { e.halted = true }
 
 // Shutdown ends the simulation for good. Every process that was started

@@ -37,23 +37,6 @@ func TestProcPanicPropagatesToRun(t *testing.T) {
 	e.Run()
 }
 
-// TestProcPanicPropagatesFromStep checks the same contract under
-// single-step driving: the re-panic surfaces from the Engine.Step call
-// that dispatched the doomed process.
-func TestProcPanicPropagatesFromStep(t *testing.T) {
-	e := New()
-	e.Go("stepper", func(p *Proc) { panic(42) })
-	defer func() {
-		pp, ok := recover().(*ProcPanic)
-		if !ok || pp.Proc != "stepper" || pp.Value != 42 {
-			t.Fatalf("recovered %v, want *ProcPanic{stepper 42}", pp)
-		}
-	}()
-	for e.Step() {
-	}
-	t.Fatal("Step drained the queue without re-panicking")
-}
-
 // TestEngineUsableAfterProcPanic: recovering the re-panic leaves the
 // engine coherent — remaining events (including other processes'
 // resumes) still run on the next Run call.

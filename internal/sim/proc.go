@@ -9,12 +9,11 @@ import (
 )
 
 // Proc is a simulated process: a runtime coroutine (iter.Pull) that the
-// root — whichever goroutine called Run, RunUntil or Step — switches into
-// for every resume event. At any instant at most one process (or event
-// callback) executes; a process runs until it blocks on a simulation
-// primitive (Hold, Queue.Get/Put, Server.Process, WaitGroup.Wait, ...),
-// at which point it yields back to the root, which executes the next
-// event. A switch is a direct goroutine-to-goroutine transfer inside the
+// root — whichever goroutine called Run — switches into for every resume
+// event. At any instant at most one process (or event callback) executes;
+// a process runs until it blocks on a simulation primitive (Hold,
+// Queue.Get/Put, Server.Process, WaitGroup.Wait, ...), at which point it
+// yields back to the root, which executes the next event. A switch is a direct goroutine-to-goroutine transfer inside the
 // runtime: no channel, no scheduler pass, and nothing the host scheduler
 // could reorder.
 //
@@ -45,8 +44,8 @@ type Proc struct {
 
 // ProcPanic is the value re-thrown on the root side when a process body
 // panics: the panic is recovered inside the process's coroutine and
-// unwinds out of Engine.Step (or Run/RunUntil) tagged with the process
-// name, where tests and callers can recover it. The original panic value
+// unwinds out of Engine.Run tagged with the process name, where tests and
+// callers can recover it. The original panic value
 // is preserved in Value.
 type ProcPanic struct {
 	Proc  string
@@ -137,12 +136,11 @@ func (p *Proc) resume() {
 
 // block yields control and waits to be resumed. Called only from process
 // context, always after scheduling (or registering) this process's own
-// resume. One fast path: inside Run/RunUntil, when the next event is this
-// process's own resume, block consumes it and returns without leaving the
-// coroutine — a lone process in a Hold loop never switches at all. The
-// event is still an ordinary (time, seq) event, taken only when the root
-// would have taken it next: not after Halt, not past the RunUntil limit,
-// never under Step.
+// resume. One fast path: when the next event is this process's own
+// resume, block consumes it and returns without leaving the coroutine — a
+// lone process in a Hold loop never switches at all. The event is still an
+// ordinary (time, seq) event, taken only when the root would have taken it
+// next: not after Halt.
 //
 // After Shutdown nothing will ever resume a suspended process, so block
 // unwinds it instead: the process Shutdown stops panics out of its yield
@@ -153,7 +151,7 @@ func (p *Proc) block() {
 	if e.down {
 		panic(unwind{})
 	}
-	if next, inHeap := e.peek(); next != nil && next.proc == p && next.at <= e.limit && !e.halted {
+	if next, inHeap := e.peek(); next != nil && next.proc == p && !e.halted {
 		e.take(inHeap)
 		e.stats.Continues++
 		return

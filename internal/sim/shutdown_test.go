@@ -103,7 +103,8 @@ func TestShutdownUnwindsThroughBlockingDefers(t *testing.T) {
 		}()
 		p.Hold(1)
 	})
-	e.RunUntil(0.5)
+	e.At(0.5, e.Halt)
+	e.Run()
 	e.Shutdown()
 	if want := []string{"process", "put", "outer"}; !slices.Equal(ran, want) {
 		t.Fatalf("deferred calls ran %v, want %v", ran, want)
@@ -148,7 +149,8 @@ func TestShutdownRethrowsDeferredPanic(t *testing.T) {
 		defer panic("in defer")
 		p.Hold(1)
 	})
-	e.RunUntil(0.5)
+	e.At(0.5, e.Halt)
+	e.Run()
 	defer func() {
 		pp, ok := recover().(*ProcPanic)
 		if !ok || pp.Proc != "bad" || pp.Value != "in defer" {

@@ -53,24 +53,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	New().Schedule(-1, func() {})
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New()
-	ran := 0
-	e.Schedule(1, func() { ran++ })
-	e.Schedule(5, func() { ran++ })
-	e.RunUntil(3)
-	if ran != 1 {
-		t.Fatalf("ran %d events by t=3, want 1", ran)
-	}
-	if e.Now() != 3 {
-		t.Fatalf("clock = %v, want 3", e.Now())
-	}
-	e.Run()
-	if ran != 2 {
-		t.Fatalf("ran %d events total, want 2", ran)
-	}
-}
-
 func TestHalt(t *testing.T) {
 	e := New()
 	ran := 0

@@ -9,15 +9,18 @@ import (
 
 // soupGolden is the SHA-256 of the soup's (time, name, op) log as
 // produced by the channel-handoff kernel at commit 5db2a69, the parent of
-// the coroutine rewrite. TestDeterminismProperty only compares a run with
-// itself; this compares the kernel with its predecessor, so a control
-// transfer that reorders two same-time events — or a Shutdown that
-// releases in another order — fails here.
-const soupGolden = "0540306ba21d63c0ce0c60b591632c74f6ca4d3b51ec2fde5b0b7bb6d5d2f64f"
+// the coroutine rewrite, and by the coroutine kernel at commit 0c48017
+// (both with only this file's TryGet calls and event counter adapted to
+// their API). TestDeterminismProperty only compares a run with itself;
+// this compares the kernel with its predecessors, so a control transfer
+// that reorders two same-time events — or a Shutdown that releases in
+// another order — fails here.
+const soupGolden = "4b1ef8ba2229ea9bad91bb3605c95f9d45eb9cb857c41a7f66f17240cd6c0e33"
 
 // TestSoupOrderMatchesParentKernel runs a seeded soup of ~50 processes
-// over every blocking primitive, a Halt and a second Run, then Shutdown,
-// and hashes what happened in the order it happened. The processes draw
+// over every blocking primitive, a Halt and two more Runs each ended by a
+// callback that halts at a set time, then Shutdown, and hashes what
+// happened in the order it happened. The processes draw
 // their next step from one shared generator while they run, so a single
 // swapped pair of events changes every draw after it.
 func TestSoupOrderMatchesParentKernel(t *testing.T) {
@@ -130,9 +133,11 @@ func TestSoupOrderMatchesParentKernel(t *testing.T) {
 
 	e.Run()
 	log("root", fmt.Sprintf("halted events=%d", e.stats.Events))
-	e.RunUntil(0.4)
+	e.At(0.4, func() { log("cb", "halt"); e.Halt() })
+	e.Run()
 	log("root", fmt.Sprintf("until events=%d", e.stats.Events))
-	e.RunUntil(3)
+	e.At(3, func() { log("cb", "halt"); e.Halt() })
+	e.Run()
 	log("root", fmt.Sprintf("drained events=%d", e.stats.Events))
 	e.Shutdown()
 	log("root", "down")

@@ -138,8 +138,8 @@ func TestTaskPutOnClosedQueuePanics(t *testing.T) {
 	}
 }
 
-// TestTaskStepPanicReachesRunAsProcPanic: a panic in a step — the first
-// or a later one, under Run or under Step — reaches the caller as
+// TestTaskStepPanicReachesRunAsProcPanic: a panic in a step — a later
+// one or the first — reaches the Run caller as
 // *ProcPanic carrying the task's name, a plain callback's panic still
 // arrives as it is, and the engine runs on afterwards.
 func TestTaskStepPanicReachesRunAsProcPanic(t *testing.T) {
@@ -159,10 +159,7 @@ func TestTaskStepPanicReachesRunAsProcPanic(t *testing.T) {
 	}
 
 	e.GoTask("stepped", func(*Task) { panic(42) })
-	pp = recoverProcPanic(t, func() {
-		for e.Step() {
-		}
-	})
+	pp = recoverProcPanic(t, e.Run)
 	if pp.Proc != "stepped" || pp.Value != 42 {
 		t.Fatalf("ProcPanic = {%q %v}, want {stepped 42}", pp.Proc, pp.Value)
 	}

@@ -107,7 +107,6 @@ func RunFaulted(c *cluster.Cluster, cfg pstore.Config, spec FaultedSpec) (Faulte
 		}
 		res.Makespan = p.Now()
 		pl.stop()
-		inj.Stop()
 		c.Eng.Halt()
 	})
 

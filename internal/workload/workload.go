@@ -125,6 +125,12 @@ func (r JoinRequest) Spec() (pstore.JoinSpec, error) {
 	if sf > maxRequestSF {
 		return pstore.JoinSpec{}, fmt.Errorf("workload: sf %v exceeds the largest servable scale factor, %d", sf, maxRequestSF)
 	}
+	// LINEITEM has four rows per ORDERS row, so ORDERS is the first table
+	// a small scale factor leaves empty: the caller's mistake, refused
+	// here rather than failed by the engine.
+	if tpch.ScaleFactor(sf).Orders() < 1 {
+		return pstore.JoinSpec{}, fmt.Errorf("workload: sf %v gives ORDERS no rows", sf)
+	}
 	bsel, psel := r.BuildSel, r.ProbeSel
 	if bsel == 0 {
 		bsel = 0.05

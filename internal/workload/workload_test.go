@@ -134,6 +134,8 @@ func TestJoinRequestSpecRejectsBadNumbers(t *testing.T) {
 		// path's reach the request is refused, not run for hours.
 		{SF: maxRequestSF + 1},
 		{SF: 1e9},
+		// Too small for ORDERS to have a row: refused before any run.
+		{SF: 1e-9},
 	}
 	for _, r := range bad {
 		if _, err := r.Spec(); err == nil {

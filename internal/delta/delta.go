@@ -24,7 +24,6 @@ package delta
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 	"repro/internal/storage"
@@ -247,8 +246,8 @@ func (s *Store) liveTailRows() int64 {
 }
 
 // TailBytes returns the memory the unmerged tail pins on the owning
-// node: live tail rows times row width. The planner's admission check
-// subtracts this from the node's budget before sizing join hash tables.
+// node: live tail rows times row width, which a merge rewrites along
+// with the base.
 func (s *Store) TailBytes() float64 {
 	return float64(s.liveTailRows()) * float64(s.def.Width)
 }
@@ -301,38 +300,4 @@ func (ds *Set) For(t tpch.Table, node int) *Store {
 		return nil
 	}
 	return ds.stores[setKey{t, node}]
-}
-
-// sortedKeys returns the registration keys in (table, node) order, so
-// every aggregation over the set is independent of map iteration order.
-func (ds *Set) sortedKeys() []setKey {
-	keys := make([]setKey, 0, len(ds.stores))
-	for k := range ds.stores {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].table != keys[j].table {
-			return keys[i].table < keys[j].table
-		}
-		return keys[i].node < keys[j].node
-	})
-	return keys
-}
-
-// NodeTailBytes sums the unmerged tail bytes of every store owned by
-// the node — the write path's claim on that node's memory. Stores are
-// summed in (table, node) key order: float addition is not
-// associative, so a map-order sum could differ between two runs and
-// flip a borderline admission decision.
-func (ds *Set) NodeTailBytes(node int) float64 {
-	if ds == nil {
-		return 0
-	}
-	var b float64
-	for _, k := range ds.sortedKeys() {
-		if k.node == node {
-			b += ds.stores[k].TailBytes()
-		}
-	}
-	return b
 }

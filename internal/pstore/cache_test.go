@@ -388,7 +388,7 @@ func TestFingerprintCoversEveryField(t *testing.T) {
 	} {
 		base := func() *request {
 			r := &request{
-				Cfg:  Config{BatchRows: 200_000, WarmCache: true, JoinWork: 1.5, MailboxCap: 8, CheckMemory: true},
+				Cfg:  Config{BatchRows: 200_000, WarmCache: true, JoinWork: 1.5, MailboxCap: 8},
 				Spec: cacheTestSpec(5, 0.05, 0.25, DualShuffle),
 				Node: hw.ClusterV(),
 			}

@@ -309,24 +309,6 @@ func (e *Exec) LaunchJoin(id string, spec JoinSpec) (*Handle, error) {
 	// Expected qualified build rows per hash-table owner: the optimizer
 	// estimate that pre-sizes each owner's table.
 	hint := hashOwnerRowHint(spec, len(owners))
-	// Admission: the hint pre-sizes each owner's Int64Table (two
-	// power-of-two int64 arrays), pinning that allocation before the
-	// first row arrives. Check the RESERVED bytes — plus whatever the
-	// write path's unmerged delta tails already hold on the node —
-	// against node memory now, so an over-reserved table fails at plan
-	// time instead of after the build has run (finalize still checks
-	// the realized table as a backstop).
-	if e.cfg.CheckMemory {
-		reserved := storage.Int64TableReservedBytes(hint)
-		for _, b := range owners {
-			memBytes := e.C.Nodes[b].Spec.MemoryMB * 1e6
-			tail := e.deltas.NodeTailBytes(b)
-			if reserved+tail > memBytes {
-				return nil, fmt.Errorf("pstore: node %d hash-table reservation (%.0f MB for %d hinted build rows) plus delta tail (%.0f MB) exceeds memory (%.0f MB); admission failed before build",
-					b, reserved/1e6, hint, tail/1e6, memBytes/1e6)
-			}
-		}
-	}
 	// Per owner: the hash table and one build + one probe input. Under
 	// Broadcast and Prepartitioned an owner probes its own rows locally,
 	// so only the non-owners' ship tasks (plus the owner's own EOS)
@@ -444,20 +426,13 @@ func (h *Handle) finalize(end sim.Time) {
 	r.Seconds = end - h.startAt
 	r.OutputRows = h.outRows
 	r.Checksum = h.checksum
-	for b, ht := range h.tables {
+	for _, ht := range h.tables {
 		if ht == nil {
 			continue
 		}
 		r.BuildRowsTotal += ht.rows
 		if ht.bytes > r.MaxHashTableBytes {
 			r.MaxHashTableBytes = ht.bytes
-		}
-		if e.cfg.CheckMemory {
-			memBytes := e.C.Nodes[b].Spec.MemoryMB*1e6 - e.deltas.NodeTailBytes(b)
-			if ht.bytes > memBytes {
-				h.Err = fmt.Errorf("pstore: hash table on node %d (%.0f MB) exceeds memory (%.0f MB); P-store has no 2-pass join",
-					b, ht.bytes/1e6, memBytes/1e6)
-			}
 		}
 	}
 	h.Done.Fire()

@@ -2,6 +2,7 @@ package pstore
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/cluster"
@@ -202,5 +203,57 @@ func TestPlannerWireEstimateOrdering(t *testing.T) {
 	if p2.Spec.Method == Broadcast && p16.Spec.Method == Broadcast {
 		t.Fatalf("broadcast chosen at both 2 and 16 nodes; expected a flip (2N: %s, 16N: %s)",
 			p2.Spec.Method, p16.Spec.Method)
+	}
+}
+
+// TestPlannedHashTablesFitTheirBudget: P-store has no two-pass join, and
+// the engine does not check a join's memory, so the planner's budget is
+// where that constraint holds. On 2 Beefy (31 GB) + 2 Wimpy (7 GB) nodes
+// with every ORDERS row qualifying, SF 400 puts 3 GB on each of four
+// owners (the Wimpy budget is 3.5 GB) and SF 1000 puts 15 GB on each
+// Beefy owner (budget 15.5 GB); the hash tables the engine then builds
+// must stay within the budget of every node that owns one. SF 1100
+// would need 16.5 GB per Beefy owner, which the planner refuses.
+func TestPlannedHashTablesFitTheirBudget(t *testing.T) {
+	mixed := func() *cluster.Cluster {
+		c, err := cluster.New(cluster.Mixed(2, hw.BeefyL5630(), 2, hw.LaptopB()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		sf     tpch.ScaleFactor
+		owners int
+	}{{400, 4}, {1000, 2}} {
+		c := mixed()
+		plan, err := PlanJoin(c, planReq(tc.sf, 1, 0.01))
+		if err != nil {
+			t.Fatalf("SF %v: %v", tc.sf, err)
+		}
+		owners := plan.Spec.BuildNodes
+		if len(owners) == 0 {
+			for i := range c.Nodes {
+				owners = append(owners, i)
+			}
+		}
+		if len(owners) != tc.owners {
+			t.Fatalf("SF %v: plan %+v has %d hash-table owners, want %d", tc.sf, plan.Spec, len(owners), tc.owners)
+		}
+		budget := math.Inf(1)
+		for _, b := range owners {
+			budget = min(budget, c.Nodes[b].Spec.MemoryMB*1e6*(1-workingSetHeadroom))
+		}
+		res, _, err := RunJoin(c, Config{BatchRows: 500_000, WarmCache: true}, plan.Spec)
+		if err != nil {
+			t.Fatalf("SF %v: %v", tc.sf, err)
+		}
+		if res.MaxHashTableBytes > budget || res.MaxHashTableBytes < budget/2 {
+			t.Errorf("SF %v: largest hash table %.0f MB, want at most the owners' budget of %.0f MB and over half of it",
+				tc.sf, res.MaxHashTableBytes/1e6, budget/1e6)
+		}
+	}
+	if _, err := PlanJoin(mixed(), planReq(1100, 1, 0.01)); err == nil {
+		t.Error("SF 1100, every row qualifying: a plan whose Beefy owners cannot hold the hash table was accepted")
 	}
 }

@@ -88,9 +88,6 @@ type Config struct {
 	JoinWork float64
 	// MailboxCap bounds buffered batches per operator input (default 16).
 	MailboxCap int
-	// CheckMemory enforces the paper's constraint that P-store has no
-	// 2-pass join: a build hash table exceeding node memory is an error.
-	CheckMemory bool
 }
 
 // Validate sanity-checks the configuration. A negative or NaN JoinWork
@@ -209,10 +206,9 @@ func (e *Exec) Config() Config { return e.cfg }
 // AttachDeltas routes this engine's scans through the delta stores'
 // merged views: a scan of a (table, node) with a registered store reads
 // base blocks with the unmerged overlay applied instead of the raw
-// partition, and the planner's memory admission counts the stores'
-// unmerged tails against node budgets. Deltas attach to the Exec
-// instance, NOT to Config, deliberately: the store set is live mutable
-// state and must never leak into the join cache's content fingerprint.
+// partition. Deltas attach to the Exec instance, NOT to Config,
+// deliberately: the store set is live mutable state and must never leak
+// into the join cache's content fingerprint.
 func (e *Exec) AttachDeltas(ds *delta.Set) { e.deltas = ds }
 
 // deltaFor returns the attached store for (table, node), or nil.

@@ -295,25 +295,6 @@ func TestConcurrencyIncreasesContention(t *testing.T) {
 	}
 }
 
-func TestMemoryCheckRejectsOversizedHashTable(t *testing.T) {
-	build, probe := smallDefs(false)
-	build.SF, probe.SF = 400, 400
-	cfg := Config{BatchRows: 500_000, WarmCache: true, CheckMemory: true}
-	// All-wimpy cluster: 10% ORDERS at SF400 needs ~1.5 GB/node over 4
-	// nodes; wimpy memory is 7 GB so use SF large enough: SF400 orders =
-	// 600M rows * 20B * 0.10 = 1.2GB over 4 nodes = 300MB. Fits. Use 100%
-	// selectivity: 12 GB / 4 = 3 GB. Still fits 7GB. Use 1 node: 12 GB > 7 GB.
-	c, err := cluster.New(cluster.Homogeneous(1, hw.LaptopB()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = RunJoin(c, cfg, JoinSpec{Build: build, Probe: probe,
-		BuildSel: 1.0, ProbeSel: 0.01, Method: DualShuffle})
-	if err == nil {
-		t.Fatal("oversized hash table accepted despite CheckMemory")
-	}
-}
-
 // A NaN selectivity fails every comparison, so a range check written as
 // "s <= 0 || s > 1" let it through to a join that qualified no rows and
 // matched its reference join on zero rows. Every bad spec must be

@@ -81,8 +81,8 @@ func (pol RetryPolicy) withDefaults() RetryPolicy {
 // RunWithRetry executes one join query from the calling driver process
 // with failure detection and capped exponential backoff. Each attempt:
 //
-//   - re-enters LaunchJoin admission (down-node check, CheckMemory),
-//     so a refused launch is itself a retryable failure;
+//   - re-enters LaunchJoin admission (the down-node check), so a
+//     refused launch is itself a retryable failure;
 //   - is watched by a deadline event that aborts it at Timeout — the
 //     straggler defense: a query limping on degraded hardware is killed
 //     and relaunched rather than waited out;

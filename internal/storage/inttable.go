@@ -36,17 +36,6 @@ func NewInt64Table(hint int) *Int64Table {
 	}
 }
 
-// Int64TableReservedBytes returns the bytes NewInt64Table(hint) would
-// pin, without allocating: the power-of-two capacity that keeps hint
-// entries under the 3/4 load-factor bound, times 16 bytes per slot.
-func Int64TableReservedBytes(hint int) float64 {
-	capacity := 16
-	for capacity*3/4 < hint {
-		capacity *= 2
-	}
-	return float64(capacity) * 16
-}
-
 // Len returns the number of distinct keys stored.
 func (t *Int64Table) Len() int {
 	if t.hasZero {

@@ -101,17 +101,3 @@ func TestInt64TableGrowth(t *testing.T) {
 		}
 	}
 }
-
-// TestInt64TableReservedBytes: the planner's paper reservation must
-// equal the bytes a table presized for the same hint actually occupies —
-// the admission check and the runtime structure cannot disagree.
-func TestInt64TableReservedBytes(t *testing.T) {
-	for _, hint := range []int{0, 1, 12, 13, 1000, 1 << 20, 3_000_000} {
-		tbl := NewInt64Table(hint)
-		want := float64(len(tbl.keys)+len(tbl.vals)) * 8
-		if got := Int64TableReservedBytes(hint); got != want {
-			t.Fatalf("Int64TableReservedBytes(%d) = %.0f, NewInt64Table(%d) holds %.0f bytes",
-				hint, got, hint, want)
-		}
-	}
-}

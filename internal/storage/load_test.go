@@ -104,28 +104,37 @@ func checkPartitions(t *testing.T, parts []*Partition, want [][][]int64, blockRo
 	}
 }
 
-// oracleDefs is one definition per schema and segmentation column, each
-// of oracleRows rows: three loader chunks, the last one partial. At SF
-// 0.01 every drawn segmentation column has a domain of at most chunkRows
-// values, which the loader routes through a value -> node table; ORDERS
-// at SF 0.5 draws O_CUSTKEY from 75 000 customers, which it routes by
-// hash and modulus, as it does every sequential key.
+// oracleDefs is one definition per loader route and table, each of
+// oracleRows rows: three loader chunks, the last one partial. A key
+// names the route before the slash, which TestOracleDefsCoverBothRoutes
+// checks:
+//
+//   - "seq4" and "seq1": a sequential segmentation key, one value per 4
+//     rows (L_ORDERKEY) or per row (O_ORDERKEY, C_CUSTKEY, S_SUPPKEY),
+//     routed by hash and modulus;
+//   - "table": a drawn segmentation column of at most chunkRows values,
+//     routed through a value -> node table: L_SHIPDATE, and O_CUSTKEY at
+//     SF 0.01 (1 500 customers);
+//   - "modulus": a drawn column too large for that table, routed by hash
+//     and modulus: O_CUSTKEY at SF 0.5 (75 000 customers);
+//   - "rowindex": the generic single-column table, keyed and segmented
+//     on the row index (PART).
 const oracleRows = 2*chunkRows + 4099
 
 func oracleDefs() map[string]TableDef {
-	def := func(table tpch.Table, segment string) TableDef {
-		return TableDef{Table: table, SF: 0.01, Width: tpch.Q3ProjectedWidth, Materialize: true,
+	def := func(table tpch.Table, sf tpch.ScaleFactor, segment string) TableDef {
+		return TableDef{Table: table, SF: sf, Width: tpch.Q3ProjectedWidth, Materialize: true,
 			SegmentColumn: segment, RowsOverride: oracleRows}
 	}
 	return map[string]TableDef{
-		"lineitem/orderkey":    def(tpch.Lineitem, "L_ORDERKEY"),
-		"lineitem/shipdate":    def(tpch.Lineitem, "L_SHIPDATE"),
-		"orders/custkey":       def(tpch.Orders, "O_CUSTKEY"),
-		"orders/custkey/sf0.5": {Table: tpch.Orders, SF: 0.5, Width: tpch.Q3ProjectedWidth, Materialize: true, SegmentColumn: "O_CUSTKEY", RowsOverride: oracleRows},
-		"orders/orderkey":      def(tpch.Orders, "O_ORDERKEY"),
-		"customer":             def(tpch.Customer, ""),
-		"supplier":             def(tpch.Supplier, ""),
-		"generic":              def(tpch.Part, ""),
+		"seq4/l_orderkey":   def(tpch.Lineitem, 0.01, "L_ORDERKEY"),
+		"seq1/o_orderkey":   def(tpch.Orders, 0.01, "O_ORDERKEY"),
+		"seq1/c_custkey":    def(tpch.Customer, 0.01, ""),
+		"seq1/s_suppkey":    def(tpch.Supplier, 0.01, ""),
+		"table/l_shipdate":  def(tpch.Lineitem, 0.01, "L_SHIPDATE"),
+		"table/o_custkey":   def(tpch.Orders, 0.01, "O_CUSTKEY"),
+		"modulus/o_custkey": def(tpch.Orders, 0.5, "O_CUSTKEY"),
+		"rowindex/part":     def(tpch.Part, 0.01, ""),
 	}
 }
 
@@ -202,13 +211,13 @@ func TestPlacementFollowsStoredSegmentColumn(t *testing.T) {
 		def     string
 		segment func(key int64) int64 // nil: the key itself
 	}{
-		{"lineitem/orderkey", nil},
-		{"orders/custkey", custKey(defs["orders/custkey"].SF)},
-		{"orders/custkey/sf0.5", custKey(defs["orders/custkey/sf0.5"].SF)},
-		{"orders/orderkey", nil},
-		{"customer", nil},
-		{"supplier", nil},
-		{"generic", nil},
+		{"seq4/l_orderkey", nil},
+		{"seq1/o_orderkey", nil},
+		{"seq1/c_custkey", nil},
+		{"seq1/s_suppkey", nil},
+		{"table/o_custkey", custKey(defs["table/o_custkey"].SF)},
+		{"modulus/o_custkey", custKey(defs["modulus/o_custkey"].SF)},
+		{"rowindex/part", nil},
 	} {
 		for _, n := range []int{3, 4} {
 			def := defs[tc.def]
@@ -266,19 +275,37 @@ func TestZeroRowPartitionStaysMaterialized(t *testing.T) {
 	}
 }
 
-// oracleDefs must keep both routing paths under test: some drawn
-// segmentation column small enough for the value -> node table, and one
-// too large for it.
+// oracleDefs must keep every loader route under test, each under a
+// name that says it: both routes of a drawn segmentation column (small
+// enough for the value -> node table, and too large for it), a
+// sequential key of 4 rows per value and of 1, and the one-column row
+// index.
 func TestOracleDefsCoverBothRoutes(t *testing.T) {
-	var table, modulus bool
-	for _, def := range oracleDefs() {
-		if bound, ok := tableSchema(def).segment.Bound(); ok {
-			table = table || bound <= chunkRows
-			modulus = modulus || bound > chunkRows
+	seen := map[string]bool{}
+	for name, def := range oracleDefs() {
+		sch := tableSchema(def)
+		var route string
+		if bound, ok := sch.segment.Bound(); ok {
+			route = "modulus"
+			if bound <= chunkRows {
+				route = "table"
+			}
+		} else if len(sch.cols) == 1 {
+			route = "rowindex"
+		} else {
+			keys := make([]int64, 8) // rows per value: 8 over the values of rows 0-7
+			sch.segment.Fill(0, nil, keys)
+			route = fmt.Sprintf("seq%d", len(keys)/int(keys[len(keys)-1]-keys[0]+1))
 		}
+		if want, _, _ := strings.Cut(name, "/"); route != want {
+			t.Errorf("oracleDefs[%q] takes route %q", name, route)
+		}
+		seen[route] = true
 	}
-	if !table || !modulus {
-		t.Fatalf("drawn segmentation columns routed by table: %v, by modulus: %v; want both", table, modulus)
+	for _, route := range []string{"seq4", "seq1", "table", "modulus", "rowindex"} {
+		if !seen[route] {
+			t.Errorf("no oracle definition takes route %q", route)
+		}
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 
 // HTAPSpec describes one mixed HTAP run: a controlled-rate transactional
 // update stream against LINEITEM contending with a sequence of the
-// paper's Q3 analytic joins on the same simulated cluster.
+// paper's Q3 analytic joins on the same simulated cluster. Every join is
+// a dual shuffle at htapSel selectivity on both sides.
 //
 // Write-path routing: every node runs an ingest front-end that accepts
 // its share of the cluster-wide update rate and routes each batch to the
@@ -30,16 +31,12 @@ type HTAPSpec struct {
 	// driver issues (default 3). Queries run sequentially, so analytics
 	// throughput is Queries / makespan.
 	Queries int
-	// BuildSel and ProbeSel are the Q3 selectivities (default 0.05).
-	BuildSel, ProbeSel float64
-	// Method is the join strategy (default DualShuffle — the
-	// network-heavy plan, where write traffic interference bites).
-	Method pstore.JoinMethod
 	// UpdateRowsPerSec is the cluster-wide target ingest rate in rows
 	// per virtual second; 0 runs the analytics read-only (the baseline
 	// every htap series is normalized against).
 	UpdateRowsPerSec float64
-	// Delta configures the per-node delta stores (zero = defaults).
+	// Delta configures the per-node delta stores (zero = defaults;
+	// tests shrink the merge thresholds to force merges).
 	Delta delta.Config
 }
 
@@ -47,14 +44,11 @@ func (s HTAPSpec) withDefaults() HTAPSpec {
 	if s.Queries <= 0 {
 		s.Queries = 3
 	}
-	if s.BuildSel == 0 {
-		s.BuildSel = 0.05
-	}
-	if s.ProbeSel == 0 {
-		s.ProbeSel = 0.05
-	}
 	return s
 }
+
+// htapSel is the build and probe selectivity of every mixed run's Q3.
+const htapSel = 0.05
 
 // updateBatchRows is the rows per transactional batch: 1 MB of 20-byte
 // tuples, one "transaction" for energy accounting.
@@ -157,7 +151,9 @@ func (pl *htapPlant) stats() (txns, txnRows int64, merges int) {
 // engine so scans read merged views), merge schedulers, and — when the
 // spec sets an update rate — per-node ingest front-ends and appliers.
 func buildHTAPPlant(c *cluster.Cluster, cfg pstore.Config, spec HTAPSpec) (*htapPlant, error) {
-	join := Q3Join(spec.SF, spec.BuildSel, spec.ProbeSel, spec.Method)
+	// Dual shuffle is the network-heavy plan, where write traffic
+	// interference bites.
+	join := Q3Join(spec.SF, htapSel, htapSel, pstore.DualShuffle)
 	n := len(c.Nodes)
 
 	e := pstore.New(c, cfg)

@@ -7,14 +7,12 @@
 //	repro -exp all                 run everything (in paper order)
 //	repro -exp 'fig1*,table?'      run a comma-separated list of ID globs
 //	repro -exp all -j 8            fan out over 8 workers
-//	repro -exp fig3 -csv           emit the series as CSV instead of text
 //	repro -exp fig3 -json          emit structured JSON (typed tables, no text blocks)
 //	repro -exp fig3 -sf 50         override the figure 3-5 engine scale factor
 //	repro -exp fig3 -sf 1000       paper-scale run (sharded across cores)
 //	repro -exp all -md -o EXPERIMENTS.md   write the Markdown record
 //	repro -exp all -bench-json     also write a BENCH_<date>.json snapshot (events, cache traffic)
 //	repro -exp all -bench-json -bench-o run.json  snapshot to a chosen path
-//	repro -exp htap1 -htap-rates 0,4,32    sweep the HTAP update stream (Mrows/s)
 //	repro -exp fault1 -fault-seed 7        re-seed the fault1/fault2 fault plans
 //	repro -exp fig3 -cpuprofile cpu.prof   capture a pprof CPU profile
 //
@@ -37,7 +35,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 	"time"
 
@@ -53,23 +50,18 @@ func main() {
 	var (
 		exp        = flag.String("exp", "all", "comma-separated experiment IDs or globs (or 'all'); known: "+strings.Join(experiments.IDs(), " "))
 		list       = flag.Bool("list", false, "list experiment ids")
-		csv        = flag.Bool("csv", false, "emit series as CSV")
 		md         = flag.Bool("md", false, "emit Markdown (EXPERIMENTS.md format)")
 		jsonOut    = flag.Bool("json", false, "emit structured JSON (one entry per experiment)")
 		out        = flag.String("o", "", "write output to file instead of stdout")
 		workers    = flag.Int("j", 0, "parallel workers (default GOMAXPROCS)")
-		failFast   = flag.Bool("fail-fast", false, "abort on first experiment failure")
 		times      = flag.Bool("times", false, "print per-experiment wall times (and cache and kernel stats) to stderr")
 		sf         = flag.Float64("sf", 0, "TPC-H scale factor for the figure 3-5 engine runs (default 100; the paper's is 1000)")
-		conc       = flag.String("conc", "", "comma-separated concurrency levels for fig3/fig4 (default 1,2,4)")
 		shards     = flag.Int("shards", 0, "intra-experiment shard workers for engine-backed figures (0 = GOMAXPROCS, 1 = serial)")
 		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf    = flag.String("memprofile", "", "write a pprof heap profile (after the run) to this file")
 		benchOut   = flag.Bool("bench-json", false, "write a machine-readable BENCH_<date>.json perf snapshot of the run")
 		benchPath  = flag.String("bench-o", "", "snapshot path for -bench-json (default BENCH_<date>.json)")
 		benchForce = flag.Bool("bench-force", false, "allow -bench-json to overwrite an existing snapshot file")
-		batchRows  = flag.Int("batch-rows", 0, "tuples per exchange batch for the engine figures (0 = default 200000; clamped at the engine maximum)")
-		htapRates  = flag.String("htap-rates", "", "comma-separated update-stream rates for htap1, in Mrows/s (default 0,2,8,16; first rate is the normalization baseline)")
 		faultSeed  = flag.Int64("fault-seed", 0, "seed for the fault1/fault2 fault plans (0 = default 1; same seed + cluster = same plan)")
 	)
 	flag.Parse()
@@ -101,10 +93,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: -shards must be >= 0 (0 = GOMAXPROCS), got %d\n", *shards)
 		os.Exit(2)
 	}
-	if *batchRows < 0 {
-		fmt.Fprintf(os.Stderr, "repro: -batch-rows must be >= 0 (0 = default), got %d\n", *batchRows)
-		os.Exit(2)
-	}
 	// Catch a bad snapshot path up front: the snapshot is written after
 	// the run, and a bad path must not waste an hours-long session.
 	if *benchPath != "" {
@@ -119,49 +107,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "repro: %s already exists; write to another path (-bench-o) or force the overwrite (-bench-force)\n", *benchPath)
 		os.Exit(2)
 	}
-	expOpts := experiments.Options{SF: tpch.ScaleFactor(*sf), Shards: *shards, BatchRows: *batchRows, FaultSeed: *faultSeed}
-	if *conc != "" {
-		for _, f := range strings.Split(*conc, ",") {
-			k, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || k <= 0 {
-				fmt.Fprintf(os.Stderr, "repro: bad -conc value %q (want a positive integer)\n", f)
-				os.Exit(2)
-			}
-			if n := len(expOpts.Concurrency); n > 0 {
-				switch prev := expOpts.Concurrency[n-1]; {
-				case k == prev:
-					fmt.Fprintf(os.Stderr, "repro: duplicate -conc level %d\n", k)
-					os.Exit(2)
-				case k < prev:
-					fmt.Fprintf(os.Stderr, "repro: -conc levels must be in increasing order, got %d after %d\n", k, prev)
-					os.Exit(2)
-				}
-			}
-			expOpts.Concurrency = append(expOpts.Concurrency, k)
-		}
-	}
-	if *htapRates != "" {
-		for _, f := range strings.Split(*htapRates, ",") {
-			m, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil || m < 0 || math.IsNaN(m) || math.IsInf(m, 0) {
-				fmt.Fprintf(os.Stderr, "repro: bad -htap-rates value %q (want a non-negative Mrows/s number)\n", f)
-				os.Exit(2)
-			}
-			// Rate 0 is htap1's normalisation baseline, so it comes first
-			// and every rate after it is a new one.
-			switch n := len(expOpts.HTAPRates); {
-			case n == 0 && m != 0:
-				fmt.Fprintf(os.Stderr, "repro: -htap-rates must start at 0 (the read-only baseline), got %v\n", m)
-				os.Exit(2)
-			case n > 0 && m*1e6 <= expOpts.HTAPRates[n-1]:
-				fmt.Fprintf(os.Stderr, "repro: -htap-rates must be strictly increasing, got %v after %v\n", m, expOpts.HTAPRates[n-1]/1e6)
-				os.Exit(2)
-			}
-			expOpts.HTAPRates = append(expOpts.HTAPRates, m*1e6)
-		}
-	}
 	joinCache := pstore.NewCache(nil)
-	expOpts.Joins = joinCache
+	expOpts := experiments.Options{SF: tpch.ScaleFactor(*sf), Shards: *shards, Joins: joinCache, FaultSeed: *faultSeed}
 
 	// Flags are validated; start profiling just before real work so a
 	// usage error can no longer truncate the profile.
@@ -185,7 +132,7 @@ func main() {
 	runtime.ReadMemStats(&ms0)
 	events0 := sim.TotalEvents()
 	start := time.Now()
-	results, err := runner.RunIDs(patterns, runner.Options{Workers: *workers, FailFast: *failFast, Exp: expOpts})
+	results, err := runner.RunIDs(patterns, runner.Options{Workers: *workers, Exp: expOpts})
 	wall := time.Since(start)
 	if results == nil && err != nil {
 		// Selection failed (unknown ID / bad glob) — nothing ran.
@@ -208,15 +155,6 @@ func main() {
 		werr = report.WriteMarkdown(w, results)
 	case *jsonOut:
 		werr = report.WriteJSON(w, results)
-	case *csv:
-		for _, r := range results {
-			if r.Err != nil {
-				continue
-			}
-			for _, s := range r.Result.Series {
-				fmt.Fprintf(w, "# %s\n%s\n", s.Title, report.SeriesCSV(s))
-			}
-		}
 	default:
 		werr = report.WriteText(w, results)
 	}

@@ -31,15 +31,17 @@ func TestFlagValidation(t *testing.T) {
 		want string // substring of the combined output
 	}{
 		{[]string{"-sf", "-1"}, "repro: -sf must be a positive, finite number"},
-		{[]string{"-batch-rows", "-5"}, "repro: -batch-rows must be >= 0 (0 = default), got -5"},
 		{[]string{"-j", "-2"}, "repro: -j must be >= 0 (0 = GOMAXPROCS), got -2"},
 		{[]string{"-shards", "-3"}, "repro: -shards must be >= 0 (0 = GOMAXPROCS), got -3"},
-		{[]string{"-conc", "2,x"}, `repro: bad -conc value "x"`},
 		{[]string{"-bench-o", t.TempDir()}, "is a directory"},
-		{[]string{"-htap-rates", "0,x"}, `repro: bad -htap-rates value "x"`},
-		{[]string{"-htap-rates", "2,8"}, "repro: -htap-rates must start at 0 (the read-only baseline), got 2"},
-		{[]string{"-htap-rates", "0,0"}, "repro: -htap-rates must be strictly increasing, got 0 after 0"},
-		{[]string{"-htap-rates", "0,8,4"}, "repro: -htap-rates must be strictly increasing, got 4 after 8"},
+		// The sweep knobs are gone: the engine figures run the paper's
+		// concurrency levels, htap1 its fixed rates, and every engine run
+		// 200k-row batches.
+		{[]string{"-conc", "1,2"}, "flag provided but not defined: -conc"},
+		{[]string{"-batch-rows", "200000"}, "flag provided but not defined: -batch-rows"},
+		{[]string{"-htap-rates", "0,8"}, "flag provided but not defined: -htap-rates"},
+		{[]string{"-fail-fast"}, "flag provided but not defined: -fail-fast"},
+		{[]string{"-csv"}, "flag provided but not defined: -csv"},
 	} {
 		args := append([]string{"-exp", "table1"}, tc.args...)
 		out, err := exec.Command(bin, args...).CombinedOutput()
@@ -51,6 +53,25 @@ func TestFlagValidation(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) {
 			t.Errorf("repro %v: output lacks %q:\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+// TestFlagSet pins the flags repro -h lists: a new knob is a decision,
+// not a drive-by.
+func TestFlagSet(t *testing.T) {
+	out, err := exec.Command(buildRepro(t), "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("repro -h: %v\n%s", err, out)
+	}
+	var flags []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "  -") {
+			flags = append(flags, strings.Fields(line)[0])
+		}
+	}
+	want := "-bench-force -bench-json -bench-o -cpuprofile -exp -fault-seed -j -json -list -md -memprofile -o -sf -shards -times"
+	if got := strings.Join(flags, " "); got != want {
+		t.Errorf("repro -h lists %s, want %s", got, want)
 	}
 }
 

@@ -61,14 +61,13 @@ import (
 
 func main() {
 	var (
-		workers   = flag.Int("workers", 4, "max in-flight requests (worker pool size)")
-		queue     = flag.Int("queue", 64, "per-tenant admission queue quota (0 = no waiting room); a tenant past its quota is shed, other tenants are unaffected")
-		tenants   = flag.String("tenants", "", "per-tenant overrides, 'name=depth[:weight],...' — depth is the queue quota, weight the fair-queueing share (both default to the service-wide values)")
-		nodes     = flag.Int("nodes", 4, "nodes in the per-request simulated cluster")
-		warm      = flag.Bool("warm", true, "working set cached (scan at CPU rate)")
-		batchRows = flag.Int("batch-rows", 200_000, "engine exchange batch size in rows")
-		timeout   = flag.Float64("timeout", 0, "default per-request deadline in seconds (0 = none), overridden per request by deadline_s")
-		httpAddr  = flag.String("http", "", "serve HTTP on this address instead of reading stdin")
+		workers  = flag.Int("workers", 4, "max in-flight requests (worker pool size)")
+		queue    = flag.Int("queue", 64, "per-tenant admission queue quota (0 = no waiting room); a tenant past its quota is shed, other tenants are unaffected")
+		tenants  = flag.String("tenants", "", "per-tenant overrides, 'name=depth[:weight],...' — depth is the queue quota, weight the fair-queueing share (both default to the service-wide values)")
+		nodes    = flag.Int("nodes", 4, "nodes in the per-request simulated cluster")
+		warm     = flag.Bool("warm", true, "working set cached (scan at CPU rate)")
+		timeout  = flag.Float64("timeout", 0, "default per-request deadline in seconds (0 = none), overridden per request by deadline_s")
+		httpAddr = flag.String("http", "", "serve HTTP on this address instead of reading stdin")
 	)
 	flag.Parse()
 
@@ -81,8 +80,6 @@ func main() {
 		fatalf("serve: -queue must not be negative, got %d", *queue)
 	case *nodes < 1:
 		fatalf("serve: -nodes must be at least 1, got %d", *nodes)
-	case *batchRows < 1:
-		fatalf("serve: -batch-rows must be at least 1, got %d", *batchRows)
 	}
 	tenantCfg, err := parseTenants(*tenants)
 	if err != nil {
@@ -98,7 +95,7 @@ func main() {
 		Execution: service.Execution{
 			Workers:      *workers,
 			ClusterNodes: *nodes,
-			Engine:       pstore.Config{WarmCache: *warm, BatchRows: *batchRows},
+			Engine:       pstore.Config{WarmCache: *warm, BatchRows: 200_000},
 		},
 	}
 	s, err := service.New(cfg)

@@ -272,8 +272,9 @@ func buildServe(t *testing.T) string {
 
 // TestFlagValidation execs the built binary: every bad flag value is
 // rejected with exit 2 and a message naming the flag, before any request
-// is served. -compat, the -load harness and the -retries budget are gone,
-// so they are undefined flags, and -h lists only the serving flags.
+// is served. -compat, the -load harness, the -retries budget and the
+// -batch-rows knob are gone, so they are undefined flags, and -h lists
+// only the serving flags.
 func TestFlagValidation(t *testing.T) {
 	bin := buildServe(t)
 	for _, tc := range []struct {
@@ -285,8 +286,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-workers", "0"}, "serve: -workers must be at least 1, got 0"},
 		{[]string{"-queue", "-1"}, "serve: -queue must not be negative, got -1"},
 		{[]string{"-nodes", "0"}, "serve: -nodes must be at least 1, got 0"},
-		{[]string{"-batch-rows", "0"}, "serve: -batch-rows must be at least 1, got 0"},
-		{[]string{"-batch-rows", "-5"}, "serve: -batch-rows must be at least 1, got -5"},
+		{[]string{"-batch-rows", "0"}, "flag provided but not defined: -batch-rows"},
 		{[]string{"-tenants", "dash"}, `serve: -tenants entry "dash": want name=depth or name=depth:weight`},
 		{[]string{"-compat=false"}, "flag provided but not defined: -compat"},
 		{[]string{"-load"}, "flag provided but not defined: -load"},
@@ -312,7 +312,7 @@ func TestFlagValidation(t *testing.T) {
 			flags = append(flags, strings.Fields(line)[0])
 		}
 	}
-	want := "-batch-rows -http -nodes -queue -tenants -timeout -warm -workers"
+	want := "-http -nodes -queue -tenants -timeout -warm -workers"
 	if got := strings.Join(flags, " "); got != want {
 		t.Errorf("serve -h lists %s, want %s", got, want)
 	}

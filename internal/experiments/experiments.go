@@ -20,11 +20,11 @@
 // linearly in data volume, so the normalized curves are scale-invariant
 // (verified by TestFig3ScaleInvariance). Options overrides the scale
 // factor (cmd/repro -sf 1000 reproduces the paper's scale directly),
-// the concurrency levels, the join runner (inject a shared
-// *pstore.Cache to memoize identical joins across experiments), and
-// the intra-experiment shard worker count (each experiment's grid of
-// independent simulations fans out over par.Map with byte-identical
-// output; see TestShardedMatchesSerial).
+// the join runner (inject a shared *pstore.Cache to memoize identical
+// joins across experiments), the intra-experiment shard worker count
+// (each experiment's grid of independent simulations fans out over
+// par.Map with byte-identical output; see TestShardedMatchesSerial) and
+// the fault-plan seed. Everything else is the paper's configuration.
 package experiments
 
 import "sort"

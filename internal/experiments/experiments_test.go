@@ -433,7 +433,7 @@ func TestFig3ScaleInvariance(t *testing.T) {
 				t.Fatal(err)
 			}
 			spec := workload.Q3Join(tpch.ScaleFactor(sf), 0.05, 0.05, pstore.DualShuffle)
-			res, j, err := pstore.RunJoin(c, engineCfg(Options{}), spec)
+			res, j, err := pstore.RunJoin(c, engineCfg(), spec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -450,22 +450,22 @@ func TestFig3ScaleInvariance(t *testing.T) {
 
 var _ = power.Point{} // keep import if assertions change
 
-// TestOptionsCustomization: a non-default scale factor and concurrency
-// sweep flow through to the engine runs (normalized ratios stay put; the
-// paper-anchored pairs are suppressed off the published levels).
+// TestOptionsCustomization: a non-default scale factor flows through to
+// the engine runs; the normalized ratios stay put and the paper-anchored
+// pairs are emitted at every scale factor.
 func TestOptionsCustomization(t *testing.T) {
 	if testing.Short() {
 		t.Skip("engine experiment")
 	}
-	rep, err := Fig3(Options{SF: 10, Concurrency: []int{1, 2}})
+	rep, err := Fig3(Options{SF: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Series) != 2 {
-		t.Fatalf("custom concurrency produced %d series, want 2", len(rep.Series))
+	if len(rep.Series) != len(fig34Concurrency) {
+		t.Fatalf("fig3 produced %d series, want one per level of %v", len(rep.Series), fig34Concurrency)
 	}
-	if len(rep.Pairs) != 0 {
-		t.Fatalf("paper pairs emitted for non-default concurrency: %+v", rep.Pairs)
+	if len(rep.Pairs) != 4 {
+		t.Fatalf("fig3 at SF 10 emitted %d paper pairs, want 4: %+v", len(rep.Pairs), rep.Pairs)
 	}
 	for _, s := range rep.Series {
 		if p4 := s.Points[2]; p4.NormEnerg >= 1 {

@@ -34,7 +34,7 @@ func faultRun(o Options, queries int, fcfg fault.Config) (workload.FaultedResult
 	if err != nil {
 		return workload.FaultedResult{}, err
 	}
-	return workload.RunFaulted(c, engineCfg(o), workload.FaultedSpec{
+	return workload.RunFaulted(c, engineCfg(), workload.FaultedSpec{
 		HTAP:   workload.HTAPSpec{SF: o.SF, Queries: queries},
 		Faults: fcfg,
 		Retry:  faultRetry,

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// htapTestOpts keeps the sweep cheap: small scale, two rates.
+// htapTestOpts keeps the sweep cheap: a small scale factor.
 func htapTestOpts() Options {
-	return Options{SF: 10, HTAPRates: []float64{0, 8e6}}
+	return Options{SF: 10}
 }
 
 // TestHTAPShardedMatchesSerial: fanning the rate/design grid across

@@ -20,6 +20,11 @@ import (
 // the paper's "wimpy nodes are energy-efficient" conclusion survives
 // when transactions share the hardware.
 
+// htap1Rates are the cluster-wide update-stream rates, in rows per
+// virtual second, that the htap1 sweep runs. The first, 0 (read-only),
+// is the baseline every htap1 point is normalized against.
+var htap1Rates = []float64{0, 2e6, 8e6, 16e6}
+
 // htap2Rate is the fixed cluster-wide update rate of the design
 // comparison: 8M rows/s, the middle of the htap1 sweep — enough to make
 // the write path visible without drowning the analytics.
@@ -31,7 +36,7 @@ func htapRun(o Options, cfg cluster.Config, rate float64) (workload.HTAPResult, 
 	if err != nil {
 		return workload.HTAPResult{}, err
 	}
-	return workload.RunHTAP(c, engineCfg(o), workload.HTAPSpec{SF: o.SF, UpdateRowsPerSec: rate})
+	return workload.RunHTAP(c, engineCfg(), workload.HTAPSpec{SF: o.SF, UpdateRowsPerSec: rate})
 }
 
 // htapColumns is the shared metric layout of both htap tables.
@@ -64,10 +69,9 @@ func htapPoint(label string, r workload.HTAPResult) power.Point {
 // series is normalized to the read-only run (the sweep's first rate).
 func Htap1(o Options) (Result, error) {
 	o = o.withDefaults()
-	rates := o.HTAPRates
 	label := func(rate float64) string { return fmt.Sprintf("%gM", rate/1e6) }
 
-	results, err := par.Map(o.Shards, rates, func(_ int, rate float64) (workload.HTAPResult, error) {
+	results, err := par.Map(o.Shards, htap1Rates, func(_ int, rate float64) (workload.HTAPResult, error) {
 		r, err := htapRun(o, cluster.Homogeneous(4, hw.ClusterV()), rate)
 		if err != nil {
 			return workload.HTAPResult{}, fmt.Errorf("htap1 rate=%s: %w", label(rate), err)
@@ -82,11 +86,11 @@ func Htap1(o Options) (Result, error) {
 		Titled(fmt.Sprintf("HTAP 1: update stream vs analytics (4x Cluster-V, SF %g, 3x Q3 dual-shuffle)\n", float64(o.SF))).
 		Footed("run labels are the cluster-wide update rate in Mrows/s\n")
 	var pts []power.Point
-	for i, rate := range rates {
+	for i, rate := range htap1Rates {
 		htapRow(tbl, label(rate), results[i])
 		pts = append(pts, htapPoint(label(rate), results[i]))
 	}
-	s, err := metrics.NewSeries("HTAP 1 — analytics under a rising update stream", pts, label(rates[0]))
+	s, err := metrics.NewSeries("HTAP 1 — analytics under a rising update stream", pts, label(htap1Rates[0]))
 	if err != nil {
 		return Result{}, err
 	}

@@ -18,13 +18,15 @@ import (
 // package comment). Override with Options.SF.
 const Fig35SF = tpch.ScaleFactor(100)
 
-func engineCfg(o Options) pstore.Config {
-	cfg := pstore.Config{WarmCache: true, BatchRows: 200_000}
-	if o.BatchRows > 0 {
-		cfg.BatchRows = o.BatchRows
-	}
-	return cfg
+// engineCfg is the engine configuration of every engine-backed
+// experiment: a warm working set and 200k-row exchange batches.
+func engineCfg() pstore.Config {
+	return pstore.Config{WarmCache: true, BatchRows: 200_000}
 }
+
+// fig34Concurrency lists the simultaneous-query levels of the Figure 3/4
+// sweeps, the paper's.
+var fig34Concurrency = []int{1, 2, 4}
 
 // runSizes runs the given join spec at each cluster size and concurrency
 // level, returning one normalized series per concurrency level (the
@@ -34,7 +36,7 @@ func engineCfg(o Options) pstore.Config {
 func runSizes(o Options, title string, mkSpec func() pstore.JoinSpec, sizes []int, spec hw.Spec) ([]metrics.Series, error) {
 	type point struct{ k, n int }
 	var grid []point
-	for _, k := range o.Concurrency {
+	for _, k := range fig34Concurrency {
 		for _, n := range sizes {
 			grid = append(grid, point{k, n})
 		}
@@ -44,7 +46,7 @@ func runSizes(o Options, title string, mkSpec func() pstore.JoinSpec, sizes []in
 		if err != nil {
 			return power.Point{}, err
 		}
-		makespan, _, joules, err := o.Joins.RunConcurrent(c, engineCfg(o), mkSpec(), pt.k)
+		makespan, _, joules, err := o.Joins.RunConcurrent(c, engineCfg(), mkSpec(), pt.k)
 		if err != nil {
 			return power.Point{}, fmt.Errorf("%s n=%d k=%d: %w", title, pt.n, pt.k, err)
 		}
@@ -56,7 +58,7 @@ func runSizes(o Options, title string, mkSpec func() pstore.JoinSpec, sizes []in
 		return nil, err
 	}
 	var out []metrics.Series
-	for i, k := range o.Concurrency {
+	for i, k := range fig34Concurrency {
 		s, err := metrics.NewSeries(fmt.Sprintf("%s — %d concurrent", title, k),
 			pts[i*len(sizes):(i+1)*len(sizes)], fmt.Sprintf("%dN", sizes[0]))
 		if err != nil {
@@ -80,14 +82,11 @@ func Fig3(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var pairs []metrics.Pair
-	if o.defaultConcurrency() {
-		pairs = []metrics.Pair{
-			{Metric: "1q: 4N performance", Paper: 0.62, Measured: series[0].Points[2].NormPerf},
-			{Metric: "1q: 4N energy", Paper: 0.80, Measured: series[0].Points[2].NormEnerg},
-			{Metric: "2q: 4N energy", Paper: 0.77, Measured: series[1].Points[2].NormEnerg},
-			{Metric: "4q: 4N energy", Paper: 0.76, Measured: series[2].Points[2].NormEnerg},
-		}
+	pairs := []metrics.Pair{
+		{Metric: "1q: 4N performance", Paper: 0.62, Measured: series[0].Points[2].NormPerf},
+		{Metric: "1q: 4N energy", Paper: 0.80, Measured: series[0].Points[2].NormEnerg},
+		{Metric: "2q: 4N energy", Paper: 0.77, Measured: series[1].Points[2].NormEnerg},
+		{Metric: "4q: 4N energy", Paper: 0.76, Measured: series[2].Points[2].NormEnerg},
 	}
 	return Result{ID: "fig3", Title: "P-store dual-shuffle join", Series: series, Pairs: pairs}, nil
 }
@@ -103,12 +102,9 @@ func Fig4(o Options) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var pairs []metrics.Pair
-	if o.defaultConcurrency() {
-		pairs = []metrics.Pair{
-			{Metric: "1q: 4N performance", Paper: 0.68, Measured: series[0].Points[2].NormPerf},
-			{Metric: "1q: 4N energy", Paper: 0.72, Measured: series[0].Points[2].NormEnerg},
-		}
+	pairs := []metrics.Pair{
+		{Metric: "1q: 4N performance", Paper: 0.68, Measured: series[0].Points[2].NormPerf},
+		{Metric: "1q: 4N energy", Paper: 0.72, Measured: series[0].Points[2].NormEnerg},
 	}
 	return Result{ID: "fig4", Title: "P-store broadcast join", Series: series, Pairs: pairs}, nil
 }
@@ -147,7 +143,7 @@ func Fig5(o Options) (Result, error) {
 		if err != nil {
 			return power.Point{}, err
 		}
-		res, joules, err := o.Joins.RunJoin(c, engineCfg(o), r.pl.mk())
+		res, joules, err := o.Joins.RunJoin(c, engineCfg(), r.pl.mk())
 		if err != nil {
 			return power.Point{}, fmt.Errorf("%s n=%d: %w", r.pl.name, r.n, err)
 		}
@@ -269,7 +265,7 @@ func RunFig7(o Options, oSel float64, hetero bool) (ab, bw map[float64]pstore.Jo
 		if e != nil {
 			return outcome{}, e
 		}
-		res, joules, e := o.Joins.RunJoin(c, engineCfg(o), spec)
+		res, joules, e := o.Joins.RunJoin(c, engineCfg(), spec)
 		if e != nil {
 			return outcome{}, fmt.Errorf("%s O%v/L%v: %w", tag, oSel, pt.lSel, e)
 		}

@@ -16,10 +16,6 @@ type Options struct {
 	// Figure 6-9 experiments are anchored to the paper's §5.2/§5.3
 	// setups and ignore SF.
 	SF tpch.ScaleFactor
-	// Concurrency lists the simultaneous-query levels of the Figure 3/4
-	// sweeps (default 1, 2, 4 — the paper's). Paper-vs-measured pairs
-	// are emitted only for the default levels.
-	Concurrency []int
 	// Joins executes P-store joins. Inject a shared *pstore.Cache to
 	// memoize identical (cluster, Config, JoinSpec, concurrency) runs
 	// across experiments — fig3/fig4/fig5, fig7a/fig8 and fig7b/fig9
@@ -33,18 +29,6 @@ type Options struct {
 	// Result is byte-identical at any setting (TestShardedMatchesSerial).
 	// <= 0 means GOMAXPROCS; 1 runs the grid serially.
 	Shards int
-	// BatchRows overrides the tuples-per-exchange-batch granularity of
-	// the engine-backed figures (default 200k). Results are batch-size
-	// sensitive only in event count and memory, not in which rows
-	// qualify; smaller batches mean more simulation events, larger ones
-	// fewer (clamped at pstore.MaxBatchRows). <= 0 keeps the default.
-	BatchRows int
-	// HTAPRates lists the cluster-wide update-stream rates, in rows per
-	// virtual second, that the htap1 sweep runs (default 0, 2M, 8M,
-	// 16M). The first rate is the baseline every htap series is
-	// normalized against, so the list starts at 0 (read-only) and
-	// increases strictly; cmd/repro refuses any other list.
-	HTAPRates []float64
 	// FaultSeed seeds the fault1/fault2 fault plans (default 1; 0 means
 	// the default, so the zero Options value stays the published
 	// configuration). The plan also mixes in the cluster fingerprint,
@@ -56,28 +40,13 @@ func (o Options) withDefaults() Options {
 	if o.SF <= 0 {
 		o.SF = Fig35SF
 	}
-	if len(o.Concurrency) == 0 {
-		o.Concurrency = []int{1, 2, 4}
-	}
 	if o.Joins == nil {
 		o.Joins = pstore.Engine{}
-	}
-	if len(o.HTAPRates) == 0 {
-		o.HTAPRates = []float64{0, 2e6, 8e6, 16e6}
 	}
 	if o.FaultSeed == 0 {
 		o.FaultSeed = 1
 	}
 	return o
-}
-
-// defaultConcurrency reports whether the Figure 3/4 sweeps run at the
-// paper's levels, which is what the published comparison pairs anchor to.
-func (o Options) defaultConcurrency() bool {
-	if len(o.Concurrency) != 3 {
-		return false
-	}
-	return o.Concurrency[0] == 1 && o.Concurrency[1] == 2 && o.Concurrency[2] == 4
 }
 
 // Result is one regenerated experiment as structured data: normalized

@@ -13,7 +13,7 @@ import (
 // at any SF.
 func TestShardedMatchesSerial(t *testing.T) {
 	opts := func(shards int) Options {
-		return Options{SF: 2, Concurrency: []int{1, 2}, Shards: shards}
+		return Options{SF: 2, Shards: shards}
 	}
 	for _, id := range []string{"fig3", "fig4", "fig5", "fig6"} {
 		e, err := byID(id)

@@ -26,33 +26,18 @@ type Config struct {
 
 	// MTTF is the per-node mean time to failure in virtual seconds;
 	// 0 disables crashes. MTTR is the mean repair time (downtime is
-	// uniform in [0.5*MTTR, 1.5*MTTR)); it defaults to 1s when crashes
-	// are enabled and MTTR is unset.
+	// uniform in [0.5*MTTR, 1.5*MTTR)); it must be > 0 when crashes are
+	// enabled.
 	MTTF float64
 	MTTR float64
 
 	// StragglerEvery is the per-node mean seconds between straggler
 	// episodes; 0 disables them. Each episode lasts StragglerSecs
-	// (default 1) and divides the node's service rates by
-	// StragglerFactor (default 4; must be >= 1).
+	// (> 0) and divides the node's service rates by StragglerFactor
+	// (>= 1).
 	StragglerEvery  float64
 	StragglerSecs   float64
 	StragglerFactor float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MTTF > 0 && c.MTTR <= 0 {
-		c.MTTR = 1
-	}
-	if c.StragglerEvery > 0 {
-		if c.StragglerSecs <= 0 {
-			c.StragglerSecs = 1
-		}
-		if c.StragglerFactor < 1 {
-			c.StragglerFactor = 4
-		}
-	}
-	return c
 }
 
 // Validate rejects configs that cannot generate a well-formed plan.
@@ -75,7 +60,14 @@ func (c Config) Validate() error {
 		}
 	}
 	if f := c.StragglerFactor; math.IsNaN(f) || math.IsInf(f, 0) || f < 0 || (f > 0 && f < 1) {
-		return fmt.Errorf("fault: StragglerFactor %v must be >= 1 (or 0 for the default)", f)
+		return fmt.Errorf("fault: StragglerFactor %v must be >= 1 (or 0 with stragglers off)", f)
+	}
+	if c.MTTF > 0 && c.MTTR == 0 {
+		return fmt.Errorf("fault: MTTR must be > 0 when crashes are on (MTTF %v)", c.MTTF)
+	}
+	if c.StragglerEvery > 0 && (c.StragglerSecs == 0 || c.StragglerFactor == 0) {
+		return fmt.Errorf("fault: stragglers on (StragglerEvery %v) need StragglerSecs > 0 and StragglerFactor >= 1, got %v and %v",
+			c.StragglerEvery, c.StragglerSecs, c.StragglerFactor)
 	}
 	return nil
 }
@@ -146,7 +138,6 @@ func NewPlan(cfg Config, c *cluster.Cluster) (*Plan, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	p := &Plan{Seed: cfg.Seed}
 	if !cfg.Enabled() {
 		return p, nil

@@ -89,8 +89,8 @@ func TestPlanShape(t *testing.T) {
 	}
 }
 
-// TestConfigValidate rejects NaN/Inf/negative parameters and factors
-// below 1.
+// TestConfigValidate rejects NaN/Inf/negative parameters, factors
+// below 1, and an enabled fault class missing one of its parameters.
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{MTTF: math.NaN()},
@@ -99,6 +99,11 @@ func TestConfigValidate(t *testing.T) {
 		{Horizon: -5},
 		{StragglerEvery: 1, StragglerFactor: 0.5},
 		{StragglerSecs: math.NaN()},
+		// Crashes on without a repair time.
+		{Horizon: 10, MTTF: 5},
+		// Stragglers on without an episode length or without a factor.
+		{Horizon: 10, StragglerEvery: 1, StragglerFactor: 4},
+		{Horizon: 10, StragglerEvery: 1, StragglerSecs: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := NewPlan(cfg, testCluster(t, 2)); err == nil {

@@ -157,48 +157,66 @@ func TestCacheConcurrencyLevels(t *testing.T) {
 	}
 }
 
-// panicRunner panics on its first RunJoin, then delegates to the engine.
+// panicRunner panics on its first call, RunJoin or RunConcurrent, then
+// delegates to the engine.
 type panicRunner struct{ calls int }
 
-func (p *panicRunner) RunJoin(c *cluster.Cluster, cfg Config, spec JoinSpec) (JoinResult, float64, error) {
+func (p *panicRunner) panicFirst() {
 	p.calls++
 	if p.calls == 1 {
 		panic("engine bug")
 	}
+}
+
+func (p *panicRunner) RunJoin(c *cluster.Cluster, cfg Config, spec JoinSpec) (JoinResult, float64, error) {
+	p.panicFirst()
 	return Engine{}.RunJoin(c, cfg, spec)
 }
 
 func (p *panicRunner) RunConcurrent(c *cluster.Cluster, cfg Config, spec JoinSpec, k int) (float64, []float64, float64, error) {
+	p.panicFirst()
 	return Engine{}.RunConcurrent(c, cfg, spec, k)
 }
 
 // TestCachePanicDoesNotPoison: a panicking simulation must not leave an
 // in-flight entry that deadlocks every later request for the key — the
-// panic propagates to its caller, and a retry re-simulates.
+// panic propagates to its caller, a retry re-simulates, and the retried
+// entry then serves hits. k = 1 takes the single-join path, k = 2 the
+// concurrent one.
 func TestCachePanicDoesNotPoison(t *testing.T) {
-	cache := NewCache(&panicRunner{})
 	cfg := Config{WarmCache: true, BatchRows: 200_000}
 	spec := cacheTestSpec(5, 0.05, 0.05, DualShuffle)
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("panic did not propagate to the caller")
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			cache := NewCache(&panicRunner{})
+			run := func() ([]float64, error) {
+				_, perQuery, _, err := cache.RunConcurrent(cacheTestCluster(t, 4), cfg, spec, k)
+				return perQuery, err
 			}
-		}()
-		cache.RunJoin(cacheTestCluster(t, 4), cfg, spec)
-	}()
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Error("panic did not propagate to the caller")
+					}
+				}()
+				run()
+			}()
 
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := cache.RunJoin(cacheTestCluster(t, 4), cfg, spec)
-		done <- err
-	}()
-	if err := <-done; err != nil {
-		t.Fatalf("retry after panic failed: %v", err)
-	}
-	if s := cache.Stats(); s.Misses != 2 {
-		t.Fatalf("retry did not re-simulate: %+v", s)
+			done := make(chan error, 1)
+			go func() {
+				_, err := run()
+				done <- err
+			}()
+			if err := <-done; err != nil {
+				t.Fatalf("retry after panic failed: %v", err)
+			}
+			if perQuery, err := run(); err != nil || len(perQuery) != k {
+				t.Fatalf("hit after retry: %d per-query times, err %v; want %d, nil", len(perQuery), err, k)
+			}
+			if s := cache.Stats(); s.Misses != 2 || s.Hits != 1 {
+				t.Fatalf("traffic %+v, want 2 misses (the panic and the retry) and 1 hit", s)
+			}
+		})
 	}
 }
 

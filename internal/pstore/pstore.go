@@ -100,18 +100,9 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// MaxBatchRows caps the tuples per exchange batch. Above this a single
-// batch outweighs the mailbox/meter granularity the simulation's
-// timing model assumes; user-supplied -batch-rows values are clamped
-// here rather than rejected.
-const MaxBatchRows = 10_000_000
-
 func (c Config) withDefaults() Config {
 	if c.BatchRows <= 0 {
 		c.BatchRows = 50_000 // 1 MB of 20-byte tuples
-	}
-	if c.BatchRows > MaxBatchRows {
-		c.BatchRows = MaxBatchRows
 	}
 	if c.JoinWork == 0 {
 		c.JoinWork = 1.0

@@ -88,29 +88,41 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load()}
 }
 
-// lookup returns the entry for key and whether it already existed. A new
-// entry is published immediately (under the lock) so concurrent callers
-// of the same key wait on done instead of re-simulating.
-func (c *Cache) lookup(key string) (*cacheEntry, bool) {
+// do is the cache's one single-flight path. The first request for key
+// publishes a fresh entry (under the lock, so concurrent requests for
+// the key wait on done instead of re-simulating), runs fill on it and
+// closes done; every other request waits for done and shares the entry.
+// A fill that panics abandons the entry: it is dropped, so a later
+// request re-simulates, and current waiters get an error instead of
+// blocking forever.
+func (c *Cache) do(key string, fill func(*cacheEntry)) (e *cacheEntry, hit bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok {
+	e, hit = c.entries[key]
+	if !hit {
+		e = &cacheEntry{done: make(chan struct{})}
+		c.entries[key] = e
+	}
+	c.mu.Unlock()
+	if hit {
+		<-e.done
+		c.hits.Add(1)
 		return e, true
 	}
-	e := &cacheEntry{done: make(chan struct{})}
-	c.entries[key] = e
-	return e, false
-}
-
-// abandon unblocks an in-flight entry whose simulation panicked: the
-// poisoned entry is dropped (later requests re-simulate) and current
-// waiters get an error instead of blocking forever on done.
-func (c *Cache) abandon(key string, e *cacheEntry) {
-	e.err = fmt.Errorf("pstore: cache: shared simulation for this key panicked")
-	c.mu.Lock()
-	delete(c.entries, key)
-	c.mu.Unlock()
+	c.misses.Add(1)
+	filled := false
+	defer func() {
+		if !filled {
+			e.err = fmt.Errorf("pstore: cache: shared simulation for this key panicked")
+			c.mu.Lock()
+			delete(c.entries, key)
+			c.mu.Unlock()
+			close(e.done)
+		}
+	}()
+	fill(e)
+	filled = true
 	close(e.done)
+	return e, false
 }
 
 // RunJoin implements JoinRunner with memoization.
@@ -124,30 +136,17 @@ func (c *Cache) RunJoin(cl *cluster.Cluster, cfg Config, spec JoinSpec) (JoinRes
 // than a fresh engine run. The service mode uses it to tag each streamed
 // response as answered-from-memory or simulated.
 func (c *Cache) RunJoinHit(cl *cluster.Cluster, cfg Config, spec JoinSpec) (res JoinResult, joules float64, hit bool, err error) {
-	key := fingerprint(cl, cfg, spec, 1)
-	e, hit := c.lookup(key)
-	if hit {
-		<-e.done
-		c.hits.Add(1)
-		return e.res, e.joules, true, e.err
-	}
-	c.misses.Add(1)
-	filled := false
-	defer func() {
-		if !filled {
-			c.abandon(key, e)
-		}
-	}()
-	e.res, e.joules, e.err = c.inner.RunJoin(cl, cfg, spec)
-	filled = true
-	close(e.done)
-	return e.res, e.joules, false, e.err
+	e, hit := c.do(fingerprint(cl, cfg, spec, 1), func(e *cacheEntry) {
+		e.res, e.joules, e.err = c.inner.RunJoin(cl, cfg, spec)
+	})
+	return e.res, e.joules, hit, e.err
 }
 
 // RunConcurrent implements JoinRunner with memoization. A k=1 request is
 // served from (and populates) the single-join cache: one concurrent copy
 // is the same simulation as RunJoin, so fig3's concurrency-1 sweep and
-// fig5's plan summary share engine runs.
+// fig5's plan summary share engine runs. Each caller gets its own copy
+// of perQuery.
 func (c *Cache) RunConcurrent(cl *cluster.Cluster, cfg Config, spec JoinSpec, k int) (float64, []float64, float64, error) {
 	if k == 1 {
 		res, joules, err := c.RunJoin(cl, cfg, spec)
@@ -156,23 +155,9 @@ func (c *Cache) RunConcurrent(cl *cluster.Cluster, cfg Config, spec JoinSpec, k 
 		}
 		return res.Seconds, []float64{res.Seconds}, joules, nil
 	}
-	key := fingerprint(cl, cfg, spec, k)
-	e, hit := c.lookup(key)
-	if hit {
-		<-e.done
-		c.hits.Add(1)
-		return e.makespan, append([]float64(nil), e.perQuery...), e.joules, e.err
-	}
-	c.misses.Add(1)
-	filled := false
-	defer func() {
-		if !filled {
-			c.abandon(key, e)
-		}
-	}()
-	e.makespan, e.perQuery, e.joules, e.err = c.inner.RunConcurrent(cl, cfg, spec, k)
-	filled = true
-	close(e.done)
+	e, _ := c.do(fingerprint(cl, cfg, spec, k), func(e *cacheEntry) {
+		e.makespan, e.perQuery, e.joules, e.err = c.inner.RunConcurrent(cl, cfg, spec, k)
+	})
 	return e.makespan, append([]float64(nil), e.perQuery...), e.joules, e.err
 }
 

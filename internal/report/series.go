@@ -37,17 +37,6 @@ func SeriesTable(s metrics.Series) string {
 	return b.String()
 }
 
-// SeriesCSV renders the series as comma-separated values with a header.
-func SeriesCSV(s metrics.Series) string {
-	var b strings.Builder
-	b.WriteString("label,seconds,joules,norm_perf,norm_energy,norm_edp\n")
-	for _, p := range s.Points {
-		fmt.Fprintf(&b, "%s,%g,%g,%g,%g,%g\n",
-			p.Label, p.Seconds, p.Joules, p.NormPerf, p.NormEnerg, p.NormEDP())
-	}
-	return b.String()
-}
-
 // SeriesPlot renders an ASCII scatter of normalized energy (y) vs
 // normalized performance (x), with the constant-EDP line drawn as dots.
 // The x axis is reversed (1.0 on the left), matching the paper's figures.

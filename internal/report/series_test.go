@@ -30,20 +30,6 @@ func TestSeriesTableMarksEDPPosition(t *testing.T) {
 	}
 }
 
-func TestSeriesCSVRoundTrips(t *testing.T) {
-	csv := SeriesCSV(sampleSeries(t))
-	lines := strings.Split(strings.TrimSpace(csv), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("CSV has %d lines, want 3", len(lines))
-	}
-	if !strings.HasPrefix(lines[0], "label,") {
-		t.Fatalf("CSV header: %s", lines[0])
-	}
-	if !strings.HasPrefix(lines[2], "8N,156,820,") {
-		t.Fatalf("CSV row: %s", lines[2])
-	}
-}
-
 func TestSeriesPlotContainsPointsAndLine(t *testing.T) {
 	plot := SeriesPlot(sampleSeries(t), 40, 10)
 	if !strings.Contains(plot, "o") {

@@ -2,7 +2,6 @@ package report
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 
@@ -45,9 +44,7 @@ func WriteMarkdown(w io.Writer, results []runner.Result) error {
 	pf("\n")
 	for _, r := range results {
 		if r.Err != nil {
-			if !errors.Is(r.Err, runner.ErrSkipped) {
-				pf("## %s — %s\n\nFAILED: %v\n\n", r.Experiment.ID, r.Experiment.Title, r.Err)
-			}
+			pf("## %s — %s\n\nFAILED: %v\n\n", r.Experiment.ID, r.Experiment.Title, r.Err)
 			continue
 		}
 		pf("%s", Markdown(r.Result))
@@ -66,7 +63,7 @@ func WriteJSON(w io.Writer, results []runner.Result) error {
 		doc.ID = r.Experiment.ID
 		doc.Title = r.Experiment.Title
 		doc.Status = status(r.Err)
-		if r.Err != nil && !errors.Is(r.Err, runner.ErrSkipped) {
+		if r.Err != nil {
 			doc.Error = r.Err.Error()
 		}
 		docs = append(docs, doc)
@@ -77,12 +74,8 @@ func WriteJSON(w io.Writer, results []runner.Result) error {
 }
 
 func status(err error) string {
-	switch {
-	case errors.Is(err, runner.ErrSkipped):
-		return "skipped"
-	case err != nil:
+	if err != nil {
 		return "error"
-	default:
-		return "ok"
 	}
+	return "ok"
 }

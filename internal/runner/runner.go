@@ -17,16 +17,11 @@ import (
 	"fmt"
 	"path"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/par"
 )
-
-// ErrSkipped marks experiments that were never started because an earlier
-// failure aborted a fail-fast run.
-var ErrSkipped = errors.New("runner: skipped after earlier failure")
 
 // Result is the outcome of one experiment run.
 type Result struct {
@@ -41,12 +36,8 @@ type Result struct {
 type Options struct {
 	// Workers bounds the worker pool; <= 0 means runtime.GOMAXPROCS(0).
 	Workers int
-	// FailFast aborts the run on the first experiment error: experiments
-	// not yet started report ErrSkipped. The default collects every error
-	// and always runs the full selection.
-	FailFast bool
-	// Exp is handed to every experiment's Run: scale factor, concurrency
-	// levels, the join runner and intra-experiment shard workers.
+	// Exp is handed to every experiment's Run: scale factor, the join
+	// runner, intra-experiment shard workers and the fault seed.
 	// Inject a shared *pstore.Cache via Exp.Joins so experiments that
 	// re-simulate the same join share engine runs across the suite.
 	Exp experiments.Options
@@ -54,36 +45,22 @@ type Options struct {
 
 // Run executes the given experiments on a bounded worker pool and returns
 // one Result per experiment, in input order regardless of completion
-// order. The error is nil only if every experiment succeeded; with
-// FailFast it is the first failure, otherwise the join of all failures.
+// order. Every experiment runs; the error is nil only if every one
+// succeeded, otherwise it is the join of all failures.
 func Run(exps []experiments.Experiment, opts Options) ([]Result, error) {
-	var aborted atomic.Bool
 	results, _ := par.Map(opts.Workers, exps, func(_ int, e experiments.Experiment) (Result, error) {
-		if opts.FailFast && aborted.Load() {
-			return Result{Experiment: e, Err: ErrSkipped}, nil
-		}
 		start := time.Now()
 		res, err := e.Run(opts.Exp)
 		if err != nil {
 			err = fmt.Errorf("%s: %w", e.ID, err)
-			if opts.FailFast {
-				aborted.Store(true)
-			}
 		}
 		return Result{Experiment: e, Result: res, Err: err, Wall: time.Since(start)}, nil
 	})
-
 	var errs []error
 	for _, r := range results {
-		if r.Err != nil && !errors.Is(r.Err, ErrSkipped) {
+		if r.Err != nil {
 			errs = append(errs, r.Err)
-			if opts.FailFast {
-				break
-			}
 		}
-	}
-	if opts.FailFast && len(errs) > 0 {
-		return results, errs[0]
 	}
 	return results, errors.Join(errs...)
 }

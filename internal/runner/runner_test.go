@@ -116,23 +116,6 @@ func TestCollectAllErrors(t *testing.T) {
 	}
 }
 
-func TestFailFastSkipsRemaining(t *testing.T) {
-	// Single worker makes the skip deterministic: everything after the
-	// failing experiment must report ErrSkipped.
-	results, err := Run(failing(5, 1), Options{Workers: 1, FailFast: true})
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("fail-fast error = %v, want the failure", err)
-	}
-	if results[0].Err != nil {
-		t.Errorf("result 0 ran before the failure, got error %v", results[0].Err)
-	}
-	for i := 2; i < 5; i++ {
-		if !errors.Is(results[i].Err, ErrSkipped) {
-			t.Errorf("result %d: err = %v, want ErrSkipped", i, results[i].Err)
-		}
-	}
-}
-
 // TestSharedCacheAcrossSuite plumbs a shared pstore.Cache through
 // Options.Exp and proves a suite run performs strictly fewer engine
 // invocations than the per-experiment sum, while the results stay
